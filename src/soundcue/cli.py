@@ -25,7 +25,7 @@ import numpy as np
 from . import docio, scene, synthgen, timeline
 from .audio import load_wav, save_wav
 from .correlate import CorrelationTrace, moving_average, normalized_cross_correlate
-from .detect import DetectorConfig, SoundPattern, detect
+from .detect import DetectorConfig, SoundPattern, _aligned, detect
 from .errors import SchemaError, SoundCueError
 from .timeline import PatternKind, Timeline
 
@@ -134,19 +134,22 @@ def _detector_config(args) -> DetectorConfig:
         raise SoundCueError(str(exc)) from exc
 
 
-def _detect_track(wav_path: str, track_id, patterns, cfg) -> Timeline:
-    sequence = load_wav(wav_path)
+def _detect_track(sequence, wav_path: str, track_id, patterns, cfg) -> Timeline:
     if track_id is None:
         track_id = Path(wav_path).stem
     return detect(sequence, patterns, cfg, track_id=track_id, source_audio=str(wav_path))
 
 
-def _correlation_report(wav_path: str, patterns, cfg) -> str:
-    """Wide CSV of the per-pattern detection traces, for plotting."""
-    sequence = load_wav(wav_path)
+def _correlation_report(sequence, patterns) -> str:
+    """Wide CSV of the per-pattern detection traces, for plotting.
+
+    Patterns go through the same rate alignment `detect` applies, so the
+    traces are the ones detection thresholds.
+    """
     columns = [("t", None)]
     traces = []
     for pattern in sorted(patterns, key=lambda p: p.id):
+        pattern = _aligned(pattern, sequence.sample_rate_hz)
         trace = normalized_cross_correlate(sequence, pattern.clip)
         columns.append((f"ncc_{pattern.id}", trace.values))
         if pattern.kind is PatternKind.CONTINUOUS:
@@ -164,7 +167,8 @@ def _correlation_report(wav_path: str, patterns, cfg) -> str:
 def cmd_detect(args) -> InvocationResult:
     patterns = _load_manifest(args.patterns)
     cfg = _detector_config(args)
-    result = _detect_track(args.sequence, args.track_id, patterns, cfg)
+    sequence = load_wav(args.sequence)
+    result = _detect_track(sequence, args.sequence, args.track_id, patterns, cfg)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     track_id = result.tracks[0].track_id
@@ -174,7 +178,7 @@ def cmd_detect(args) -> InvocationResult:
     outputs.append(timeline_path)
     if args.report:
         report_path = out_dir / f"{track_id}.correlation.csv"
-        report_path.write_text(_correlation_report(args.sequence, patterns, cfg), encoding="utf-8")
+        report_path.write_text(_correlation_report(sequence, patterns), encoding="utf-8")
         outputs.append(report_path)
     events = result.tracks[0].events
     print(f"detected {len(events)} event(s) on track {track_id!r} -> {timeline_path}")
@@ -243,7 +247,7 @@ def cmd_run(args) -> InvocationResult:
         specs.append((name, wav))
     patterns = _load_manifest(args.patterns)
     cfg = _detector_config(args)
-    merged = timeline.merge([_detect_track(wav, name, patterns, cfg) for name, wav in specs])
+    merged = timeline.merge([_detect_track(load_wav(wav), wav, name, patterns, cfg) for name, wav in specs])
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     timeline_path = out_dir / "timeline.json"

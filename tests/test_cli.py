@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from soundcue import read_timeline
+from soundcue import load_wav, read_timeline, resample, save_wav
 from soundcue.cli import main
 
 SR = 44100
@@ -170,6 +170,19 @@ class TestDetect:
         assert code == 0
         header = (out / "take.correlation.csv").read_text().splitlines()[0]
         assert header == "t,ncc_chhh,avg_chhh,ncc_poc,ncc_tick"
+
+    def test_report_resamples_pattern_like_detect(self, fixture_dir, tmp_path):
+        tick = load_wav(fixture_dir / "patterns" / "tick.wav")
+        save_wav(resample(tick, SR // 2), fixture_dir / "patterns" / "tick.wav", sample_format="float32")
+        args = ["detect", str(fixture_dir / "sequence.wav"), "--patterns", str(fixture_dir / "patterns.json"),
+                "--track-id", "take"]
+        plain, report = tmp_path / "plain", tmp_path / "rep"
+        assert main(args + ["--out-dir", str(plain)]) == 0
+        assert main(args + ["--out-dir", str(report), "--report"]) == 0
+        assert (report / "take.timeline.json").read_bytes() == (plain / "take.timeline.json").read_bytes()
+        lines = (report / "take.correlation.csv").read_text().splitlines()
+        assert lines[0] == "t,ncc_chhh,avg_chhh,ncc_poc,ncc_tick"
+        assert len(lines) - 1 == len(load_wav(fixture_dir / "sequence.wav"))
 
 
 class TestSynth:

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soundcue import (
     AudioClip,
@@ -11,6 +15,7 @@ from soundcue import (
     normalized_cross_correlate,
     raw_cross_correlate,
 )
+from soundcue.correlate import EPS_ENERGY, _fft_length, _sliding_dot
 
 SR = 8000
 
@@ -27,6 +32,55 @@ def direct_sliding_dot(s, p):
         avail = min(m, n - tau)
         out[tau] = np.dot(s[tau : tau + avail], p[:avail])
     return out
+
+
+def reference_window_energy(s, m):
+    """Index-array formula for the energy under each lag's window: the reference for the prefix-sum slices."""
+    n = s.size
+    csum = np.concatenate(([0.0], np.cumsum(s * s)))
+    ends = np.minimum(np.arange(n) + m, n)
+    return csum[ends] - csum[:n]
+
+
+def direct_ncc(s, p):
+    """Oracle of the normalized flavour: the direct numerator over the reference window energy.
+
+    Energies come from the prefix-sum formula (pinned bit for bit by
+    TestReferenceEquality), not from per-window sums: a prefix-sum
+    difference carries eps * (energy so far) of rounding, which on a
+    quiet sample under a one-sample pattern alone exceeds 1e-9 of score.
+    """
+    denom = np.sqrt(np.maximum(reference_window_energy(s, len(p)), EPS_ENERGY) * float(np.dot(p, p)))
+    return np.clip(direct_sliding_dot(s, p) / denom, -1.0, 1.0)
+
+
+def reference_moving_average(values, w):
+    """Index-array formula for the centered, edge-clamped boxcar mean."""
+    n = values.size
+    if w <= 1 or n == 0:
+        return values
+    left = (w - 1) // 2
+    idx = np.arange(n)
+    starts = np.maximum(idx - left, 0)
+    ends = np.minimum(idx - left + w, n)
+    csum = np.concatenate(([0.0], np.cumsum(values)))
+    return (csum[ends] - csum[starts]) / (ends - starts)
+
+
+def assert_matches_direct(n, m, seed):
+    rng = np.random.default_rng(seed)
+    s = rng.uniform(-1, 1, n)
+    p = rng.uniform(-1, 1, m)
+    raw = raw_cross_correlate(clip(s), clip(p)).values
+    assert raw.shape == (n,)
+    assert np.max(np.abs(raw - direct_sliding_dot(s, p) / SR)) < 1e-9
+    ncc = normalized_cross_correlate(clip(s), clip(p)).values
+    assert np.max(np.abs(ncc - direct_ncc(s, p))) < 1e-9
+
+
+def block_step(m):
+    """Lags one overlap-save block yields once the take spans several blocks."""
+    return _fft_length(1 << 30, m) - m + 1
 
 
 class TestRawCrossCorrelate:
@@ -70,6 +124,102 @@ class TestRawCrossCorrelate:
         combined = raw_cross_correlate(clip(a * s1 + b * s2), clip(p)).values
         split = a * raw_cross_correlate(clip(s1), clip(p)).values + b * raw_cross_correlate(clip(s2), clip(p)).values
         assert np.max(np.abs(combined - split)) < 1e-9
+
+
+class TestBlockEdges:
+    """The blockwise engine against the direct oracle where blocks meet and end."""
+
+    @pytest.mark.parametrize("m", [1, 5, 37])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("delta", [-1, 0, 1])
+    def test_take_of_whole_blocks_plus_minus_one(self, m, k, delta):
+        step = block_step(m)
+        n = k * step + delta
+        if n < m:
+            pytest.skip("pattern longer than the take")
+        if k > 1:
+            assert _fft_length(n, m) - m + 1 == step  # k or k + 1 blocks, the last maybe one lag long
+        assert_matches_direct(n, m, seed=n * 101 + m)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 333])
+    def test_pattern_as_long_as_take(self, n):
+        assert _fft_length(n, n) >= 2 * n - 1  # one block
+        assert_matches_direct(n, n, seed=n)
+
+    @pytest.mark.parametrize("n", [1, 9, 500, 1000])
+    def test_one_sample_pattern(self, n):
+        assert_matches_direct(n, 1, seed=n)
+
+    @pytest.mark.parametrize("n, m", [(100, 13), (700, 90), (800, 128)])
+    def test_take_shorter_than_eight_patterns_is_one_block(self, n, m):
+        assert n < 8 * m and _fft_length(n, m) >= n + m - 1
+        assert_matches_direct(n, m, seed=n + m)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=1500),
+        m_frac=st.floats(min_value=0.0, max_value=1.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_random_sizes_match_direct(self, n, m_frac, seed):
+        m = 1 + int(m_frac * (n - 1))
+        assert_matches_direct(n, m, seed)
+
+
+class TestReferenceEquality:
+    """The prefix-sum slices do the index-array formulas' arithmetic, so results are bit for bit equal."""
+
+    def test_ncc_normalization_equals_index_array_formula(self):
+        rng = np.random.default_rng(21)
+        for _ in range(40):
+            n = int(rng.integers(1, 3000))
+            m = int(rng.choice([1, n, int(rng.integers(1, n + 1))]))
+            s = rng.uniform(-1, 1, n)
+            p = rng.uniform(-1, 1, m)
+            pattern_energy = float(np.dot(p, p))
+            denom = np.sqrt(np.maximum(reference_window_energy(s, m), EPS_ENERGY) * pattern_energy)
+            expected = np.clip(_sliding_dot(s, p) / denom, -1.0, 1.0)
+            assert np.array_equal(normalized_cross_correlate(clip(s), clip(p)).values, expected), (n, m)
+
+    def test_moving_average_equals_index_array_formula(self):
+        rng = np.random.default_rng(22)
+        for _ in range(60):
+            n = int(rng.integers(0, 2000))
+            w = int(rng.choice([0, 1, 2, n, n + 1, 3 * n + 7, int(rng.integers(2, 2 * n + 3))]))
+            values = rng.uniform(-1, 1, n)
+            trace = CorrelationTrace(values, SR, normalized=True)
+            got = moving_average(trace, max(w, 0.4) / SR).values
+            assert np.array_equal(got, reference_moving_average(values, w)), (n, w)
+
+
+class TestMemoryBound:
+    """Peak allocation of one call on a 60 s, 44.1 kHz take stays within 4x the take's bytes."""
+
+    @pytest.fixture(scope="class")
+    def take(self):
+        rng = np.random.default_rng(23)
+        sr = 44100
+        s = AudioClip(rng.normal(0.0, 0.1, 60 * sr), sr)
+        p = AudioClip(rng.uniform(-1, 1, int(0.12 * sr)), sr)
+        return s, p
+
+    @staticmethod
+    def peak_bytes(fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_normalized_cross_correlate(self, take):
+        s, p = take
+        assert self.peak_bytes(normalized_cross_correlate, s, p) <= 4 * s.samples.nbytes
+
+    def test_moving_average(self, take):
+        s, p = take
+        trace = CorrelationTrace(np.abs(s.samples), s.sample_rate_hz, normalized=True)
+        assert self.peak_bytes(moving_average, trace, p.duration_s) <= 4 * s.samples.nbytes
 
 
 class TestNormalizedCrossCorrelate:
