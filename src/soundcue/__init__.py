@@ -22,7 +22,6 @@ from .detect import (
     detect,
     detect_continuous_events,
     detect_impulse_candidates,
-    extract_instance,
     strength,
     suppress,
 )

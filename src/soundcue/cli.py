@@ -24,8 +24,7 @@ import numpy as np
 
 from . import docio, scene, synthgen, timeline
 from .audio import load_wav, save_wav
-from .correlate import CorrelationTrace, moving_average, normalized_cross_correlate
-from .detect import DetectorConfig, SoundPattern, _aligned, detect
+from .detect import DetectorConfig, SoundPattern, _aligned, detect, pattern_traces
 from .errors import SchemaError, SoundCueError
 from .timeline import PatternKind, Timeline
 
@@ -143,24 +142,17 @@ def _detect_track(sequence, wav_path: str, track_id, patterns, cfg) -> Timeline:
 def _correlation_report(sequence, patterns) -> str:
     """Wide CSV of the per-pattern detection traces, for plotting.
 
-    Patterns go through the same rate alignment `detect` applies, so the
-    traces are the ones detection thresholds.
+    Patterns go through the same rate alignment `detect` applies, and the
+    traces come from the function detection reads them from.
     """
-    columns = [("t", None)]
-    traces = []
+    columns = [("t", np.arange(len(sequence)) / sequence.sample_rate_hz)]
     for pattern in sorted(patterns, key=lambda p: p.id):
-        pattern = _aligned(pattern, sequence.sample_rate_hz)
-        trace = normalized_cross_correlate(sequence, pattern.clip)
+        trace, averaged = pattern_traces(sequence, _aligned(pattern, sequence.sample_rate_hz))
         columns.append((f"ncc_{pattern.id}", trace.values))
-        if pattern.kind is PatternKind.CONTINUOUS:
-            rectified = CorrelationTrace(np.abs(trace.values), trace.sample_rate_hz, True)
-            averaged = moving_average(rectified, pattern.duration_s)
+        if averaged is not None:
             columns.append((f"avg_{pattern.id}", averaged.values))
-        traces.append(trace)
-    times = traces[0].lag_times_s() if traces else np.zeros(0)
     header = ",".join(name for name, _ in columns)
-    data = np.column_stack([times] + [values for _, values in columns[1:]]) if traces else np.zeros((0, 1))
-    rows = "\n".join(",".join(repr(float(v)) for v in row) for row in data)
+    rows = "\n".join(",".join(repr(float(v)) for v in row) for row in np.column_stack([v for _, v in columns]))
     return header + "\n" + rows + ("\n" if rows else "")
 
 

@@ -11,9 +11,15 @@ drifts, so the trace is rectified before the boxcar average; an event
 spans every maximal stretch where that averaged magnitude stays above
 the continuous threshold for at least the minimum duration.
 
+Both kinds read their trace from `pattern_traces`, the one place a
+trace is computed; `soundcue detect --report` writes the same traces.
+
 Each surviving event gets a strength: the square root of the energy
-ratio between the extracted instance and its reference pattern, so a
-louder "Tick" yields a proportionally stronger event.
+ratio between its instance window and its reference pattern, so a
+louder "Tick" yields a proportionally stronger event. The instance
+window of an impulse is [onset, onset + pattern duration], the samples
+its correlation scored; a continuous event's is its interval. Windows
+are clamped to the recording.
 """
 
 from __future__ import annotations
@@ -78,11 +84,25 @@ class Candidate:
     correlation_value: float
 
 
+def pattern_traces(s: AudioClip, pattern: SoundPattern) -> tuple[CorrelationTrace, Optional[CorrelationTrace]]:
+    """The pattern's normalized cross-correlation against `s` and, for a
+    continuous pattern, its rectified trace box-averaged over one pattern
+    duration (None for an impulse pattern).
+
+    The pattern must already share the sequence's sample rate.
+    """
+    trace = normalized_cross_correlate(s, pattern.clip)
+    if pattern.kind is not PatternKind.CONTINUOUS:
+        return trace, None
+    rectified = CorrelationTrace(np.abs(trace.values), trace.sample_rate_hz, trace.normalized)
+    return trace, moving_average(rectified, pattern.duration_s)
+
+
 def detect_impulse_candidates(s: AudioClip, pattern: SoundPattern, cfg: DetectorConfig) -> list[Candidate]:
     """Local correlation maxima above the impulse threshold, as candidates."""
     if pattern.kind is not PatternKind.IMPULSE:
         raise DetectionError(f"pattern {pattern.id!r} is not an impulse pattern")
-    trace = normalized_cross_correlate(s, pattern.clip)
+    trace, _ = pattern_traces(s, pattern)
     return [
         Candidate(pattern.id, lag / trace.sample_rate_hz, value)
         for lag, value in find_local_maxima(trace, cfg.impulse_threshold)
@@ -120,9 +140,7 @@ def _continuous_intervals(
     the pattern duration back to the run's end so it describes when the
     sound is playing; runs whose supports then touch are merged.
     """
-    trace = normalized_cross_correlate(s, pattern.clip)
-    rectified = CorrelationTrace(np.abs(trace.values), trace.sample_rate_hz, trace.normalized)
-    averaged = moving_average(rectified, pattern.duration_s)
+    _, averaged = pattern_traces(s, pattern)
     above = averaged.values > cfg.continuous_threshold
     if not above.any():
         return []
@@ -157,38 +175,25 @@ def detect_continuous_events(
     return [(b, e) for b, e, _ in _continuous_intervals(s, pattern, cfg)]
 
 
-def _slice_seconds(s: AudioClip, t0: float, t1: float) -> AudioClip:
-    n = len(s)
-    i0 = min(max(int(round(t0 * s.sample_rate_hz)), 0), n)
-    i1 = min(max(int(round(t1 * s.sample_rate_hz)), 0), n)
-    return AudioClip(s.samples[i0:max(i0, i1)], s.sample_rate_hz)
-
-
-def extract_instance(s: AudioClip, event: EventInstance, pattern: Optional[SoundPattern] = None) -> AudioClip:
-    """Cut the signal portion an event refers to, clamped to the recording.
-
-    Impulse events cover half a pattern duration on each side of their
-    time (pass the pattern so the window width is known); continuous
-    events cover exactly their interval.
-    """
-    if event.onset_s < 0 or event.end_s > s.duration_s:
-        raise DetectionError(
-            f"event for {event.pattern_id!r} at {event.onset_s} lies outside the signal [0, {s.duration_s}]"
-        )
-    if event.kind is PatternKind.IMPULSE:
-        if pattern is None:
-            raise DetectionError("impulse extraction needs the pattern to size its window")
-        half = pattern.duration_s / 2
-        return _slice_seconds(s, event.t_s - half, event.t_s + half)
-    return _slice_seconds(s, event.t_begin_s, event.t_end_s)
-
-
 def strength(instance: AudioClip, pattern: SoundPattern) -> float:
     """sqrt of the instance/pattern energy ratio; 1.0 means voiced as loud as the reference."""
     reference = energy(pattern.clip)
     if reference <= 0.0:
         raise DetectionError(f"pattern {pattern.id!r} has zero energy")
     return math.sqrt(energy(instance) / reference)
+
+
+def _event(s: AudioClip, pattern: SoundPattern, t0: float, t1: float, peak: float) -> EventInstance:
+    """The event for one instance of `pattern` whose window is [t0, t1].
+
+    An impulse event is timed at t0; a continuous event spans [t0, t1].
+    Its strength is measured on the window, clamped to the recording.
+    """
+    sr, n = s.sample_rate_hz, len(s)
+    i0, i1 = (min(max(int(round(t * sr)), 0), n) for t in (t0, t1))
+    instance = AudioClip(s.samples[i0:i1], sr)
+    times = {"t_s": t0} if pattern.kind is PatternKind.IMPULSE else {"t_begin_s": t0, "t_end_s": t1}
+    return EventInstance(pattern.id, pattern.kind, strength(instance, pattern), peak, **times)
 
 
 def _aligned(pattern: SoundPattern, rate: int) -> SoundPattern:
@@ -219,43 +224,16 @@ def detect(
     aligned = {p.id: _aligned(p, s.sample_rate_hz) for p in patterns}
 
     candidates: list[Candidate] = []
+    events = []
     for pattern in aligned.values():
         if pattern.kind is PatternKind.IMPULSE:
             candidates.extend(detect_impulse_candidates(s, pattern, cfg))
-    if cfg.suppression:
-        kept = suppress(candidates, aligned)
-    else:
-        kept = sorted(candidates, key=lambda c: (c.lag_time_s, c.pattern_id))
-
-    events = []
-    for cand in kept:
+        else:
+            events.extend(_event(s, pattern, b, e, peak) for b, e, peak in _continuous_intervals(s, pattern, cfg))
+    for cand in suppress(candidates, aligned) if cfg.suppression else candidates:
         pattern = aligned[cand.pattern_id]
-        # energy window spans the instance support: [onset, onset + pattern duration]
-        instance = _slice_seconds(s, cand.lag_time_s, cand.lag_time_s + pattern.duration_s)
-        events.append(
-            EventInstance(
-                pattern_id=cand.pattern_id,
-                kind=PatternKind.IMPULSE,
-                t_s=cand.lag_time_s,
-                strength=strength(instance, pattern),
-                peak_correlation=cand.correlation_value,
-            )
-        )
-    for pattern in aligned.values():
-        if pattern.kind is not PatternKind.CONTINUOUS:
-            continue
-        for t_begin, t_end, peak in _continuous_intervals(s, pattern, cfg):
-            instance = _slice_seconds(s, t_begin, t_end)
-            events.append(
-                EventInstance(
-                    pattern_id=pattern.id,
-                    kind=PatternKind.CONTINUOUS,
-                    t_begin_s=t_begin,
-                    t_end_s=t_end,
-                    strength=strength(instance, pattern),
-                    peak_correlation=peak,
-                )
-            )
+        onset = cand.lag_time_s
+        events.append(_event(s, pattern, onset, onset + pattern.duration_s, cand.correlation_value))
 
     track = Track(track_id=track_id, events=tuple(events), source_audio=source_audio)
     return Timeline(tracks=(track,), duration_s=s.duration_s)

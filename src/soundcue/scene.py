@@ -83,6 +83,14 @@ class SlideAction:
     kind = "slide"
     requires = PatternKind.CONTINUOUS
 
+    def __post_init__(self):
+        self.squash  # validates the amplitude
+
+    @property
+    def squash(self) -> SquashParams:
+        """The squash held over each slide interval."""
+        return SquashParams(amplitude=self.squash_amplitude)
+
 
 @dataclass(frozen=True)
 class SteerAction:
@@ -90,6 +98,12 @@ class SteerAction:
     speed: float = 1.0
     z_min: float = 0.0
     z_max: float = 3.0
+
+    def __post_init__(self):
+        if self.speed < 0:
+            raise ValueError(f"speed must be >= 0, got {self.speed}")
+        if not self.z_min < self.z_max:
+            raise ValueError(f"needs z_min < z_max, got ({self.z_min}, {self.z_max})")
 
     @property
     def kind(self) -> str:
@@ -104,6 +118,10 @@ class SpawnAction:
     size_base: float
     size_per_strength: float
     placement: PlacementRule
+
+    def __post_init__(self):
+        if self.size_base <= 0:
+            raise ValueError(f"size_base must be positive, got {self.size_base}")
 
     @property
     def kind(self) -> str:
@@ -206,20 +224,20 @@ def _parse_action(obj, path: str) -> ActionSpec:
         if kind in ("bounce_hard", "bounce_soft"):
             keys = {"kind", "drift_speed", "tail"}
             soft = kind == "bounce_soft"
-            squash = SquashParams()
+            squash = BounceAction.squash
             if soft:
                 keys |= {"squash_amplitude", "squash_duration_s", "strength_scaling", "strength_clamp"}
-                scaling = obj.get("strength_scaling", True)
+                scaling = squash.strength_scaling
                 if "strength_scaling" in obj:
                     scaling = docio.as_boolean(obj["strength_scaling"], f"{path}.strength_scaling")
                 squash = SquashParams(
-                    amplitude=_num(obj, "squash_amplitude", path, 0.3),
-                    duration_s=_num(obj, "squash_duration_s", path, 0.15),
+                    amplitude=_num(obj, "squash_amplitude", path, squash.amplitude),
+                    duration_s=_num(obj, "squash_duration_s", path, squash.duration_s),
                     strength_scaling=scaling,
-                    strength_clamp=_num(obj, "strength_clamp", path, 2.0),
+                    strength_clamp=_num(obj, "strength_clamp", path, squash.strength_clamp),
                 )
             docio.reject_unknown(obj, keys, path)
-            tail_name = obj.get("tail", TailMode.REST.value)
+            tail_name = BounceAction.tail.value
             if "tail" in obj:
                 tail_name = docio.as_string(obj["tail"], f"{path}.tail")
             try:
@@ -227,21 +245,24 @@ def _parse_action(obj, path: str) -> ActionSpec:
             except ValueError:
                 raise SchemaError(f"{path}.tail", f"unknown tail mode {tail_name!r}") from None
             return BounceAction(
-                soft=soft, squash=squash, drift_speed=_num(obj, "drift_speed", path, 0.0), tail=tail
+                soft=soft,
+                squash=squash,
+                drift_speed=_num(obj, "drift_speed", path, BounceAction.drift_speed),
+                tail=tail,
             )
         if kind == "slide":
             docio.reject_unknown(obj, {"kind", "speed", "squash_amplitude"}, path)
             return SlideAction(
-                speed=_num(obj, "speed", path, 1.0),
-                squash_amplitude=_num(obj, "squash_amplitude", path, 0.3),
+                speed=_num(obj, "speed", path, SlideAction.speed),
+                squash_amplitude=_num(obj, "squash_amplitude", path, SlideAction.squash_amplitude),
             )
         if kind in ("move_up", "move_down"):
             docio.reject_unknown(obj, {"kind", "speed", "z_min", "z_max"}, path)
             return SteerAction(
                 direction=1 if kind == "move_up" else -1,
-                speed=_num(obj, "speed", path, 1.0),
-                z_min=_num(obj, "z_min", path, 0.0),
-                z_max=_num(obj, "z_max", path, 3.0),
+                speed=_num(obj, "speed", path, SteerAction.speed),
+                z_min=_num(obj, "z_min", path, SteerAction.z_min),
+                z_max=_num(obj, "z_max", path, SteerAction.z_max),
             )
         if kind in _SPAWN_ENTITY:
             docio.reject_unknown(obj, {"kind", "size_base", "size_per_strength", "placement"}, path)
@@ -297,9 +318,9 @@ def parse_scene(text, pattern_kinds: Optional[Mapping[str, PatternKind]] = None)
     """
     root = docio.as_object(docio.parse_json(text, "scene") if isinstance(text, str) else text, "")
     docio.reject_unknown(root, {"fps", "seed", "gravity", "duration_override_s", "objects"}, "")
-    fps = _num(root, "fps", "", 60.0)
-    gravity = _num(root, "gravity", "", 9.81)
-    seed = 0
+    fps = _num(root, "fps", "", SceneConfig.fps)
+    gravity = _num(root, "gravity", "", SceneConfig.gravity)
+    seed = SceneConfig.seed
     if "seed" in root:
         seed = docio.as_integer(root["seed"], "seed")
     duration_override = None
@@ -407,9 +428,8 @@ def build_animation(timeline: Timeline, cfg: SceneConfig) -> AnimationOutput:
                     speed = action.drift_speed
                     position_providers.append(on_axis(0, lambda t, v=speed: v * t))
             elif isinstance(action, SlideAction):
-                squash = SquashParams(amplitude=action.squash_amplitude)
                 for event in events:
-                    segment = slide_segment((event.t_begin_s, event.t_end_s), action.speed, squash)
+                    segment = slide_segment((event.t_begin_s, event.t_end_s), action.speed, action.squash)
                     position_providers.append(segment.position)
                     scale_providers.append(segment.scale)
             elif isinstance(action, SteerAction):

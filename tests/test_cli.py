@@ -171,6 +171,25 @@ class TestDetect:
         header = (out / "take.correlation.csv").read_text().splitlines()[0]
         assert header == "t,ncc_chhh,avg_chhh,ncc_poc,ncc_tick"
 
+    @pytest.mark.parametrize("flags", [[], ["--no-suppression"]])
+    def test_report_shows_the_numbers_detect_used(self, fixture_dir, tmp_path, flags):
+        out = tmp_path / "rep"
+        assert main([
+            "detect", str(fixture_dir / "sequence.wav"), "--patterns", str(fixture_dir / "patterns.json"),
+            "--track-id", "take", "--out-dir", str(out), "--report", *flags,
+        ]) == 0
+        lines = (out / "take.correlation.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        columns = dict(zip(header, zip(*(map(float, line.split(",")) for line in lines[1:]))))
+        events = read_timeline(out / "take.timeline.json").tracks[0].events
+        assert {e.kind.value for e in events} == {"impulse", "continuous"}
+        for event in events:
+            if event.kind.value == "impulse":
+                assert event.peak_correlation == columns[f"ncc_{event.pattern_id}"][round(event.t_s * SR)]
+            else:
+                first, last = round(event.t_begin_s * SR), round(event.t_end_s * SR)
+                assert event.peak_correlation == max(columns[f"avg_{event.pattern_id}"][first : last + 1])
+
     def test_report_resamples_pattern_like_detect(self, fixture_dir, tmp_path):
         tick = load_wav(fixture_dir / "patterns" / "tick.wav")
         save_wav(resample(tick, SR // 2), fixture_dir / "patterns" / "tick.wav", sample_format="float32")

@@ -6,7 +6,6 @@ from soundcue import (
     Candidate,
     DetectionError,
     DetectorConfig,
-    EventInstance,
     GroundTruth,
     PatternKind,
     PlantedInstance,
@@ -14,7 +13,6 @@ from soundcue import (
     detect,
     detect_continuous_events,
     detect_impulse_candidates,
-    extract_instance,
     make_pattern,
     place_instances,
     serialize,
@@ -129,33 +127,6 @@ class TestContinuous:
             detect_continuous_events(silent_clip(1.0), dictionary["tick"], DetectorConfig())
 
 
-class TestExtractInstance:
-    def test_impulse_centered_window(self, dictionary):
-        tick = dictionary["tick"]
-        s = plant({"tick": tick.clip}, [PlantedInstance("tick", onset_s=0.0)], duration=1.0)
-        event = EventInstance("tick", PatternKind.IMPULSE, t_s=tick.duration_s / 2, strength=1.0, peak_correlation=0.9)
-        extracted = extract_instance(s, event, tick)
-        assert len(extracted) == len(tick.clip)
-        assert np.max(np.abs(extracted.samples - tick.clip.samples)) < 1e-12
-
-    def test_continuous_slice(self):
-        s = silent_clip(3.0)
-        event = EventInstance("c", PatternKind.CONTINUOUS, t_begin_s=1.0, t_end_s=2.0, strength=0.0, peak_correlation=0.6)
-        assert extract_instance(s, event).duration_s == pytest.approx(1.0)
-
-    def test_window_clamped_at_start(self, dictionary):
-        tick = dictionary["tick"]
-        s = silent_clip(1.0)
-        event = EventInstance("tick", PatternKind.IMPULSE, t_s=0.0, strength=0.0, peak_correlation=0.9)
-        extracted = extract_instance(s, event, tick)
-        assert extracted.duration_s == pytest.approx(tick.duration_s / 2, abs=1 / SR)
-
-    def test_event_outside_signal(self, dictionary):
-        event = EventInstance("tick", PatternKind.IMPULSE, t_s=5.0, strength=0.0, peak_correlation=0.9)
-        with pytest.raises(DetectionError):
-            extract_instance(silent_clip(1.0), event, dictionary["tick"])
-
-
 class TestStrength:
     def test_reference_instance_is_one(self, dictionary):
         tick = dictionary["tick"]
@@ -251,6 +222,37 @@ class TestDetect:
         tl = detect(s, [lowrate])
         (event,) = tl.tracks[0].events
         assert abs(event.t_s - 1.0) < 0.005
+
+    def test_impulse_window_clamped_at_end(self, dictionary):
+        # the take ends two thirds into a tick: its [onset, onset + d] window runs past the end
+        tick = dictionary["tick"]
+        kept = 2 * len(tick.clip) // 3
+        samples = np.zeros(SR)
+        samples[-kept:] = tick.clip.samples[:kept]
+        s = AudioClip(samples, SR)
+        (event,) = detect(s, [tick]).tracks[0].events
+        assert event.t_s + tick.duration_s > s.duration_s
+        assert event.strength == pytest.approx(strength(AudioClip(tick.clip.samples[:kept], SR), tick), rel=1e-12)
+
+    def test_without_suppression_every_candidate_is_an_event(self, dictionary, figure_sequence):
+        patterns = list(dictionary.values())
+        cfg = DetectorConfig(suppression=False)
+        candidates = sorted(
+            (c.pattern_id, c.lag_time_s, c.correlation_value)
+            for p in patterns
+            if p.kind is PatternKind.IMPULSE
+            for c in detect_impulse_candidates(figure_sequence, p, cfg)
+        )
+        events = detect(figure_sequence, patterns, cfg).tracks[0].events
+        impulses = sorted(
+            (e.pattern_id, e.t_s, e.peak_correlation) for e in events if e.kind is PatternKind.IMPULSE
+        )
+        assert impulses == candidates
+        suppressed = detect(figure_sequence, patterns).tracks[0].events
+        assert len(impulses) > len([e for e in suppressed if e.kind is PatternKind.IMPULSE])
+        assert [e for e in events if e.kind is PatternKind.CONTINUOUS] == [
+            e for e in suppressed if e.kind is PatternKind.CONTINUOUS
+        ]
 
     def test_empty_dictionary_rejected(self):
         with pytest.raises(DetectionError):

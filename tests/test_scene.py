@@ -148,6 +148,24 @@ class TestParseScene:
         assert parse_scene(text, kinds) == cfg
         assert serialize_scene(parse_scene(text, kinds)) == text
 
+    @pytest.mark.parametrize(
+        "pattern_id, action",
+        [
+            ("chhh", {"kind": "slide", "squash_amplitude": 1.5}),
+            ("tick", {"kind": "spawn_dart", "size_base": 0.0}),
+            ("tick", {"kind": "spawn_raindrop", "size_base": -0.1}),
+            ("hooo", {"kind": "move_up", "z_min": 3.0, "z_max": 3.0}),
+            ("heee", {"kind": "move_down", "z_min": 4.0, "z_max": 1.0}),
+            ("hooo", {"kind": "move_up", "speed": -1.0}),
+        ],
+    )
+    def test_invalid_action_value_names_binding_path(self, pattern_id, action):
+        doc = json.loads(scene_doc())
+        doc["objects"][0]["bindings"] = {pattern_id: action}
+        with pytest.raises(SchemaError) as err:
+            parse_scene(json.dumps(doc))
+        assert err.value.path == f"objects[0].bindings[{pattern_id!r}]"
+
     def test_missing_required_field_names_path(self):
         doc = json.loads(scene_doc())
         del doc["objects"][0]["track_id"]
