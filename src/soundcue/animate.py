@@ -4,7 +4,9 @@ Trajectories are closed-form, not simulated. A bounce is a chain of
 parabolas pinned to hit the floor exactly at its event times: between
 consecutive impacts t_k and t_k+1 the take-off speed is g*(t_k+1-t_k)/2,
 which lands the next hit on the beat. Squash is a volume-preserving
-cosine bump around each impact; slides translate at constant speed while
+cosine bump around each impact, evaluated only on the frames inside its
+window, so sampling costs frames plus bumps times the frames per bump,
+not bumps times all frames; slides translate at constant speed while
 holding the squash; vertical steering integrates a signed speed over the
 continuous intervals, saturating at its bounds.
 
@@ -29,6 +31,7 @@ PositionProvider = Callable[[np.ndarray], np.ndarray]  # (n,) times -> (n, 3) me
 ScaleProvider = Callable[[np.ndarray], np.ndarray]  # (n,) times -> (n, 3) factors
 
 _SEED_MASK = (1 << 63) - 1
+_CSV_BLOCK_ROWS = 4096
 
 
 class TailMode(Enum):
@@ -168,13 +171,20 @@ def _volume_preserving(scale_z: np.ndarray) -> np.ndarray:
 
 
 class SquashProfile:
-    """Cosine squash bump around one impact; identity outside its window."""
+    """Cosine squash bump around one impact; identity outside its window.
+
+    Calling a profile is calling `scale`. Its `support` is the window
+    [impact - duration/2, impact + duration/2]; `sample` evaluates the
+    profile only on the frames inside it.
+    """
 
     def __init__(self, impact_t: float, strength: float, params: SquashParams):
         if strength < 0:
             raise AnimationError(f"strength must be >= 0, got {strength}")
         self.impact_t = float(impact_t)
         self.params = params
+        half = params.duration_s / 2
+        self.support = (self.impact_t - half, self.impact_t + half)
         if params.strength_scaling:
             self.depth = params.amplitude * min(strength, params.strength_clamp)
         else:
@@ -192,6 +202,8 @@ class SquashProfile:
             0.0,
         )
         return _volume_preserving(1.0 - self.depth * bump)
+
+    __call__ = scale
 
 
 def squash_profile(impact_t: float, strength: float, params: Optional[SquashParams] = None) -> SquashProfile:
@@ -343,15 +355,29 @@ def spawn_from_impulses(
             )
         else:
             raise AnimationError(f"unknown placement rule {placement!r}")
-        spawns.append(
-            SpawnEvent(
-                t_s=event.onset_s,
-                entity_kind=entity_kind,
-                size=size_base + size_per_strength * event.strength,
-                position=position,
+        size = size_base + size_per_strength * event.strength
+        if not size > 0:
+            raise AnimationError(
+                f"spawn size must be positive, got {size} for the event at {event.onset_s} s "
+                f"(strength {event.strength})"
             )
-        )
+        spawns.append(SpawnEvent(t_s=event.onset_s, entity_kind=entity_kind, size=size, position=position))
     return spawns
+
+
+def _frames_within(times: np.ndarray, support) -> slice:
+    """The frames of the sorted `times` in `support` = (t_begin, t_end), all of them for None.
+
+    The interval is widened by a few ulps, so no frame that a provider's
+    own test on t - t_center could place inside it is left out by rounding.
+    """
+    if support is None:
+        return slice(None)
+    t_begin, t_end = support
+    slack = 4 * math.ulp(max(abs(t_begin), abs(t_end)))
+    i0 = np.searchsorted(times, t_begin - slack, side="left")
+    i1 = np.searchsorted(times, t_end + slack, side="right")
+    return slice(int(i0), int(i1))
 
 
 def sample(
@@ -363,7 +389,11 @@ def sample(
 ) -> AnimationCurves:
     """Sample the composed motion uniformly from t=0 through duration_s.
 
-    Positions of all providers sum; scales multiply componentwise.
+    Positions of all providers sum; scales multiply componentwise, in
+    provider order. A scale provider with a `support` (t_begin, t_end),
+    such as a `SquashProfile`, is the identity outside that interval and
+    is evaluated only on the frames inside it: a factor of exactly 1
+    elsewhere changes no bit of the product.
     """
     if fps <= 0:
         raise AnimationError(f"fps must be positive, got {fps}")
@@ -376,7 +406,8 @@ def sample(
         positions = positions + provider(times)
     scales = np.ones((n, 3))
     for provider in scale_providers:
-        scales = scales * provider(times)
+        frames = _frames_within(times, getattr(provider, "support", None))
+        scales[frames] *= provider(times[frames])
     return AnimationCurves(object_id=object_id, fps=float(fps), times=times, positions=positions, scales=scales)
 
 
@@ -394,8 +425,11 @@ def on_axis(axis: int, values_fn: Callable[[np.ndarray], np.ndarray]) -> Positio
 
 def curves_to_csv(curves: AnimationCurves) -> str:
     """Tabular export, one row per frame: t,px,py,pz,sx,sy,sz."""
-    lines = ["t,px,py,pz,sx,sy,sz"]
-    for i in range(curves.times.size):
-        row = [curves.times[i], *curves.positions[i], *curves.scales[i]]
-        lines.append(",".join(repr(float(v)) for v in row))
-    return "\n".join(lines) + "\n"
+    table = np.column_stack((curves.times, curves.positions, curves.scales))
+    # Formatted a block of rows at a time: one block's Python floats and
+    # row strings exist at once, not the whole take's.
+    blocks = ["t,px,py,pz,sx,sy,sz\n"]
+    for start in range(0, len(table), _CSV_BLOCK_ROWS):
+        rows = table[start : start + _CSV_BLOCK_ROWS].tolist()
+        blocks.append("\n".join(",".join(map(repr, row)) for row in rows) + "\n")
+    return "".join(blocks)

@@ -103,6 +103,9 @@ def load_wav(path) -> AudioClip:
     elif tag == 3 and bits == 32:
         usable = len(data) // 4 * 4
         x = np.frombuffer(data[:usable], dtype="<f4").astype(np.float64)
+        nan = np.flatnonzero(np.isnan(x))
+        if nan.size:
+            raise WavFormatError(f"{path}: frame {nan[0] // channels} holds a NaN sample")
         x = np.clip(x, -1.0, 1.0)
     else:
         raise UnsupportedWavError(f"{path}: format tag {tag} with {bits}-bit samples is not supported")

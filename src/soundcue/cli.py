@@ -195,7 +195,10 @@ def _write_animation(tl: Timeline, scene_cfg, out_dir: Path) -> tuple[list[Path]
 
 def _scene_overrides(cfg, args):
     if args.fps is not None:
-        cfg = dataclasses.replace(cfg, fps=args.fps)
+        try:
+            cfg = dataclasses.replace(cfg, fps=args.fps)
+        except ValueError as exc:
+            raise SoundCueError(f"--fps: {exc}") from exc
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     return cfg

@@ -187,18 +187,18 @@ def find_local_maxima(trace: CorrelationTrace, threshold: float) -> list[tuple[i
     A plateau counts once and reports its center sample (floor of the
     midpoint for even plateaus). Runs touching either end of the trace are
     never maxima, so a monotone trace yields nothing.
+
+    Only samples above the threshold are visited: a run of equal values
+    above it lies wholly among them, and its two neighbours decide it.
     """
     v = trace.values
-    if v.size < 3:
-        return []
-    # run-length encode so plateaus are handled exactly
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(v)) + 1))
-    run_values = v[starts]
-    if run_values.size < 3:
-        return []
-    ends = np.concatenate((starts[1:], [v.size]))  # exclusive
-    interior = run_values[1:-1]
-    keep = (interior > run_values[:-2]) & (interior > run_values[2:]) & (interior > threshold)
-    picked = np.flatnonzero(keep) + 1
-    centers = (starts[picked] + ends[picked] - 1) // 2
-    return [(int(lag), float(val)) for lag, val in zip(centers, run_values[picked])]
+    last = v.size - 1
+    above = np.flatnonzero(v > threshold)
+    starts = above[(above == 0) | (v[above - 1] != v[above])]
+    ends = above[(above == last) | (v[np.minimum(above + 1, last)] != v[above])]  # inclusive
+    values = v[starts]
+    # A run at either end of the trace stands in for its own missing
+    # neighbour there, so the strict comparison drops it.
+    keep = (v[np.maximum(starts - 1, 0)] < values) & (v[np.minimum(ends + 1, last)] < values)
+    centers = (starts[keep] + ends[keep]) // 2
+    return [(int(lag), float(val)) for lag, val in zip(centers, values[keep])]

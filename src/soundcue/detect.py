@@ -25,6 +25,7 @@ are clamped to the recording.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence
 
@@ -116,15 +117,30 @@ def suppress(candidates: Sequence[Candidate], patterns: Mapping[str, SoundPatter
     time, then pattern id). One is kept only if no already-kept candidate
     lies within half the kept candidate's own pattern duration of it.
     Returns the survivors sorted by time.
+
+    Only kept candidates within the largest half duration can reject one,
+    so the kept times are held sorted and each candidate is tested against
+    the neighbours a bisection finds there, not against all kept ones. The
+    window is widened by a few ulps so that rounding at its edges cannot
+    leave out a neighbour the exact test would count.
     """
     ordered = sorted(candidates, key=lambda c: (-c.correlation_value, c.lag_time_s, c.pattern_id))
+    if not ordered:
+        return []
+    half = {pid: patterns[pid].duration_s / 2 for pid in {c.pattern_id for c in ordered}}
+    reach = max(half.values())
+    reach += 4 * math.ulp(reach + max(abs(c.lag_time_s) for c in ordered))
+    kept_times: list[float] = []  # sorted
+    kept_halves: list[float] = []  # beside kept_times
     kept: list[Candidate] = []
     for cand in ordered:
-        clear = all(
-            abs(cand.lag_time_s - other.lag_time_s) > patterns[other.pattern_id].duration_s / 2
-            for other in kept
-        )
-        if clear:
+        t = cand.lag_time_s
+        lo = bisect_left(kept_times, t - reach)
+        hi = bisect_right(kept_times, t + reach, lo)
+        if all(abs(t - kept_times[i]) > kept_halves[i] for i in range(lo, hi)):
+            at = bisect_right(kept_times, t, lo, hi)
+            kept_times.insert(at, t)
+            kept_halves.insert(at, half[cand.pattern_id])
             kept.append(cand)
     return sorted(kept, key=lambda c: (c.lag_time_s, c.pattern_id))
 

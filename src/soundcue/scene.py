@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Union
 
@@ -36,7 +37,7 @@ from .animate import (
     squash_profile,
     steer_vertical,
 )
-from .errors import SceneError, SchemaError
+from .errors import AnimationError, SceneError, SchemaError
 from .timeline import PatternKind, Timeline
 
 logger = logging.getLogger(__name__)
@@ -152,8 +153,8 @@ class SceneConfig:
     duration_override_s: Optional[float] = None
 
     def __post_init__(self):
-        if self.fps <= 0:
-            raise ValueError(f"fps must be positive, got {self.fps}")
+        if not 0 < self.fps < math.inf:
+            raise ValueError(f"fps must be positive and finite, got {self.fps}")
         if self.gravity <= 0:
             raise ValueError(f"gravity must be positive, got {self.gravity}")
         ids = [o.object_id for o in self.objects]
@@ -393,7 +394,7 @@ def build_animation(timeline: Timeline, cfg: SceneConfig) -> AnimationOutput:
     tracks = {t.track_id: t for t in timeline.tracks}
     all_curves = []
     all_spawns = []
-    for obj in cfg.objects:
+    for index, obj in enumerate(cfg.objects):
         if obj.track_id not in tracks:
             raise SceneError(f"object {obj.object_id!r} references missing track {obj.track_id!r}")
         track = tracks[obj.track_id]
@@ -438,8 +439,8 @@ def build_animation(timeline: Timeline, cfg: SceneConfig) -> AnimationOutput:
                 target.extend((e.t_begin_s, e.t_end_s) for e in events)
             elif isinstance(action, SpawnAction):
                 seed = binding_seed(cfg.seed, obj.object_id, pattern_id)
-                all_spawns.extend(
-                    spawn_from_impulses(
+                try:
+                    spawns = spawn_from_impulses(
                         events,
                         action.entity_kind,
                         action.size_base,
@@ -447,7 +448,9 @@ def build_animation(timeline: Timeline, cfg: SceneConfig) -> AnimationOutput:
                         action.placement,
                         seed,
                     )
-                )
+                except AnimationError as exc:
+                    raise SceneError(f"objects[{index}].bindings[{pattern_id!r}]: {exc}") from exc
+                all_spawns.extend(spawns)
 
         if bounce_actions:
             tails = {a.tail for a in bounce_actions}
@@ -459,8 +462,7 @@ def build_animation(timeline: Timeline, cfg: SceneConfig) -> AnimationOutput:
                 )
                 position_providers.append(trajectory.position)
             for event, squash in soft_events:
-                profile = squash_profile(event.t_s, event.strength, squash)
-                scale_providers.append(profile.scale)
+                scale_providers.append(squash_profile(event.t_s, event.strength, squash))
         if steer_actions:
             speeds = {a.speed for a in steer_actions}
             bounds = {(a.z_min, a.z_max) for a in steer_actions}

@@ -220,6 +220,10 @@ class PatternDef:
     duration_s: float
     seed: int
 
+    def __post_init__(self):
+        if not self.duration_s > 0:
+            raise ValueError(f"duration_s must be positive, got {self.duration_s}")
+
 
 @dataclass(frozen=True)
 class FixturePlan:
@@ -282,15 +286,17 @@ def parse_plan(text: str) -> FixturePlan:
         shape = docio.as_string(obj.get("shape", "tonal_burst"), f"{path}.shape")
         if shape not in ("tonal_burst", "noise_burst"):
             raise SchemaError(f"{path}.shape", f"unknown pattern shape {shape!r}")
-        defs.append(
-            PatternDef(
-                id=docio.as_string(docio.get(obj, "id", path), f"{path}.id"),
-                kind=kind,
-                shape=shape,
-                duration_s=docio.as_number(docio.get(obj, "duration_s", path), f"{path}.duration_s"),
-                seed=docio.as_integer(docio.get(obj, "seed", path), f"{path}.seed"),
-            )
+        fields = dict(
+            id=docio.as_string(docio.get(obj, "id", path), f"{path}.id"),
+            kind=kind,
+            shape=shape,
+            duration_s=docio.as_number(docio.get(obj, "duration_s", path), f"{path}.duration_s"),
+            seed=docio.as_integer(docio.get(obj, "seed", path), f"{path}.seed"),
         )
+        try:
+            defs.append(PatternDef(**fields))
+        except ValueError as exc:
+            raise SchemaError(f"{path}.duration_s", str(exc)) from exc
     ids = [d.id for d in defs]
     if len(set(ids)) != len(ids):
         raise SchemaError("patterns", "pattern ids must be unique")

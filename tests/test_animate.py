@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from soundcue import (
     AnimationError,
@@ -25,6 +29,24 @@ G = 9.81
 
 def impulse(t, strength=1.0):
     return EventInstance("tap", PatternKind.IMPULSE, t_s=t, strength=strength, peak_correlation=0.9)
+
+
+def reference_scales(scale_functions, duration_s, fps):
+    """Every scale function evaluated on every frame, multiplied in order."""
+    times = np.arange(int(math.floor(duration_s * fps + 1e-9)) + 1) / fps
+    scales = np.ones((times.size, 3))
+    for fn in scale_functions:
+        scales = scales * fn(times)
+    return scales
+
+
+# Impacts on the 1/64 s grid with dyadic squash durations put frames at 64 fps
+# exactly on impact +/- half; the grid reaches t = 0 and past the sampled span.
+bump_strategy = st.tuples(
+    st.one_of(st.integers(0, 4 * 64).map(lambda k: k / 64), st.floats(0.0, 4.0)),
+    st.floats(0.0, 2.5),
+    st.sampled_from([2 / 64, 8 / 64, 0.15, 0.5, 1.0]),
+)
 
 
 class TestSolveBounce:
@@ -222,6 +244,53 @@ class TestSample:
         volume = curves.scales.prod(axis=1)
         assert np.max(np.abs(volume - 1.0)) < 1e-9
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        bumps=st.lists(bump_strategy, max_size=12),
+        slide=st.one_of(st.none(), st.tuples(st.floats(0.0, 2.0), st.floats(0.2, 2.0), st.integers(0, 12))),
+        duration_s=st.integers(0, 24).map(lambda k: k / 8),
+        fps=st.sampled_from([24.0, 60.0, 64.0, 100.0, 120.0]),
+    )
+    # Two overlapping bumps with a slide between them in provider order: any
+    # other order of the three products changes the last bit of some frames.
+    @example(bumps=[(0.74, 1.3, 0.5), (0.87, 1.4, 0.5)], slide=(0.5, 1.0, 1), duration_s=2.0, fps=60.0)
+    def test_windowed_bumps_equal_all_frames_evaluation(self, bumps, slide, duration_s, fps):
+        profiles = [squash_profile(t, strength, SquashParams(duration_s=d)) for t, strength, d in bumps]
+        providers = list(profiles)
+        functions = [p.scale for p in profiles]
+        if slide is not None:  # a held slide squash under the bumps, at any place in provider order
+            begin, length, at = slide
+            segment = slide_segment((begin, begin + length), speed=1.0)
+            providers.insert(at, segment.scale)
+            functions.insert(at, segment.scale)
+        curves = sample([], providers, duration_s, fps)
+        assert np.array_equal(curves.scales, reference_scales(functions, duration_s, fps))
+
+    @pytest.mark.parametrize(
+        "impact, fps",
+        [
+            (1.0, 64.0),  # frames exactly at impact -/+ half
+            (0.20833333333333334, 24.0),  # frame 2 lies below the rounded impact - half, yet passes the bump's test
+            (0.08333333333333333, 24.0),  # frame 5 lies past the rounded impact + half, yet passes the bump's test
+        ],
+    )
+    def test_bump_evaluated_on_its_own_frames(self, impact, fps):
+        profile = squash_profile(impact, 1.0, SquashParams(duration_s=0.25))
+        seen = []
+
+        class Spy:
+            support = profile.support
+
+            def __call__(self, t):
+                seen.append(t.copy())
+                return profile(t)
+
+        curves = sample([], [Spy()], duration_s=10.0, fps=fps)
+        (frames,) = seen
+        accepted = curves.times[np.abs(curves.times - impact) <= 0.125]
+        assert np.isin(accepted, frames).all()
+        assert frames.size <= accepted.size + 2
+
     def test_positions_sum(self):
         traj = solve_bounce([1.0, 2.0])
         seg = slide_segment((0.5, 1.5), speed=1.0)
@@ -231,7 +300,25 @@ class TestSample:
         assert curves.positions[index][2] == pytest.approx(1.22625, abs=1e-9)
 
 
+def reference_csv(curves):
+    """One row per frame, each value converted and formatted on its own."""
+    lines = ["t,px,py,pz,sx,sy,sz"]
+    for i in range(curves.times.size):
+        row = [curves.times[i], *curves.positions[i], *curves.scales[i]]
+        lines.append(",".join(repr(float(v)) for v in row))
+    return "\n".join(lines) + "\n"
+
+
 class TestCurvesCsv:
+    @pytest.mark.parametrize("frames", [1, 4095, 4096, 4097, 2 * 4096 + 3])
+    def test_matches_per_value_formatting(self, frames):
+        traj = solve_bounce([0.31, 0.77, 5.0])
+        seg = slide_segment((1.0, 2.5), speed=-0.7)
+        bump = squash_profile(0.77, 1.3)
+        curves = sample([traj.position, seg.position], [bump, seg.scale], duration_s=(frames - 1) / 100, fps=100)
+        assert curves.times.size == frames
+        assert curves_to_csv(curves) == reference_csv(curves)
+
     def test_header_and_rows(self):
         curves = sample([], [], duration_s=0.2, fps=10)
         text = curves_to_csv(curves)

@@ -99,6 +99,13 @@ class TestLoadWav:
         with pytest.raises(EmptyAudioError):
             load_wav(path)
 
+    def test_nan_float_sample_names_file(self, tmp_path):
+        frames = np.array([0.25, np.nan, -0.5], dtype="<f4")
+        path = tmp_path / "nan.wav"
+        _write_raw_wav(path, frames.tobytes(), tag=3, bits=32, channels=1)
+        with pytest.raises(WavFormatError, match="nan.wav"):
+            load_wav(path)
+
 
 class TestSaveWav:
     def test_zeros_roundtrip(self, tmp_path):

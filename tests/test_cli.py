@@ -234,6 +234,16 @@ class TestSynth:
         assert main(["synth", str(tl_path), "--scene", str(scene_path), "--out-dir", str(tmp_path / "o")]) == 2
         assert "take" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fps", ["0", "-30", "nan", "inf"])
+    def test_invalid_fps_flag_named(self, tmp_path, capsys, fps):
+        tl_path = tmp_path / "take.timeline.json"
+        tl_path.write_text(json.dumps({"duration_s": 1.0, "tracks": [{"track_id": "take", "events": []}]}))
+        scene_path = tmp_path / "scene.json"
+        write_scene(scene_path)
+        args = ["synth", str(tl_path), "--scene", str(scene_path), "--fps", fps, "--out-dir", str(tmp_path / "o")]
+        assert main(args) == 2
+        assert "--fps" in capsys.readouterr().err
+
     def test_seed_flag_changes_only_raindrops(self, fixture_dir, tmp_path):
         scene_path = tmp_path / "scene.json"
         write_scene(scene_path)

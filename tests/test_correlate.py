@@ -67,6 +67,32 @@ def reference_moving_average(values, w):
     return (csum[ends] - csum[starts]) / (ends - starts)
 
 
+def reference_local_maxima(values, threshold):
+    """Run-length encodes the whole trace, then keeps interior runs above both neighbours and the threshold."""
+    v = np.asarray(values, dtype=float)
+    if v.size < 3:
+        return []
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(v)) + 1))
+    run_values = v[starts]
+    if run_values.size < 3:
+        return []
+    ends = np.concatenate((starts[1:], [v.size]))  # exclusive
+    interior = run_values[1:-1]
+    keep = (interior > run_values[:-2]) & (interior > run_values[2:]) & (interior > threshold)
+    picked = np.flatnonzero(keep) + 1
+    centers = (starts[picked] + ends[picked] - 1) // 2
+    return [(int(lag), float(val)) for lag, val in zip(centers, run_values[picked])]
+
+
+PEAK_LEVELS = [-0.0, 0.0, 0.2, 0.5, 0.7, 0.9, 1.0, float("nan")]
+# Traces built from runs of a few levels: plateaus everywhere, runs at both
+# ends, and thresholds equal to run values.
+plateau_traces = st.lists(
+    st.tuples(st.one_of(st.sampled_from(PEAK_LEVELS), st.floats(-1.0, 1.0)), st.integers(1, 4)),
+    max_size=16,
+).map(lambda runs: [value for value, count in runs for _ in range(count)])
+
+
 def assert_matches_direct(n, m, seed):
     rng = np.random.default_rng(seed)
     s = rng.uniform(-1, 1, n)
@@ -336,3 +362,10 @@ class TestFindLocalMaxima:
     def test_multiple_peaks_increasing_lags(self):
         got = find_local_maxima(self.trace([0.0, 0.7, 0.0, 0.9, 0.0, 0.6, 0.0]), 0.5)
         assert got == [(1, 0.7), (3, 0.9), (5, 0.6)]
+
+    @settings(max_examples=400, deadline=None)
+    @given(plateau_traces, st.one_of(st.sampled_from([-1.0, 0.0, 0.2, 0.5, 0.7, 0.9]), st.floats(-1.0, 1.0)))
+    def test_matches_run_length_reference(self, values, threshold):
+        got = find_local_maxima(self.trace(values), threshold)
+        assert got == reference_local_maxima(values, threshold)
+        assert all(type(lag) is int and type(value) is float for lag, value in got)

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from soundcue import (
     AudioClip,
@@ -20,6 +24,52 @@ from soundcue import (
     suppress,
 )
 from conftest import SR, silent_clip
+
+
+def reference_suppress(candidates, patterns):
+    """Greedy suppression that tests every candidate against every kept one."""
+    ordered = sorted(candidates, key=lambda c: (-c.correlation_value, c.lag_time_s, c.pattern_id))
+    kept = []
+    for cand in ordered:
+        clear = all(
+            abs(cand.lag_time_s - other.lag_time_s) > patterns[other.pattern_id].duration_s / 2
+            for other in kept
+        )
+        if clear:
+            kept.append(cand)
+    return sorted(kept, key=lambda c: (c.lag_time_s, c.pattern_id))
+
+
+def constant_pattern(pattern_id, n, sample_rate_hz):
+    """An impulse pattern lasting exactly n / sample_rate_hz seconds."""
+    return SoundPattern(pattern_id, AudioClip(np.full(n, 0.5), sample_rate_hz), PatternKind.IMPULSE)
+
+
+# Durations 1/16, 1/8, 1/4 s are dyadic, so times on the 1/64 s grid below
+# land exactly half a duration apart; 0.1 s and 0.25 s have inexact halves.
+SUPPRESS_PATTERNS = {
+    "a": constant_pattern("a", 4, 64),
+    "b": constant_pattern("b", 8, 64),
+    "c": constant_pattern("c", 16, 64),
+    "d": constant_pattern("d", 10, 100),
+    "e": constant_pattern("e", 25, 100),
+}
+# Grid times, grid times nudged by a few ulps (rounding at a bisection edge),
+# and arbitrary times.
+candidate_times = st.one_of(
+    st.integers(0, 192).map(lambda k: k / 64),
+    st.builds(lambda k, d: k / 100 + d * math.ulp(k / 100), st.integers(0, 300), st.integers(-8, 8)),
+    st.floats(0.0, 3.0),
+)
+candidate_sets = st.lists(
+    st.builds(
+        Candidate,
+        st.sampled_from(sorted(SUPPRESS_PATTERNS)),
+        candidate_times,
+        st.one_of(st.sampled_from([0.6, 0.75, 0.9]), st.floats(0.5, 1.0)),  # value ties
+    ),
+    max_size=60,
+)
 
 
 def plant(clips, planted, duration=6.0, noise=0.0, seed=1, allow_overlap=False):
@@ -97,6 +147,19 @@ class TestSuppress:
         patterns = {"a": self.pattern("a", 0.2), "b": self.pattern("b", 0.2)}
         survivors = suppress([Candidate("b", 1.05, 0.8), Candidate("a", 1.0, 0.8)], patterns)
         assert survivors == [Candidate("a", 1.0, 0.8)]
+
+    @settings(max_examples=400, deadline=None)
+    @given(candidate_sets)
+    # A kept candidate within its half duration of a later one, but just
+    # below the rounded window start t - 0.05 or past the window end t + 0.125.
+    @example([Candidate("d", 0.009999999999999992, 0.9), Candidate("d", 0.06, 0.8)])
+    @example([Candidate("e", 0.17500000000000002, 0.9), Candidate("e", 0.05, 0.8)])
+    # A kept candidate earlier than one kept before it: the kept times must stay sorted.
+    @example([Candidate("a", 0.453125, 0.9), Candidate("a", 0.484375, 0.75), Candidate("c", 0.34375, 0.75)])
+    # Exactly half a duration apart, which suppresses (the test is strict), and a time tie across patterns.
+    @example([Candidate("b", 1.0, 0.9), Candidate("a", 1.0625, 0.9), Candidate("c", 1.0625, 0.8)])
+    def test_matches_reference(self, candidates):
+        assert suppress(candidates, SUPPRESS_PATTERNS) == reference_suppress(candidates, SUPPRESS_PATTERNS)
 
 
 class TestContinuous:

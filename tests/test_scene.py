@@ -257,6 +257,14 @@ class TestBuildAnimation:
         with pytest.raises(SceneError):
             build_animation(tl, cfg)
 
+    def test_nonpositive_spawn_size_names_binding_path(self):
+        doc = json.loads(scene_doc())
+        doc["objects"][0]["bindings"] = {"tick": {"kind": "spawn_dart", "size_base": 0.2, "size_per_strength": -0.5}}
+        cfg = parse_scene(json.dumps(doc), KINDS)
+        tl = Timeline((Track("main", (impulse("tick", 0.5, strength=0.2), impulse("tick", 1.0, strength=0.6))),), 2.0)
+        with pytest.raises(SceneError, match=r"objects\[0\]\.bindings\['tick'\]"):
+            build_animation(tl, cfg)
+
     def test_laser_scene_spawn_times_match_events(self):
         doc = {
             "fps": 60,

@@ -152,3 +152,10 @@ class TestFixturePlan:
         text, _ = self.plan_text()
         with pytest.raises(SchemaError):
             parse_plan(text.replace('"t_begin": 1.5', '"t_begin": 3.0'))
+
+    @pytest.mark.parametrize("duration", ["0.0", "-0.12"])
+    def test_nonpositive_pattern_duration_names_path(self, duration):
+        text, _ = self.plan_text()
+        with pytest.raises(SchemaError) as err:
+            parse_plan(text.replace('"duration_s": 0.12', f'"duration_s": {duration}'))
+        assert err.value.path == "patterns[0].duration_s"
