@@ -14,6 +14,7 @@ from .correlate import (
     moving_average,
     normalized_cross_correlate,
     raw_cross_correlate,
+    window_energy,
 )
 from .detect import (
     Candidate,

@@ -7,7 +7,8 @@ which lands the next hit on the beat. Squash is a volume-preserving
 cosine bump around each impact, evaluated only on the frames inside its
 window, so sampling costs frames plus bumps times the frames per bump,
 not bumps times all frames; slides translate at constant speed while
-holding the squash; vertical steering integrates a signed speed over the
+holding the squash, which is likewise evaluated only inside the slide's
+interval; vertical steering integrates a signed speed over the
 continuous intervals, saturating at its bounds.
 
 All randomness (spawn placement) flows from explicit integer seeds with
@@ -211,7 +212,13 @@ def squash_profile(impact_t: float, strength: float, params: Optional[SquashPara
 
 
 class SlideSegment:
-    """Constant-speed translation plus a held squash over one interval."""
+    """Constant-speed translation plus a held squash over one interval.
+
+    Calling a segment is calling `scale`. The squash eases in from and out
+    to exactly `_volume_preserving(1.0)`, the identity, at the interval's
+    ends and stays there outside it, so its `support` is the interval and
+    `sample` evaluates it only on the frames inside.
+    """
 
     def __init__(self, interval, speed: float, squash: SquashParams):
         t_begin, t_end = float(interval[0]), float(interval[1])
@@ -219,6 +226,7 @@ class SlideSegment:
             raise AnimationError(f"slide interval needs t_begin < t_end, got [{t_begin}, {t_end}]")
         self.t_begin = t_begin
         self.t_end = t_end
+        self.support = (t_begin, t_end)
         self.speed = float(speed)
         self.squash = squash
         self.ease_s = min(0.05, (t_end - t_begin) / 4)
@@ -237,6 +245,8 @@ class SlideSegment:
         down = np.clip((self.t_end - t) / self.ease_s, 0.0, 1.0)
         ramp = 0.5 * (1.0 - np.cos(np.pi * np.minimum(up, down)))
         return _volume_preserving(1.0 - self.squash.amplitude * ramp)
+
+    __call__ = scale
 
 
 def slide_segment(interval, speed: float, squash: Optional[SquashParams] = None) -> SlideSegment:
@@ -391,9 +401,9 @@ def sample(
 
     Positions of all providers sum; scales multiply componentwise, in
     provider order. A scale provider with a `support` (t_begin, t_end),
-    such as a `SquashProfile`, is the identity outside that interval and
-    is evaluated only on the frames inside it: a factor of exactly 1
-    elsewhere changes no bit of the product.
+    such as a `SquashProfile` or a `SlideSegment`, is the identity outside
+    that interval and is evaluated only on the frames inside it: a factor
+    of exactly 1 elsewhere changes no bit of the product.
     """
     if fps <= 0:
         raise AnimationError(f"fps must be positive, got {fps}")

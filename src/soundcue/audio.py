@@ -3,7 +3,10 @@
 Every signal downstream of this module is an AudioClip: one channel of
 float64 amplitudes in [-1, 1] at an integer sample rate. WAV reading
 covers RIFF/WAVE containers with PCM 16-bit, PCM 24-bit or IEEE float-32
-samples, mono or stereo; stereo is averaged down to mono on load.
+samples, mono or stereo, under their plain format tags or as
+WAVE_FORMAT_EXTENSIBLE with a PCM or float SubFormat; stereo is averaged
+down to mono on load. A chunk whose declared size runs past the end of
+the file is rejected, not read short.
 """
 
 from __future__ import annotations
@@ -18,6 +21,10 @@ from .errors import EmptyAudioError, UnsupportedWavError, WavFormatError
 
 _PCM16_SCALE = 32768.0
 _PCM24_SCALE = float(1 << 23)
+_EXTENSIBLE = 0xFFFE
+# A standard SubFormat GUID is xxxxxxxx-0000-0010-8000-00aa00389b71, with the
+# plain format tag as xxxxxxxx; these are its last 12 bytes as stored.
+_SUBFORMAT_TAIL = bytes.fromhex("00001000800000aa00389b71")
 
 
 @dataclass(frozen=True)
@@ -51,13 +58,31 @@ class AudioClip:
         return self.samples.size / self.sample_rate_hz
 
 
-def _iter_chunks(raw: bytes):
+def _iter_chunks(raw: bytes, path):
     pos = 12
     while pos + 8 <= len(raw):
         chunk_id = raw[pos : pos + 4]
         (size,) = struct.unpack_from("<I", raw, pos + 4)
+        available = len(raw) - pos - 8
+        if size > available:
+            name = chunk_id.decode("latin-1")
+            raise WavFormatError(f"{path}: {name!r} chunk declares {size} bytes but only {available} remain")
         yield chunk_id, raw[pos + 8 : pos + 8 + size]
         pos += 8 + size + (size & 1)  # chunks are word-aligned
+
+
+def _format_tag(fmt: bytes, path) -> int:
+    """The fmt chunk's format tag; WAVE_FORMAT_EXTENSIBLE resolves to its PCM or float SubFormat."""
+    (tag,) = struct.unpack_from("<H", fmt, 0)
+    if tag != _EXTENSIBLE:
+        return tag
+    if len(fmt) < 40:
+        raise WavFormatError(f"{path}: WAVE_FORMAT_EXTENSIBLE fmt chunk is {len(fmt)} bytes, needs 40")
+    data1, data2, data3 = struct.unpack_from("<IHH", fmt, 24)
+    if data1 in (1, 3) and fmt[28:40] == _SUBFORMAT_TAIL:  # PCM, IEEE float
+        return data1
+    guid = f"{data1:08x}-{data2:04x}-{data3:04x}-{fmt[32:34].hex()}-{fmt[34:40].hex()}"
+    raise UnsupportedWavError(f"{path}: WAVE_FORMAT_EXTENSIBLE SubFormat {guid} is not supported")
 
 
 def _decode_pcm24(data: bytes) -> np.ndarray:
@@ -79,7 +104,7 @@ def load_wav(path) -> AudioClip:
         raise WavFormatError(f"{path}: not a RIFF/WAVE file")
 
     fmt = data = None
-    for chunk_id, body in _iter_chunks(raw):
+    for chunk_id, body in _iter_chunks(raw, path):
         if chunk_id == b"fmt " and fmt is None:
             fmt = body
         elif chunk_id == b"data" and data is None:
@@ -89,7 +114,8 @@ def load_wav(path) -> AudioClip:
     if data is None:
         raise WavFormatError(f"{path}: missing data chunk")
 
-    tag, channels, rate, _, _, bits = struct.unpack_from("<HHIIHH", fmt, 0)
+    _, channels, rate, _, _, bits = struct.unpack_from("<HHIIHH", fmt, 0)
+    tag = _format_tag(fmt, path)
     if rate <= 0:
         raise WavFormatError(f"{path}: invalid sample rate {rate}")
     if channels not in (1, 2):

@@ -38,6 +38,7 @@ from .correlate import (
     find_local_maxima,
     moving_average,
     normalized_cross_correlate,
+    window_energy,
 )
 from .errors import DetectionError
 from .timeline import EventInstance, PatternKind, Timeline, Track
@@ -85,25 +86,30 @@ class Candidate:
     correlation_value: float
 
 
-def pattern_traces(s: AudioClip, pattern: SoundPattern) -> tuple[CorrelationTrace, Optional[CorrelationTrace]]:
+def pattern_traces(
+    s: AudioClip, pattern: SoundPattern, take_energy: Optional[np.ndarray] = None
+) -> tuple[CorrelationTrace, Optional[CorrelationTrace]]:
     """The pattern's normalized cross-correlation against `s` and, for a
     continuous pattern, its rectified trace box-averaged over one pattern
     duration (None for an impulse pattern).
 
     The pattern must already share the sequence's sample rate.
+    `take_energy` is `window_energy(s, len(pattern.clip))`, computed by
+    the correlation when not given.
     """
-    trace = normalized_cross_correlate(s, pattern.clip)
+    trace = normalized_cross_correlate(s, pattern.clip, take_energy)
     if pattern.kind is not PatternKind.CONTINUOUS:
         return trace, None
-    rectified = CorrelationTrace(np.abs(trace.values), trace.sample_rate_hz, trace.normalized)
-    return trace, moving_average(rectified, pattern.duration_s)
+    return trace, moving_average(trace, pattern.duration_s, rectify=True)
 
 
-def detect_impulse_candidates(s: AudioClip, pattern: SoundPattern, cfg: DetectorConfig) -> list[Candidate]:
+def detect_impulse_candidates(
+    s: AudioClip, pattern: SoundPattern, cfg: DetectorConfig, take_energy: Optional[np.ndarray] = None
+) -> list[Candidate]:
     """Local correlation maxima above the impulse threshold, as candidates."""
     if pattern.kind is not PatternKind.IMPULSE:
         raise DetectionError(f"pattern {pattern.id!r} is not an impulse pattern")
-    trace, _ = pattern_traces(s, pattern)
+    trace, _ = pattern_traces(s, pattern, take_energy)
     return [
         Candidate(pattern.id, lag / trace.sample_rate_hz, value)
         for lag, value in find_local_maxima(trace, cfg.impulse_threshold)
@@ -146,7 +152,7 @@ def suppress(candidates: Sequence[Candidate], patterns: Mapping[str, SoundPatter
 
 
 def _continuous_intervals(
-    s: AudioClip, pattern: SoundPattern, cfg: DetectorConfig
+    s: AudioClip, pattern: SoundPattern, cfg: DetectorConfig, take_energy: Optional[np.ndarray] = None
 ) -> list[tuple[float, float, float]]:
     """(t_begin, t_end, peak averaged magnitude) per detected interval.
 
@@ -156,7 +162,7 @@ def _continuous_intervals(
     the pattern duration back to the run's end so it describes when the
     sound is playing; runs whose supports then touch are merged.
     """
-    _, averaged = pattern_traces(s, pattern)
+    _, averaged = pattern_traces(s, pattern, take_energy)
     above = averaged.values > cfg.continuous_threshold
     if not above.any():
         return []
@@ -230,6 +236,11 @@ def detect(
     Patterns recorded at a different rate are resampled to the sequence's
     rate first so all lags share one time base. Event times are onsets:
     the instant the instance starts inside the recording.
+
+    The sequence's window energy is computed once per distinct pattern
+    length and shared by that length's correlations; only one is held at
+    a time. Events do not depend on the order patterns are visited in:
+    suppression and `Track` sort them.
     """
     if not patterns:
         raise DetectionError("pattern dictionary is empty")
@@ -239,13 +250,20 @@ def detect(
     cfg = cfg or DetectorConfig()
     aligned = {p.id: _aligned(p, s.sample_rate_hz) for p in patterns}
 
+    by_length: dict[int, list[SoundPattern]] = {}
+    for pattern in aligned.values():
+        by_length.setdefault(len(pattern.clip), []).append(pattern)
     candidates: list[Candidate] = []
     events = []
-    for pattern in aligned.values():
-        if pattern.kind is PatternKind.IMPULSE:
-            candidates.extend(detect_impulse_candidates(s, pattern, cfg))
-        else:
-            events.extend(_event(s, pattern, b, e, peak) for b, e, peak in _continuous_intervals(s, pattern, cfg))
+    for m, group in by_length.items():
+        take_energy = window_energy(s, m)
+        for pattern in group:
+            if pattern.kind is PatternKind.IMPULSE:
+                candidates.extend(detect_impulse_candidates(s, pattern, cfg, take_energy))
+            else:
+                intervals = _continuous_intervals(s, pattern, cfg, take_energy)
+                events.extend(_event(s, pattern, b, e, peak) for b, e, peak in intervals)
+        del take_energy  # before the next length's is computed
     for cand in suppress(candidates, aligned) if cfg.suppression else candidates:
         pattern = aligned[cand.pattern_id]
         onset = cand.lag_time_s

@@ -432,7 +432,7 @@ def build_animation(timeline: Timeline, cfg: SceneConfig) -> AnimationOutput:
                 for event in events:
                     segment = slide_segment((event.t_begin_s, event.t_end_s), action.speed, action.squash)
                     position_providers.append(segment.position)
-                    scale_providers.append(segment.scale)
+                    scale_providers.append(segment)
             elif isinstance(action, SteerAction):
                 steer_actions.append(action)
                 target = ups if action.direction > 0 else downs

@@ -152,6 +152,14 @@ class TestSlideSegment:
         scales = seg.scale(np.linspace(0, 2, 400))
         assert np.max(np.abs(scales.prod(axis=1) - 1.0)) < 1e-9
 
+    def test_identity_outside_support(self):
+        seg = slide_segment((0.3, 1.7), speed=1.0, squash=SquashParams(amplitude=0.4))
+        assert seg.support == (0.3, 1.7)
+        outside = np.array([-1.0, 0.0, np.nextafter(0.3, 0.0), 0.3, 1.7, np.nextafter(1.7, 2.0), 5.0])
+        assert np.array_equal(seg(outside), np.ones((outside.size, 3)))
+        inside = np.linspace(0.3, 1.7, 33)
+        assert np.array_equal(seg(inside), seg.scale(inside))
+
     def test_reversed_interval_rejected(self):
         with pytest.raises(AnimationError):
             slide_segment((2.0, 1.0), speed=1.0)
@@ -247,21 +255,27 @@ class TestSample:
     @settings(max_examples=200, deadline=None)
     @given(
         bumps=st.lists(bump_strategy, max_size=12),
-        slide=st.one_of(st.none(), st.tuples(st.floats(0.0, 2.0), st.floats(0.2, 2.0), st.integers(0, 12))),
+        slides=st.lists(
+            st.tuples(
+                st.one_of(st.floats(0.0, 2.0), st.integers(0, 16).map(lambda k: k / 8)),  # on frames, or not
+                st.one_of(st.floats(0.01, 2.0), st.sampled_from([0.125, 0.25, 1.0])),
+                st.integers(0, 12),
+            ),
+            max_size=3,
+        ),
         duration_s=st.integers(0, 24).map(lambda k: k / 8),
         fps=st.sampled_from([24.0, 60.0, 64.0, 100.0, 120.0]),
     )
     # Two overlapping bumps with a slide between them in provider order: any
     # other order of the three products changes the last bit of some frames.
-    @example(bumps=[(0.74, 1.3, 0.5), (0.87, 1.4, 0.5)], slide=(0.5, 1.0, 1), duration_s=2.0, fps=60.0)
-    def test_windowed_bumps_equal_all_frames_evaluation(self, bumps, slide, duration_s, fps):
+    @example(bumps=[(0.74, 1.3, 0.5), (0.87, 1.4, 0.5)], slides=[(0.5, 1.0, 1)], duration_s=2.0, fps=60.0)
+    def test_windowed_bumps_equal_all_frames_evaluation(self, bumps, slides, duration_s, fps):
         profiles = [squash_profile(t, strength, SquashParams(duration_s=d)) for t, strength, d in bumps]
         providers = list(profiles)
         functions = [p.scale for p in profiles]
-        if slide is not None:  # a held slide squash under the bumps, at any place in provider order
-            begin, length, at = slide
+        for begin, length, at in slides:  # held slide squashes among the bumps, at any place in provider order
             segment = slide_segment((begin, begin + length), speed=1.0)
-            providers.insert(at, segment.scale)
+            providers.insert(at, segment)
             functions.insert(at, segment.scale)
         curves = sample([], providers, duration_s, fps)
         assert np.array_equal(curves.scales, reference_scales(functions, duration_s, fps))

@@ -1,4 +1,5 @@
 import struct
+import uuid
 
 import numpy as np
 import pytest
@@ -107,6 +108,76 @@ class TestLoadWav:
             load_wav(path)
 
 
+PCM_GUID = "00000001-0000-0010-8000-00aa00389b71"
+FLOAT_GUID = "00000003-0000-0010-8000-00aa00389b71"
+ALAW_GUID = "00000006-0000-0010-8000-00aa00389b71"
+AMBISONIC_PCM_GUID = "00000001-0721-11d3-8644-c8c1ca000000"  # PCM's tag in its first field, yet not PCM
+
+
+def _extensible_fmt(bits, channels, guid, rate=SR):
+    """A WAVE_FORMAT_EXTENSIBLE fmt chunk body: the 16 base bytes, cbSize 22, valid bits, channel mask, SubFormat."""
+    block = channels * bits // 8
+    base = struct.pack("<HHIIHH", 0xFFFE, channels, rate, rate * block, block, bits)
+    return base + struct.pack("<HHI", 22, bits, 0x3 if channels == 2 else 0x4) + uuid.UUID(guid).bytes_le
+
+
+class TestLoadWavVariants:
+    @pytest.mark.parametrize(
+        "bits, guid, tag, payload",
+        [
+            (16, PCM_GUID, 1, struct.pack("<4h", 16384, -16384, 0, 32767)),
+            (24, PCM_GUID, 1, bytes([0x00, 0x00, 0x40, 0xFF, 0xFF, 0xFF, 0x00, 0x00, 0x80, 0x01, 0x00, 0x00])),
+            (32, FLOAT_GUID, 3, np.array([0.25, -0.5, 1.75, 0.0], dtype="<f4").tobytes()),
+        ],
+        ids=["pcm16", "pcm24", "float32"],
+    )
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_extensible_decodes_like_its_subformat(self, tmp_path, bits, guid, tag, payload, channels):
+        plain, extensible = tmp_path / "plain.wav", tmp_path / "ext.wav"
+        _write_raw_wav(plain, payload, tag=tag, bits=bits, channels=channels)
+        _write_raw_wav(extensible, payload, tag=0xFFFE, bits=bits, channels=channels,
+                       fmt=_extensible_fmt(bits, channels, guid))
+        expected, got = load_wav(plain), load_wav(extensible)
+        assert got.sample_rate_hz == expected.sample_rate_hz
+        assert np.array_equal(got.samples, expected.samples)
+
+    @pytest.mark.parametrize("bits, guid", [(8, ALAW_GUID), (16, AMBISONIC_PCM_GUID)])
+    def test_extensible_other_subformat_named(self, tmp_path, bits, guid):
+        path = tmp_path / "other.wav"
+        _write_raw_wav(path, b"\x00" * 8, tag=0xFFFE, bits=bits, channels=1, fmt=_extensible_fmt(bits, 1, guid))
+        with pytest.raises(UnsupportedWavError, match=guid):
+            load_wav(path)
+
+    @pytest.mark.parametrize("keep", [16, 18, 24, 39])
+    def test_extensible_fmt_too_short(self, tmp_path, keep):
+        path = tmp_path / "short.wav"
+        fmt = _extensible_fmt(16, 1, PCM_GUID)[:keep]
+        _write_raw_wav(path, b"\x00" * 8, tag=0xFFFE, bits=16, channels=1, fmt=fmt)
+        with pytest.raises(WavFormatError, match="short.wav") as info:
+            load_wav(path)
+        assert not isinstance(info.value, UnsupportedWavError)  # a malformed file, not an unknown codec
+
+    @pytest.mark.parametrize("declared", [9, 10, 100])
+    def test_truncated_data_chunk_named_with_both_sizes(self, tmp_path, declared):
+        path = tmp_path / "cut.wav"
+        _write_raw_wav(path, struct.pack("<4h", 1, 2, 3, 4), tag=1, bits=16, channels=1, declared_size=declared)
+        with pytest.raises(WavFormatError, match=rf"cut\.wav.*\b{declared}\b.*\b8\b"):
+            load_wav(path)
+
+    def test_truncated_trailing_chunk_rejected(self, tmp_path):
+        path = tmp_path / "tail.wav"
+        _write_raw_wav(path, struct.pack("<4h", 1, 2, 3, 4), tag=1, bits=16, channels=1)
+        path.write_bytes(path.read_bytes() + b"LIST" + struct.pack("<I", 64) + b"INFO")
+        with pytest.raises(WavFormatError, match=r"tail\.wav.*64.*\b4\b"):
+            load_wav(path)
+
+    def test_missing_final_pad_byte_accepted(self, tmp_path):
+        path = tmp_path / "odd.wav"
+        _write_raw_wav(path, bytes([0x00, 0x00, 0x40]), tag=1, bits=24, channels=1)
+        path.write_bytes(path.read_bytes()[:-1])  # writers often omit the word-alignment byte at the end
+        assert load_wav(path).samples.tolist() == [0.5]
+
+
 class TestSaveWav:
     def test_zeros_roundtrip(self, tmp_path):
         path = tmp_path / "z.wav"
@@ -159,11 +230,14 @@ class TestResample:
         assert np.max(np.abs(combined.samples - split)) < 1e-9
 
 
-def _write_raw_wav(path, payload, tag, bits, channels, rate=SR):
+def _write_raw_wav(path, payload, tag, bits, channels, rate=SR, fmt=None, declared_size=None):
+    """A mono or stereo WAV; `fmt` replaces the fmt chunk's body, `declared_size` the data chunk's size field."""
     block = channels * bits // 8
-    fmt = struct.pack("<HHIIHH", tag, channels, rate, rate * block, block, bits)
-    body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
-    body += b"data" + struct.pack("<I", len(payload)) + payload
+    if fmt is None:
+        fmt = struct.pack("<HHIIHH", tag, channels, rate, rate * block, block, bits)
+    body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt + b"\x00" * (len(fmt) & 1)
+    size = len(payload) if declared_size is None else declared_size
+    body += b"data" + struct.pack("<I", size) + payload
     if len(payload) & 1:
         body += b"\x00"
     path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import numpy as np
@@ -14,7 +15,9 @@ from soundcue import (
     moving_average,
     normalized_cross_correlate,
     raw_cross_correlate,
+    window_energy,
 )
+from soundcue import correlate
 from soundcue.correlate import EPS_ENERGY, _fft_length, _sliding_dot
 
 SR = 8000
@@ -192,6 +195,93 @@ class TestBlockEdges:
         assert_matches_direct(n, m, seed)
 
 
+def random_pair(n, m):
+    rng = np.random.default_rng(n * 7 + m)
+    return rng.uniform(-1, 1, n), rng.uniform(-1, 1, m)
+
+
+def worker_traces(n, m, workers, monkeypatch, batch_blocks=6):
+    """Raw and normalized traces on `workers` threads, with batches shrunk to batch_blocks // workers blocks."""
+    s, p = map(clip, random_pair(n, m))
+    monkeypatch.setattr(correlate, "_WORKERS", workers)
+    monkeypatch.setattr(correlate, "_BATCH_SAMPLES", batch_blocks * _fft_length(n, m))
+    return raw_cross_correlate(s, p).values, normalized_cross_correlate(s, p).values
+
+
+class TestThreadedBatches:
+    """Workers write disjoint rows, so every thread count gives the same bits."""
+
+    @pytest.mark.parametrize("m", [1, 5, 37])
+    @pytest.mark.parametrize("k", [1, 3, 6, 7, 12, 13])  # blocks; 6 per batch on one worker
+    @pytest.mark.parametrize("delta", [-1, 0, 1])
+    def test_bitwise_equal_on_any_number_of_workers(self, m, k, delta, monkeypatch):
+        n = k * block_step(m) + delta
+        raw1, ncc1 = worker_traces(n, m, 1, monkeypatch)
+        for workers in (2, 3):
+            raw, ncc = worker_traces(n, m, workers, monkeypatch)
+            assert np.array_equal(raw, raw1) and np.array_equal(ncc, ncc1), workers
+        assert np.max(np.abs(ncc1 - direct_ncc(*random_pair(n, m)))) < 1e-9
+
+    def test_more_workers_than_cpus_with_frequent_switches(self, monkeypatch):
+        n, m = 40 * block_step(5) + 3, 5
+        expected = worker_traces(n, m, 1, monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                got = worker_traces(n, m, 8, monkeypatch, batch_blocks=16)  # 2 blocks per batch, 8 threads
+                assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("n, m", [(100, 13), (800, 128), (9, 9), (1, 1)])
+    def test_single_block(self, n, m, monkeypatch):
+        assert _fft_length(n, m) >= n + m - 1
+        traces = [worker_traces(n, m, workers, monkeypatch) for workers in (1, 2, 3)]
+        assert all(np.array_equal(a, b) for t in traces[1:] for a, b in zip(t, traces[0]))
+
+    def test_pool_only_for_several_batches(self, monkeypatch):
+        started = []
+
+        class SpyPool(correlate.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(correlate, "ThreadPoolExecutor", SpyPool)
+        worker_traces(50, 5, 3, monkeypatch)  # one block, one batch
+        assert started == []
+        worker_traces(12 * block_step(5), 5, 3, monkeypatch)  # 6 batches of 2 blocks
+        assert started == [2, 2]  # raw and normalized: two helpers beside the calling thread
+        started.clear()
+        worker_traces(12 * block_step(5), 5, 1, monkeypatch)
+        assert started == []
+
+
+class TestTraceOwnership:
+    def test_computed_trace_is_read_only_and_not_copied(self):
+        rng = np.random.default_rng(25)
+        trace = normalized_cross_correlate(clip(rng.uniform(-1, 1, 300)), clip(rng.uniform(-1, 1, 20)))
+        assert not trace.values.flags.writeable
+        assert trace.values.base is not None  # still the engine's output buffer, not a copy of it
+        frozen = trace.values
+        assert CorrelationTrace(frozen, SR, normalized=True).values is frozen
+
+    def test_writable_input_is_copied(self):
+        values = np.array([0.1, 0.2, 0.3])
+        trace = CorrelationTrace(values, SR, normalized=True)
+        values[0] = 0.9
+        assert trace.values[0] == 0.1 and not trace.values.flags.writeable
+
+    def test_shared_energy_must_match_the_take(self):
+        s, p = clip(np.ones(16)), clip(np.ones(4))
+        with pytest.raises(ValueError):
+            normalized_cross_correlate(s, p, window_energy(clip(np.ones(15)), 4))
+        assert np.array_equal(
+            normalized_cross_correlate(s, p, window_energy(s, 4)).values, normalized_cross_correlate(s, p).values
+        )
+
+
 class TestReferenceEquality:
     """The prefix-sum slices do the index-array formulas' arithmetic, so results are bit for bit equal."""
 
@@ -216,6 +306,18 @@ class TestReferenceEquality:
             trace = CorrelationTrace(values, SR, normalized=True)
             got = moving_average(trace, max(w, 0.4) / SR).values
             assert np.array_equal(got, reference_moving_average(values, w)), (n, w)
+            rectified = moving_average(trace, max(w, 0.4) / SR, rectify=True).values
+            assert np.array_equal(rectified, reference_moving_average(np.abs(values), w)), (n, w)
+
+    def test_window_energy_equals_index_array_formula(self):
+        rng = np.random.default_rng(24)
+        for _ in range(40):
+            n = int(rng.integers(1, 3000))
+            m = int(rng.choice([1, n, int(rng.integers(1, n + 1))]))
+            s = rng.uniform(-1, 1, n) * rng.choice([1.0, 1e-9])  # quiet takes reach the clamp
+            got = window_energy(clip(s), m)
+            assert np.array_equal(got, np.maximum(reference_window_energy(s, m), EPS_ENERGY)), (n, m)
+            assert not got.flags.writeable
 
 
 class TestMemoryBound:
@@ -246,6 +348,34 @@ class TestMemoryBound:
         s, p = take
         trace = CorrelationTrace(np.abs(s.samples), s.sample_rate_hz, normalized=True)
         assert self.peak_bytes(moving_average, trace, p.duration_s) <= 4 * s.samples.nbytes
+
+    def test_window_energy(self, take):
+        s, p = take
+        assert self.peak_bytes(window_energy, s, len(p)) <= 2.5 * s.samples.nbytes  # prefix sum + output, no s*s
+
+    def test_normalized_cross_correlate_with_shared_energy(self, take):
+        # The output plus the blocks in flight: no denominator the length of the take.
+        s, p = take
+        shared = window_energy(s, len(p))
+        assert self.peak_bytes(normalized_cross_correlate, s, p, shared) <= 2 * s.samples.nbytes
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_blocks_in_flight_share_one_budget(self, take, workers, monkeypatch):
+        # Beside the output: every worker's spectra and block outputs, 2 x 8 bytes per
+        # sample of the shared batch budget, plus at most the padded copy of the tail.
+        s, p = take
+        monkeypatch.setattr(correlate, "_WORKERS", workers)
+        peak = self.peak_bytes(_sliding_dot, s.samples, p.samples)
+        assert peak - s.samples.nbytes <= 3 * 8 * correlate._BATCH_SAMPLES
+
+    @pytest.mark.parametrize("window_samples", [0.4, 5292])
+    def test_rectified_moving_average(self, take, window_samples):
+        # |values| goes straight into the prefix sum (one output only when w <= 1).
+        s, _ = take
+        trace = CorrelationTrace(s.samples, s.sample_rate_hz, normalized=True)
+        budget = 2.5 if window_samples > 1 else 1.5
+        peak = self.peak_bytes(moving_average, trace, window_samples / s.sample_rate_hz, True)
+        assert peak <= budget * s.samples.nbytes
 
 
 class TestNormalizedCrossCorrelate:

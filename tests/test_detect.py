@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -316,6 +317,39 @@ class TestDetect:
         assert [e for e in events if e.kind is PatternKind.CONTINUOUS] == [
             e for e in suppressed if e.kind is PatternKind.CONTINUOUS
         ]
+
+    def test_window_energy_computed_once_per_pattern_length(self, dictionary, figure_sequence, monkeypatch):
+        detect_module = importlib.import_module("soundcue.detect")  # the package's `detect` is the function
+        tick_twin = make_pattern("noise_burst", dictionary["tick"].duration_s, seed=11, sample_rate_hz=SR)
+        chhh_twin = make_pattern("tonal_burst", dictionary["chhh"].duration_s, seed=12, sample_rate_hz=SR)
+        patterns = [  # lengths interleaved: tick, chhh, poc, tick, chhh
+            dictionary["tick"],
+            dictionary["chhh"],
+            dictionary["poc"],
+            SoundPattern("tock", tick_twin, PatternKind.IMPULSE),
+            SoundPattern("shhh", chhh_twin, PatternKind.CONTINUOUS),
+        ]
+        computed, passed = [], []
+        real_energy, real_ncc = detect_module.window_energy, detect_module.normalized_cross_correlate
+
+        def energy_spy(s, m):
+            out = real_energy(s, m)
+            computed.append((m, out))
+            return out
+
+        def ncc_spy(s, p, take_energy=None):
+            passed.append((len(p), take_energy))
+            return real_ncc(s, p, take_energy)
+
+        monkeypatch.setattr(detect_module, "window_energy", energy_spy)
+        monkeypatch.setattr(detect_module, "normalized_cross_correlate", ncc_spy)
+        result = detect(figure_sequence, patterns)
+        lengths = [len(p.clip) for p in patterns]
+        assert sorted(m for m, _ in computed) == sorted(set(lengths)) and len(set(lengths)) == 3
+        energies = dict(computed)
+        assert sorted(m for m, _ in passed) == sorted(lengths)
+        assert all(energy is energies[m] for m, energy in passed)
+        assert {e.pattern_id for e in result.tracks[0].events} >= {"tick", "poc", "chhh"}
 
     def test_empty_dictionary_rejected(self):
         with pytest.raises(DetectionError):
