@@ -21,7 +21,6 @@ from .detect import (
     DetectorConfig,
     SoundPattern,
     detect,
-    detect_continuous_events,
     detect_impulse_candidates,
     strength,
     suppress,

@@ -14,17 +14,28 @@ continuous intervals, saturating at its bounds.
 All randomness (spawn placement) flows from explicit integer seeds with
 one independent stream per spawned entity, so outputs are bit-identical
 across runs and inserting an event does not reshuffle the others.
+
+Curve tables export to CSV with each value's shortest round-trip `repr`,
+formatted a block of rows at a time. Within a block, `repr` runs once per
+distinct value of a column (distinct by bits, so -0.0 stays -0.0); curve
+columns repeat values a lot, and a constant one costs one `repr` per
+block. All objects of a scene share one time grid: its formatted column
+is kept, one string per block, and reused while the next table's grid
+has the very same bytes.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
+from . import docio
 from .errors import AnimationError
 from .timeline import EventInstance
 
@@ -32,7 +43,9 @@ PositionProvider = Callable[[np.ndarray], np.ndarray]  # (n,) times -> (n, 3) me
 ScaleProvider = Callable[[np.ndarray], np.ndarray]  # (n,) times -> (n, 3) factors
 
 _SEED_MASK = (1 << 63) - 1
-_CSV_BLOCK_ROWS = 4096
+# No array of more frames can exist: its (n, 3) float64 table would
+# outgrow the largest size numpy can index.
+_MAX_FRAMES = sys.maxsize // 24
 
 
 class TailMode(Enum):
@@ -366,9 +379,9 @@ def spawn_from_impulses(
         else:
             raise AnimationError(f"unknown placement rule {placement!r}")
         size = size_base + size_per_strength * event.strength
-        if not size > 0:
+        if not 0 < size < math.inf:
             raise AnimationError(
-                f"spawn size must be positive, got {size} for the event at {event.onset_s} s "
+                f"spawn size must be positive and finite, got {size} for the event at {event.onset_s} s "
                 f"(strength {event.strength})"
             )
         spawns.append(SpawnEvent(t_s=event.onset_s, entity_kind=entity_kind, size=size, position=position))
@@ -409,6 +422,8 @@ def sample(
         raise AnimationError(f"fps must be positive, got {fps}")
     if duration_s < 0:
         raise AnimationError(f"duration_s must be >= 0, got {duration_s}")
+    if not duration_s * fps < _MAX_FRAMES:
+        raise AnimationError(f"{duration_s} s at fps {fps} is more frames than an array can hold")
     n = int(math.floor(duration_s * fps + 1e-9)) + 1
     times = np.arange(n) / fps
     positions = np.zeros((n, 3))
@@ -434,12 +449,33 @@ def on_axis(axis: int, values_fn: Callable[[np.ndarray], np.ndarray]) -> Positio
 
 
 def curves_to_csv(curves: AnimationCurves) -> str:
-    """Tabular export, one row per frame: t,px,py,pz,sx,sy,sz."""
-    table = np.column_stack((curves.times, curves.positions, curves.scales))
-    # Formatted a block of rows at a time: one block's Python floats and
-    # row strings exist at once, not the whole take's.
+    """Tabular export, one row per frame: t,px,py,pz,sx,sy,sz.
+
+    Each value is its `repr`, called once per distinct value of a column
+    in each block of rows (`docio.format_floats`). The time column comes
+    formatted from `_time_blocks`, which keeps the last grid it formatted.
+    """
+    values = (*curves.positions.T, *curves.scales.T)
     blocks = ["t,px,py,pz,sx,sy,sz\n"]
-    for start in range(0, len(table), _CSV_BLOCK_ROWS):
-        rows = table[start : start + _CSV_BLOCK_ROWS].tolist()
-        blocks.append("\n".join(",".join(map(repr, row)) for row in rows) + "\n")
+    step = docio.CSV_BLOCK_ROWS
+    starts = range(0, curves.times.size, step)
+    for start, times in zip(starts, _time_blocks(curves.times.tobytes())):
+        rows = slice(start, start + step)
+        blocks.append(docio.csv_block([times.split(","), *(docio.format_floats(v[rows]) for v in values)]))
     return "".join(blocks)
+
+
+@functools.lru_cache(maxsize=1)
+def _time_blocks(grid: bytes) -> tuple[str, ...]:
+    """The float64 time grid, given as its bytes, formatted one comma-joined
+    string per block of rows.
+
+    Every object of a scene is sampled on the same grid, so the grid is
+    formatted once for all of them. The key is the exact bytes: a grid
+    that differs in one bit, even the sign of a zero, is formatted afresh.
+    """
+    times = np.frombuffer(grid)
+    step = docio.CSV_BLOCK_ROWS
+    return tuple(
+        ",".join(docio.format_floats(times[start : start + step])) for start in range(0, times.size, step)
+    )

@@ -25,6 +25,9 @@ _EXTENSIBLE = 0xFFFE
 # A standard SubFormat GUID is xxxxxxxx-0000-0010-8000-00aa00389b71, with the
 # plain format tag as xxxxxxxx; these are its last 12 bytes as stored.
 _SUBFORMAT_TAIL = bytes.fromhex("00001000800000aa00389b71")
+# The largest rate save_wav can store: the fmt chunk holds the byte rate,
+# 4 bytes per frame for float32, in 32 bits.
+MAX_WAV_RATE_HZ = (2**32 - 1) // 4
 
 
 @dataclass(frozen=True)
@@ -171,6 +174,8 @@ def save_wav(clip: AudioClip, path, sample_format: str = "pcm16") -> None:
         raise ValueError(f"unknown sample format {sample_format!r}")
 
     rate = clip.sample_rate_hz
+    if rate > MAX_WAV_RATE_HZ:
+        raise ValueError(f"a WAV header cannot hold {rate} Hz; the largest rate is {MAX_WAV_RATE_HZ} Hz")
     block_align = bits // 8
     fmt = struct.pack("<HHIIHH", tag, 1, rate, rate * block_align, block_align, bits)
     body = b"WAVE"

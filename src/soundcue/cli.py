@@ -6,9 +6,11 @@ Subcommands:
   run     detect every input track, merge, synth (one-shot pipeline)
   gen     render a synthetic fixture plan into WAVs + ground truth
 
-Exit codes: 0 success, 2 input/validation error, 64 usage error. All
-randomness flows from --seed / document seeds; outputs are byte-identical
-across runs for identical inputs.
+Exit codes: 0 success, 2 input/validation error (a SoundCueError or an
+OSError), 64 usage error. Any other exception is a bug in soundcue and
+propagates with its traceback. All randomness flows from --seed /
+document seeds; outputs are byte-identical across runs for identical
+inputs.
 """
 
 from __future__ import annotations
@@ -100,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_manifest(path) -> list[SoundPattern]:
     manifest_path = Path(path)
-    entries = docio.as_array(docio.parse_json(manifest_path.read_text(encoding="utf-8"), "manifest"), "")
+    entries = docio.as_array(docio.parse_json(docio.read_text(manifest_path, "manifest"), "manifest"), "")
     patterns = []
     for i, obj in enumerate(entries):
         where = f"[{i}]"
@@ -108,6 +110,8 @@ def _load_manifest(path) -> list[SoundPattern]:
         docio.reject_unknown(obj, {"id", "path", "kind"}, where)
         pattern_id = docio.as_string(docio.get(obj, "id", where), f"{where}.id")
         rel = docio.as_string(docio.get(obj, "path", where), f"{where}.path")
+        if "\x00" in rel:
+            raise SchemaError(f"{where}.path", "contains a NUL character")
         kind_name = docio.as_string(docio.get(obj, "kind", where), f"{where}.kind")
         try:
             kind = PatternKind(kind_name)
@@ -139,21 +143,28 @@ def _detect_track(sequence, wav_path: str, track_id, patterns, cfg) -> Timeline:
     return detect(sequence, patterns, cfg, track_id=track_id, source_audio=str(wav_path))
 
 
-def _correlation_report(sequence, patterns) -> str:
+def _write_correlation_report(path: Path, sequence, patterns) -> None:
     """Wide CSV of the per-pattern detection traces, for plotting.
 
     Patterns go through the same rate alignment `detect` applies, and the
-    traces come from the function detection reads them from.
+    traces come from the function detection reads them from. The rows
+    are formatted and written a block at a time, so the text of only one
+    block is held in memory.
     """
-    columns = [("t", np.arange(len(sequence)) / sequence.sample_rate_hz)]
+    names, traces = ["t"], []
     for pattern in sorted(patterns, key=lambda p: p.id):
         trace, averaged = pattern_traces(sequence, _aligned(pattern, sequence.sample_rate_hz))
-        columns.append((f"ncc_{pattern.id}", trace.values))
+        names.append(f"ncc_{pattern.id}")
+        traces.append(trace.values)
         if averaged is not None:
-            columns.append((f"avg_{pattern.id}", averaged.values))
-    header = ",".join(name for name, _ in columns)
-    rows = "\n".join(",".join(repr(float(v)) for v in row) for row in np.column_stack([v for _, v in columns]))
-    return header + "\n" + rows + ("\n" if rows else "")
+            names.append(f"avg_{pattern.id}")
+            traces.append(averaged.values)
+    with open(path, "w", encoding="utf-8") as out:
+        out.write(",".join(names) + "\n")
+        for start in range(0, len(sequence), docio.CSV_BLOCK_ROWS):
+            stop = min(start + docio.CSV_BLOCK_ROWS, len(sequence))
+            times = np.arange(start, stop) / sequence.sample_rate_hz
+            out.write(docio.csv_block([docio.format_floats(v) for v in (times, *(t[start:stop] for t in traces))]))
 
 
 def cmd_detect(args) -> InvocationResult:
@@ -170,7 +181,7 @@ def cmd_detect(args) -> InvocationResult:
     outputs.append(timeline_path)
     if args.report:
         report_path = out_dir / f"{track_id}.correlation.csv"
-        report_path.write_text(_correlation_report(sequence, patterns), encoding="utf-8")
+        _write_correlation_report(report_path, sequence, patterns)
         outputs.append(report_path)
     events = result.tracks[0].events
     print(f"detected {len(events)} event(s) on track {track_id!r} -> {timeline_path}")
@@ -217,7 +228,7 @@ def _consumed(tl: Timeline, cfg) -> int:
 
 def cmd_synth(args) -> InvocationResult:
     tl = timeline.read_timeline(args.timeline)
-    scene_cfg = _scene_overrides(scene.parse_scene(Path(args.scene).read_text(encoding="utf-8")), args)
+    scene_cfg = _scene_overrides(scene.parse_scene(docio.read_text(args.scene, "scene")), args)
     written, output = _write_animation(tl, scene_cfg, Path(args.out_dir))
     print(
         f"synthesized {len(output.curves)} object(s), {_consumed(tl, scene_cfg)} event(s) consumed, "
@@ -249,7 +260,7 @@ def cmd_run(args) -> InvocationResult:
     timeline.write_timeline(merged, timeline_path)
     scene_cfg = _scene_overrides(
         scene.parse_scene(
-            Path(args.scene).read_text(encoding="utf-8"),
+            docio.read_text(args.scene, "scene"),
             pattern_kinds={p.id: p.kind for p in patterns},
         ),
         args,
@@ -264,7 +275,7 @@ def cmd_run(args) -> InvocationResult:
 
 
 def cmd_gen(args) -> InvocationResult:
-    plan = synthgen.parse_plan(Path(args.plan).read_text(encoding="utf-8"))
+    plan = synthgen.parse_plan(docio.read_text(args.plan, "plan"))
     if args.seed is not None:
         plan = plan.with_seed(args.seed)
     sequence, clips = synthgen.realize(plan)
@@ -305,7 +316,7 @@ def main(argv=None) -> int:
         return args.func(args).exit_code
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    except (SoundCueError, OSError, ValueError) as exc:
+    except (SoundCueError, OSError) as exc:
         print(f"soundcue: error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -80,9 +80,6 @@ class CorrelationTrace:
     def __len__(self) -> int:
         return self.values.size
 
-    def lag_times_s(self) -> np.ndarray:
-        return np.arange(self.values.size) / self.sample_rate_hz
-
 
 def _check_pair(s: AudioClip, p: AudioClip) -> None:
     if s.sample_rate_hz != p.sample_rate_hz:

@@ -75,7 +75,7 @@ class DetectorConfig:
             value = getattr(self, name)
             if not 0.0 < value <= 1.0:
                 raise ValueError(f"{name} must lie in (0, 1], got {value}")
-        if self.continuous_min_duration_s < 0:
+        if not self.continuous_min_duration_s >= 0:
             raise ValueError(f"continuous_min_duration_s must be >= 0, got {self.continuous_min_duration_s}")
 
 
@@ -162,6 +162,8 @@ def _continuous_intervals(
     the pattern duration back to the run's end so it describes when the
     sound is playing; runs whose supports then touch are merged.
     """
+    if pattern.kind is not PatternKind.CONTINUOUS:
+        raise DetectionError(f"pattern {pattern.id!r} is not a continuous pattern")
     _, averaged = pattern_traces(s, pattern, take_energy)
     above = averaged.values > cfg.continuous_threshold
     if not above.any():
@@ -188,15 +190,6 @@ def _continuous_intervals(
     ]
 
 
-def detect_continuous_events(
-    s: AudioClip, pattern: SoundPattern, cfg: DetectorConfig
-) -> list[tuple[float, float]]:
-    """Maximal intervals where the averaged correlation magnitude stays high."""
-    if pattern.kind is not PatternKind.CONTINUOUS:
-        raise DetectionError(f"pattern {pattern.id!r} is not a continuous pattern")
-    return [(b, e) for b, e, _ in _continuous_intervals(s, pattern, cfg)]
-
-
 def strength(instance: AudioClip, pattern: SoundPattern) -> float:
     """sqrt of the instance/pattern energy ratio; 1.0 means voiced as loud as the reference."""
     reference = energy(pattern.clip)
@@ -221,7 +214,10 @@ def _event(s: AudioClip, pattern: SoundPattern, t0: float, t1: float, peak: floa
 def _aligned(pattern: SoundPattern, rate: int) -> SoundPattern:
     if pattern.clip.sample_rate_hz == rate:
         return pattern
-    return replace(pattern, clip=resample(pattern.clip, rate))
+    try:
+        return replace(pattern, clip=resample(pattern.clip, rate))
+    except ValueError as exc:  # resampling can miss every nonzero sample of a sparse pattern
+        raise DetectionError(f"{exc} at {rate} Hz") from exc
 
 
 def detect(

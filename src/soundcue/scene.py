@@ -195,6 +195,8 @@ def _parse_placement(obj, path: str) -> PlacementRule:
             hi = docio.as_number(raw[1], f"{path}.{key}[1]")
             if not lo <= hi:
                 raise SchemaError(f"{path}.{key}", f"needs low <= high, got [{lo}, {hi}]")
+            if not math.isfinite(hi - lo):
+                raise SchemaError(f"{path}.{key}", f"spans more than a float can hold, got [{lo}, {hi}]")
             ranges.append((lo, hi))
         return UniformRectPlacement(*ranges)
     raise SchemaError(f"{path}.kind", f"unknown placement kind {kind!r}")

@@ -24,7 +24,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from . import docio
-from .audio import AudioClip
+from .audio import MAX_WAV_RATE_HZ, AudioClip
 from .errors import PlanError, SchemaError
 from .timeline import PatternKind
 
@@ -91,6 +91,17 @@ def _triangle_window(n: int) -> np.ndarray:
     return np.concatenate((up, 1.0 - up))
 
 
+def pattern_length(duration_s: float, sample_rate_hz: int) -> int:
+    """Samples in a generated pattern: the duration's, rounded down to an even count of at least 4."""
+    if duration_s <= 0:
+        raise ValueError(f"duration_s must be positive, got {duration_s}")
+    n = int(round(duration_s * sample_rate_hz))
+    n -= n % 2
+    if n < 4:
+        raise ValueError(f"pattern too short: {duration_s} s at {sample_rate_hz} Hz")
+    return n
+
+
 def make_pattern(shape: str, duration_s: float, seed: int, sample_rate_hz: int = 44100) -> AudioClip:
     """A short deterministic burst usable as a dictionary pattern.
 
@@ -98,12 +109,7 @@ def make_pattern(shape: str, duration_s: float, seed: int, sample_rate_hz: int =
     snapped to whole cycles per half pattern) and phase derive from the
     seed. noise_burst: enveloped Gaussian noise. Both peak at 0.9.
     """
-    if duration_s <= 0:
-        raise ValueError(f"duration_s must be positive, got {duration_s}")
-    n = int(round(duration_s * sample_rate_hz))
-    n -= n % 2
-    if n < 4:
-        raise ValueError(f"pattern too short: {duration_s} s at {sample_rate_hz} Hz")
+    n = pattern_length(duration_s, sample_rate_hz)
     rng = np.random.default_rng(int(seed) & _SEED_MASK)
     window = _triangle_window(n)
     if shape == "tonal_burst":
@@ -272,6 +278,12 @@ def parse_plan(text: str) -> FixturePlan:
     seed = docio.as_integer(root.get("seed", 0), "seed")
     noise_rms = docio.as_number(root.get("noise_rms", 0.0), "noise_rms")
     allow_overlap = docio.as_boolean(root.get("allow_overlap", False), "allow_overlap")
+    if not duration > 0:
+        raise SchemaError("duration_s", f"must be positive, got {duration}")
+    if not 0 < rate <= MAX_WAV_RATE_HZ:
+        raise SchemaError("sample_rate_hz", f"must lie in [1, {MAX_WAV_RATE_HZ}], got {rate}")
+    if noise_rms < 0:
+        raise SchemaError("noise_rms", f"must be >= 0, got {noise_rms}")
 
     defs = []
     for i, obj in enumerate(docio.as_array(docio.get(root, "patterns", ""), "patterns")):
@@ -295,6 +307,7 @@ def parse_plan(text: str) -> FixturePlan:
         )
         try:
             defs.append(PatternDef(**fields))
+            pattern_length(fields["duration_s"], rate)
         except ValueError as exc:
             raise SchemaError(f"{path}.duration_s", str(exc)) from exc
     ids = [d.id for d in defs]

@@ -189,7 +189,7 @@ def deserialize(text: str) -> Timeline:
         tracks.append(Track(track_id=track_id, events=tuple(events), source_audio=source))
     try:
         return Timeline(tracks=tuple(tracks), duration_s=duration)
-    except ValueError as exc:
+    except (ValueError, SoundCueError) as exc:
         raise SchemaError("", str(exc)) from exc
 
 
@@ -200,6 +200,4 @@ def write_timeline(timeline: Timeline, path) -> None:
 
 
 def read_timeline(path) -> Timeline:
-    from pathlib import Path
-
-    return deserialize(Path(path).read_text(encoding="utf-8"))
+    return deserialize(docio.read_text(path, "timeline"))

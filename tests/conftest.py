@@ -1,5 +1,10 @@
+import copy
+import json
+import math
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from soundcue import (
     GroundTruth,
@@ -55,3 +60,45 @@ def silent_clip(duration_s: float, sr: int = SR):
     from soundcue import AudioClip
 
     return AudioClip(np.zeros(int(round(duration_s * sr))), sr)
+
+
+# Arbitrary JSON values, NaN, infinities and integers past float range
+# included (and drawn often): `json.dumps` writes them and `json.loads`
+# reads them back.
+json_values = st.recursive(
+    st.sampled_from([math.nan, math.inf, -math.inf, 2**1100, -0.0])
+    | st.none() | st.booleans() | st.integers(-(2**1100), 2**1100) | st.floats() | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=6,
+)
+
+
+def _node_paths(node, prefix=()):
+    yield prefix
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _node_paths(child, prefix + (key,))
+    elif isinstance(node, list):
+        for index, child in enumerate(node):
+            yield from _node_paths(child, prefix + (index,))
+
+
+def mutated_json(doc, data) -> str:
+    """The JSON text of `doc` with one node, drawn from `data`, replaced by an
+    arbitrary JSON value, deleted (an object field) or given an unknown sibling field."""
+    doc = copy.deepcopy(doc)
+    path = data.draw(st.sampled_from(list(_node_paths(doc))), label="path")
+    value = data.draw(json_values, label="value")
+    if not path:
+        return json.dumps(value)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    action = data.draw(st.sampled_from(["replace", "delete", "add"]), label="action")
+    if action == "delete" and isinstance(parent, dict):
+        del parent[path[-1]]
+    elif action == "add" and isinstance(parent, dict):
+        parent[data.draw(st.text(max_size=6), label="key")] = value
+    else:
+        parent[path[-1]] = value
+    return json.dumps(doc)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from soundcue import (
+    AnimationCurves,
     AnimationError,
     BallisticParams,
     EventInstance,
@@ -23,6 +25,7 @@ from soundcue import (
     squash_profile,
     steer_vertical,
 )
+from soundcue.animate import _time_blocks
 
 G = 9.81
 
@@ -347,3 +350,93 @@ class TestCurvesCsv:
         lines = curves_to_csv(curves).splitlines()[1:]
         parsed = np.array([[float(v) for v in line.split(",")] for line in lines])
         assert parsed[:, 3].tolist() == curves.positions[:, 2].tolist()
+
+
+def _float(bits):
+    return float(np.array([bits], dtype=np.uint64).view(np.float64)[0])
+
+
+# Values where formatting is easy to get wrong: signed zeros, NaNs that
+# differ only in sign or payload, infinities, subnormals, and the points
+# where repr switches between positional and exponent notation.
+EDGE_VALUES = [
+    0.0, -0.0, math.nan, _float(0xFFF8000000000000), _float(0x7FF8000000000001), math.inf, -math.inf,
+    5e-324, -2.225073858507201e-308, 1e16, 9999999999999998.0, 1e-05, 0.0001, -1e-05, 1 / 3, 1.0,
+]
+table_pools = st.lists(st.sampled_from(EDGE_VALUES) | st.floats(width=64), min_size=1, max_size=12)
+
+
+def curves_of(table):
+    return AnimationCurves("object", 100.0, table[:, 0], table[:, 1:4], table[:, 4:7])
+
+
+class TestCurvesCsvFormatter:
+    """`curves_to_csv` formats each distinct value once; its bytes stay those of `reference_csv`."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        pool=table_pools,
+        rows=st.sampled_from([1, 4095, 4096, 4097, 2 * 4096 + 3]),
+        seed=st.integers(0, 2**32 - 1),
+        distinct_share=st.sampled_from([0.0, 0.1, 1.0]),
+    )
+    # Signed zeros mixed in every column: a unique over float values would merge them.
+    @example(pool=[-0.0, 0.0], rows=4097, seed=0, distinct_share=0.0)
+    def test_matches_per_value_formatting(self, pool, rows, seed, distinct_share):
+        rng = np.random.default_rng(seed)
+        table = rng.choice(np.array(pool), size=(rows, 7))
+        # Some cells take arbitrary bit patterns: all but never repeated.
+        arbitrary = rng.random((rows, 7)) < distinct_share
+        table[arbitrary] = rng.integers(0, 2**64, size=int(arbitrary.sum()), dtype=np.uint64).view(np.float64)
+        curves = curves_of(table)
+        assert curves_to_csv(curves) == reference_csv(curves)
+
+    def test_equal_grids_share_the_formatted_time_column(self):
+        _time_blocks.cache_clear()
+        bounce = sample([solve_bounce([0.5, 1.25]).position], [], duration_s=100.0, fps=120)
+        still = sample([], [], duration_s=100.0, fps=120)
+        assert bounce.times is not still.times
+        assert curves_to_csv(bounce) == reference_csv(bounce)
+        assert curves_to_csv(still) == reference_csv(still)
+        info = _time_blocks.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_grid_one_ulp_apart_is_formatted_afresh(self):
+        _time_blocks.cache_clear()
+        curves = sample([], [], duration_s=50.0, fps=120)
+        times = curves.times.copy()
+        times[4097] = np.nextafter(times[4097], np.inf)
+        shifted = AnimationCurves("shifted", curves.fps, times, curves.positions, curves.scales)
+        assert curves_to_csv(curves) == reference_csv(curves)
+        assert curves_to_csv(shifted) == reference_csv(shifted)
+        assert _time_blocks.cache_info().misses == 2
+
+    def test_negative_zero_start_is_formatted_afresh(self):
+        _time_blocks.cache_clear()
+        curves = sample([], [], duration_s=1.0, fps=120)
+        times = curves.times.copy()
+        times[0] = -0.0
+        signed = AnimationCurves("signed", curves.fps, times, curves.positions, curves.scales)
+        assert curves_to_csv(curves).splitlines()[1].startswith("0.0,")
+        assert curves_to_csv(signed).splitlines()[1].startswith("-0.0,")
+        assert curves_to_csv(signed) == reference_csv(signed)
+        assert _time_blocks.cache_info().misses == 2
+
+    def test_memory_beyond_the_text_stays_below_the_table(self):
+        """600 s at 120 fps, every value distinct: the writer holds its text
+        twice while it joins the blocks, and less than the table's own bytes
+        beside it (no copy of the table, no per-value string objects kept)."""
+        rng = np.random.default_rng(7)
+        frames = 600 * 120 + 1
+        curves = AnimationCurves(
+            "object", 120.0, np.arange(frames) / 120, rng.standard_normal((frames, 3)), rng.random((frames, 3)) + 0.5
+        )
+        table_bytes = curves.times.nbytes + curves.positions.nbytes + curves.scales.nbytes
+        _time_blocks.cache_clear()
+        tracemalloc.start()
+        try:
+            text = curves_to_csv(curves)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - 2 * len(text) < table_bytes

@@ -3,10 +3,14 @@ import uuid
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from soundcue import (
     AudioClip,
     EmptyAudioError,
+    SoundCueError,
     UnsupportedWavError,
     WavFormatError,
     load_wav,
@@ -241,3 +245,65 @@ def _write_raw_wav(path, payload, tag, bits, channels, rate=SR, fmt=None, declar
     if len(payload) & 1:
         body += b"\x00"
     path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+
+
+# The largest error a save->load round trip may add, per sample format:
+# integers round to the nearest step (and are scaled by 2^(bits-1) on
+# load but by 2^(bits-1) - 1 on save); float32 rounds to 24 significant
+# bits, and values below its smallest subnormal flush to zero.
+QUANTIZATION = {
+    "pcm16": lambda x: np.full(x.shape, 1.5 / 32768),
+    "pcm24": lambda x: np.full(x.shape, 1.5 / (1 << 23)),
+    "float32": lambda x: np.abs(x) * 2.0**-24 + 2.0**-150,
+}
+unit_samples = arrays(
+    np.float64, st.integers(1, 300), elements=st.floats(-1.0, 1.0, allow_subnormal=True)
+)
+wav_rates = st.sampled_from([1, 8000, 22050, 44100, 48000, 192000]) | st.integers(1, 400_000)
+
+
+class TestWavProperties:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(samples=unit_samples, rate=wav_rates, sample_format=st.sampled_from(sorted(QUANTIZATION)))
+    def test_save_load_round_trip_within_quantization(self, tmp_path, samples, rate, sample_format):
+        path = tmp_path / f"rt.{sample_format}.wav"
+        save_wav(AudioClip(samples, rate), path, sample_format=sample_format)
+        loaded = load_wav(path)
+        assert loaded.sample_rate_hz == rate
+        assert len(loaded) == samples.size
+        assert np.all(np.abs(loaded.samples - samples) <= QUANTIZATION[sample_format](samples))
+
+    @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        data=st.data(),
+        bits_tag=st.sampled_from([(16, 1), (24, 1), (32, 3), (8, 1), (32, 1), (16, 3)]),
+        channels=st.integers(1, 3),
+        extensible=st.booleans(),
+        frames=st.integers(0, 12),
+    )
+    def test_mutated_files_only_raise_soundcue_errors(self, tmp_path, data, bits_tag, channels, extensible, frames):
+        bits, tag = bits_tag
+        guid = FLOAT_GUID if tag == 3 else PCM_GUID
+        fmt = _extensible_fmt(bits, channels, guid) if extensible else None
+        path = tmp_path / "fuzz.wav"
+        payload = data.draw(st.binary(min_size=frames, max_size=frames * channels * 4), label="payload")
+        _write_raw_wav(path, payload, tag=0xFFFE if extensible else tag, bits=bits, channels=channels, fmt=fmt)
+        raw = bytearray(path.read_bytes())
+        # Overwrite header fields and chunk sizes with arbitrary 16- and 32-bit values,
+        # flip single bytes anywhere, then maybe cut the file or append a chunk.
+        for offset, value, width in data.draw(
+            st.lists(st.tuples(st.integers(0, len(raw) - 1), st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 4])),
+                     max_size=4),
+            label="edits",
+        ):
+            raw[offset : offset + width] = (value % (1 << 8 * width)).to_bytes(width, "little")
+        raw = raw[: data.draw(st.integers(0, len(raw)), label="length")]
+        raw += data.draw(st.sampled_from([b"", b"LIST" + struct.pack("<I", 4) + b"INFO", b"data\x02\x00\x00\x00ab"]),
+                         label="tail")
+        path.write_bytes(bytes(raw))
+        try:
+            clip = load_wav(path)
+        except SoundCueError:
+            return
+        assert len(clip) > 0 and clip.sample_rate_hz > 0
+        assert np.all(np.abs(clip.samples) <= 1.0)

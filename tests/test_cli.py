@@ -1,9 +1,12 @@
 import json
+import math
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from soundcue import load_wav, read_timeline, resample, save_wav
+from soundcue import AudioClip, load_wav, read_timeline, resample, save_wav, scene
 from soundcue.cli import main
 
 SR = 44100
@@ -190,6 +193,22 @@ class TestDetect:
                 first, last = round(event.t_begin_s * SR), round(event.t_end_s * SR)
                 assert event.peak_correlation == max(columns[f"avg_{event.pattern_id}"][first : last + 1])
 
+    def test_report_memory_is_bounded(self, fixture_dir, tmp_path):
+        """The report holds its traces and one block of text, never the whole file's text."""
+        args = ["detect", str(fixture_dir / "sequence.wav"), "--patterns", str(fixture_dir / "patterns.json"),
+                "--track-id", "take"]
+        peaks = {}
+        for name, flags in (("plain", []), ("report", ["--report"])):
+            tracemalloc.start()
+            try:
+                assert main(args + ["--out-dir", str(tmp_path / name), *flags]) == 0
+                _, peaks[name] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        lines = (tmp_path / "report" / "take.correlation.csv").read_text().splitlines()
+        trace_bytes = (len(lines[0].split(",")) - 1) * (len(lines) - 1) * 8
+        assert peaks["report"] - peaks["plain"] < trace_bytes
+
     def test_report_resamples_pattern_like_detect(self, fixture_dir, tmp_path):
         tick = load_wav(fixture_dir / "patterns" / "tick.wav")
         save_wav(resample(tick, SR // 2), fixture_dir / "patterns" / "tick.wav", sample_format="float32")
@@ -309,6 +328,134 @@ class TestRun:
         assert main(args + ["--out-dir", str(b)]) == 0
         for name in ("timeline.json", "ball_curves.csv", "animation.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def _gen_argv(tmp_path, **plan):
+    write_plan(tmp_path / "plan.json", **plan)
+    return ["gen", "--plan", str(tmp_path / "plan.json"), "--out-dir", str(tmp_path / "out")]
+
+
+def _synth_argv(tmp_path, timeline_text=None, scene_doc=None, **timeline):
+    """`synth` on one 'take' track holding a tick at 1 s, bound to a hard bounce on 'ball'."""
+    doc = {
+        "duration_s": 3.0,
+        "tracks": [{"track_id": "take", "events": [
+            {"kind": "impulse", "pattern": "tick", "t": 1.0, "strength": 1.0, "peak_correlation": 0.9},
+        ]}],
+    }
+    doc.update(timeline)
+    path = tmp_path / "take.timeline.json"
+    if isinstance(timeline_text, bytes):
+        path.write_bytes(timeline_text)
+    else:
+        path.write_text(timeline_text or json.dumps(doc))
+    scene_doc = {"fps": 100, "seed": 1, **(scene_doc or {})}
+    scene_doc.setdefault(
+        "objects", [{"object_id": "ball", "track_id": "take", "bindings": {"tick": {"kind": "bounce_hard"}}}]
+    )
+    write_scene(tmp_path / "scene.json", scene_doc)
+    return ["synth", str(path), "--scene", str(tmp_path / "scene.json"), "--out-dir", str(tmp_path / "out")]
+
+
+def _tick_binding(action):
+    return {"objects": [{"object_id": "ball", "track_id": "take", "bindings": {"tick": action}}]}
+
+
+def _detect_argv(tmp_path, manifest_path=None, tick=None, flags=()):
+    """`detect` on a generated fixture; `manifest_path` replaces the tick's path, `tick` its clip."""
+    write_plan(tmp_path / "plan.json")
+    fixture = tmp_path / "fx"
+    assert main(["gen", "--plan", str(tmp_path / "plan.json"), "--out-dir", str(fixture)]) == 0
+    manifest = fixture / "patterns.json"
+    if manifest_path is not None:
+        entries = json.loads(manifest.read_text())
+        entries[0]["path"] = manifest_path
+        manifest.write_text(json.dumps(entries))
+    if tick is not None:
+        save_wav(tick, fixture / "patterns" / "tick.wav", sample_format="float32")
+    return ["detect", str(fixture / "sequence.wav"), "--patterns", str(manifest), "--out-dir", str(tmp_path / "out"),
+            *flags]
+
+
+def _silent_after_resampling():
+    """A pattern at twice the take's rate whose one nonzero sample falls between the take's samples."""
+    samples = np.zeros(101)
+    samples[51] = 0.5
+    return AudioClip(samples, 2 * SR)
+
+
+BAD_INPUTS = {
+    "plan duration zero": (lambda p: _gen_argv(p, duration_s=0.0, planted=[]), "duration_s"),
+    "plan duration NaN": (lambda p: _gen_argv(p, duration_s=math.nan, planted=[]), "duration_s"),
+    "plan rate zero": (lambda p: _gen_argv(p, sample_rate_hz=0, planted=[]), "sample_rate_hz"),
+    "plan rate past the WAV header": (
+        lambda p: _gen_argv(p, sample_rate_hz=2_000_000_000, duration_s=1e-7, patterns=[], planted=[]),
+        "sample_rate_hz",
+    ),
+    "plan noise negative": (lambda p: _gen_argv(p, noise_rms=-1.0), "noise_rms"),
+    "plan pattern shorter than 4 samples": (
+        lambda p: _gen_argv(p, patterns=[{"id": "tick", "kind": "impulse", "duration_s": 1e-6, "seed": 1}], planted=[]),
+        "patterns[0].duration_s",
+    ),
+    "timeline duration NaN": (lambda p: _synth_argv(p, duration_s=math.nan), "duration_s"),
+    "timeline duration infinite": (lambda p: _synth_argv(p, duration_s=math.inf), "duration_s"),
+    "timeline event time NaN": (
+        lambda p: _synth_argv(p, tracks=[{"track_id": "take", "events": [
+            {"kind": "impulse", "pattern": "tick", "t": math.nan, "strength": 1.0, "peak_correlation": 0.9}]}]),
+        "tracks[0].events[0].t",
+    ),
+    "timeline not UTF-8": (lambda p: _synth_argv(p, timeline_text=b'{"duration_s": 1.0, "tracks": [\xff]}'), "UTF-8"),
+    "timeline integer of 5000 digits": (
+        lambda p: _synth_argv(p, timeline_text='{"duration_s": ' + "1" * 5000 + ', "tracks": []}'), "timeline",
+    ),
+    "timeline nested 100000 deep": (lambda p: _synth_argv(p, timeline_text="[" * 100_000 + "]" * 100_000), "timeline"),
+    "scene gravity NaN": (lambda p: _synth_argv(p, scene_doc={"gravity": math.nan}), "gravity"),
+    "scene duration override NaN": (
+        lambda p: _synth_argv(p, scene_doc={"duration_override_s": math.nan}), "duration_override_s",
+    ),
+    "scene duration override infinite": (
+        lambda p: _synth_argv(p, scene_doc={"duration_override_s": math.inf}), "duration_override_s",
+    ),
+    "scene fps past any frame count": (lambda p: _synth_argv(p, scene_doc={"fps": 1e300}), "fps"),
+    "spawn range wider than a float": (
+        lambda p: _synth_argv(p, scene_doc=_tick_binding({"kind": "spawn_raindrop", "placement": {
+            "kind": "uniform_rect", "x_range": [-1.7e308, 1.7e308], "y_range": [0.0, 1.0]}})),
+        "objects[0].bindings['tick'].placement.x_range",
+    ),
+    "spawn size past a float": (
+        lambda p: _synth_argv(
+            p, scene_doc=_tick_binding({"kind": "spawn_dart", "size_base": 1.7e308, "size_per_strength": 1.7e308})
+        ),
+        "objects[0].bindings['tick']",
+    ),
+    "manifest path with a NUL": (lambda p: _detect_argv(p, manifest_path="patterns/ti\x00ck.wav"), "[0].path"),
+    "pattern silent at the take's rate": (lambda p: _detect_argv(p, tick=_silent_after_resampling()), "'tick'"),
+    "min continuous duration NaN": (
+        lambda p: _detect_argv(p, flags=["--min-continuous-duration", "nan"]), "continuous_min_duration_s",
+    ),
+}
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+    def test_exit_2_names_the_field(self, tmp_path, capsys, case):
+        argv_of, field = BAD_INPUTS[case]
+        argv = argv_of(tmp_path)
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("soundcue: error: ") and field in err
+
+    def test_value_error_inside_the_pipeline_is_not_bad_input(self, tmp_path, monkeypatch):
+        argv = _synth_argv(tmp_path)
+        assert main(argv) == 0
+
+        def broken(timeline, cfg):
+            raise ValueError("a bug, not bad input")
+
+        monkeypatch.setattr(scene, "build_animation", broken)
+        with pytest.raises(ValueError, match="a bug"):
+            main(argv)
 
 
 class TestUsage:

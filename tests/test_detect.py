@@ -16,7 +16,6 @@ from soundcue import (
     PlantedInstance,
     SoundPattern,
     detect,
-    detect_continuous_events,
     detect_impulse_candidates,
     make_pattern,
     place_instances,
@@ -24,6 +23,7 @@ from soundcue import (
     strength,
     suppress,
 )
+from soundcue.detect import _continuous_intervals
 from conftest import SR, silent_clip
 
 
@@ -163,14 +163,19 @@ class TestSuppress:
         assert suppress(candidates, SUPPRESS_PATTERNS) == reference_suppress(candidates, SUPPRESS_PATTERNS)
 
 
+def continuous_intervals(s, pattern, cfg):
+    """(t_begin_s, t_end_s) of each event `detect` finds for one continuous pattern."""
+    return [(e.t_begin_s, e.t_end_s) for e in detect(s, [pattern], cfg).tracks[0].events]
+
+
 class TestContinuous:
     def test_silence_is_empty(self, dictionary):
-        assert detect_continuous_events(silent_clip(2.0), dictionary["chhh"], DetectorConfig()) == []
+        assert continuous_intervals(silent_clip(2.0), dictionary["chhh"], DetectorConfig()) == []
 
     def test_tiled_segment_recovered(self, dictionary):
         chhh = dictionary["chhh"]
         s = plant({"chhh": chhh.clip}, [PlantedInstance("chhh", t_begin_s=2.0, t_end_s=3.0)])
-        intervals = detect_continuous_events(s, chhh, DetectorConfig())
+        intervals = continuous_intervals(s, chhh, DetectorConfig())
         assert len(intervals) == 1
         (t_begin, t_end), dt = intervals[0], chhh.duration_s
         assert abs(t_begin - 2.0) <= dt
@@ -181,14 +186,14 @@ class TestContinuous:
         pattern = SoundPattern("zip", clip, PatternKind.CONTINUOUS)
         s = plant({"zip": clip}, [PlantedInstance("zip", t_begin_s=1.0, t_end_s=1.05)])
         cfg = DetectorConfig(continuous_min_duration_s=0.15)
-        assert detect_continuous_events(s, pattern, cfg) == []
+        assert continuous_intervals(s, pattern, cfg) == []
         # the same construction passes once the filter allows short events
         relaxed = DetectorConfig(continuous_min_duration_s=0.0)
-        assert len(detect_continuous_events(s, pattern, relaxed)) == 1
+        assert len(continuous_intervals(s, pattern, relaxed)) == 1
 
     def test_wrong_kind_rejected(self, dictionary):
         with pytest.raises(DetectionError):
-            detect_continuous_events(silent_clip(1.0), dictionary["tick"], DetectorConfig())
+            _continuous_intervals(silent_clip(1.0), dictionary["tick"], DetectorConfig())
 
 
 class TestStrength:

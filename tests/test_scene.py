@@ -1,20 +1,35 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soundcue import (
+    BounceAction,
     EventInstance,
+    FixedPlacement,
+    LanePlacement,
+    ObjectSpec,
     PatternKind,
+    SceneConfig,
     SceneError,
     SchemaError,
+    SlideAction,
+    SpawnAction,
+    SquashParams,
+    SteerAction,
+    TailMode,
     Timeline,
     Track,
+    UniformRectPlacement,
     animation_document,
     build_animation,
     parse_scene,
     serialize_scene,
 )
+from conftest import mutated_json
 
 KINDS = {
     "tick": PatternKind.IMPULSE,
@@ -362,3 +377,80 @@ class TestAnimationDocument:
         assert spawn["kind"] == "raindrop"
         assert spawn["t"] == 1.0
         assert len(spawn["position"]) == 3
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(0.0, 1e6, exclude_min=True)
+unit = st.floats(0.0, 1.0, exclude_max=True)
+
+
+def _ordered_pair(draw, values=finite):
+    return tuple(sorted((draw(values), draw(values))))
+
+
+@st.composite
+def placements(draw):
+    kind = draw(st.sampled_from(["fixed", "lane", "uniform_rect"]))
+    if kind == "fixed":
+        return FixedPlacement(tuple(draw(finite) for _ in range(3)))
+    if kind == "lane":
+        return LanePlacement(draw(finite))
+    bounded = st.floats(-1e300, 1e300)
+    return UniformRectPlacement(_ordered_pair(draw, bounded), _ordered_pair(draw, bounded))
+
+
+@st.composite
+def actions(draw):
+    kind = draw(st.sampled_from(["bounce_hard", "bounce_soft", "slide", "steer", "spawn"]))
+    if kind == "bounce_hard":
+        return BounceAction(soft=False, drift_speed=draw(finite), tail=draw(st.sampled_from(TailMode)))
+    if kind == "bounce_soft":
+        amplitude, clamp = draw(unit), draw(st.floats(0.0, 1e6))
+        if amplitude * clamp >= 1.0:
+            clamp = 0.0
+        squash = SquashParams(amplitude, draw(positive), draw(st.booleans()), clamp)
+        return BounceAction(soft=True, squash=squash, drift_speed=draw(finite), tail=draw(st.sampled_from(TailMode)))
+    if kind == "slide":
+        return SlideAction(speed=draw(finite), squash_amplitude=draw(st.floats(0.0, 0.5, exclude_max=True)))
+    if kind == "steer":
+        z_min, z_max = _ordered_pair(draw, st.floats(-1e300, 1e300))
+        if z_min == z_max:
+            z_max = math.nextafter(z_min, math.inf)
+        direction, speed = draw(st.sampled_from([1, -1])), draw(st.floats(0.0, 1e6))
+        return SteerAction(direction=direction, speed=speed, z_min=z_min, z_max=z_max)
+    entity = draw(st.sampled_from(["dart", "laser_low", "laser_high", "raindrop"]))
+    return SpawnAction(entity, draw(positive), draw(finite), draw(placements()))
+
+
+names = st.text(max_size=6)
+scenes = st.builds(
+    SceneConfig,
+    objects=st.lists(
+        st.builds(ObjectSpec, object_id=names, track_id=names, bindings=st.dictionaries(names, actions(), max_size=3)),
+        max_size=3,
+        unique_by=lambda o: o.object_id,
+    ).map(tuple),
+    fps=st.floats(0.0, 1e6, exclude_min=True),
+    seed=st.integers(-(2**70), 2**70),
+    gravity=positive,
+    duration_override_s=st.none() | finite,
+)
+
+
+class TestSceneProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(scenes)
+    def test_parse_after_serialize_is_identity(self, cfg):
+        text = serialize_scene(cfg)
+        assert parse_scene(text) == cfg
+        assert serialize_scene(parse_scene(text)) == text
+
+    @settings(max_examples=250, deadline=None)
+    @given(scenes, st.data(), st.booleans())
+    def test_mutated_document_is_rejected_or_round_trips(self, cfg, data, with_kinds):
+        text = mutated_json(json.loads(serialize_scene(cfg)), data)
+        try:
+            parsed = parse_scene(text, KINDS if with_kinds else None)
+        except SchemaError:
+            return
+        assert parse_scene(serialize_scene(parsed)) == parsed

@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soundcue import (
     DetectorConfig,
@@ -19,7 +23,9 @@ from soundcue import (
     realize,
     serialize_plan,
 )
-from conftest import SR
+from soundcue.audio import MAX_WAV_RATE_HZ
+from soundcue.synthgen import pattern_length
+from conftest import SR, mutated_json
 
 
 class TestMakePattern:
@@ -159,3 +165,59 @@ class TestFixturePlan:
         with pytest.raises(SchemaError) as err:
             parse_plan(text.replace('"duration_s": 0.12', f'"duration_s": {duration}'))
         assert err.value.path == "patterns[0].duration_s"
+
+
+seeds = st.integers(-(2**70), 2**70)
+
+
+@st.composite
+def plans(draw):
+    rate = draw(st.integers(1, MAX_WAV_RATE_HZ))
+    patterns = []
+    for pattern_id in draw(st.lists(st.text(max_size=6), unique=True, max_size=3)):
+        pattern_s = draw(st.floats(4 / rate, 1e3))
+        if pattern_length(pattern_s, rate) < 4:  # rounding at the floor
+            continue
+        kind = draw(st.sampled_from(PatternKind))
+        shape = draw(st.sampled_from(["tonal_burst", "noise_burst"]))
+        patterns.append(PatternDef(pattern_id, kind, shape, pattern_s, draw(seeds)))
+    planted = []
+    for definition in draw(st.lists(st.sampled_from(patterns), max_size=4)) if patterns else []:
+        t0, t1 = sorted((draw(st.floats(-1e6, 1e6)), draw(st.floats(-1e6, 1e6))))
+        fields = dict(
+            amplitude=draw(st.floats(0.0, 1e6, exclude_min=True)),
+            distort=draw(st.floats(0.0, 1.0, exclude_max=True)),
+            distort_seed=draw(seeds),
+        )
+        if t0 == t1 or draw(st.booleans()):
+            planted.append(PlantedInstance(definition.id, onset_s=t0, **fields))
+        else:
+            planted.append(PlantedInstance(definition.id, t_begin_s=t0, t_end_s=t1, **fields))
+    return FixturePlan(
+        duration_s=draw(st.floats(0.0, 1e6, exclude_min=True)),
+        sample_rate_hz=rate,
+        seed=draw(seeds),
+        noise_rms=draw(st.floats(0.0, 1e6)),
+        patterns=tuple(patterns),
+        planted=tuple(planted),
+        allow_overlap=draw(st.booleans()),
+    )
+
+
+class TestPlanProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(plans())
+    def test_parse_after_serialize_is_identity(self, plan):
+        text = serialize_plan(plan)
+        assert parse_plan(text) == plan
+        assert serialize_plan(parse_plan(text)) == text
+
+    @settings(max_examples=250, deadline=None)
+    @given(plans(), st.data())
+    def test_mutated_document_is_rejected_or_round_trips(self, plan, data):
+        text = mutated_json(json.loads(serialize_plan(plan)), data)
+        try:
+            parsed = parse_plan(text)
+        except SchemaError:
+            return
+        assert parse_plan(serialize_plan(parsed)) == parsed

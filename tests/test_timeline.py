@@ -1,4 +1,8 @@
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soundcue import (
     EventInstance,
@@ -11,6 +15,7 @@ from soundcue import (
     merge,
     serialize,
 )
+from conftest import mutated_json
 
 
 def impulse(pattern_id, t, strength=1.0, peak=0.9):
@@ -145,3 +150,52 @@ class TestSerialization:
         with pytest.raises(SchemaError) as err:
             deserialize('{"duration_s": 1.0, "tracks": [], "extra": 1}')
         assert "extra" in str(err.value)
+
+
+ids = st.text(max_size=6)
+
+
+@st.composite
+def timelines(draw):
+    duration = draw(st.floats(0.0, 1e6))
+    times = st.floats(0.0, duration)
+    tracks = []
+    for track_id in draw(st.lists(ids, unique=True, max_size=3)):
+        events = []
+        for _ in range(draw(st.integers(0, 4))):
+            fields = dict(
+                pattern_id=draw(ids),
+                strength=draw(st.floats(0.0, 1e6)),
+                peak_correlation=draw(st.floats(0.0, 1.0 + 1e-6, exclude_min=True)),
+            )
+            t0, t1 = sorted((draw(times), draw(times)))
+            if t0 == t1 or draw(st.booleans()):
+                events.append(EventInstance(kind=PatternKind.IMPULSE, t_s=t0, **fields))
+            else:
+                events.append(EventInstance(kind=PatternKind.CONTINUOUS, t_begin_s=t0, t_end_s=t1, **fields))
+        tracks.append(Track(track_id, tuple(events), draw(st.none() | ids)))
+    return Timeline(tuple(tracks), duration)
+
+
+class TestSerializationProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(timelines())
+    def test_parse_after_serialize_is_identity(self, tl):
+        text = serialize(tl)
+        assert deserialize(text) == tl
+        assert serialize(deserialize(text)) == text
+
+    def test_duplicate_track_ids_are_a_schema_error(self):
+        tracks = [{"track_id": "a", "events": []}, {"track_id": "a", "events": []}]
+        with pytest.raises(SchemaError, match="duplicate track id"):
+            deserialize(json.dumps({"duration_s": 1.0, "tracks": tracks}))
+
+    @settings(max_examples=250, deadline=None)
+    @given(timelines(), st.data())
+    def test_mutated_document_is_rejected_or_round_trips(self, tl, data):
+        text = mutated_json(json.loads(serialize(tl)), data)
+        try:
+            parsed = deserialize(text)
+        except SchemaError:
+            return
+        assert deserialize(serialize(parsed)) == parsed
