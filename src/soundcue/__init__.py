@@ -21,7 +21,6 @@ from .detect import (
     DetectorConfig,
     SoundPattern,
     detect,
-    detect_impulse_candidates,
     strength,
     suppress,
 )

@@ -56,7 +56,6 @@ class TailMode(Enum):
 @dataclass(frozen=True)
 class BallisticParams:
     g: float = 9.81
-    rest_height: float = 0.0
     tail_mode: TailMode = TailMode.REST
 
     def __post_init__(self):
@@ -156,7 +155,7 @@ class BounceTrajectory:
     def height(self, t) -> np.ndarray:
         t = np.atleast_1d(np.asarray(t, dtype=np.float64))
         if not self.event_times:
-            return np.full(t.shape, self.params.rest_height)
+            return np.zeros_like(t)
         g = self.params.g
         z = np.zeros_like(t)
         first = self._seg_times[0]

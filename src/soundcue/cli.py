@@ -26,7 +26,7 @@ import numpy as np
 
 from . import docio, scene, synthgen, timeline
 from .audio import load_wav, save_wav
-from .detect import DetectorConfig, SoundPattern, _aligned, detect, pattern_traces
+from .detect import DetectorConfig, SoundPattern, detect, detect_from_traces, pattern_traces
 from .errors import SchemaError, SoundCueError
 from .timeline import PatternKind, Timeline
 
@@ -126,34 +126,27 @@ def _load_manifest(path) -> list[SoundPattern]:
 
 
 def _detector_config(args) -> DetectorConfig:
-    try:
-        return DetectorConfig(
-            impulse_threshold=args.impulse_threshold,
-            continuous_threshold=args.continuous_threshold,
-            continuous_min_duration_s=args.min_continuous_duration,
-            suppression=not args.no_suppression,
-        )
-    except ValueError as exc:
-        raise SoundCueError(str(exc)) from exc
+    cfg = DetectorConfig(suppression=not args.no_suppression)
+    for flag, field, value in (
+        ("--impulse-threshold", "impulse_threshold", args.impulse_threshold),
+        ("--continuous-threshold", "continuous_threshold", args.continuous_threshold),
+        ("--min-continuous-duration", "continuous_min_duration_s", args.min_continuous_duration),
+    ):
+        try:
+            cfg = dataclasses.replace(cfg, **{field: value})
+        except ValueError as exc:
+            raise SoundCueError(f"{flag}: {exc}") from exc
+    return cfg
 
 
-def _detect_track(sequence, wav_path: str, track_id, patterns, cfg) -> Timeline:
-    if track_id is None:
-        track_id = Path(wav_path).stem
-    return detect(sequence, patterns, cfg, track_id=track_id, source_audio=str(wav_path))
+def _write_correlation_report(path: Path, sequence, traced) -> None:
+    """Wide CSV of the `pattern_traces` items detection decided on, sorted by id.
 
-
-def _write_correlation_report(path: Path, sequence, patterns) -> None:
-    """Wide CSV of the per-pattern detection traces, for plotting.
-
-    Patterns go through the same rate alignment `detect` applies, and the
-    traces come from the function detection reads them from. The rows
-    are formatted and written a block at a time, so the text of only one
-    block is held in memory.
+    The rows are formatted and written a block at a time, so the text of
+    only one block is held in memory.
     """
     names, traces = ["t"], []
-    for pattern in sorted(patterns, key=lambda p: p.id):
-        trace, averaged = pattern_traces(sequence, _aligned(pattern, sequence.sample_rate_hz))
+    for pattern, trace, averaged in sorted(traced, key=lambda item: item[0].id):
         names.append(f"ncc_{pattern.id}")
         traces.append(trace.values)
         if averaged is not None:
@@ -171,17 +164,20 @@ def cmd_detect(args) -> InvocationResult:
     patterns = _load_manifest(args.patterns)
     cfg = _detector_config(args)
     sequence = load_wav(args.sequence)
-    result = _detect_track(sequence, args.sequence, args.track_id, patterns, cfg)
+    traced = pattern_traces(sequence, patterns)
+    if args.report:
+        traced = list(traced)  # the decisions and the report both read it
+    track_id = Path(args.sequence).stem if args.track_id is None else args.track_id
+    result = detect_from_traces(sequence, traced, cfg, track_id, str(args.sequence))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    track_id = result.tracks[0].track_id
     outputs = []
     timeline_path = out_dir / f"{track_id}.timeline.json"
     timeline.write_timeline(result, timeline_path)
     outputs.append(timeline_path)
     if args.report:
         report_path = out_dir / f"{track_id}.correlation.csv"
-        _write_correlation_report(report_path, sequence, patterns)
+        _write_correlation_report(report_path, sequence, traced)
         outputs.append(report_path)
     events = result.tracks[0].events
     print(f"detected {len(events)} event(s) on track {track_id!r} -> {timeline_path}")
@@ -253,7 +249,7 @@ def cmd_run(args) -> InvocationResult:
         specs.append((name, wav))
     patterns = _load_manifest(args.patterns)
     cfg = _detector_config(args)
-    merged = timeline.merge([_detect_track(load_wav(wav), wav, name, patterns, cfg) for name, wav in specs])
+    merged = timeline.merge([detect(load_wav(wav), patterns, cfg, name, wav) for name, wav in specs])
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     timeline_path = out_dir / "timeline.json"

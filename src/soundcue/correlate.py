@@ -65,7 +65,6 @@ class CorrelationTrace:
 
     values: np.ndarray
     sample_rate_hz: int
-    normalized: bool
 
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=np.float64)
@@ -205,10 +204,10 @@ def _window_sums(x: np.ndarray, w: int, lead: int, mean: bool = False, of=None) 
     return out
 
 
-def _fresh_trace(values: np.ndarray, sample_rate_hz: int, normalized: bool) -> CorrelationTrace:
+def _fresh_trace(values: np.ndarray, sample_rate_hz: int) -> CorrelationTrace:
     """A trace over `values`, an array just computed here that nothing else refers to: frozen, not copied."""
     values.setflags(write=False)
-    return CorrelationTrace(values, sample_rate_hz, normalized)
+    return CorrelationTrace(values, sample_rate_hz)
 
 
 def raw_cross_correlate(s: AudioClip, p: AudioClip) -> CorrelationTrace:
@@ -216,7 +215,7 @@ def raw_cross_correlate(s: AudioClip, p: AudioClip) -> CorrelationTrace:
     _check_pair(s, p)
     values = _sliding_dot(s.samples, p.samples)
     values /= s.sample_rate_hz
-    return _fresh_trace(values, s.sample_rate_hz, normalized=False)
+    return _fresh_trace(values, s.sample_rate_hz)
 
 
 def window_energy(s: AudioClip, m: int) -> np.ndarray:
@@ -254,7 +253,7 @@ def normalized_cross_correlate(
     elif take_energy.shape != (len(s),):
         raise ValueError(f"take_energy must have shape ({len(s)},), got {take_energy.shape}")
     values = _sliding_dot(s.samples, p.samples, take_energy, pattern_energy)
-    return _fresh_trace(values, s.sample_rate_hz, normalized=True)
+    return _fresh_trace(values, s.sample_rate_hz)
 
 
 def energy(x: AudioClip) -> float:
@@ -278,7 +277,7 @@ def moving_average(trace: CorrelationTrace, window_s: float, rectify: bool = Fal
         out = np.abs(trace.values)
     else:
         out = _window_sums(trace.values, w, (w - 1) // 2, mean=True, of=np.absolute if rectify else None)
-    return _fresh_trace(out, trace.sample_rate_hz, trace.normalized)
+    return _fresh_trace(out, trace.sample_rate_hz)
 
 
 def find_local_maxima(trace: CorrelationTrace, threshold: float) -> list[tuple[int, float]]:

@@ -1,5 +1,12 @@
 """Turn a recording plus a pattern dictionary into a timeline of events.
 
+Detection runs in two stages over one pass. `pattern_traces`, the one
+place a trace is computed, yields the traces one pattern at a time;
+`detect_from_traces` only decides which peaks and runs are events, and
+drops each pattern's traces before it asks for the next, so only one
+length's window energy and one pattern's traces are alive at a time.
+`soundcue detect --report` writes the very traces the decisions read.
+
 Impulse patterns: local maxima of the normalized cross-correlation above
 the impulse threshold become candidates; candidates of all patterns then
 go through greedy non-maximum suppression so that near-simultaneous,
@@ -10,9 +17,6 @@ short pattern swings through the full +/- range as the alignment phase
 drifts, so the trace is rectified before the boxcar average; an event
 spans every maximal stretch where that averaged magnitude stays above
 the continuous threshold for at least the minimum duration.
-
-Both kinds read their trace from `pattern_traces`, the one place a
-trace is computed; `soundcue detect --report` writes the same traces.
 
 Each surviving event gets a strength: the square root of the energy
 ratio between its instance window and its reference pattern, so a
@@ -27,7 +31,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -86,36 +90,6 @@ class Candidate:
     correlation_value: float
 
 
-def pattern_traces(
-    s: AudioClip, pattern: SoundPattern, take_energy: Optional[np.ndarray] = None
-) -> tuple[CorrelationTrace, Optional[CorrelationTrace]]:
-    """The pattern's normalized cross-correlation against `s` and, for a
-    continuous pattern, its rectified trace box-averaged over one pattern
-    duration (None for an impulse pattern).
-
-    The pattern must already share the sequence's sample rate.
-    `take_energy` is `window_energy(s, len(pattern.clip))`, computed by
-    the correlation when not given.
-    """
-    trace = normalized_cross_correlate(s, pattern.clip, take_energy)
-    if pattern.kind is not PatternKind.CONTINUOUS:
-        return trace, None
-    return trace, moving_average(trace, pattern.duration_s, rectify=True)
-
-
-def detect_impulse_candidates(
-    s: AudioClip, pattern: SoundPattern, cfg: DetectorConfig, take_energy: Optional[np.ndarray] = None
-) -> list[Candidate]:
-    """Local correlation maxima above the impulse threshold, as candidates."""
-    if pattern.kind is not PatternKind.IMPULSE:
-        raise DetectionError(f"pattern {pattern.id!r} is not an impulse pattern")
-    trace, _ = pattern_traces(s, pattern, take_energy)
-    return [
-        Candidate(pattern.id, lag / trace.sample_rate_hz, value)
-        for lag, value in find_local_maxima(trace, cfg.impulse_threshold)
-    ]
-
-
 def suppress(candidates: Sequence[Candidate], patterns: Mapping[str, SoundPattern]) -> list[Candidate]:
     """Greedy cross-pattern non-maximum suppression.
 
@@ -152,7 +126,7 @@ def suppress(candidates: Sequence[Candidate], patterns: Mapping[str, SoundPatter
 
 
 def _continuous_intervals(
-    s: AudioClip, pattern: SoundPattern, cfg: DetectorConfig, take_energy: Optional[np.ndarray] = None
+    averaged: CorrelationTrace, pattern: SoundPattern, cfg: DetectorConfig, duration_s: float
 ) -> list[tuple[float, float, float]]:
     """(t_begin, t_end, peak averaged magnitude) per detected interval.
 
@@ -162,9 +136,6 @@ def _continuous_intervals(
     the pattern duration back to the run's end so it describes when the
     sound is playing; runs whose supports then touch are merged.
     """
-    if pattern.kind is not PatternKind.CONTINUOUS:
-        raise DetectionError(f"pattern {pattern.id!r} is not a continuous pattern")
-    _, averaged = pattern_traces(s, pattern, take_energy)
     above = averaged.values > cfg.continuous_threshold
     if not above.any():
         return []
@@ -176,7 +147,7 @@ def _continuous_intervals(
     intervals: list[list[float]] = []
     for i0, i1 in zip(run_starts, run_ends):
         begin = i0 / sr
-        end = min((i1 + 1) / sr + pattern.duration_s, s.duration_s)
+        end = min((i1 + 1) / sr + pattern.duration_s, duration_s)
         peak = float(np.max(averaged.values[i0 : i1 + 1]))
         if intervals and begin <= intervals[-1][1]:
             intervals[-1][1] = max(intervals[-1][1], end)
@@ -220,6 +191,82 @@ def _aligned(pattern: SoundPattern, rate: int) -> SoundPattern:
         raise DetectionError(f"{exc} at {rate} Hz") from exc
 
 
+TracedPattern = tuple[SoundPattern, CorrelationTrace, Optional[CorrelationTrace]]
+
+
+def pattern_traces(s: AudioClip, patterns: Sequence[SoundPattern]) -> Iterator[TracedPattern]:
+    """(pattern, trace, averaged) per pattern, the pattern aligned to `s`'s rate.
+
+    `trace` is the normalized cross-correlation against `s`; `averaged`, for
+    a continuous pattern, is the rectified trace box-averaged over one
+    pattern duration (None for an impulse one). The dictionary is checked
+    and aligned at the call; the traces come lazily, grouped by pattern
+    length, so each length's window energy is computed once and dropped
+    before the next length's is computed.
+    """
+    if not patterns:
+        raise DetectionError("pattern dictionary is empty")
+    ids = [p.id for p in patterns]
+    if len(set(ids)) != len(ids):
+        raise DetectionError("pattern ids must be unique")
+    by_length: dict[int, list[SoundPattern]] = {}
+    for pattern in (_aligned(p, s.sample_rate_hz) for p in patterns):
+        by_length.setdefault(len(pattern.clip), []).append(pattern)
+    return _traces_by_length(s, by_length)
+
+
+def _traces_by_length(s: AudioClip, by_length: dict[int, list[SoundPattern]]) -> Iterator[TracedPattern]:
+    for m, group in by_length.items():
+        take_energy = window_energy(s, m)
+        for pattern in group:
+            # As returned: a local here would keep the traces alive past the yield.
+            yield _traced(s, pattern, take_energy)
+        del take_energy  # before the next length's is computed
+
+
+def _traced(s: AudioClip, pattern: SoundPattern, take_energy: np.ndarray) -> TracedPattern:
+    trace = normalized_cross_correlate(s, pattern.clip, take_energy)
+    if pattern.kind is PatternKind.IMPULSE:
+        return pattern, trace, None
+    return pattern, trace, moving_average(trace, pattern.duration_s, rectify=True)
+
+
+def detect_from_traces(
+    s: AudioClip,
+    traced: Iterable[TracedPattern],
+    cfg: Optional[DetectorConfig] = None,
+    track_id: str = "main",
+    source_audio: Optional[str] = None,
+) -> Timeline:
+    """Decide the events of the recording `s` from its `pattern_traces`.
+
+    Events do not depend on the order the patterns come in: suppression
+    and `Track` sort them.
+    """
+    cfg = cfg or DetectorConfig()
+    impulses: dict[str, SoundPattern] = {}
+    candidates: list[Candidate] = []
+    events = []
+    for pattern, trace, averaged in traced:
+        if averaged is None:
+            impulses[pattern.id] = pattern
+            candidates.extend(
+                Candidate(pattern.id, lag / trace.sample_rate_hz, value)
+                for lag, value in find_local_maxima(trace, cfg.impulse_threshold)
+            )
+        else:
+            intervals = _continuous_intervals(averaged, pattern, cfg, s.duration_s)
+            events.extend(_event(s, pattern, b, e, peak) for b, e, peak in intervals)
+        del trace, averaged  # before the next pattern's are computed
+    for cand in suppress(candidates, impulses) if cfg.suppression else candidates:
+        pattern = impulses[cand.pattern_id]
+        onset = cand.lag_time_s
+        events.append(_event(s, pattern, onset, onset + pattern.duration_s, cand.correlation_value))
+
+    track = Track(track_id=track_id, events=tuple(events), source_audio=source_audio)
+    return Timeline(tracks=(track,), duration_s=s.duration_s)
+
+
 def detect(
     s: AudioClip,
     patterns: Sequence[SoundPattern],
@@ -232,38 +279,5 @@ def detect(
     Patterns recorded at a different rate are resampled to the sequence's
     rate first so all lags share one time base. Event times are onsets:
     the instant the instance starts inside the recording.
-
-    The sequence's window energy is computed once per distinct pattern
-    length and shared by that length's correlations; only one is held at
-    a time. Events do not depend on the order patterns are visited in:
-    suppression and `Track` sort them.
     """
-    if not patterns:
-        raise DetectionError("pattern dictionary is empty")
-    ids = [p.id for p in patterns]
-    if len(set(ids)) != len(ids):
-        raise DetectionError("pattern ids must be unique")
-    cfg = cfg or DetectorConfig()
-    aligned = {p.id: _aligned(p, s.sample_rate_hz) for p in patterns}
-
-    by_length: dict[int, list[SoundPattern]] = {}
-    for pattern in aligned.values():
-        by_length.setdefault(len(pattern.clip), []).append(pattern)
-    candidates: list[Candidate] = []
-    events = []
-    for m, group in by_length.items():
-        take_energy = window_energy(s, m)
-        for pattern in group:
-            if pattern.kind is PatternKind.IMPULSE:
-                candidates.extend(detect_impulse_candidates(s, pattern, cfg, take_energy))
-            else:
-                intervals = _continuous_intervals(s, pattern, cfg, take_energy)
-                events.extend(_event(s, pattern, b, e, peak) for b, e, peak in intervals)
-        del take_energy  # before the next length's is computed
-    for cand in suppress(candidates, aligned) if cfg.suppression else candidates:
-        pattern = aligned[cand.pattern_id]
-        onset = cand.lag_time_s
-        events.append(_event(s, pattern, onset, onset + pattern.duration_s, cand.correlation_value))
-
-    track = Track(track_id=track_id, events=tuple(events), source_audio=source_audio)
-    return Timeline(tracks=(track,), duration_s=s.duration_s)
+    return detect_from_traces(s, pattern_traces(s, patterns), cfg, track_id, source_audio)

@@ -42,24 +42,14 @@ from .timeline import PatternKind, Timeline
 
 logger = logging.getLogger(__name__)
 
-_SPAWN_ENTITY = {
-    "spawn_dart": "dart",
-    "spawn_laser_low": "laser_low",
-    "spawn_laser_high": "laser_high",
-    "spawn_raindrop": "raindrop",
+# Spawn action kind -> (entity kind, default placement, default size_per_strength).
+_SPAWNS = {
+    "spawn_dart": ("dart", FixedPlacement((0.0, 0.0, 0.0)), 0.1),
+    "spawn_laser_low": ("laser_low", LanePlacement(0.5), 0.0),
+    "spawn_laser_high": ("laser_high", LanePlacement(1.5), 0.0),
+    "spawn_raindrop": ("raindrop", UniformRectPlacement((-5.0, 5.0), (-5.0, 5.0)), 0.1),
 }
-_DEFAULT_PLACEMENT = {
-    "spawn_dart": FixedPlacement((0.0, 0.0, 0.0)),
-    "spawn_laser_low": LanePlacement(0.5),
-    "spawn_laser_high": LanePlacement(1.5),
-    "spawn_raindrop": UniformRectPlacement((-5.0, 5.0), (-5.0, 5.0)),
-}
-_DEFAULT_SIZE_PER_STRENGTH = {
-    "spawn_dart": 0.1,
-    "spawn_laser_low": 0.0,
-    "spawn_laser_high": 0.0,
-    "spawn_raindrop": 0.1,
-}
+_SPAWN_KIND = {entity: kind for kind, (entity, _, _) in _SPAWNS.items()}
 
 
 @dataclass(frozen=True)
@@ -126,7 +116,7 @@ class SpawnAction:
 
     @property
     def kind(self) -> str:
-        return {v: k for k, v in _SPAWN_ENTITY.items()}[self.entity_kind]
+        return _SPAWN_KIND[self.entity_kind]
 
     requires = PatternKind.IMPULSE
 
@@ -267,15 +257,15 @@ def _parse_action(obj, path: str) -> ActionSpec:
                 z_min=_num(obj, "z_min", path, SteerAction.z_min),
                 z_max=_num(obj, "z_max", path, SteerAction.z_max),
             )
-        if kind in _SPAWN_ENTITY:
+        if kind in _SPAWNS:
             docio.reject_unknown(obj, {"kind", "size_base", "size_per_strength", "placement"}, path)
-            placement = _DEFAULT_PLACEMENT[kind]
+            entity_kind, placement, size_per_strength = _SPAWNS[kind]
             if "placement" in obj:
                 placement = _parse_placement(obj["placement"], f"{path}.placement")
             return SpawnAction(
-                entity_kind=_SPAWN_ENTITY[kind],
+                entity_kind=entity_kind,
                 size_base=_num(obj, "size_base", path, 0.1),
-                size_per_strength=_num(obj, "size_per_strength", path, _DEFAULT_SIZE_PER_STRENGTH[kind]),
+                size_per_strength=_num(obj, "size_per_strength", path, size_per_strength),
                 placement=placement,
             )
     except ValueError as exc:

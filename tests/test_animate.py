@@ -51,6 +51,25 @@ bump_strategy = st.tuples(
     st.sampled_from([2 / 64, 8 / 64, 0.15, 0.5, 1.0]),
 )
 
+# Strictly increasing bounce impacts; distinct floats may lie one ulp apart.
+impact_times = st.lists(st.floats(0.0, 50.0), min_size=1, max_size=12, unique=True).map(sorted)
+
+
+@st.composite
+def steer_intervals(draw):
+    """(ups, downs): the gaps between sorted breakpoints, each up, down or idle, so intervals touch or not."""
+    points = sorted(draw(st.lists(st.floats(0.0, 30.0), min_size=2, max_size=12, unique=True)))
+    labels = draw(st.lists(st.sampled_from((1, -1, 0)), min_size=len(points) - 1, max_size=len(points) - 1))
+    gaps = list(zip(points, points[1:]))
+    return [g for g, d in zip(gaps, labels) if d == 1], [g for g, d in zip(gaps, labels) if d == -1]
+
+
+def around(times):
+    """Each time and the floats one ulp below and above it, none negative."""
+    times = np.asarray(times, dtype=np.float64)
+    near = np.concatenate((times, np.nextafter(times, -np.inf), np.nextafter(times, np.inf)))
+    return near[near >= 0.0]
+
 
 class TestSolveBounce:
     def test_two_events_analytics(self):
@@ -64,8 +83,8 @@ class TestSolveBounce:
         assert speed == pytest.approx(4.905, abs=1e-4)
 
     def test_empty_events_rest(self):
-        traj = solve_bounce([], BallisticParams(rest_height=0.7))
-        assert np.all(traj.height(np.linspace(0, 5, 100)) == 0.7)
+        traj = solve_bounce([], BallisticParams())
+        assert np.all(traj.height(np.linspace(0, 5, 100)) == 0.0)
 
     def test_single_event_free_fall(self):
         traj = solve_bounce([0.5], BallisticParams(g=G))
@@ -93,6 +112,17 @@ class TestSolveBounce:
         assert traj.height(np.array([2.5]))[0] == pytest.approx(1.22625, abs=1e-12)
         assert traj.height(np.array([3.0]))[0] == 0.0
         assert np.all(traj.height(np.linspace(3.0, 5.0, 20)) == 0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(impact_times, st.sampled_from(list(TailMode)), st.floats(0.1, 50.0))
+    def test_floor_hits_property(self, times, tail_mode, g):
+        traj = solve_bounce(times, BallisticParams(g=g, tail_mode=tail_mode))
+        impacts = list(times)
+        if tail_mode is TailMode.REPEAT_LAST_INTERVAL and len(times) >= 2:
+            impacts.append(times[-1] + (times[-1] - times[-2]))  # the repeated interval's landing
+        assert np.all(traj.height(np.asarray(impacts)) == 0.0)
+        grid = np.concatenate((np.linspace(0.0, impacts[-1] + 1.0, 4001), around(impacts)))
+        assert traj.height(grid).min() >= 0.0
 
     def test_unsorted_events_rejected(self):
         with pytest.raises(AnimationError):
@@ -193,6 +223,18 @@ class TestSteerVertical:
         t = np.linspace(0, 6, 60001)
         z = curve.height(t)
         assert np.max(np.abs(np.diff(z))) <= 3.0 * (t[1] - t[0]) + 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        steer_intervals(), st.floats(0.0, 20.0), st.floats(-5.0, 5.0), st.floats(1e-3, 10.0), st.floats(-20.0, 20.0)
+    )
+    def test_height_within_bounds_property(self, intervals, speed, z_min, span, start_height):
+        ups, downs = intervals
+        z_max = z_min + span
+        curve = steer_vertical(ups, downs, speed, (z_min, z_max), start_height)
+        grid = np.concatenate((np.linspace(0.0, 31.0, 4001), around([t for iv in ups + downs for t in iv])))
+        z = curve.height(grid)
+        assert np.all((z_min <= z) & (z <= z_max))
 
     def test_overlap_rejected_with_names(self):
         with pytest.raises(AnimationError) as err:

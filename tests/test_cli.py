@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import tracemalloc
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from soundcue import AudioClip, load_wav, read_timeline, resample, save_wav, scene
+from soundcue import AudioClip, correlate, load_wav, read_timeline, resample, save_wav, scene
 from soundcue.cli import main
 
 SR = 44100
@@ -208,6 +209,29 @@ class TestDetect:
         lines = (tmp_path / "report" / "take.correlation.csv").read_text().splitlines()
         trace_bytes = (len(lines[0].split(",")) - 1) * (len(lines) - 1) * 8
         assert peaks["report"] - peaks["plain"] < trace_bytes
+
+    def test_report_computes_each_trace_once(self, fixture_dir, tmp_path, monkeypatch):
+        """The report writes the traces detection read: one correlation and one energy per pattern length."""
+        detect_module = importlib.import_module("soundcue.detect")  # the package's `detect` is the function
+        calls = []
+
+        def counted(name, real):
+            def spy(*args):
+                calls.append(name)
+                return real(*args)
+
+            return spy
+
+        energy = counted("window_energy", correlate.window_energy)
+        for module in (detect_module, correlate):  # the correlation computes its own energy when given none
+            monkeypatch.setattr(module, "window_energy", energy)
+        ncc = counted("normalized_cross_correlate", correlate.normalized_cross_correlate)
+        monkeypatch.setattr(detect_module, "normalized_cross_correlate", ncc)
+        assert main([
+            "detect", str(fixture_dir / "sequence.wav"), "--patterns", str(fixture_dir / "patterns.json"),
+            "--track-id", "take", "--out-dir", str(tmp_path / "rep"), "--report",
+        ]) == 0
+        assert sorted(calls) == ["normalized_cross_correlate"] * 3 + ["window_energy"] * 3
 
     def test_report_resamples_pattern_like_detect(self, fixture_dir, tmp_path):
         tick = load_wav(fixture_dir / "patterns" / "tick.wav")
@@ -432,6 +456,15 @@ BAD_INPUTS = {
     "pattern silent at the take's rate": (lambda p: _detect_argv(p, tick=_silent_after_resampling()), "'tick'"),
     "min continuous duration NaN": (
         lambda p: _detect_argv(p, flags=["--min-continuous-duration", "nan"]), "continuous_min_duration_s",
+    ),
+    "min continuous duration negative": (
+        lambda p: _detect_argv(p, flags=["--min-continuous-duration", "-1"]), "--min-continuous-duration",
+    ),
+    "impulse threshold above one": (
+        lambda p: _detect_argv(p, flags=["--impulse-threshold", "2"]), "--impulse-threshold",
+    ),
+    "continuous threshold zero": (
+        lambda p: _detect_argv(p, flags=["--continuous-threshold", "0"]), "--continuous-threshold",
     ),
 }
 

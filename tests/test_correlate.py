@@ -265,11 +265,11 @@ class TestTraceOwnership:
         assert not trace.values.flags.writeable
         assert trace.values.base is not None  # still the engine's output buffer, not a copy of it
         frozen = trace.values
-        assert CorrelationTrace(frozen, SR, normalized=True).values is frozen
+        assert CorrelationTrace(frozen, SR).values is frozen
 
     def test_writable_input_is_copied(self):
         values = np.array([0.1, 0.2, 0.3])
-        trace = CorrelationTrace(values, SR, normalized=True)
+        trace = CorrelationTrace(values, SR)
         values[0] = 0.9
         assert trace.values[0] == 0.1 and not trace.values.flags.writeable
 
@@ -303,7 +303,7 @@ class TestReferenceEquality:
             n = int(rng.integers(0, 2000))
             w = int(rng.choice([0, 1, 2, n, n + 1, 3 * n + 7, int(rng.integers(2, 2 * n + 3))]))
             values = rng.uniform(-1, 1, n)
-            trace = CorrelationTrace(values, SR, normalized=True)
+            trace = CorrelationTrace(values, SR)
             got = moving_average(trace, max(w, 0.4) / SR).values
             assert np.array_equal(got, reference_moving_average(values, w)), (n, w)
             rectified = moving_average(trace, max(w, 0.4) / SR, rectify=True).values
@@ -346,7 +346,7 @@ class TestMemoryBound:
 
     def test_moving_average(self, take):
         s, p = take
-        trace = CorrelationTrace(np.abs(s.samples), s.sample_rate_hz, normalized=True)
+        trace = CorrelationTrace(np.abs(s.samples), s.sample_rate_hz)
         assert self.peak_bytes(moving_average, trace, p.duration_s) <= 4 * s.samples.nbytes
 
     def test_window_energy(self, take):
@@ -372,7 +372,7 @@ class TestMemoryBound:
     def test_rectified_moving_average(self, take, window_samples):
         # |values| goes straight into the prefix sum (one output only when w <= 1).
         s, _ = take
-        trace = CorrelationTrace(s.samples, s.sample_rate_hz, normalized=True)
+        trace = CorrelationTrace(s.samples, s.sample_rate_hz)
         budget = 2.5 if window_samples > 1 else 1.5
         peak = self.peak_bytes(moving_average, trace, window_samples / s.sample_rate_hz, True)
         assert peak <= budget * s.samples.nbytes
@@ -385,7 +385,6 @@ class TestNormalizedCrossCorrelate:
         s = np.zeros(500)
         s[120:220] = p
         trace = normalized_cross_correlate(clip(s), clip(p))
-        assert trace.normalized
         assert trace.values[120] == pytest.approx(1.0, abs=1e-9)
 
     def test_amplitude_invariance(self):
@@ -439,7 +438,7 @@ class TestEnergy:
 
 class TestMovingAverage:
     def trace(self, values):
-        return CorrelationTrace(np.asarray(values, dtype=float), SR, normalized=True)
+        return CorrelationTrace(np.asarray(values, dtype=float), SR)
 
     def test_subsample_window_is_identity(self):
         trace = self.trace([0.1, 0.5, 0.2])
@@ -472,7 +471,7 @@ class TestMovingAverage:
 
 class TestFindLocalMaxima:
     def trace(self, values):
-        return CorrelationTrace(np.asarray(values, dtype=float), SR, normalized=True)
+        return CorrelationTrace(np.asarray(values, dtype=float), SR)
 
     def test_monotone_is_empty(self):
         assert find_local_maxima(self.trace([0.0, 0.2, 0.4, 0.9]), 0.1) == []

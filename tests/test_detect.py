@@ -1,5 +1,6 @@
 import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,14 +17,14 @@ from soundcue import (
     PlantedInstance,
     SoundPattern,
     detect,
-    detect_impulse_candidates,
+    find_local_maxima,
     make_pattern,
     place_instances,
     serialize,
     strength,
     suppress,
 )
-from soundcue.detect import _continuous_intervals
+from soundcue.detect import pattern_traces
 from conftest import SR, silent_clip
 
 
@@ -85,29 +86,30 @@ def plant(clips, planted, duration=6.0, noise=0.0, seed=1, allow_overlap=False):
     return place_instances(clips, plan)
 
 
+def impulse_candidates(s, pattern):
+    """The suppressed candidates `detect` finds for one impulse pattern, as its events."""
+    return list(detect(s, [pattern]).tracks[0].events)
+
+
 class TestImpulseCandidates:
     def test_silence_is_empty(self, dictionary):
-        assert detect_impulse_candidates(silent_clip(2.0), dictionary["tick"], DetectorConfig()) == []
+        assert impulse_candidates(silent_clip(2.0), dictionary["tick"]) == []
 
     def test_two_exact_copies(self, dictionary):
         tick = dictionary["tick"]
         s = plant({"tick": tick.clip}, [PlantedInstance("tick", onset_s=0.5), PlantedInstance("tick", onset_s=1.2)])
-        candidates = suppress(detect_impulse_candidates(s, tick, DetectorConfig()), {"tick": tick})
+        candidates = impulse_candidates(s, tick)
         assert len(candidates) == 2
         for got, expected in zip(candidates, (0.5, 1.2)):
-            assert abs(got.lag_time_s - expected) <= 1 / SR
-            assert got.correlation_value == pytest.approx(1.0, abs=1e-6)
+            assert abs(got.t_s - expected) <= 1 / SR
+            assert got.peak_correlation == pytest.approx(1.0, abs=1e-6)
 
     def test_quiet_copy_in_noise(self, dictionary):
         tick = dictionary["tick"]
         s = plant({"tick": tick.clip}, [PlantedInstance("tick", onset_s=0.8, amplitude=0.3)], noise=0.03)
-        candidates = suppress(detect_impulse_candidates(s, tick, DetectorConfig()), {"tick": tick})
+        candidates = impulse_candidates(s, tick)
         assert len(candidates) == 1
-        assert abs(candidates[0].lag_time_s - 0.8) < 0.005
-
-    def test_wrong_kind_rejected(self, dictionary):
-        with pytest.raises(DetectionError):
-            detect_impulse_candidates(silent_clip(1.0), dictionary["chhh"], DetectorConfig())
+        assert abs(candidates[0].t_s - 0.8) < 0.005
 
 
 class TestSuppress:
@@ -190,10 +192,6 @@ class TestContinuous:
         # the same construction passes once the filter allows short events
         relaxed = DetectorConfig(continuous_min_duration_s=0.0)
         assert len(continuous_intervals(s, pattern, relaxed)) == 1
-
-    def test_wrong_kind_rejected(self, dictionary):
-        with pytest.raises(DetectionError):
-            _continuous_intervals(silent_clip(1.0), dictionary["tick"], DetectorConfig())
 
 
 class TestStrength:
@@ -307,10 +305,10 @@ class TestDetect:
         patterns = list(dictionary.values())
         cfg = DetectorConfig(suppression=False)
         candidates = sorted(
-            (c.pattern_id, c.lag_time_s, c.correlation_value)
-            for p in patterns
-            if p.kind is PatternKind.IMPULSE
-            for c in detect_impulse_candidates(figure_sequence, p, cfg)
+            (pattern.id, lag / trace.sample_rate_hz, value)
+            for pattern, trace, averaged in pattern_traces(figure_sequence, patterns)
+            if averaged is None
+            for lag, value in find_local_maxima(trace, cfg.impulse_threshold)
         )
         events = detect(figure_sequence, patterns, cfg).tracks[0].events
         impulses = sorted(
@@ -356,11 +354,39 @@ class TestDetect:
         assert all(energy is energies[m] for m, energy in passed)
         assert {e.pattern_id for e in result.tracks[0].events} >= {"tick", "poc", "chhh"}
 
+    def test_memory_holds_one_pattern_at_a_time(self):
+        """Only one length's window energy and one pattern's traces are alive at a time.
+
+        About four take-length arrays at the peak; keeping the previous
+        pattern's traces alive while the next one correlates adds two more.
+        """
+        patterns = [
+            SoundPattern(f"{kind.value}_{i}", make_pattern("tonal_burst", d, seed=20 + i, sample_rate_hz=SR), kind)
+            for i, (d, kind) in enumerate(
+                ((0.1, PatternKind.IMPULSE), (0.2, PatternKind.CONTINUOUS),
+                 (0.2, PatternKind.IMPULSE), (0.1, PatternKind.CONTINUOUS))
+            )
+        ]
+        planted = [PlantedInstance("impulse_0", onset_s=2.0), PlantedInstance("impulse_2", onset_s=9.0),
+                   PlantedInstance("continuous_1", t_begin_s=4.0, t_end_s=6.0),
+                   PlantedInstance("continuous_3", t_begin_s=12.0, t_end_s=14.0)]
+        s = plant({p.id: p.clip for p in patterns}, planted, duration=20.0, noise=0.02)
+        tracemalloc.start()
+        try:
+            events = detect(s, patterns).tracks[0].events
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert {e.pattern_id for e in events} == {p.id for p in patterns}
+        assert peak <= 5 * s.samples.nbytes
+
     def test_empty_dictionary_rejected(self):
-        with pytest.raises(DetectionError):
-            detect(silent_clip(1.0), [])
+        for run in (detect, pattern_traces):  # the trace stage checks at the call, before any trace
+            with pytest.raises(DetectionError):
+                run(silent_clip(1.0), [])
 
     def test_duplicate_ids_rejected(self, dictionary):
         tick = dictionary["tick"]
-        with pytest.raises(DetectionError):
-            detect(silent_clip(1.0), [tick, tick])
+        for run in (detect, pattern_traces):
+            with pytest.raises(DetectionError):
+                run(silent_clip(1.0), [tick, tick])
