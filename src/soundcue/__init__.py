@@ -11,6 +11,8 @@ from .correlate import (
     CorrelationTrace,
     energy,
     find_local_maxima,
+    impulse_peaks,
+    local_maxima,
     moving_average,
     normalized_cross_correlate,
     raw_cross_correlate,
@@ -18,6 +20,7 @@ from .correlate import (
 )
 from .detect import (
     Candidate,
+    Candidates,
     DetectorConfig,
     SoundPattern,
     detect,

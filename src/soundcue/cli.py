@@ -164,11 +164,12 @@ def cmd_detect(args) -> InvocationResult:
     patterns = _load_manifest(args.patterns)
     cfg = _detector_config(args)
     sequence = load_wav(args.sequence)
-    traced = pattern_traces(sequence, patterns)
-    if args.report:
-        traced = list(traced)  # the decisions and the report both read it
     track_id = Path(args.sequence).stem if args.track_id is None else args.track_id
-    result = detect_from_traces(sequence, traced, cfg, track_id, str(args.sequence))
+    if args.report:
+        traced = list(pattern_traces(sequence, patterns))  # the decisions and the report both read it
+        result = detect_from_traces(sequence, traced, cfg, track_id, str(args.sequence))
+    else:
+        result = detect(sequence, patterns, cfg, track_id, str(args.sequence))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []

@@ -22,6 +22,18 @@ for all patterns of one length; each batch of lags is normalized by it
 as soon as its sums are done. One normalized correlation then holds the
 shared energy, its own output and a few megabytes of blocks.
 
+Patterns of one length also share the block layout, so the engine
+takes a group of them: each batch of blocks is forward-transformed
+once, and every pattern of the group then multiplies, inverse-transforms
+and normalizes its own copy. `normalized_cross_correlate` and
+`raw_cross_correlate` are a group of one that keeps its output.
+`impulse_peaks` keeps none: each worker picks the local maxima of its
+batch's lags as soon as they are normalized, and the calling thread
+stitches the runs above the threshold that cross batch edges, so a
+group holds the shared energy and the batches in flight, never a trace.
+`find_local_maxima` is the same row and stitch code over one row, so
+the peak definition exists once.
+
 Lag convention: values[tau] is the score for the pattern *starting* at
 sample tau of the sequence, with the sequence treated as zero beyond its
 end. Raw correlation approximates the integral of s(u+tau)*p(u) du, so
@@ -34,7 +46,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -91,6 +103,11 @@ def _check_pair(s: AudioClip, p: AudioClip) -> None:
         raise DetectionError(f"pattern ({len(p)} samples) is longer than the sequence ({len(s)})")
 
 
+def _check_energy(s: AudioClip, take_energy: np.ndarray) -> None:
+    if take_energy.shape != (len(s),):
+        raise ValueError(f"take_energy must have shape ({len(s)},), got {take_energy.shape}")
+
+
 def _pow2_at_least(x: int) -> int:
     return 1 << (x - 1).bit_length()
 
@@ -101,17 +118,32 @@ def _fft_length(n: int, m: int) -> int:
 
 
 def _sliding_dot(
-    s: np.ndarray, p: np.ndarray, take_energy: Optional[np.ndarray] = None, pattern_energy: float = 1.0
-) -> np.ndarray:
+    s: np.ndarray,
+    p: np.ndarray,
+    take_energy: Optional[np.ndarray] = None,
+    pattern_energy=1.0,
+    peaks_above: Optional[float] = None,
+):
     """sum_u s[tau+u] * p[u] for tau = 0..len(s)-1, s zero-padded at the tail.
 
+    `p` is one pattern, shape (m,), or a group of patterns of one length,
+    shape (g, m); the output then has shape (g, len(s)). The group shares
+    its block layout, so each block's forward FFT is taken once for all
+    of them.
+
     Overlap-save: block b is s[b*step : b*step + nfft] (zeros past the
-    end), and its circular correlation with p is exact for the first
-    step = nfft - m + 1 lags, which become out[b*step : (b+1)*step].
+    end), and its circular correlation with a pattern is exact for the
+    first step = nfft - m + 1 lags, which become out[b*step : (b+1)*step].
 
     Given `take_energy` (see `window_energy`), each lag is divided by
     sqrt(take_energy * pattern_energy) and clipped to [-1, 1] instead:
     the normalized cross-correlation, finished batch by batch.
+    `pattern_energy` is one value per pattern (or one for all).
+
+    With `peaks_above` (normalized only), no output is kept: each batch's
+    row of lags is peak-picked as soon as it is normalized, and the result
+    is, per pattern, the (lags, values) arrays `local_maxima` gives on the
+    whole trace.
 
     Batches of blocks run on up to _WORKERS threads, the calling one
     among them (numpy's FFTs release the GIL); each worker writes only its
@@ -119,11 +151,13 @@ def _sliding_dot(
     calling thread allocates every buffer: memory a helper thread
     allocates would stay in that thread's malloc arena after the call.
     """
-    n, m = s.size, p.size
+    group = np.atleast_2d(p)
+    n, (g, m) = s.size, group.shape
     nfft = _fft_length(n, m)
     step = nfft - m + 1
     n_blocks = -(-n // step)
     batch = max(1, _BATCH_SAMPLES // (nfft * _WORKERS))  # blocks per batch; all workers share the budget
+    energies = np.broadcast_to(pattern_energy, (g,))
 
     def segment(b0: int) -> np.ndarray:
         """The samples batch b0 reads; a copy padded with zeros where it runs past the take."""
@@ -133,33 +167,48 @@ def _sliding_dot(
 
     segments = [segment(b0) for b0 in range(0, n_blocks, batch)]
     workers = min(_WORKERS, len(segments))
-    pattern_spec = np.conj(np.fft.rfft(p, nfft))
-    out = np.empty(n_blocks * step)
-    rows = out.reshape(n_blocks, step)
+    pattern_specs = [np.conj(np.fft.rfft(row, nfft)) for row in group]
     most = min(batch, n_blocks)  # blocks in one worker's largest batch
-    specs = [np.empty((most, nfft // 2 + 1), dtype=complex) for _ in range(workers)]
-    blocks_out = [np.empty((most, nfft)) for _ in range(workers)]
+
+    def buffers(shape, dtype=float) -> list:
+        return [np.empty(shape, dtype=dtype) for _ in range(workers)]
+
+    specs = buffers((most, nfft // 2 + 1), complex)
+    # The last pattern of a group multiplies in place: a group of one needs no product buffer.
+    products = buffers((most, nfft // 2 + 1), complex) if g > 1 else None
+    blocks_out = buffers((most, nfft))
+    if peaks_above is None:
+        out = np.empty((g, n_blocks * step))
+    else:
+        row_out = buffers((most, step))  # one pattern's normalized lags of a batch
+        peaks = [[None] * len(segments) for _ in range(g)]  # each batch's _RowPeaks, per pattern
 
     def run(worker: int) -> None:
         spec, full = specs[worker], blocks_out[worker]
         for i in range(worker, len(segments), workers):
             blocks = np.lib.stride_tricks.sliding_window_view(segments[i], nfft)[::step]
-            k, b0 = blocks.shape[0], i * batch
+            k, lo = blocks.shape[0], i * batch * step
             np.fft.rfft(blocks, axis=1, out=spec[:k])
-            spec[:k] *= pattern_spec
-            np.fft.irfft(spec[:k], nfft, axis=1, out=full[:k])
-            dest = rows[b0 : b0 + k]
-            if take_energy is None:
-                dest[...] = full[:k, :step]
-                continue
-            lo = b0 * step
-            flat = out[lo : lo + k * step]  # dest's memory
-            denom = flat[: n - lo]  # the lags inside the take
-            np.multiply(take_energy[lo : lo + denom.size], pattern_energy, out=denom)
-            np.sqrt(denom, out=denom)
-            flat[denom.size :] = 1.0  # lags past the take are cut off below; keep their division defined
-            np.divide(full[:k, :step], dest, out=dest)
-            np.clip(dest, -1.0, 1.0, out=dest)
+            for j in range(g):
+                product = spec[:k] if j == g - 1 else products[worker][:k]
+                np.multiply(spec[:k], pattern_specs[j], out=product)
+                np.fft.irfft(product, nfft, axis=1, out=full[:k])
+                if peaks_above is None:
+                    dest = out[j, lo : lo + k * step].reshape(k, step)
+                else:
+                    dest = row_out[worker][:k]
+                if take_energy is None:
+                    dest[...] = full[:k, :step]
+                    continue
+                flat = dest.reshape(-1)  # dest's memory
+                denom = flat[: n - lo]  # the lags inside the take
+                np.multiply(take_energy[lo : lo + denom.size], energies[j], out=denom)
+                np.sqrt(denom, out=denom)
+                flat[denom.size :] = 1.0  # lags past the take are cut off below; keep their division defined
+                np.divide(full[:k, :step], dest, out=dest)
+                np.clip(dest, -1.0, 1.0, out=dest)
+                if peaks_above is not None:
+                    peaks[j][i] = _row_peaks(flat[: n - lo], peaks_above, lo)
 
     if workers == 1:
         run(0)
@@ -169,7 +218,9 @@ def _sliding_dot(
             run(0)
             for helper in helpers:
                 helper.result()
-    return out[:n]
+    if peaks_above is not None:
+        return [_stitch(rows) for rows in peaks]
+    return out[0, :n] if p.ndim == 1 else out[:, :n]
 
 
 def _window_sums(x: np.ndarray, w: int, lead: int, mean: bool = False, of=None) -> np.ndarray:
@@ -250,8 +301,7 @@ def normalized_cross_correlate(
     if take_energy is None:
         # Before the numerator, so the energy's prefix sum is gone by then.
         take_energy = window_energy(s, len(p))
-    elif take_energy.shape != (len(s),):
-        raise ValueError(f"take_energy must have shape ({len(s)},), got {take_energy.shape}")
+    _check_energy(s, take_energy)
     values = _sliding_dot(s.samples, p.samples, take_energy, pattern_energy)
     return _fresh_trace(values, s.sample_rate_hz)
 
@@ -280,24 +330,129 @@ def moving_average(trace: CorrelationTrace, window_s: float, rectify: bool = Fal
     return _fresh_trace(out, trace.sample_rate_hz)
 
 
+class _RowPeaks(NamedTuple):
+    """What one row of a trace, lags lo .. lo + len - 1, tells `_stitch` about its local maxima.
+
+    `lags` and `values` are the strict maxima above the threshold whose
+    plateau and both neighbours lie inside the row. A run above the
+    threshold that touches an end of the row is left to the stitcher:
+    `head_end` is the last lag of the run that starts the row and `after`
+    the value that follows it (None when the run fills the row);
+    `tail_start` is the first lag of the run that ends the row and
+    `before` the value preceding it. Each is None when there is no such run.
+    """
+
+    lags: np.ndarray
+    values: np.ndarray
+    lo: int
+    first: float
+    last: float
+    head_end: Optional[int]
+    after: Optional[float]
+    tail_start: Optional[int]
+    before: Optional[float]
+
+
+def _row_peaks(v: np.ndarray, threshold: float, lo: int) -> _RowPeaks:
+    """The local maxima of the row `v` of a trace, which starts at lag `lo`.
+
+    Only samples above the threshold are visited: a run of equal values
+    above it lies wholly among them, and its two neighbours decide it. A
+    run at either end of the row stands in for its own missing neighbour
+    there, so the strict comparison leaves it to the stitcher.
+    """
+    last = v.size - 1
+    above = np.flatnonzero(v > threshold)
+    starts = above[(above == 0) | (v[above - 1] != v[above])]
+    ends = above[(above == last) | (v[np.minimum(above + 1, last)] != v[above])]  # inclusive
+    values = v[starts]
+    keep = (v[np.maximum(starts - 1, 0)] < values) & (v[np.minimum(ends + 1, last)] < values)
+    head_end = after = tail_start = before = None
+    if starts.size and starts[0] == 0:
+        head_end = lo + int(ends[0])
+        after = float(v[ends[0] + 1]) if ends[0] < last else None
+    if ends.size and ends[-1] == last:
+        tail_start = lo + int(starts[-1])
+        before = float(v[starts[-1] - 1]) if starts[-1] > 0 else None
+    centers = (starts[keep] + ends[keep]) // 2 + lo
+    return _RowPeaks(centers, values[keep], lo, float(v[0]), float(v[last]), head_end, after, tail_start, before)
+
+
+def _stitch(rows: Iterable[_RowPeaks]) -> tuple[np.ndarray, np.ndarray]:
+    """(lags, values) of the local maxima of the trace cut into `rows`, given in lag order.
+
+    A run above the threshold that crosses row edges is carried as pending
+    until a row ends it; a run that touches either end of the whole trace
+    is never a maximum, as in `find_local_maxima`.
+    """
+    lags: list[np.ndarray] = []
+    values: list[np.ndarray] = []
+
+    def close(start: int, end: int, value: float, before: Optional[float], after: float) -> None:
+        if before is not None and before < value and after < value:
+            lags.append(np.array([(start + end) // 2]))
+            values.append(np.array([value]))
+
+    pending = None  # (start, value, value before it) of the run that reaches the previous row's end
+    prev_last = None  # the previous row's last value; None before the trace's first lag
+    for row in rows:
+        if pending is not None and pending[1] != row.first:
+            close(pending[0], row.lo - 1, pending[1], pending[2], row.first)  # it ended at the previous row's end
+            pending = None
+        if row.head_end is not None:
+            if pending is None:
+                pending = (row.lo, row.first, prev_last)
+            if row.after is None:  # the run fills this row
+                prev_last = row.last
+                continue
+            close(pending[0], row.head_end, pending[1], pending[2], row.after)
+            pending = None
+        lags.append(row.lags)
+        values.append(row.values)
+        if row.tail_start is not None:
+            pending = (row.tail_start, row.last, row.before)
+        prev_last = row.last
+    if not lags:
+        return np.empty(0, dtype=np.int64), np.empty(0)
+    return np.concatenate(lags).astype(np.int64, copy=False), np.concatenate(values)
+
+
+def local_maxima(trace: CorrelationTrace, threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """(lags, values) of `find_local_maxima`, as an int64 and a float64 array."""
+    v = trace.values
+    return _stitch([_row_peaks(v, threshold, 0)] if v.size else [])
+
+
 def find_local_maxima(trace: CorrelationTrace, threshold: float) -> list[tuple[int, float]]:
     """Lags of strict local maxima above `threshold`, in increasing order.
 
     A plateau counts once and reports its center sample (floor of the
     midpoint for even plateaus). Runs touching either end of the trace are
     never maxima, so a monotone trace yields nothing.
-
-    Only samples above the threshold are visited: a run of equal values
-    above it lies wholly among them, and its two neighbours decide it.
     """
-    v = trace.values
-    last = v.size - 1
-    above = np.flatnonzero(v > threshold)
-    starts = above[(above == 0) | (v[above - 1] != v[above])]
-    ends = above[(above == last) | (v[np.minimum(above + 1, last)] != v[above])]  # inclusive
-    values = v[starts]
-    # A run at either end of the trace stands in for its own missing
-    # neighbour there, so the strict comparison drops it.
-    keep = (v[np.maximum(starts - 1, 0)] < values) & (v[np.minimum(ends + 1, last)] < values)
-    centers = (starts[keep] + ends[keep]) // 2
-    return [(int(lag), float(val)) for lag, val in zip(centers, values[keep])]
+    lags, values = local_maxima(trace, threshold)
+    return list(zip(lags.tolist(), values.tolist()))
+
+
+def impulse_peaks(
+    s: AudioClip, clips: Sequence[AudioClip], take_energy: np.ndarray, threshold: float
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per clip, the (lags, values) of `local_maxima(normalized_cross_correlate(s, clip), threshold)`.
+
+    The clips must share one length, whose `window_energy` is `take_energy`.
+    They share each block's forward FFT, and each batch of lags is
+    peak-picked as soon as it is normalized, so no take-length trace exists.
+    """
+    if not clips:
+        return []
+    for clip in clips:
+        _check_pair(s, clip)
+    m = len(clips[0])
+    if any(len(clip) != m for clip in clips):
+        raise ValueError(f"clips must share one length, got {sorted({len(clip) for clip in clips})}")
+    energies = [float(np.dot(clip.samples, clip.samples)) for clip in clips]
+    if min(energies) <= 0.0:
+        raise DetectionError("pattern has zero energy")
+    _check_energy(s, take_energy)
+    group = np.stack([clip.samples for clip in clips])
+    return _sliding_dot(s.samples, group, take_energy, energies, peaks_above=threshold)

@@ -1,16 +1,21 @@
 """Turn a recording plus a pattern dictionary into a timeline of events.
 
-Detection runs in two stages over one pass. `pattern_traces`, the one
-place a trace is computed, yields the traces one pattern at a time;
-`detect_from_traces` only decides which peaks and runs are events, and
-drops each pattern's traces before it asks for the next, so only one
-length's window energy and one pattern's traces are alive at a time.
-`soundcue detect --report` writes the very traces the decisions read.
+Two entry points share one decision stage. `detect` works per pattern
+length: the length's window energy is computed once, its impulse
+patterns are correlated together by `impulse_peaks`, which picks their
+peaks batch by batch and never holds a trace, and its continuous
+patterns get their whole trace one at a time, since the box average
+needs it. `detect_from_traces` takes the `pattern_traces` (the traces
+`soundcue detect --report` writes) and picks the impulse peaks of each
+whole trace with the same peak code. Either way each impulse pattern's
+peaks become `Candidates` arrays, and the same suppression and
+strength measurement decide the events, so both give the same timeline
+bit for bit.
 
 Impulse patterns: local maxima of the normalized cross-correlation above
 the impulse threshold become candidates; candidates of all patterns then
-go through greedy non-maximum suppression so that near-simultaneous,
-sound-alike patterns cannot both fire.
+go through greedy non-maximum suppression (Neubeck & Van Gool 2006) so
+that near-simultaneous, sound-alike patterns cannot both fire.
 
 Continuous patterns: the correlation of a sustained sound against its
 short pattern swings through the full +/- range as the alignment phase
@@ -29,7 +34,6 @@ are clamped to the recording.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -39,7 +43,9 @@ from .audio import AudioClip, resample
 from .correlate import (
     CorrelationTrace,
     energy,
-    find_local_maxima,
+    find_local_maxima,  # noqa: F401  (bench/tracing.py looks the peak picker up in this module)
+    impulse_peaks,
+    local_maxima,
     moving_average,
     normalized_cross_correlate,
     window_energy,
@@ -90,39 +96,115 @@ class Candidate:
     correlation_value: float
 
 
-def suppress(candidates: Sequence[Candidate], patterns: Mapping[str, SoundPattern]) -> list[Candidate]:
+@dataclass(frozen=True, eq=False)
+class Candidates:
+    """Impulse candidates as three read-only arrays of one length.
+
+    Candidate i is of pattern `pattern_ids[pattern_index[i]]`, at
+    `lag_time_s[i]` with `correlation_value[i]`. Its length is the number
+    of candidates; iterating it yields `Candidate`s, which are built only
+    then.
+    """
+
+    pattern_ids: tuple
+    pattern_index: np.ndarray
+    lag_time_s: np.ndarray
+    correlation_value: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "pattern_ids", tuple(self.pattern_ids))
+        for name, dtype in (("pattern_index", np.int64), ("lag_time_s", np.float64), ("correlation_value", np.float64)):
+            arr = np.array(getattr(self, name), dtype=dtype)  # a copy nobody else can write to
+            if arr.shape != (len(self),):
+                raise ValueError(f"{name} must have shape ({len(self)},), got {arr.shape}")
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        if len(self) and not 0 <= self.pattern_index.min() <= self.pattern_index.max() < len(self.pattern_ids):
+            raise ValueError(f"pattern_index must index pattern_ids ({len(self.pattern_ids)} ids)")
+
+    @classmethod
+    def of(cls, candidates: Iterable[Candidate]) -> "Candidates":
+        """The `Candidate`s as arrays, their pattern ids in order of first appearance."""
+        candidates = list(candidates)
+        index: dict[str, int] = {}
+        for cand in candidates:
+            index.setdefault(cand.pattern_id, len(index))
+        return cls(
+            tuple(index),
+            [index[c.pattern_id] for c in candidates],
+            [c.lag_time_s for c in candidates],
+            [c.correlation_value for c in candidates],
+        )
+
+    def __len__(self) -> int:
+        return np.size(self.pattern_index)
+
+    def __iter__(self) -> Iterator[Candidate]:
+        ids = self.pattern_ids
+        for i, t, v in zip(self.pattern_index.tolist(), self.lag_time_s.tolist(), self.correlation_value.tolist()):
+            yield Candidate(ids[i], t, v)
+
+    def take(self, index: np.ndarray) -> "Candidates":
+        """The candidates at `index`, in its order."""
+        return Candidates(self.pattern_ids, self.pattern_index[index], self.lag_time_s[index], self.correlation_value[index])
+
+
+def suppress(candidates: Candidates, patterns: Mapping[str, SoundPattern]) -> Candidates:
     """Greedy cross-pattern non-maximum suppression.
 
     Candidates are visited by descending correlation value (ties: earlier
     time, then pattern id). One is kept only if no already-kept candidate
     lies within half the kept candidate's own pattern duration of it.
-    Returns the survivors sorted by time.
+    Returns the survivors sorted by time, then pattern id.
 
-    Only kept candidates within the largest half duration can reject one,
-    so the kept times are held sorted and each candidate is tested against
-    the neighbours a bisection finds there, not against all kept ones. The
-    window is widened by a few ulps so that rounding at its edges cannot
-    leave out a neighbour the exact test would count.
+    The same decisions, made in another order: the best live candidate is
+    kept, and every live candidate within its half duration is marked dead.
+    A candidate that becomes the best live one can only have been rejected
+    by a better kept one, which would already have marked it dead. Only
+    candidates within the largest half duration, `reach`, can cover each
+    other, so a candidate with no other within `reach` is kept outright,
+    and the loop runs once per kept candidate of a cluster. Each window of
+    `reach` is found by bisection over the time-sorted candidates, widened
+    by a few ulps so that rounding at its edges cannot leave out a
+    candidate the exact test would count.
     """
-    ordered = sorted(candidates, key=lambda c: (-c.correlation_value, c.lag_time_s, c.pattern_id))
-    if not ordered:
-        return []
-    half = {pid: patterns[pid].duration_s / 2 for pid in {c.pattern_id for c in ordered}}
-    reach = max(half.values())
-    reach += 4 * math.ulp(reach + max(abs(c.lag_time_s) for c in ordered))
-    kept_times: list[float] = []  # sorted
-    kept_halves: list[float] = []  # beside kept_times
-    kept: list[Candidate] = []
-    for cand in ordered:
-        t = cand.lag_time_s
-        lo = bisect_left(kept_times, t - reach)
-        hi = bisect_right(kept_times, t + reach, lo)
-        if all(abs(t - kept_times[i]) > kept_halves[i] for i in range(lo, hi)):
-            at = bisect_right(kept_times, t, lo, hi)
-            kept_times.insert(at, t)
-            kept_halves.insert(at, half[cand.pattern_id])
-            kept.append(cand)
-    return sorted(kept, key=lambda c: (c.lag_time_s, c.pattern_id))
+    n = len(candidates)
+    if n == 0:
+        return candidates
+    ids, pattern = candidates.pattern_ids, candidates.pattern_index
+    t, value = candidates.lag_time_s, candidates.correlation_value
+    used = np.unique(pattern).tolist()
+    half_of = np.zeros(len(ids))
+    half_of[used] = [patterns[ids[i]].duration_s / 2 for i in used]
+    id_rank = np.empty(len(ids), dtype=np.int64)
+    id_rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    reach = float(half_of[used].max())
+    reach += 4 * math.ulp(reach + float(np.abs(t).max()))
+
+    order = np.lexsort((id_rank[pattern], t, -value))  # priority: value down, then time, then pattern id
+    t_ranked, half = t[order], half_of[pattern[order]]  # by rank, from here on
+    by_time = np.argsort(t_ranked, kind="stable")  # the ranks in time order
+    times = t_ranked[by_time]
+    window_lo = np.searchsorted(times, times - reach, "left")
+    window_hi = np.searchsorted(times, times + reach, "right")
+    position = np.empty(n, dtype=np.int64)  # of each rank in time order
+    position[by_time] = np.arange(n)
+    alone = window_hi - window_lo == 1  # by time: nothing else within reach
+    live = np.empty(n, dtype=bool)
+    live[by_time] = ~alone
+    kept = by_time[alone].tolist()
+    r = 0
+    while r < n:
+        r += int(np.argmax(live[r:]))
+        if not live[r]:
+            break
+        kept.append(r)
+        lo, hi = window_lo[position[r]], window_hi[position[r]]
+        covered = ~(np.abs(times[lo:hi] - t_ranked[r]) > half[r])
+        live[by_time[lo:hi][covered]] = False
+        r += 1
+    survivors = order[kept]
+    return candidates.take(survivors[np.lexsort((id_rank[pattern[survivors]], t[survivors]))])
 
 
 def _continuous_intervals(
@@ -194,6 +276,19 @@ def _aligned(pattern: SoundPattern, rate: int) -> SoundPattern:
 TracedPattern = tuple[SoundPattern, CorrelationTrace, Optional[CorrelationTrace]]
 
 
+def _by_length(s: AudioClip, patterns: Sequence[SoundPattern]) -> dict[int, list[SoundPattern]]:
+    """The dictionary, checked and aligned to `s`'s rate, grouped by pattern length."""
+    if not patterns:
+        raise DetectionError("pattern dictionary is empty")
+    ids = [p.id for p in patterns]
+    if len(set(ids)) != len(ids):
+        raise DetectionError("pattern ids must be unique")
+    by_length: dict[int, list[SoundPattern]] = {}
+    for pattern in (_aligned(p, s.sample_rate_hz) for p in patterns):
+        by_length.setdefault(len(pattern.clip), []).append(pattern)
+    return by_length
+
+
 def pattern_traces(s: AudioClip, patterns: Sequence[SoundPattern]) -> Iterator[TracedPattern]:
     """(pattern, trace, averaged) per pattern, the pattern aligned to `s`'s rate.
 
@@ -204,15 +299,7 @@ def pattern_traces(s: AudioClip, patterns: Sequence[SoundPattern]) -> Iterator[T
     length, so each length's window energy is computed once and dropped
     before the next length's is computed.
     """
-    if not patterns:
-        raise DetectionError("pattern dictionary is empty")
-    ids = [p.id for p in patterns]
-    if len(set(ids)) != len(ids):
-        raise DetectionError("pattern ids must be unique")
-    by_length: dict[int, list[SoundPattern]] = {}
-    for pattern in (_aligned(p, s.sample_rate_hz) for p in patterns):
-        by_length.setdefault(len(pattern.clip), []).append(pattern)
-    return _traces_by_length(s, by_length)
+    return _traces_by_length(s, _by_length(s, patterns))
 
 
 def _traces_by_length(s: AudioClip, by_length: dict[int, list[SoundPattern]]) -> Iterator[TracedPattern]:
@@ -231,6 +318,44 @@ def _traced(s: AudioClip, pattern: SoundPattern, take_energy: np.ndarray) -> Tra
     return pattern, trace, moving_average(trace, pattern.duration_s, rectify=True)
 
 
+PatternPeaks = tuple[SoundPattern, np.ndarray, np.ndarray]  # an impulse pattern, its peaks' lags and values
+
+
+def _continuous_events(s: AudioClip, averaged: CorrelationTrace, pattern: SoundPattern, cfg: DetectorConfig) -> list:
+    intervals = _continuous_intervals(averaged, pattern, cfg, s.duration_s)
+    return [_event(s, pattern, b, e, peak) for b, e, peak in intervals]
+
+
+def _decide(
+    s: AudioClip,
+    peaks: list[PatternPeaks],
+    events: list[EventInstance],
+    cfg: DetectorConfig,
+    track_id: str,
+    source_audio: Optional[str],
+) -> Timeline:
+    """The timeline of the continuous `events` plus the impulse events the `peaks` decide.
+
+    Every pattern's peaks become candidates, suppressed across patterns
+    unless `cfg` says otherwise; only the survivors are measured. Events
+    do not depend on the order the patterns come in: suppression and
+    `Track` sort them.
+    """
+    patterns = {pattern.id: pattern for pattern, _, _ in peaks}
+    candidates = Candidates(
+        tuple(patterns),
+        np.repeat(np.arange(len(peaks)), [lags.size for _, lags, _ in peaks]),
+        np.concatenate([lags for _, lags, _ in peaks] or [[]]) / s.sample_rate_hz,
+        np.concatenate([values for _, _, values in peaks] or [[]]),
+    )
+    for cand in suppress(candidates, patterns) if cfg.suppression else candidates:
+        pattern = patterns[cand.pattern_id]
+        onset = cand.lag_time_s
+        events.append(_event(s, pattern, onset, onset + pattern.duration_s, cand.correlation_value))
+    track = Track(track_id=track_id, events=tuple(events), source_audio=source_audio)
+    return Timeline(tracks=(track,), duration_s=s.duration_s)
+
+
 def detect_from_traces(
     s: AudioClip,
     traced: Iterable[TracedPattern],
@@ -240,31 +365,20 @@ def detect_from_traces(
 ) -> Timeline:
     """Decide the events of the recording `s` from its `pattern_traces`.
 
-    Events do not depend on the order the patterns come in: suppression
-    and `Track` sort them.
+    The impulse peaks come from `local_maxima` on each whole trace, the
+    same peak code `detect` runs batch by batch, and then take the same
+    decisions.
     """
     cfg = cfg or DetectorConfig()
-    impulses: dict[str, SoundPattern] = {}
-    candidates: list[Candidate] = []
-    events = []
+    peaks: list[PatternPeaks] = []
+    events: list[EventInstance] = []
     for pattern, trace, averaged in traced:
         if averaged is None:
-            impulses[pattern.id] = pattern
-            candidates.extend(
-                Candidate(pattern.id, lag / trace.sample_rate_hz, value)
-                for lag, value in find_local_maxima(trace, cfg.impulse_threshold)
-            )
+            peaks.append((pattern, *local_maxima(trace, cfg.impulse_threshold)))
         else:
-            intervals = _continuous_intervals(averaged, pattern, cfg, s.duration_s)
-            events.extend(_event(s, pattern, b, e, peak) for b, e, peak in intervals)
+            events.extend(_continuous_events(s, averaged, pattern, cfg))
         del trace, averaged  # before the next pattern's are computed
-    for cand in suppress(candidates, impulses) if cfg.suppression else candidates:
-        pattern = impulses[cand.pattern_id]
-        onset = cand.lag_time_s
-        events.append(_event(s, pattern, onset, onset + pattern.duration_s, cand.correlation_value))
-
-    track = Track(track_id=track_id, events=tuple(events), source_audio=source_audio)
-    return Timeline(tracks=(track,), duration_s=s.duration_s)
+    return _decide(s, peaks, events, cfg, track_id, source_audio)
 
 
 def detect(
@@ -279,5 +393,25 @@ def detect(
     Patterns recorded at a different rate are resampled to the sequence's
     rate first so all lags share one time base. Event times are onsets:
     the instant the instance starts inside the recording.
+
+    The events are those `detect_from_traces` decides from
+    `pattern_traces`, but no impulse trace is kept: the impulse patterns
+    of each length are correlated together by `impulse_peaks`, which picks
+    their peaks batch by batch. Continuous patterns need their whole trace
+    for the box average and are correlated one at a time.
     """
-    return detect_from_traces(s, pattern_traces(s, patterns), cfg, track_id, source_audio)
+    cfg = cfg or DetectorConfig()
+    peaks: list[PatternPeaks] = []
+    events: list[EventInstance] = []
+    for m, group in _by_length(s, patterns).items():
+        take_energy = window_energy(s, m)
+        impulses = [pattern for pattern in group if pattern.kind is PatternKind.IMPULSE]
+        found = impulse_peaks(s, [pattern.clip for pattern in impulses], take_energy, cfg.impulse_threshold)
+        peaks.extend((pattern, lags, values) for pattern, (lags, values) in zip(impulses, found))
+        for pattern in group:
+            if pattern.kind is PatternKind.CONTINUOUS:
+                averaged = _traced(s, pattern, take_energy)[2]  # the trace itself is dropped here
+                events.extend(_continuous_events(s, averaged, pattern, cfg))
+                del averaged  # before the next pattern's trace is computed
+        del take_energy  # before the next length's is computed
+    return _decide(s, peaks, events, cfg, track_id, source_audio)

@@ -111,6 +111,8 @@ class SpawnAction:
     placement: PlacementRule
 
     def __post_init__(self):
+        if self.entity_kind not in _SPAWN_KIND:
+            raise ValueError(f"entity_kind must be one of {', '.join(sorted(_SPAWN_KIND))}, got {self.entity_kind!r}")
         if self.size_base <= 0:
             raise ValueError(f"size_base must be positive, got {self.size_base}")
 

@@ -194,6 +194,16 @@ class TestDetect:
                 first, last = round(event.t_begin_s * SR), round(event.t_end_s * SR)
                 assert event.peak_correlation == max(columns[f"avg_{event.pattern_id}"][first : last + 1])
 
+    @pytest.mark.parametrize("flags", [[], ["--no-suppression"]])
+    def test_report_decides_like_plain_detect(self, fixture_dir, tmp_path, flags):
+        """Plain `detect` never holds an impulse trace, `--report` decides from the traces: same timeline bytes."""
+        args = ["detect", str(fixture_dir / "sequence.wav"), "--patterns", str(fixture_dir / "patterns.json"),
+                "--track-id", "take", *flags]
+        plain, report = tmp_path / "plain", tmp_path / "rep"
+        assert main(args + ["--out-dir", str(plain)]) == 0
+        assert main(args + ["--out-dir", str(report), "--report"]) == 0
+        assert (report / "take.timeline.json").read_bytes() == (plain / "take.timeline.json").read_bytes()
+
     def test_report_memory_is_bounded(self, fixture_dir, tmp_path):
         """The report holds its traces and one block of text, never the whole file's text."""
         args = ["detect", str(fixture_dir / "sequence.wav"), "--patterns", str(fixture_dir / "patterns.json"),

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from soundcue import (
@@ -12,6 +12,8 @@ from soundcue import (
     DetectionError,
     energy,
     find_local_maxima,
+    impulse_peaks,
+    local_maxima,
     moving_average,
     normalized_cross_correlate,
     raw_cross_correlate,
@@ -498,3 +500,134 @@ class TestFindLocalMaxima:
         got = find_local_maxima(self.trace(values), threshold)
         assert got == reference_local_maxima(values, threshold)
         assert all(type(lag) is int and type(value) is float for lag, value in got)
+
+
+# Few levels, so plateaus are common and run across the cuts.
+few_level_traces = st.lists(
+    st.tuples(st.sampled_from([0.0, 0.5, 0.9, 1.0]), st.integers(1, 5)), min_size=1, max_size=20
+).map(lambda runs: [value for value, count in runs for _ in range(count)])
+
+
+def stitched_maxima(values, threshold, cuts):
+    """`values` cut into rows before each lag in `cuts`, each row peak-picked alone, then stitched."""
+    v = np.asarray(values, dtype=float)
+    bounds = sorted({0, v.size, *(c for c in cuts if 0 < c < v.size)})
+    rows = [correlate._row_peaks(v[lo:hi], threshold, lo) for lo, hi in zip(bounds, bounds[1:])]
+    lags, peaks = correlate._stitch(rows)
+    assert lags.dtype == np.int64 and peaks.dtype == np.float64
+    return list(zip(lags.tolist(), peaks.tolist()))
+
+
+class TestStitchedPeaks:
+    """Rows peak-picked one at a time and stitched give the whole trace's maxima."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(few_level_traces, st.sampled_from([-1.0, 0.0, 0.5, 0.7, 0.9]), st.lists(st.integers(0, 100), max_size=10))
+    @example([0.9] * 12, 0.5, [3, 6, 9])  # one constant trace over four rows
+    @example([0.0, 0.9, 0.9, 0.9, 0.9, 0.0], 0.5, [2, 3, 4])  # cuts inside a plateau
+    @example([0.0, 0.9, 0.9, 0.9, 0.5, 0.5, 0.0], 0.0, [4, 6])  # a plateau ending at a cut, one starting at it
+    @example([0.0, 0.9, 0.0, 0.5, 0.0], 0.2, [1, 2, 3, 4])  # every peak a row of its own
+    @example([0.0, 0.9, 0.0, 0.5, 0.0], 0.2, [1, 4])  # a cut just before one peak, one just after another
+    @example([0.9, 0.0, 0.9, 0.9, 0.0, 0.9], 0.5, [1, 5])  # one-sample rows at both ends of the trace
+    @example([0.9, 0.9, 0.5, 0.9, 0.9], 0.0, [2, 3])  # plateaus touching the trace's ends, cut next to them
+    def test_matches_whole_trace(self, values, threshold, cuts):
+        expected = find_local_maxima(CorrelationTrace(np.asarray(values, dtype=float), SR), threshold)
+        assert expected == reference_local_maxima(values, threshold)
+        assert stitched_maxima(values, threshold, cuts) == expected
+
+    def test_array_and_list_forms_agree(self):
+        trace = CorrelationTrace(np.array([0.0, 0.7, 0.7, 0.0, 0.9, 0.0]), SR)
+        lags, values = local_maxima(trace, 0.5)
+        assert lags.tolist() == [1, 4] and values.tolist() == [0.7, 0.9]
+        assert find_local_maxima(trace, 0.5) == [(1, 0.7), (4, 0.9)]
+        empty = local_maxima(CorrelationTrace(np.empty(0), SR), 0.5)
+        assert empty[0].dtype == np.int64 and empty[0].size == 0 and empty[1].size == 0
+
+
+def plateau_take(rng, n, m):
+    """Noise with planted copies of a constant pattern and long constant stretches, some negated.
+
+    Against a constant pattern, a constant stretch scores 1 to within
+    rounding, so much of it clips to exactly 1.0 (or -1.0): plateaus that
+    run across batch edges.
+    """
+    s = rng.uniform(-1, 1, n) * 0.2
+    for _ in range(4):
+        start = int(rng.integers(0, n - 3 * m))
+        s[start : start + int(rng.integers(m, 3 * m))] = rng.choice([-0.5, 0.5, 0.25])
+    return s
+
+
+class TestImpulsePeaks:
+    """One correlation per pattern length, peaks picked per batch: the same peaks as the whole traces give."""
+
+    M = 5
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 5])
+    def test_matches_peaks_of_the_whole_traces(self, workers, monkeypatch):
+        m = self.M
+        n = 23 * block_step(m) + 7
+        nfft = _fft_length(n, m)
+        monkeypatch.setattr(correlate, "_WORKERS", workers)
+        monkeypatch.setattr(correlate, "_BATCH_SAMPLES", nfft * workers)  # one block per batch
+        assert -(-n // (nfft - m + 1)) >= 10  # batches
+        rng = np.random.default_rng(40 + workers)
+        clips = [clip(np.full(m, 0.5)), clip(rng.uniform(-1, 1, m)), clip(-np.full(m, 0.25)), clip(rng.uniform(0, 1, m))]
+        plateaus = 0
+        for trial in range(6):
+            s = clip(plateau_take(rng, n, m))
+            shared = window_energy(s, m)
+            threshold = float(rng.choice([0.3, 0.5, 0.9]))
+            got = impulse_peaks(s, clips, shared, threshold)
+            assert len(got) == len(clips)
+            for p, (lags, values) in zip(clips, got):
+                trace = normalized_cross_correlate(s, p, shared)
+                assert lags.dtype == np.int64 and values.dtype == np.float64
+                assert list(zip(lags.tolist(), values.tolist())) == find_local_maxima(trace, threshold)
+                plateaus += int(np.count_nonzero(np.abs(trace.values) == 1.0) > 1)
+        assert plateaus > 0  # the takes did produce clipped runs
+
+    def test_single_block_and_pattern_as_long_as_take(self):
+        rng = np.random.default_rng(41)
+        for n, m in ((40, 40), (100, 13), (9, 1)):
+            s = clip(rng.uniform(-1, 1, n))
+            clips = [clip(rng.uniform(-1, 1, m)) for _ in range(3)]
+            shared = window_energy(s, m)
+            for p, (lags, values) in zip(clips, impulse_peaks(s, clips, shared, 0.1)):
+                assert list(zip(lags.tolist(), values.tolist())) == find_local_maxima(
+                    normalized_cross_correlate(s, p, shared), 0.1
+                )
+
+    def test_group_shares_one_engine_call_and_one_forward_fft_per_block(self, monkeypatch):
+        calls, forward = [], []
+        real_dot, real_rfft = correlate._sliding_dot, np.fft.rfft
+
+        def dot_spy(s, p, *args, **kwargs):
+            calls.append(np.shape(p))
+            return real_dot(s, p, *args, **kwargs)
+
+        def rfft_spy(a, *args, **kwargs):
+            forward.append(np.shape(a))
+            return real_rfft(a, *args, **kwargs)
+
+        monkeypatch.setattr(correlate, "_WORKERS", 1)
+        monkeypatch.setattr(correlate, "_sliding_dot", dot_spy)
+        monkeypatch.setattr(np.fft, "rfft", rfft_spy)
+        m = self.M
+        rng = np.random.default_rng(42)
+        s = clip(rng.uniform(-1, 1, 4 * block_step(m)))
+        clips = [clip(rng.uniform(-1, 1, m)) for _ in range(4)]
+        impulse_peaks(s, clips, window_energy(s, m), 0.5)
+        assert calls == [(4, m)]
+        take_blocks = [shape for shape in forward if len(shape) == 2]  # the patterns' own transforms are 1-D
+        assert sum(shape[0] for shape in take_blocks) == 4  # every block once, not once per pattern
+
+    def test_rejects_mixed_lengths_and_bad_energy(self):
+        s = clip(np.random.default_rng(43).uniform(-1, 1, 200))
+        with pytest.raises(ValueError):
+            impulse_peaks(s, [clip(np.ones(4)), clip(np.ones(5))], window_energy(s, 4), 0.5)
+        with pytest.raises(ValueError):
+            impulse_peaks(s, [clip(np.ones(4))], window_energy(clip(np.ones(199)), 4), 0.5)
+        with pytest.raises(DetectionError):
+            impulse_peaks(s, [clip(np.ones(4)), clip(np.zeros(4))], window_energy(s, 4), 0.5)
+        assert impulse_peaks(s, [], window_energy(s, 4), 0.5) == []

@@ -1,6 +1,8 @@
 import importlib
 import math
+import time
 import tracemalloc
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from soundcue import (
     AudioClip,
     Candidate,
+    Candidates,
     DetectionError,
     DetectorConfig,
     GroundTruth,
@@ -20,11 +23,13 @@ from soundcue import (
     find_local_maxima,
     make_pattern,
     place_instances,
+    resample,
     serialize,
     strength,
     suppress,
 )
-from soundcue.detect import pattern_traces
+from soundcue import correlate
+from soundcue.detect import detect_from_traces, pattern_traces
 from conftest import SR, silent_clip
 
 
@@ -40,6 +45,36 @@ def reference_suppress(candidates, patterns):
         if clear:
             kept.append(cand)
     return sorted(kept, key=lambda c: (c.lag_time_s, c.pattern_id))
+
+
+def bisect_suppress(candidates, patterns):
+    """Greedy suppression that bisects the sorted kept times for the neighbours that can reject a candidate.
+
+    The large-input oracle: O(n log n) for spread-out candidates, where
+    `reference_suppress` is quadratic.
+    """
+    ordered = sorted(candidates, key=lambda c: (-c.correlation_value, c.lag_time_s, c.pattern_id))
+    if not ordered:
+        return []
+    half = {pid: patterns[pid].duration_s / 2 for pid in {c.pattern_id for c in ordered}}
+    reach = max(half.values())
+    reach += 4 * math.ulp(reach + max(abs(c.lag_time_s) for c in ordered))
+    kept_times, kept_halves, kept = [], [], []  # kept_times sorted, kept_halves beside them
+    for cand in ordered:
+        t = cand.lag_time_s
+        lo = bisect_left(kept_times, t - reach)
+        hi = bisect_right(kept_times, t + reach, lo)
+        if all(abs(t - kept_times[i]) > kept_halves[i] for i in range(lo, hi)):
+            at = bisect_right(kept_times, t, lo, hi)
+            kept_times.insert(at, t)
+            kept_halves.insert(at, half[cand.pattern_id])
+            kept.append(cand)
+    return sorted(kept, key=lambda c: (c.lag_time_s, c.pattern_id))
+
+
+def suppressed(candidates, patterns):
+    """`suppress` on a list of `Candidate`s, its survivors as a list."""
+    return list(suppress(Candidates.of(candidates), patterns))
 
 
 def constant_pattern(pattern_id, n, sample_rate_hz):
@@ -120,17 +155,17 @@ class TestSuppress:
     def test_single_candidate_survives(self):
         patterns = {"a": self.pattern("a", 0.2)}
         cands = [Candidate("a", 1.0, 0.9)]
-        assert suppress(cands, patterns) == cands
+        assert suppressed(cands, patterns) == cands
 
     def test_weaker_candidate_inside_window_removed(self):
         patterns = {"a": self.pattern("a", 0.2), "b": self.pattern("b", 0.2)}
-        survivors = suppress([Candidate("a", 1.00, 0.9), Candidate("b", 1.05, 0.7)], patterns)
+        survivors = suppressed([Candidate("a", 1.00, 0.9), Candidate("b", 1.05, 0.7)], patterns)
         assert survivors == [Candidate("a", 1.00, 0.9)]
 
     def test_disjoint_windows_coexist(self):
         patterns = {"a": self.pattern("a", 0.2), "b": self.pattern("b", 0.2)}
         cands = [Candidate("a", 1.0, 0.6), Candidate("b", 2.0, 0.95)]
-        assert suppress(cands, patterns) == cands
+        assert suppressed(cands, patterns) == cands
 
     def test_pairwise_gap_property(self):
         rng = np.random.default_rng(17)
@@ -139,7 +174,7 @@ class TestSuppress:
             Candidate(rng.choice(list(patterns)), float(rng.uniform(0, 5)), float(rng.uniform(0.5, 1.0)))
             for _ in range(120)
         ]
-        survivors = suppress(cands, patterns)
+        survivors = suppressed(cands, patterns)
         for i, a in enumerate(survivors):
             for b in survivors[i + 1 :]:
                 gap = abs(a.lag_time_s - b.lag_time_s)
@@ -148,7 +183,7 @@ class TestSuppress:
 
     def test_tie_broken_by_time_then_id(self):
         patterns = {"a": self.pattern("a", 0.2), "b": self.pattern("b", 0.2)}
-        survivors = suppress([Candidate("b", 1.05, 0.8), Candidate("a", 1.0, 0.8)], patterns)
+        survivors = suppressed([Candidate("b", 1.05, 0.8), Candidate("a", 1.0, 0.8)], patterns)
         assert survivors == [Candidate("a", 1.0, 0.8)]
 
     @settings(max_examples=400, deadline=None)
@@ -162,7 +197,62 @@ class TestSuppress:
     # Exactly half a duration apart, which suppresses (the test is strict), and a time tie across patterns.
     @example([Candidate("b", 1.0, 0.9), Candidate("a", 1.0625, 0.9), Candidate("c", 1.0625, 0.8)])
     def test_matches_reference(self, candidates):
-        assert suppress(candidates, SUPPRESS_PATTERNS) == reference_suppress(candidates, SUPPRESS_PATTERNS)
+        assert suppressed(candidates, SUPPRESS_PATTERNS) == reference_suppress(candidates, SUPPRESS_PATTERNS)
+
+    @pytest.mark.parametrize("shape", ["chain", "isolated", "pairs"])
+    def test_worst_cases_match_bisect_oracle(self, shape):
+        """Large inputs of the three shapes that bound the loop: a chain, lone candidates, close pairs.
+
+        In the chain each candidate lies within half a duration of a slightly
+        better one, so only every other one survives and no candidate is
+        alone; isolated candidates are decided without the loop; in close
+        pairs the loop runs once per pair.
+        """
+        d = SUPPRESS_PATTERNS["c"].duration_s  # 0.25 s
+        rng = np.random.default_rng(31)
+        if shape == "chain":
+            n = 2000
+            times = np.arange(n) * (0.4 * d)
+            values = 0.99 - np.arange(n) * 1e-5
+            ids = ["c"] * n
+        elif shape == "isolated":
+            n = 20000
+            times = np.arange(n) * (1.5 * d)
+            values = rng.uniform(0.5, 1.0, n)
+            ids = rng.choice(sorted(SUPPRESS_PATTERNS), n).tolist()
+        else:
+            n = 20000
+            times = np.repeat(np.arange(n // 2) * (1.5 * d), 2) + np.tile([0.0, 0.1 * d], n // 2)
+            values = rng.choice([0.6, 0.75, 0.9], n)  # ties inside pairs
+            ids = rng.choice(sorted(SUPPRESS_PATTERNS), n).tolist()
+        cands = [Candidate(pid, float(t), float(v)) for pid, t, v in zip(ids, times, values)]
+        arrays = Candidates.of(cands)
+        start = time.perf_counter()
+        survivors = suppress(arrays, SUPPRESS_PATTERNS)
+        elapsed = time.perf_counter() - start
+        start = time.perf_counter()
+        expected = bisect_suppress(cands, SUPPRESS_PATTERNS)
+        oracle_elapsed = time.perf_counter() - start
+        print(f"{shape}: {n} candidates, suppress {elapsed:.4f} s, bisect loop {oracle_elapsed:.4f} s")
+        assert list(survivors) == expected
+        assert len(survivors) == {"chain": n // 2, "isolated": n, "pairs": n // 2}[shape]
+
+    @settings(max_examples=200, deadline=None)
+    @given(candidate_sets)
+    def test_bisect_oracle_matches_reference(self, candidates):
+        assert bisect_suppress(candidates, SUPPRESS_PATTERNS) == reference_suppress(candidates, SUPPRESS_PATTERNS)
+
+    def test_candidates_are_arrays_with_a_length(self):
+        cands = [Candidate("b", 1.0, 0.8), Candidate("a", 0.5, 0.9), Candidate("b", 2.0, 0.7)]
+        arrays = Candidates.of(cands)
+        assert len(arrays) == 3 and list(arrays) == cands
+        assert arrays.pattern_ids == ("b", "a") and arrays.pattern_index.tolist() == [0, 1, 0]
+        assert not arrays.lag_time_s.flags.writeable
+        assert len(suppress(Candidates.of([]), SUPPRESS_PATTERNS)) == 0
+        with pytest.raises(ValueError):
+            Candidates(("a",), [0, 1], [0.0, 1.0], [0.9, 0.9])  # index 1 names no pattern
+        with pytest.raises(ValueError):
+            Candidates(("a",), [0], [0.0, 1.0], [0.9])
 
 
 def continuous_intervals(s, pattern, cfg):
@@ -334,6 +424,7 @@ class TestDetect:
         ]
         computed, passed = [], []
         real_energy, real_ncc = detect_module.window_energy, detect_module.normalized_cross_correlate
+        real_peaks = detect_module.impulse_peaks
 
         def energy_spy(s, m):
             out = real_energy(s, m)
@@ -344,8 +435,13 @@ class TestDetect:
             passed.append((len(p), take_energy))
             return real_ncc(s, p, take_energy)
 
+        def peaks_spy(s, clips, take_energy, threshold):  # impulse patterns share one correlation per length
+            passed.extend((len(p), take_energy) for p in clips)
+            return real_peaks(s, clips, take_energy, threshold)
+
         monkeypatch.setattr(detect_module, "window_energy", energy_spy)
         monkeypatch.setattr(detect_module, "normalized_cross_correlate", ncc_spy)
+        monkeypatch.setattr(detect_module, "impulse_peaks", peaks_spy)
         result = detect(figure_sequence, patterns)
         lengths = [len(p.clip) for p in patterns]
         assert sorted(m for m, _ in computed) == sorted(set(lengths)) and len(set(lengths)) == 3
@@ -380,6 +476,32 @@ class TestDetect:
         assert {e.pattern_id for e in events} == {p.id for p in patterns}
         assert peak <= 5 * s.samples.nbytes
 
+    def test_memory_holds_no_impulse_trace(self, monkeypatch):
+        """Impulse patterns of one length hold their shared energy and the batches in flight, never a trace.
+
+        The largest moment is the window energy's own computation: its
+        prefix sum beside the energy, two take-length arrays. A take-length
+        trace of one pattern beside the energy would add a third.
+        """
+        monkeypatch.setattr(correlate, "_WORKERS", 2)
+        monkeypatch.setattr(correlate, "_BATCH_SAMPLES", 1 << 17)  # small batches, so the take dominates
+        patterns = [
+            SoundPattern(f"cue{i}", make_pattern("tonal_burst", 0.1, seed=30 + i, sample_rate_hz=SR), PatternKind.IMPULSE)
+            for i in range(4)
+        ]
+        planted = [PlantedInstance(f"cue{i % 4}", onset_s=1.0 + 1.5 * i) for i in range(12)]
+        s = plant({p.id: p.clip for p in patterns}, planted, duration=20.0, noise=0.02)
+        tracemalloc.start()
+        try:
+            events = detect(s, patterns).tracks[0].events
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sorted((e.pattern_id, round(e.t_s, 2)) for e in events) == sorted(
+            (p.pattern_id, round(p.onset_s, 2)) for p in planted
+        )
+        assert peak <= 2 * s.samples.nbytes + 8 * correlate._BATCH_SAMPLES
+
     def test_empty_dictionary_rejected(self):
         for run in (detect, pattern_traces):  # the trace stage checks at the call, before any trace
             with pytest.raises(DetectionError):
@@ -390,3 +512,42 @@ class TestDetect:
         for run in (detect, pattern_traces):
             with pytest.raises(DetectionError):
                 run(silent_clip(1.0), [tick, tick])
+
+
+@st.composite
+def mixed_dictionaries(draw):
+    """Impulse and continuous patterns of two lengths, one stored at half the take's rate."""
+    patterns = []
+    for i in range(draw(st.integers(2, 5))):
+        kind = draw(st.sampled_from(PatternKind))
+        duration = draw(st.sampled_from([0.02, 0.04]))
+        rate = SR // 2 if i == 0 and draw(st.booleans()) else SR
+        shape = draw(st.sampled_from(["tonal_burst", "noise_burst"]))
+        clip = make_pattern(shape, duration, seed=draw(st.integers(0, 50)), sample_rate_hz=rate)
+        patterns.append(SoundPattern(f"p{i}", clip, kind))
+    return patterns
+
+
+class TestEntryPointsAgree:
+    """`detect` and `detect_from_traces` over `pattern_traces` decide through one path."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(mixed_dictionaries(), st.data())
+    def test_same_timeline(self, patterns, data):
+        planted = []
+        for k in range(data.draw(st.integers(0, 6))):
+            pattern = data.draw(st.sampled_from(patterns))
+            onset = 0.05 + 0.11 * k + data.draw(st.floats(0.0, 0.01))
+            if pattern.kind is PatternKind.IMPULSE:
+                planted.append(PlantedInstance(pattern.id, onset_s=round(onset, 4)))
+            else:
+                planted.append(PlantedInstance(pattern.id, t_begin_s=round(onset, 4), t_end_s=round(onset + 0.1, 4)))
+        clips = {p.id: p.clip if p.clip.sample_rate_hz == SR else resample(p.clip, SR) for p in patterns}
+        s = plant(clips, planted, duration=1.0, noise=data.draw(st.sampled_from([0.0, 0.05])), allow_overlap=True)
+        cfg = DetectorConfig(
+            impulse_threshold=data.draw(st.sampled_from([0.2, 0.5])),
+            continuous_min_duration_s=0.0,
+            suppression=data.draw(st.booleans()),
+        )
+        batch = serialize(detect(s, patterns, cfg))
+        assert batch == serialize(detect_from_traces(s, pattern_traces(s, patterns), cfg))

@@ -181,6 +181,12 @@ class TestParseScene:
             parse_scene(json.dumps(doc))
         assert err.value.path == f"objects[0].bindings[{pattern_id!r}]"
 
+    def test_unknown_spawn_entity_rejected_when_built(self):
+        with pytest.raises(ValueError) as err:
+            SpawnAction("bogus", 0.1, 0.0, FixedPlacement())
+        assert "'bogus'" in str(err.value)
+        assert all(entity in str(err.value) for entity in ("dart", "laser_low", "laser_high", "raindrop"))
+
     def test_missing_required_field_names_path(self):
         doc = json.loads(scene_doc())
         del doc["objects"][0]["track_id"]
