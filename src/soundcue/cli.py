@@ -26,7 +26,7 @@ import numpy as np
 
 from . import docio, scene, synthgen, timeline
 from .audio import load_wav, save_wav
-from .detect import DetectorConfig, SoundPattern, detect, detect_from_traces, pattern_traces
+from .detect import DetectorConfig, SoundPattern, detect
 from .errors import SchemaError, SoundCueError
 from .timeline import PatternKind, Timeline
 
@@ -140,7 +140,7 @@ def _detector_config(args) -> DetectorConfig:
 
 
 def _write_correlation_report(path: Path, sequence, traced) -> None:
-    """Wide CSV of the `pattern_traces` items detection decided on, sorted by id.
+    """Wide CSV of the (pattern, trace, averaged) items `detect` kept, sorted by pattern id.
 
     The rows are formatted and written a block at a time, so the text of
     only one block is held in memory.
@@ -165,11 +165,8 @@ def cmd_detect(args) -> InvocationResult:
     cfg = _detector_config(args)
     sequence = load_wav(args.sequence)
     track_id = Path(args.sequence).stem if args.track_id is None else args.track_id
-    if args.report:
-        traced = list(pattern_traces(sequence, patterns))  # the decisions and the report both read it
-        result = detect_from_traces(sequence, traced, cfg, track_id, str(args.sequence))
-    else:
-        result = detect(sequence, patterns, cfg, track_id, str(args.sequence))
+    traced = [] if args.report else None  # the traces the one detection pass read, for the report
+    result = detect(sequence, patterns, cfg, track_id, str(args.sequence), traced)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
@@ -242,15 +239,17 @@ def _usage_error(message: str) -> SystemExit:
 def cmd_run(args) -> InvocationResult:
     if not args.track:
         raise _usage_error("run needs at least one --track NAME=WAV")
-    specs = []
+    specs = {}
     for item in args.track:
         name, sep, wav = item.partition("=")
         if not sep or not name or not wav:
             raise _usage_error(f"--track expects NAME=WAV, got {item!r}")
-        specs.append((name, wav))
+        if name in specs:
+            raise _usage_error(f"--track {name!r} is given twice")
+        specs[name] = wav
     patterns = _load_manifest(args.patterns)
     cfg = _detector_config(args)
-    merged = timeline.merge([detect(load_wav(wav), patterns, cfg, name, wav) for name, wav in specs])
+    merged = timeline.merge([detect(load_wav(wav), patterns, cfg, name, wav) for name, wav in specs.items()])
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     timeline_path = out_dir / "timeline.json"

@@ -27,12 +27,16 @@ takes a group of them: each batch of blocks is forward-transformed
 once, and every pattern of the group then multiplies, inverse-transforms
 and normalizes its own copy. `normalized_cross_correlate` and
 `raw_cross_correlate` are a group of one that keeps its output.
-`impulse_peaks` keeps none: each worker picks the local maxima of its
+`impulse_peaks` picks peaks: each worker picks the local maxima of its
 batch's lags as soon as they are normalized, and the calling thread
-stitches the runs above the threshold that cross batch edges, so a
-group holds the shared energy and the batches in flight, never a trace.
-`find_local_maxima` is the same row and stitch code over one row, so
-the peak definition exists once.
+stitches the runs above the threshold that cross batch edges. Whether
+the output is kept is a separate choice. Kept, each batch is normalized
+into its rows of the traces and peak-picked from there, the traces
+`soundcue detect --report` writes; not kept, each batch is normalized
+into its dead product spectrum, so the group holds the shared energy
+and the batches in flight, never a trace. `find_local_maxima` is the
+same row and stitch code over one row, so the peak definition exists
+once.
 
 Lag convention: values[tau] is the score for the pattern *starting* at
 sample tau of the sequence, with the sequence treated as zero beyond its
@@ -123,6 +127,7 @@ def _sliding_dot(
     take_energy: Optional[np.ndarray] = None,
     pattern_energy=1.0,
     peaks_above: Optional[float] = None,
+    keep: bool = True,
 ):
     """sum_u s[tau+u] * p[u] for tau = 0..len(s)-1, s zero-padded at the tail.
 
@@ -140,10 +145,12 @@ def _sliding_dot(
     the normalized cross-correlation, finished batch by batch.
     `pattern_energy` is one value per pattern (or one for all).
 
-    With `peaks_above` (normalized only), no output is kept: each batch's
-    row of lags is peak-picked as soon as it is normalized, and the result
-    is, per pattern, the (lags, values) arrays `local_maxima` gives on the
-    whole trace.
+    With `peaks_above` (normalized only), each batch's row of lags is
+    peak-picked as soon as it is normalized, and the call returns the
+    output (None unless `keep`) and, per pattern, the (lags, values)
+    arrays `local_maxima` gives on the whole trace. Without `keep`, no
+    output exists: each row is normalized into the product spectrum its
+    inverse FFT has just read, which is dead by then.
 
     Batches of blocks run on up to _WORKERS threads, the calling one
     among them (numpy's FFTs release the GIL); each worker writes only its
@@ -177,11 +184,8 @@ def _sliding_dot(
     # The last pattern of a group multiplies in place: a group of one needs no product buffer.
     products = buffers((most, nfft // 2 + 1), complex) if g > 1 else None
     blocks_out = buffers((most, nfft))
-    if peaks_above is None:
-        out = np.empty((g, n_blocks * step))
-    else:
-        row_out = buffers((most, step))  # one pattern's normalized lags of a batch
-        peaks = [[None] * len(segments) for _ in range(g)]  # each batch's _RowPeaks, per pattern
+    out = np.empty((g, n_blocks * step)) if keep else None
+    peaks = [[None] * len(segments) for _ in range(g)]  # each batch's _RowPeaks, per pattern
 
     def run(worker: int) -> None:
         spec, full = specs[worker], blocks_out[worker]
@@ -193,10 +197,10 @@ def _sliding_dot(
                 product = spec[:k] if j == g - 1 else products[worker][:k]
                 np.multiply(spec[:k], pattern_specs[j], out=product)
                 np.fft.irfft(product, nfft, axis=1, out=full[:k])
-                if peaks_above is None:
+                if keep:
                     dest = out[j, lo : lo + k * step].reshape(k, step)
-                else:
-                    dest = row_out[worker][:k]
+                else:  # k * step <= k * (nfft + 2) floats
+                    dest = product.view(np.float64).reshape(-1)[: k * step].reshape(k, step)
                 if take_energy is None:
                     dest[...] = full[:k, :step]
                     continue
@@ -218,9 +222,11 @@ def _sliding_dot(
             run(0)
             for helper in helpers:
                 helper.result()
-    if peaks_above is not None:
-        return [_stitch(rows) for rows in peaks]
-    return out[0, :n] if p.ndim == 1 else out[:, :n]
+    if keep:
+        out = out[0, :n] if p.ndim == 1 else out[:, :n]
+    if peaks_above is None:
+        return out
+    return out, [_stitch(rows) for rows in peaks]
 
 
 def _window_sums(x: np.ndarray, w: int, lead: int, mean: bool = False, of=None) -> np.ndarray:
@@ -435,13 +441,20 @@ def find_local_maxima(trace: CorrelationTrace, threshold: float) -> list[tuple[i
 
 
 def impulse_peaks(
-    s: AudioClip, clips: Sequence[AudioClip], take_energy: np.ndarray, threshold: float
+    s: AudioClip,
+    clips: Sequence[AudioClip],
+    take_energy: np.ndarray,
+    threshold: float,
+    traces: Optional[list[CorrelationTrace]] = None,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per clip, the (lags, values) of `local_maxima(normalized_cross_correlate(s, clip), threshold)`.
 
     The clips must share one length, whose `window_energy` is `take_energy`.
     They share each block's forward FFT, and each batch of lags is
-    peak-picked as soon as it is normalized, so no take-length trace exists.
+    peak-picked as soon as it is normalized, so no take-length trace
+    exists, unless `traces` is a list: then each clip's trace, the lags
+    its peaks were picked from, is appended to it, the same bit for bit as
+    `normalized_cross_correlate(s, clip, take_energy)`.
     """
     if not clips:
         return []
@@ -455,4 +468,7 @@ def impulse_peaks(
         raise DetectionError("pattern has zero energy")
     _check_energy(s, take_energy)
     group = np.stack([clip.samples for clip in clips])
-    return _sliding_dot(s.samples, group, take_energy, energies, peaks_above=threshold)
+    values, peaks = _sliding_dot(s.samples, group, take_energy, energies, threshold, keep=traces is not None)
+    if traces is not None:
+        traces.extend(_fresh_trace(row, s.sample_rate_hz) for row in values)
+    return peaks

@@ -1,16 +1,14 @@
 """Turn a recording plus a pattern dictionary into a timeline of events.
 
-Two entry points share one decision stage. `detect` works per pattern
-length: the length's window energy is computed once, its impulse
-patterns are correlated together by `impulse_peaks`, which picks their
-peaks batch by batch and never holds a trace, and its continuous
-patterns get their whole trace one at a time, since the box average
-needs it. `detect_from_traces` takes the `pattern_traces` (the traces
-`soundcue detect --report` writes) and picks the impulse peaks of each
-whole trace with the same peak code. Either way each impulse pattern's
-peaks become `Candidates` arrays, and the same suppression and
-strength measurement decide the events, so both give the same timeline
-bit for bit.
+One pass correlates and decides. `detect` works per pattern length:
+the length's window energy is computed once, its impulse patterns are
+correlated together by `impulse_peaks`, which picks their peaks batch by
+batch, and its continuous patterns get their whole trace one at a time,
+since the box average needs it. Each impulse pattern's peaks become
+`Candidates` arrays that suppression and strength measurement decide.
+Given a `traces` list, the same pass also keeps every trace it read
+there, the traces `soundcue detect --report` writes; without one, no
+impulse trace exists.
 
 Impulse patterns: local maxima of the normalized cross-correlation above
 the impulse threshold become candidates; candidates of all patterns then
@@ -45,7 +43,6 @@ from .correlate import (
     energy,
     find_local_maxima,  # noqa: F401  (bench/tracing.py looks the peak picker up in this module)
     impulse_peaks,
-    local_maxima,
     moving_average,
     normalized_cross_correlate,
     window_energy,
@@ -273,7 +270,7 @@ def _aligned(pattern: SoundPattern, rate: int) -> SoundPattern:
         raise DetectionError(f"{exc} at {rate} Hz") from exc
 
 
-TracedPattern = tuple[SoundPattern, CorrelationTrace, Optional[CorrelationTrace]]
+TracedPattern = tuple[SoundPattern, CorrelationTrace, Optional[CorrelationTrace]]  # (pattern, trace, averaged)
 
 
 def _by_length(s: AudioClip, patterns: Sequence[SoundPattern]) -> dict[int, list[SoundPattern]]:
@@ -289,41 +286,7 @@ def _by_length(s: AudioClip, patterns: Sequence[SoundPattern]) -> dict[int, list
     return by_length
 
 
-def pattern_traces(s: AudioClip, patterns: Sequence[SoundPattern]) -> Iterator[TracedPattern]:
-    """(pattern, trace, averaged) per pattern, the pattern aligned to `s`'s rate.
-
-    `trace` is the normalized cross-correlation against `s`; `averaged`, for
-    a continuous pattern, is the rectified trace box-averaged over one
-    pattern duration (None for an impulse one). The dictionary is checked
-    and aligned at the call; the traces come lazily, grouped by pattern
-    length, so each length's window energy is computed once and dropped
-    before the next length's is computed.
-    """
-    return _traces_by_length(s, _by_length(s, patterns))
-
-
-def _traces_by_length(s: AudioClip, by_length: dict[int, list[SoundPattern]]) -> Iterator[TracedPattern]:
-    for m, group in by_length.items():
-        take_energy = window_energy(s, m)
-        for pattern in group:
-            # As returned: a local here would keep the traces alive past the yield.
-            yield _traced(s, pattern, take_energy)
-        del take_energy  # before the next length's is computed
-
-
-def _traced(s: AudioClip, pattern: SoundPattern, take_energy: np.ndarray) -> TracedPattern:
-    trace = normalized_cross_correlate(s, pattern.clip, take_energy)
-    if pattern.kind is PatternKind.IMPULSE:
-        return pattern, trace, None
-    return pattern, trace, moving_average(trace, pattern.duration_s, rectify=True)
-
-
 PatternPeaks = tuple[SoundPattern, np.ndarray, np.ndarray]  # an impulse pattern, its peaks' lags and values
-
-
-def _continuous_events(s: AudioClip, averaged: CorrelationTrace, pattern: SoundPattern, cfg: DetectorConfig) -> list:
-    intervals = _continuous_intervals(averaged, pattern, cfg, s.duration_s)
-    return [_event(s, pattern, b, e, peak) for b, e, peak in intervals]
 
 
 def _decide(
@@ -356,37 +319,13 @@ def _decide(
     return Timeline(tracks=(track,), duration_s=s.duration_s)
 
 
-def detect_from_traces(
-    s: AudioClip,
-    traced: Iterable[TracedPattern],
-    cfg: Optional[DetectorConfig] = None,
-    track_id: str = "main",
-    source_audio: Optional[str] = None,
-) -> Timeline:
-    """Decide the events of the recording `s` from its `pattern_traces`.
-
-    The impulse peaks come from `local_maxima` on each whole trace, the
-    same peak code `detect` runs batch by batch, and then take the same
-    decisions.
-    """
-    cfg = cfg or DetectorConfig()
-    peaks: list[PatternPeaks] = []
-    events: list[EventInstance] = []
-    for pattern, trace, averaged in traced:
-        if averaged is None:
-            peaks.append((pattern, *local_maxima(trace, cfg.impulse_threshold)))
-        else:
-            events.extend(_continuous_events(s, averaged, pattern, cfg))
-        del trace, averaged  # before the next pattern's are computed
-    return _decide(s, peaks, events, cfg, track_id, source_audio)
-
-
 def detect(
     s: AudioClip,
     patterns: Sequence[SoundPattern],
     cfg: Optional[DetectorConfig] = None,
     track_id: str = "main",
     source_audio: Optional[str] = None,
+    traces: Optional[list[TracedPattern]] = None,
 ) -> Timeline:
     """Run the full pipeline over one recording; returns a one-track timeline.
 
@@ -394,11 +333,16 @@ def detect(
     rate first so all lags share one time base. Event times are onsets:
     the instant the instance starts inside the recording.
 
-    The events are those `detect_from_traces` decides from
-    `pattern_traces`, but no impulse trace is kept: the impulse patterns
-    of each length are correlated together by `impulse_peaks`, which picks
-    their peaks batch by batch. Continuous patterns need their whole trace
-    for the box average and are correlated one at a time.
+    The impulse patterns of each length are correlated together by
+    `impulse_peaks`, which picks their peaks batch by batch. Continuous
+    patterns need their whole trace for the box average and are
+    correlated one at a time. Given a list as `traces`, `detect` appends
+    (pattern, trace, averaged) for every pattern, the pattern aligned to
+    `s`'s rate: `trace` is the normalized cross-correlation its decisions
+    read, and `averaged` the rectified trace box-averaged over one
+    pattern duration, or None for an impulse pattern. Without it, no
+    impulse trace exists and each continuous trace is dropped once it is
+    averaged.
     """
     cfg = cfg or DetectorConfig()
     peaks: list[PatternPeaks] = []
@@ -406,12 +350,20 @@ def detect(
     for m, group in _by_length(s, patterns).items():
         take_energy = window_energy(s, m)
         impulses = [pattern for pattern in group if pattern.kind is PatternKind.IMPULSE]
-        found = impulse_peaks(s, [pattern.clip for pattern in impulses], take_energy, cfg.impulse_threshold)
+        kept = None if traces is None else []
+        found = impulse_peaks(s, [pattern.clip for pattern in impulses], take_energy, cfg.impulse_threshold, kept)
         peaks.extend((pattern, lags, values) for pattern, (lags, values) in zip(impulses, found))
+        if kept:
+            traces.extend((pattern, trace, None) for pattern, trace in zip(impulses, kept))
         for pattern in group:
             if pattern.kind is PatternKind.CONTINUOUS:
-                averaged = _traced(s, pattern, take_energy)[2]  # the trace itself is dropped here
-                events.extend(_continuous_events(s, averaged, pattern, cfg))
-                del averaged  # before the next pattern's trace is computed
+                trace = normalized_cross_correlate(s, pattern.clip, take_energy)
+                averaged = moving_average(trace, pattern.duration_s, rectify=True)
+                if traces is not None:
+                    traces.append((pattern, trace, averaged))
+                del trace  # unless kept, before the events are measured
+                intervals = _continuous_intervals(averaged, pattern, cfg, s.duration_s)
+                del averaged  # unless kept, before the next pattern's trace is computed
+                events.extend(_event(s, pattern, b, e, peak) for b, e, peak in intervals)
         del take_energy  # before the next length's is computed
     return _decide(s, peaks, events, cfg, track_id, source_audio)

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from soundcue import AudioClip, correlate, load_wav, read_timeline, resample, save_wav, scene
+from soundcue import AudioClip, correlate, load_wav, make_pattern, read_timeline, resample, save_wav, scene
+from soundcue import cli
 from soundcue.cli import main
 
 SR = 44100
@@ -221,27 +222,53 @@ class TestDetect:
         assert peaks["report"] - peaks["plain"] < trace_bytes
 
     def test_report_computes_each_trace_once(self, fixture_dir, tmp_path, monkeypatch):
-        """The report writes the traces detection read: one correlation and one energy per pattern length."""
+        """The report writes the traces detection read: one engine pass and one energy per pattern length."""
         detect_module = importlib.import_module("soundcue.detect")  # the package's `detect` is the function
         calls = []
 
         def counted(name, real):
-            def spy(*args):
+            def spy(*args, **kwargs):
                 calls.append(name)
-                return real(*args)
+                return real(*args, **kwargs)
 
             return spy
 
         energy = counted("window_energy", correlate.window_energy)
         for module in (detect_module, correlate):  # the correlation computes its own energy when given none
             monkeypatch.setattr(module, "window_energy", energy)
-        ncc = counted("normalized_cross_correlate", correlate.normalized_cross_correlate)
-        monkeypatch.setattr(detect_module, "normalized_cross_correlate", ncc)
+        monkeypatch.setattr(correlate, "_sliding_dot", counted("_sliding_dot", correlate._sliding_dot))
         assert main([
             "detect", str(fixture_dir / "sequence.wav"), "--patterns", str(fixture_dir / "patterns.json"),
             "--track-id", "take", "--out-dir", str(tmp_path / "rep"), "--report",
         ]) == 0
-        assert sorted(calls) == ["normalized_cross_correlate"] * 3 + ["window_energy"] * 3
+        assert sorted(calls) == ["_sliding_dot"] * 3 + ["window_energy"] * 3
+
+    def test_report_shares_each_length_forward_fft(self, fixture_dir, tmp_path, monkeypatch):
+        """Two impulse patterns of one length go through one engine call with `--report` too."""
+        tick = load_wav(fixture_dir / "patterns" / "tick.wav")
+        twin = make_pattern("noise_burst", tick.duration_s, seed=11, sample_rate_hz=SR)
+        assert len(twin) == len(tick)
+        save_wav(twin, fixture_dir / "patterns" / "tock.wav", sample_format="float32")
+        manifest = json.loads((fixture_dir / "patterns.json").read_text())
+        manifest.append({"id": "tock", "kind": "impulse", "path": "patterns/tock.wav"})
+        (fixture_dir / "patterns.json").write_text(json.dumps(manifest))
+        args = ["detect", str(fixture_dir / "sequence.wav"), "--patterns", str(fixture_dir / "patterns.json"),
+                "--track-id", "take"]
+        plain, report = tmp_path / "plain", tmp_path / "rep"
+        assert main(args + ["--out-dir", str(plain)]) == 0
+        shapes, real_dot = [], correlate._sliding_dot
+
+        def dot_spy(s, p, *rest, **kwargs):
+            shapes.append(np.shape(p))
+            return real_dot(s, p, *rest, **kwargs)
+
+        monkeypatch.setattr(correlate, "_sliding_dot", dot_spy)
+        assert main(args + ["--out-dir", str(report), "--report"]) == 0
+        assert [shape for shape in shapes if shape[-1] == len(tick)] == [(2, len(tick))]
+        assert len(shapes) == 3  # one per pattern length
+        assert (report / "take.timeline.json").read_bytes() == (plain / "take.timeline.json").read_bytes()
+        header = (report / "take.correlation.csv").read_text().split("\n", 1)[0]
+        assert header == "t,ncc_chhh,avg_chhh,ncc_poc,ncc_tick,ncc_tock"
 
     def test_report_resamples_pattern_like_detect(self, fixture_dir, tmp_path):
         tick = load_wav(fixture_dir / "patterns" / "tick.wav")
@@ -351,6 +378,27 @@ class TestRun:
             "--scene", str(scene_path), "--out-dir", str(tmp_path / "o"),
         ])
         assert code == 64
+
+    def test_repeated_track_name_usage_error_before_any_detection(self, fixture_dir, tmp_path, monkeypatch, capsys):
+        scene_path = tmp_path / "scene.json"
+        write_scene(scene_path)
+        detected, real_detect = [], cli.detect
+
+        def detect_spy(*args, **kwargs):
+            detected.append(args)
+            return real_detect(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "detect", detect_spy)
+        wav = fixture_dir / "sequence.wav"
+        code = main([
+            "run", "--track", f"take={wav}", "--track", f"other={wav}", "--track", f"take={wav}",
+            "--patterns", str(fixture_dir / "patterns.json"),
+            "--scene", str(scene_path), "--out-dir", str(tmp_path / "o"),
+        ])
+        assert code == 64
+        assert detected == []
+        assert "--track" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_run_deterministic(self, fixture_dir, tmp_path):
         scene_path = tmp_path / "scene.json"

@@ -579,9 +579,13 @@ class TestImpulsePeaks:
             shared = window_energy(s, m)
             threshold = float(rng.choice([0.3, 0.5, 0.9]))
             got = impulse_peaks(s, clips, shared, threshold)
-            assert len(got) == len(clips)
-            for p, (lags, values) in zip(clips, got):
+            kept = []  # the same call keeping its traces picks the same peaks from them
+            with_traces = impulse_peaks(s, clips, shared, threshold, kept)
+            assert len(got) == len(with_traces) == len(kept) == len(clips)
+            for p, (lags, values), (kept_lags, kept_values), kept_trace in zip(clips, got, with_traces, kept):
                 trace = normalized_cross_correlate(s, p, shared)
+                assert kept_trace.values.tobytes() == trace.values.tobytes()
+                assert np.array_equal(kept_lags, lags) and np.array_equal(kept_values, values)
                 assert lags.dtype == np.int64 and values.dtype == np.float64
                 assert list(zip(lags.tolist(), values.tolist())) == find_local_maxima(trace, threshold)
                 plateaus += int(np.count_nonzero(np.abs(trace.values) == 1.0) > 1)

@@ -29,7 +29,7 @@ from soundcue import (
     suppress,
 )
 from soundcue import correlate
-from soundcue.detect import detect_from_traces, pattern_traces
+from soundcue.correlate import moving_average, normalized_cross_correlate
 from conftest import SR, silent_clip
 
 
@@ -395,10 +395,12 @@ class TestDetect:
         patterns = list(dictionary.values())
         cfg = DetectorConfig(suppression=False)
         candidates = sorted(
-            (pattern.id, lag / trace.sample_rate_hz, value)
-            for pattern, trace, averaged in pattern_traces(figure_sequence, patterns)
-            if averaged is None
-            for lag, value in find_local_maxima(trace, cfg.impulse_threshold)
+            (pattern.id, lag / SR, value)
+            for pattern in patterns
+            if pattern.kind is PatternKind.IMPULSE
+            for lag, value in find_local_maxima(
+                normalized_cross_correlate(figure_sequence, pattern.clip), cfg.impulse_threshold
+            )
         )
         events = detect(figure_sequence, patterns, cfg).tracks[0].events
         impulses = sorted(
@@ -435,9 +437,9 @@ class TestDetect:
             passed.append((len(p), take_energy))
             return real_ncc(s, p, take_energy)
 
-        def peaks_spy(s, clips, take_energy, threshold):  # impulse patterns share one correlation per length
+        def peaks_spy(s, clips, take_energy, *rest):  # impulse patterns share one correlation per length
             passed.extend((len(p), take_energy) for p in clips)
-            return real_peaks(s, clips, take_energy, threshold)
+            return real_peaks(s, clips, take_energy, *rest)
 
         monkeypatch.setattr(detect_module, "window_energy", energy_spy)
         monkeypatch.setattr(detect_module, "normalized_cross_correlate", ncc_spy)
@@ -503,15 +505,13 @@ class TestDetect:
         assert peak <= 2 * s.samples.nbytes + 8 * correlate._BATCH_SAMPLES
 
     def test_empty_dictionary_rejected(self):
-        for run in (detect, pattern_traces):  # the trace stage checks at the call, before any trace
-            with pytest.raises(DetectionError):
-                run(silent_clip(1.0), [])
+        with pytest.raises(DetectionError):
+            detect(silent_clip(1.0), [])
 
     def test_duplicate_ids_rejected(self, dictionary):
         tick = dictionary["tick"]
-        for run in (detect, pattern_traces):
-            with pytest.raises(DetectionError):
-                run(silent_clip(1.0), [tick, tick])
+        with pytest.raises(DetectionError):
+            detect(silent_clip(1.0), [tick, tick])
 
 
 @st.composite
@@ -529,7 +529,7 @@ def mixed_dictionaries(draw):
 
 
 class TestEntryPointsAgree:
-    """`detect` and `detect_from_traces` over `pattern_traces` decide through one path."""
+    """`detect` with a `traces` list decides as without one, and keeps the reference traces."""
 
     @settings(max_examples=30, deadline=None)
     @given(mixed_dictionaries(), st.data())
@@ -549,5 +549,21 @@ class TestEntryPointsAgree:
             continuous_min_duration_s=0.0,
             suppression=data.draw(st.booleans()),
         )
-        batch = serialize(detect(s, patterns, cfg))
-        assert batch == serialize(detect_from_traces(s, pattern_traces(s, patterns), cfg))
+        for workers in (1, 3):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(correlate, "_WORKERS", workers)
+                mp.setattr(correlate, "_BATCH_SAMPLES", 1 << 14)  # one or two blocks a batch: several batches
+                traces = []
+                batch = serialize(detect(s, patterns, cfg))
+                assert batch == serialize(detect(s, patterns, cfg, traces=traces))
+                assert sorted(pattern.id for pattern, _, _ in traces) == sorted(clips)
+                for pattern, trace, averaged in traces:
+                    aligned = clips[pattern.id]
+                    assert np.array_equal(pattern.clip.samples, aligned.samples)
+                    reference = normalized_cross_correlate(s, aligned)
+                    assert trace.values.tobytes() == reference.values.tobytes()
+                    if pattern.kind is PatternKind.IMPULSE:
+                        assert averaged is None
+                    else:
+                        expected = moving_average(reference, aligned.duration_s, rectify=True)
+                        assert averaged.values.tobytes() == expected.values.tobytes()
