@@ -19,7 +19,6 @@ import argparse
 import dataclasses
 import logging
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,12 +32,6 @@ from .timeline import PatternKind, Timeline
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_USAGE = 64
-
-
-@dataclass(frozen=True)
-class InvocationResult:
-    exit_code: int
-    outputs: tuple
 
 
 class _Parser(argparse.ArgumentParser):
@@ -100,29 +93,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _relative_path(value, path: str) -> str:
+    rel = docio.as_string(value, path)
+    if "\x00" in rel:
+        raise SchemaError(path, "contains a NUL character")
+    return rel
+
+
+def _manifest_pattern(obj, where: str, directory: Path) -> SoundPattern:
+    with docio.Fields(obj, where) as f:
+        pattern_id = f.read("id", docio.as_string)
+        rel = f.read("path", _relative_path)
+        kind = f.enum("kind", PatternKind, "pattern kind")
+    clip = load_wav(directory / rel)
+    try:
+        return SoundPattern(id=pattern_id, clip=clip, kind=kind)
+    except ValueError as exc:
+        raise SchemaError(where, str(exc)) from exc
+
+
 def _load_manifest(path) -> list[SoundPattern]:
     manifest_path = Path(path)
-    entries = docio.as_array(docio.parse_json(docio.read_text(manifest_path, "manifest"), "manifest"), "")
-    patterns = []
-    for i, obj in enumerate(entries):
-        where = f"[{i}]"
-        docio.as_object(obj, where)
-        docio.reject_unknown(obj, {"id", "path", "kind"}, where)
-        pattern_id = docio.as_string(docio.get(obj, "id", where), f"{where}.id")
-        rel = docio.as_string(docio.get(obj, "path", where), f"{where}.path")
-        if "\x00" in rel:
-            raise SchemaError(f"{where}.path", "contains a NUL character")
-        kind_name = docio.as_string(docio.get(obj, "kind", where), f"{where}.kind")
-        try:
-            kind = PatternKind(kind_name)
-        except ValueError:
-            raise SchemaError(f"{where}.kind", f"unknown pattern kind {kind_name!r}") from None
-        clip = load_wav(manifest_path.parent / rel)
-        try:
-            patterns.append(SoundPattern(id=pattern_id, clip=clip, kind=kind))
-        except ValueError as exc:
-            raise SchemaError(where, str(exc)) from exc
-    return patterns
+    entries = docio.parse_json(docio.read_text(manifest_path, "manifest"), "manifest")
+    return docio.array_of(lambda obj, where: _manifest_pattern(obj, where, manifest_path.parent))(entries, "")
 
 
 def _detector_config(args) -> DetectorConfig:
@@ -160,7 +153,7 @@ def _write_correlation_report(path: Path, sequence, traced) -> None:
             out.write(docio.csv_block([docio.format_floats(v) for v in (times, *(t[start:stop] for t in traces))]))
 
 
-def cmd_detect(args) -> InvocationResult:
+def cmd_detect(args) -> None:
     patterns = _load_manifest(args.patterns)
     cfg = _detector_config(args)
     sequence = load_wav(args.sequence)
@@ -169,33 +162,23 @@ def cmd_detect(args) -> InvocationResult:
     result = detect(sequence, patterns, cfg, track_id, str(args.sequence), traced)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = []
     timeline_path = out_dir / f"{track_id}.timeline.json"
     timeline.write_timeline(result, timeline_path)
-    outputs.append(timeline_path)
     if args.report:
-        report_path = out_dir / f"{track_id}.correlation.csv"
-        _write_correlation_report(report_path, sequence, traced)
-        outputs.append(report_path)
+        _write_correlation_report(out_dir / f"{track_id}.correlation.csv", sequence, traced)
     events = result.tracks[0].events
     print(f"detected {len(events)} event(s) on track {track_id!r} -> {timeline_path}")
-    return InvocationResult(EXIT_OK, tuple(outputs))
 
 
-def _write_animation(tl: Timeline, scene_cfg, out_dir: Path) -> tuple[list[Path], scene.AnimationOutput]:
+def _write_animation(tl: Timeline, scene_cfg, out_dir: Path) -> scene.AnimationOutput:
     output = scene.build_animation(tl, scene_cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
     from .animate import curves_to_csv
 
     for curves in output.curves:
-        path = out_dir / f"{curves.object_id}_curves.csv"
-        path.write_text(curves_to_csv(curves), encoding="utf-8")
-        written.append(path)
-    doc_path = out_dir / "animation.json"
-    doc_path.write_text(scene.animation_document(output), encoding="utf-8")
-    written.append(doc_path)
-    return written, output
+        (out_dir / f"{curves.object_id}_curves.csv").write_text(curves_to_csv(curves), encoding="utf-8")
+    (out_dir / "animation.json").write_text(scene.animation_document(output), encoding="utf-8")
+    return output
 
 
 def _scene_overrides(cfg, args):
@@ -220,15 +203,14 @@ def _consumed(tl: Timeline, cfg) -> int:
     return count
 
 
-def cmd_synth(args) -> InvocationResult:
+def cmd_synth(args) -> None:
     tl = timeline.read_timeline(args.timeline)
     scene_cfg = _scene_overrides(scene.parse_scene(docio.read_text(args.scene, "scene")), args)
-    written, output = _write_animation(tl, scene_cfg, Path(args.out_dir))
+    output = _write_animation(tl, scene_cfg, Path(args.out_dir))
     print(
         f"synthesized {len(output.curves)} object(s), {_consumed(tl, scene_cfg)} event(s) consumed, "
         f"{output.duration_s:.3f} s at {output.fps} fps, {len(output.spawns)} spawn(s)"
     )
-    return InvocationResult(EXIT_OK, tuple(written))
 
 
 def _usage_error(message: str) -> SystemExit:
@@ -236,7 +218,7 @@ def _usage_error(message: str) -> SystemExit:
     return SystemExit(EXIT_USAGE)
 
 
-def cmd_run(args) -> InvocationResult:
+def cmd_run(args) -> None:
     if not args.track:
         raise _usage_error("run needs at least one --track NAME=WAV")
     specs = {}
@@ -261,44 +243,30 @@ def cmd_run(args) -> InvocationResult:
         ),
         args,
     )
-    written, output = _write_animation(merged, scene_cfg, out_dir)
+    output = _write_animation(merged, scene_cfg, out_dir)
     n_events = sum(len(t.events) for t in merged.tracks)
     print(
         f"detected {n_events} event(s) on {len(merged.tracks)} track(s); "
         f"synthesized {len(output.curves)} object(s), {len(output.spawns)} spawn(s) -> {out_dir}"
     )
-    return InvocationResult(EXIT_OK, (timeline_path, *written))
 
 
-def cmd_gen(args) -> InvocationResult:
+def cmd_gen(args) -> None:
     plan = synthgen.parse_plan(docio.read_text(args.plan, "plan"))
     if args.seed is not None:
-        plan = plan.with_seed(args.seed)
+        plan = dataclasses.replace(plan, seed=args.seed)
     sequence, clips = synthgen.realize(plan)
     out_dir = Path(args.out_dir)
     pattern_dir = out_dir / "patterns"
     pattern_dir.mkdir(parents=True, exist_ok=True)
-    outputs = []
-
-    sequence_path = out_dir / "sequence.wav"
-    save_wav(sequence, sequence_path, sample_format="float32")
-    outputs.append(sequence_path)
-
+    save_wav(sequence, out_dir / "sequence.wav", sample_format="float32")
     manifest = []
     for definition in plan.patterns:
-        wav_path = pattern_dir / f"{definition.id}.wav"
-        save_wav(clips[definition.id], wav_path, sample_format="float32")
-        outputs.append(wav_path)
+        save_wav(clips[definition.id], pattern_dir / f"{definition.id}.wav", sample_format="float32")
         manifest.append({"id": definition.id, "kind": definition.kind.value, "path": f"patterns/{definition.id}.wav"})
-    manifest_path = out_dir / "patterns.json"
-    manifest_path.write_text(docio.dump_json(manifest), encoding="utf-8")
-    outputs.append(manifest_path)
-
-    truth_path = out_dir / "groundtruth.json"
-    truth_path.write_text(synthgen.serialize_plan(plan), encoding="utf-8")
-    outputs.append(truth_path)
+    (out_dir / "patterns.json").write_text(docio.dump_json(manifest), encoding="utf-8")
+    (out_dir / "groundtruth.json").write_text(synthgen.serialize_plan(plan), encoding="utf-8")
     print(f"generated {sequence.duration_s:.3f} s fixture with {len(plan.patterns)} pattern(s) -> {out_dir}")
-    return InvocationResult(EXIT_OK, tuple(outputs))
 
 
 def main(argv=None) -> int:
@@ -306,10 +274,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
-        return args.func(args).exit_code
+        args.func(args)
+        return EXIT_OK
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except (SoundCueError, OSError) as exc:

@@ -1,6 +1,14 @@
 """Helpers for soundcue's documents: JSON read with field-path
 diagnostics, canonical JSON and block-formatted CSV written.
 
+Every parser (manifest, timeline, scene, plan) reads each JSON object
+through one `Fields` reader: each field is named once, in its read, with
+an `as_*` checker and an optional default. The reader builds every field
+path from its parent path and the key (`objects[0].track_id`; a root key
+is just `track_id`), and rejects the keys nobody read as unknown fields
+when the object's `with` block ends. `array_of` gives an array's items
+their index paths (`tracks[0]`), and `nullable` lets a field be null.
+
 Every CSV soundcue writes formats its floats with `format_floats` and
 joins them with `csv_block`, a block of `CSV_BLOCK_ROWS` rows at a time,
 so one block's strings exist at once, not the whole table's.
@@ -8,6 +16,7 @@ so one block's strings exist at once, not the whole table's.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from pathlib import Path
@@ -88,17 +97,78 @@ def as_boolean(value, path: str) -> bool:
     return value
 
 
-def get(obj: dict, key: str, path: str):
-    """Fetch a required field; the error names the missing field's full path."""
-    if key not in obj:
-        raise SchemaError(f"{path}.{key}" if path else key, "missing required field")
-    return obj[key]
+_REQUIRED = object()
 
 
-def reject_unknown(obj: dict, known, path: str) -> None:
-    for key in obj:
-        if key not in known:
-            raise SchemaError(f"{path}.{key}" if path else key, "unknown field")
+class Fields:
+    """The field reader of one JSON object (see the module docstring).
+
+    `read(key, check, default)` reads a field with a checker
+    `check(value, path)`; without a `default` an absent key is a missing
+    required field. `enum` reads a string field as an Enum member, and
+    `at(key)` is the key's field path. Leaving the `with` block without
+    an error rejects the first key never read as an unknown field.
+    """
+
+    __slots__ = ("obj", "path", "_prefix", "_asked")
+
+    def __init__(self, value, path: str = ""):
+        self.obj = value if isinstance(value, dict) else as_object(value, path)
+        self.path = path
+        self._prefix = f"{path}." if path else ""
+        self._asked = set()
+
+    def __enter__(self) -> "Fields":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is None and not self._asked.issuperset(self.obj):
+            key = next(k for k in self.obj if k not in self._asked)
+            # a key that is no name (empty, dotted...) is quoted like a map key
+            raise SchemaError(self.at(key) if key.isidentifier() else f"{self.path}[{key!r}]", "unknown field")
+
+    def at(self, key: str) -> str:
+        return self._prefix + key
+
+    def read(self, key: str, check, default=_REQUIRED):
+        self._asked.add(key)
+        if key in self.obj:
+            return check(self.obj[key], self._prefix + key)
+        if default is _REQUIRED:
+            raise SchemaError(self.at(key), "missing required field")
+        return default
+
+    def enum(self, key: str, enum_type, what: str, default=_REQUIRED):
+        """The member of `enum_type` whose value the string field holds; `what` names the enum in errors."""
+        name = self.read(key, as_string, _REQUIRED if default is _REQUIRED else default.value)
+        member = _members(enum_type).get(name)
+        if member is None:
+            raise SchemaError(self.at(key), f"unknown {what} {name!r}")
+        return member
+
+
+@functools.cache
+def _members(enum_type) -> dict:
+    """Each member of `enum_type` by its value: a lookup, not the slower `enum_type(value)`."""
+    return {member.value: member for member in enum_type}
+
+
+def nullable(check):
+    """A checker that reads null as None and any other value with `check`."""
+
+    def check_nullable(value, path: str):
+        return None if value is None else check(value, path)
+
+    return check_nullable
+
+
+def array_of(check):
+    """A checker for an array whose items each pass `check`, at their index paths."""
+
+    def check_array(value, path: str) -> list:
+        return [check(item, f"{path}[{i}]") for i, item in enumerate(as_array(value, path))]
+
+    return check_array
 
 
 def format_floats(values: np.ndarray) -> list[str]:

@@ -136,6 +136,14 @@ class ObjectSpec:
         object.__setattr__(self, "bindings", dict(self.bindings))
 
 
+class _SettingError(ValueError):
+    """A scene setting out of its range; `field` names the setting."""
+
+    def __init__(self, field: str, rule: str, value):
+        super().__init__(f"{field} must be {rule}, got {value}")
+        self.field = field
+
+
 @dataclass(frozen=True)
 class SceneConfig:
     objects: tuple
@@ -146,9 +154,11 @@ class SceneConfig:
 
     def __post_init__(self):
         if not 0 < self.fps < math.inf:
-            raise ValueError(f"fps must be positive and finite, got {self.fps}")
+            raise _SettingError("fps", "positive and finite", self.fps)
         if self.gravity <= 0:
-            raise ValueError(f"gravity must be positive, got {self.gravity}")
+            raise _SettingError("gravity", "positive", self.gravity)
+        if self.duration_override_s is not None and self.duration_override_s < 0:
+            raise _SettingError("duration_override_s", ">= 0", self.duration_override_s)
         ids = [o.object_id for o in self.objects]
         if len(set(ids)) != len(ids):
             raise ValueError("object ids must be unique")
@@ -164,34 +174,36 @@ class AnimationOutput:
     duration_s: float
 
 
+def _position(value, path: str) -> tuple:
+    raw = docio.as_array(value, path)
+    if len(raw) != 3:
+        raise SchemaError(path, "expected 3 components")
+    return tuple(docio.as_number(c, f"{path}[{i}]") for i, c in enumerate(raw))
+
+
+def _range(value, path: str) -> tuple:
+    raw = docio.as_array(value, path)
+    if len(raw) != 2:
+        raise SchemaError(path, "expected [low, high]")
+    lo = docio.as_number(raw[0], f"{path}[0]")
+    hi = docio.as_number(raw[1], f"{path}[1]")
+    if not lo <= hi:
+        raise SchemaError(path, f"needs low <= high, got [{lo}, {hi}]")
+    if not math.isfinite(hi - lo):
+        raise SchemaError(path, f"spans more than a float can hold, got [{lo}, {hi}]")
+    return lo, hi
+
+
 def _parse_placement(obj, path: str) -> PlacementRule:
-    docio.as_object(obj, path)
-    kind = docio.as_string(docio.get(obj, "kind", path), f"{path}.kind")
-    if kind == "fixed":
-        docio.reject_unknown(obj, {"kind", "position"}, path)
-        raw = docio.as_array(docio.get(obj, "position", path), f"{path}.position")
-        if len(raw) != 3:
-            raise SchemaError(f"{path}.position", "expected 3 components")
-        return FixedPlacement(tuple(docio.as_number(c, f"{path}.position[{i}]") for i, c in enumerate(raw)))
-    if kind == "lane":
-        docio.reject_unknown(obj, {"kind", "height"}, path)
-        return LanePlacement(docio.as_number(docio.get(obj, "height", path), f"{path}.height"))
-    if kind == "uniform_rect":
-        docio.reject_unknown(obj, {"kind", "x_range", "y_range"}, path)
-        ranges = []
-        for key in ("x_range", "y_range"):
-            raw = docio.as_array(docio.get(obj, key, path), f"{path}.{key}")
-            if len(raw) != 2:
-                raise SchemaError(f"{path}.{key}", "expected [low, high]")
-            lo = docio.as_number(raw[0], f"{path}.{key}[0]")
-            hi = docio.as_number(raw[1], f"{path}.{key}[1]")
-            if not lo <= hi:
-                raise SchemaError(f"{path}.{key}", f"needs low <= high, got [{lo}, {hi}]")
-            if not math.isfinite(hi - lo):
-                raise SchemaError(f"{path}.{key}", f"spans more than a float can hold, got [{lo}, {hi}]")
-            ranges.append((lo, hi))
-        return UniformRectPlacement(*ranges)
-    raise SchemaError(f"{path}.kind", f"unknown placement kind {kind!r}")
+    with docio.Fields(obj, path) as f:
+        kind = f.read("kind", docio.as_string)
+        if kind == "fixed":
+            return FixedPlacement(f.read("position", _position))
+        if kind == "lane":
+            return LanePlacement(f.read("height", docio.as_number))
+        if kind == "uniform_rect":
+            return UniformRectPlacement(f.read("x_range", _range), f.read("y_range", _range))
+        raise SchemaError(f.at("kind"), f"unknown placement kind {kind!r}")
 
 
 def _placement_to_obj(placement: PlacementRule) -> dict:
@@ -206,73 +218,48 @@ def _placement_to_obj(placement: PlacementRule) -> dict:
     }
 
 
-def _num(obj, key: str, path: str, default: float) -> float:
-    if key not in obj:
-        return default
-    return docio.as_number(obj[key], f"{path}.{key}")
-
-
 def _parse_action(obj, path: str) -> ActionSpec:
-    docio.as_object(obj, path)
-    kind = docio.as_string(docio.get(obj, "kind", path), f"{path}.kind")
-    try:
-        if kind in ("bounce_hard", "bounce_soft"):
-            keys = {"kind", "drift_speed", "tail"}
-            soft = kind == "bounce_soft"
-            squash = BounceAction.squash
-            if soft:
-                keys |= {"squash_amplitude", "squash_duration_s", "strength_scaling", "strength_clamp"}
-                scaling = squash.strength_scaling
-                if "strength_scaling" in obj:
-                    scaling = docio.as_boolean(obj["strength_scaling"], f"{path}.strength_scaling")
-                squash = SquashParams(
-                    amplitude=_num(obj, "squash_amplitude", path, squash.amplitude),
-                    duration_s=_num(obj, "squash_duration_s", path, squash.duration_s),
-                    strength_scaling=scaling,
-                    strength_clamp=_num(obj, "strength_clamp", path, squash.strength_clamp),
+    with docio.Fields(obj, path) as f:
+        kind = f.read("kind", docio.as_string)
+        try:
+            if kind in ("bounce_hard", "bounce_soft"):
+                squash = BounceAction.squash
+                if kind == "bounce_soft":
+                    squash = SquashParams(
+                        amplitude=f.read("squash_amplitude", docio.as_number, squash.amplitude),
+                        duration_s=f.read("squash_duration_s", docio.as_number, squash.duration_s),
+                        strength_scaling=f.read("strength_scaling", docio.as_boolean, squash.strength_scaling),
+                        strength_clamp=f.read("strength_clamp", docio.as_number, squash.strength_clamp),
+                    )
+                return BounceAction(
+                    soft=kind == "bounce_soft",
+                    squash=squash,
+                    drift_speed=f.read("drift_speed", docio.as_number, BounceAction.drift_speed),
+                    tail=f.enum("tail", TailMode, "tail mode", BounceAction.tail),
                 )
-            docio.reject_unknown(obj, keys, path)
-            tail_name = BounceAction.tail.value
-            if "tail" in obj:
-                tail_name = docio.as_string(obj["tail"], f"{path}.tail")
-            try:
-                tail = TailMode(tail_name)
-            except ValueError:
-                raise SchemaError(f"{path}.tail", f"unknown tail mode {tail_name!r}") from None
-            return BounceAction(
-                soft=soft,
-                squash=squash,
-                drift_speed=_num(obj, "drift_speed", path, BounceAction.drift_speed),
-                tail=tail,
-            )
-        if kind == "slide":
-            docio.reject_unknown(obj, {"kind", "speed", "squash_amplitude"}, path)
-            return SlideAction(
-                speed=_num(obj, "speed", path, SlideAction.speed),
-                squash_amplitude=_num(obj, "squash_amplitude", path, SlideAction.squash_amplitude),
-            )
-        if kind in ("move_up", "move_down"):
-            docio.reject_unknown(obj, {"kind", "speed", "z_min", "z_max"}, path)
-            return SteerAction(
-                direction=1 if kind == "move_up" else -1,
-                speed=_num(obj, "speed", path, SteerAction.speed),
-                z_min=_num(obj, "z_min", path, SteerAction.z_min),
-                z_max=_num(obj, "z_max", path, SteerAction.z_max),
-            )
-        if kind in _SPAWNS:
-            docio.reject_unknown(obj, {"kind", "size_base", "size_per_strength", "placement"}, path)
-            entity_kind, placement, size_per_strength = _SPAWNS[kind]
-            if "placement" in obj:
-                placement = _parse_placement(obj["placement"], f"{path}.placement")
-            return SpawnAction(
-                entity_kind=entity_kind,
-                size_base=_num(obj, "size_base", path, 0.1),
-                size_per_strength=_num(obj, "size_per_strength", path, size_per_strength),
-                placement=placement,
-            )
-    except ValueError as exc:
-        raise SchemaError(path, str(exc)) from exc
-    raise SchemaError(f"{path}.kind", f"unknown action kind {kind!r}")
+            if kind == "slide":
+                return SlideAction(
+                    speed=f.read("speed", docio.as_number, SlideAction.speed),
+                    squash_amplitude=f.read("squash_amplitude", docio.as_number, SlideAction.squash_amplitude),
+                )
+            if kind in ("move_up", "move_down"):
+                return SteerAction(
+                    direction=1 if kind == "move_up" else -1,
+                    speed=f.read("speed", docio.as_number, SteerAction.speed),
+                    z_min=f.read("z_min", docio.as_number, SteerAction.z_min),
+                    z_max=f.read("z_max", docio.as_number, SteerAction.z_max),
+                )
+            if kind in _SPAWNS:
+                entity_kind, placement, size_per_strength = _SPAWNS[kind]
+                return SpawnAction(
+                    entity_kind=entity_kind,
+                    size_base=f.read("size_base", docio.as_number, 0.1),
+                    size_per_strength=f.read("size_per_strength", docio.as_number, size_per_strength),
+                    placement=f.read("placement", _parse_placement, placement),
+                )
+        except ValueError as exc:
+            raise SchemaError(path, str(exc)) from exc
+        raise SchemaError(f.at("kind"), f"unknown action kind {kind!r}")
 
 
 def _action_to_obj(action: ActionSpec) -> dict:
@@ -303,6 +290,33 @@ def _action_to_obj(action: ActionSpec) -> dict:
     }
 
 
+def _parse_bindings(value, path: str, pattern_kinds: Optional[Mapping[str, PatternKind]]) -> dict:
+    bindings = {}
+    for pattern_id, action_obj in docio.as_object(value, path).items():
+        action_path = f"{path}[{pattern_id!r}]"
+        action = _parse_action(action_obj, action_path)
+        if pattern_kinds is not None:
+            if pattern_id not in pattern_kinds:
+                raise SchemaError(action_path, f"pattern {pattern_id!r} is not in the dictionary")
+            if pattern_kinds[pattern_id] is not action.requires:
+                raise SchemaError(
+                    action_path,
+                    f"action {action.kind!r} requires a {action.requires.value} pattern "
+                    f"but {pattern_id!r} is {pattern_kinds[pattern_id].value}",
+                )
+        bindings[pattern_id] = action
+    return bindings
+
+
+def _parse_object(obj, path: str, pattern_kinds: Optional[Mapping[str, PatternKind]]) -> ObjectSpec:
+    with docio.Fields(obj, path) as f:
+        return ObjectSpec(
+            object_id=f.read("object_id", docio.as_string),
+            track_id=f.read("track_id", docio.as_string),
+            bindings=f.read("bindings", lambda value, where: _parse_bindings(value, where, pattern_kinds)),
+        )
+
+
 def parse_scene(text, pattern_kinds: Optional[Mapping[str, PatternKind]] = None) -> SceneConfig:
     """Parse and validate a scene document.
 
@@ -311,48 +325,18 @@ def parse_scene(text, pattern_kinds: Optional[Mapping[str, PatternKind]] = None)
     action/pattern kind mismatches fail here with a field path instead of
     at synthesis time.
     """
-    root = docio.as_object(docio.parse_json(text, "scene") if isinstance(text, str) else text, "")
-    docio.reject_unknown(root, {"fps", "seed", "gravity", "duration_override_s", "objects"}, "")
-    fps = _num(root, "fps", "", SceneConfig.fps)
-    gravity = _num(root, "gravity", "", SceneConfig.gravity)
-    seed = SceneConfig.seed
-    if "seed" in root:
-        seed = docio.as_integer(root["seed"], "seed")
-    duration_override = None
-    if "duration_override_s" in root and root["duration_override_s"] is not None:
-        duration_override = docio.as_number(root["duration_override_s"], "duration_override_s")
-
-    objects = []
-    for i, obj in enumerate(docio.as_array(docio.get(root, "objects", ""), "objects")):
-        path = f"objects[{i}]"
-        docio.as_object(obj, path)
-        docio.reject_unknown(obj, {"object_id", "track_id", "bindings"}, path)
-        object_id = docio.as_string(docio.get(obj, "object_id", path), f"{path}.object_id")
-        track_id = docio.as_string(docio.get(obj, "track_id", path), f"{path}.track_id")
-        bindings = {}
-        raw_bindings = docio.as_object(docio.get(obj, "bindings", path), f"{path}.bindings")
-        for pattern_id, action_obj in raw_bindings.items():
-            action_path = f"{path}.bindings[{pattern_id!r}]"
-            action = _parse_action(action_obj, action_path)
-            if pattern_kinds is not None:
-                if pattern_id not in pattern_kinds:
-                    raise SchemaError(action_path, f"pattern {pattern_id!r} is not in the dictionary")
-                if pattern_kinds[pattern_id] is not action.requires:
-                    raise SchemaError(
-                        action_path,
-                        f"action {action.kind!r} requires a {action.requires.value} pattern "
-                        f"but {pattern_id!r} is {pattern_kinds[pattern_id].value}",
-                    )
-            bindings[pattern_id] = action
-        objects.append(ObjectSpec(object_id=object_id, track_id=track_id, bindings=bindings))
-    try:
-        return SceneConfig(
-            objects=tuple(objects),
-            fps=fps,
-            seed=seed,
-            gravity=gravity,
-            duration_override_s=duration_override,
+    with docio.Fields(docio.parse_json(text, "scene") if isinstance(text, str) else text) as f:
+        settings = dict(
+            fps=f.read("fps", docio.as_number, SceneConfig.fps),
+            gravity=f.read("gravity", docio.as_number, SceneConfig.gravity),
+            seed=f.read("seed", docio.as_integer, SceneConfig.seed),
+            duration_override_s=f.read("duration_override_s", docio.nullable(docio.as_number), None),
         )
+        objects = f.read("objects", docio.array_of(lambda obj, path: _parse_object(obj, path, pattern_kinds)))
+    try:
+        return SceneConfig(objects=tuple(objects), **settings)
+    except _SettingError as exc:
+        raise SchemaError(f.at(exc.field), str(exc)) from exc
     except ValueError as exc:
         raise SchemaError("", str(exc)) from exc
 

@@ -18,7 +18,7 @@ threshold-behavior fixtures are built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Optional
 
 import numpy as np
@@ -231,30 +231,11 @@ class PatternDef:
             raise ValueError(f"duration_s must be positive, got {self.duration_s}")
 
 
-@dataclass(frozen=True)
-class FixturePlan:
-    """A serializable plan: pattern definitions plus the ground truth."""
+@dataclass(frozen=True, kw_only=True)
+class FixturePlan(GroundTruth):
+    """A serializable plan: the ground truth plus its pattern definitions."""
 
-    duration_s: float
-    sample_rate_hz: int
-    seed: int
-    noise_rms: float
     patterns: tuple
-    planted: tuple
-    allow_overlap: bool = False
-
-    def ground_truth(self) -> GroundTruth:
-        return GroundTruth(
-            duration_s=self.duration_s,
-            sample_rate_hz=self.sample_rate_hz,
-            seed=self.seed,
-            noise_rms=self.noise_rms,
-            planted=self.planted,
-            allow_overlap=self.allow_overlap,
-        )
-
-    def with_seed(self, seed: int) -> "FixturePlan":
-        return replace(self, seed=seed)
 
 
 def realize(plan: FixturePlan) -> tuple[AudioClip, dict]:
@@ -262,83 +243,72 @@ def realize(plan: FixturePlan) -> tuple[AudioClip, dict]:
     clips = {
         d.id: make_pattern(d.shape, d.duration_s, d.seed, plan.sample_rate_hz) for d in plan.patterns
     }
-    sequence = place_instances(clips, plan.ground_truth())
+    sequence = place_instances(clips, plan)
     return sequence, clips
 
 
-def parse_plan(text: str) -> FixturePlan:
-    root = docio.as_object(docio.parse_json(text, "plan"), "")
-    docio.reject_unknown(
-        root,
-        {"duration_s", "sample_rate_hz", "seed", "noise_rms", "patterns", "planted", "allow_overlap"},
-        "",
-    )
-    duration = docio.as_number(docio.get(root, "duration_s", ""), "duration_s")
-    rate = docio.as_integer(docio.get(root, "sample_rate_hz", ""), "sample_rate_hz")
-    seed = docio.as_integer(root.get("seed", 0), "seed")
-    noise_rms = docio.as_number(root.get("noise_rms", 0.0), "noise_rms")
-    allow_overlap = docio.as_boolean(root.get("allow_overlap", False), "allow_overlap")
-    if not duration > 0:
-        raise SchemaError("duration_s", f"must be positive, got {duration}")
-    if not 0 < rate <= MAX_WAV_RATE_HZ:
-        raise SchemaError("sample_rate_hz", f"must lie in [1, {MAX_WAV_RATE_HZ}], got {rate}")
-    if noise_rms < 0:
-        raise SchemaError("noise_rms", f"must be >= 0, got {noise_rms}")
+def _shape(value, path: str) -> str:
+    shape = docio.as_string(value, path)
+    if shape not in ("tonal_burst", "noise_burst"):
+        raise SchemaError(path, f"unknown pattern shape {shape!r}")
+    return shape
 
-    defs = []
-    for i, obj in enumerate(docio.as_array(docio.get(root, "patterns", ""), "patterns")):
-        path = f"patterns[{i}]"
-        docio.as_object(obj, path)
-        docio.reject_unknown(obj, {"id", "kind", "shape", "duration_s", "seed"}, path)
-        kind_name = docio.as_string(docio.get(obj, "kind", path), f"{path}.kind")
-        try:
-            kind = PatternKind(kind_name)
-        except ValueError:
-            raise SchemaError(f"{path}.kind", f"unknown pattern kind {kind_name!r}") from None
-        shape = docio.as_string(obj.get("shape", "tonal_burst"), f"{path}.shape")
-        if shape not in ("tonal_burst", "noise_burst"):
-            raise SchemaError(f"{path}.shape", f"unknown pattern shape {shape!r}")
+
+def _parse_pattern(obj, path: str, rate: int) -> PatternDef:
+    with docio.Fields(obj, path) as f:
         fields = dict(
-            id=docio.as_string(docio.get(obj, "id", path), f"{path}.id"),
-            kind=kind,
-            shape=shape,
-            duration_s=docio.as_number(docio.get(obj, "duration_s", path), f"{path}.duration_s"),
-            seed=docio.as_integer(docio.get(obj, "seed", path), f"{path}.seed"),
+            kind=f.enum("kind", PatternKind, "pattern kind"),
+            shape=f.read("shape", _shape, "tonal_burst"),
+            id=f.read("id", docio.as_string),
+            duration_s=f.read("duration_s", docio.as_number),
+            seed=f.read("seed", docio.as_integer),
         )
         try:
-            defs.append(PatternDef(**fields))
+            definition = PatternDef(**fields)
             pattern_length(fields["duration_s"], rate)
         except ValueError as exc:
-            raise SchemaError(f"{path}.duration_s", str(exc)) from exc
-    ids = [d.id for d in defs]
-    if len(set(ids)) != len(ids):
-        raise SchemaError("patterns", "pattern ids must be unique")
+            raise SchemaError(f.at("duration_s"), str(exc)) from exc
+    return definition
 
-    planted = []
-    for i, obj in enumerate(docio.as_array(docio.get(root, "planted", ""), "planted")):
-        path = f"planted[{i}]"
-        docio.as_object(obj, path)
-        docio.reject_unknown(
-            obj, {"pattern", "t", "t_begin", "t_end", "amplitude", "distort", "distort_seed"}, path
-        )
-        pattern_id = docio.as_string(docio.get(obj, "pattern", path), f"{path}.pattern")
+
+def _parse_planted(obj, path: str, ids) -> PlantedInstance:
+    with docio.Fields(obj, path) as f:
+        pattern_id = f.read("pattern", docio.as_string)
         if pattern_id not in ids:
-            raise SchemaError(f"{path}.pattern", f"pattern {pattern_id!r} is not defined")
+            raise SchemaError(f.at("pattern"), f"pattern {pattern_id!r} is not defined")
         fields = dict(
-            amplitude=docio.as_number(obj.get("amplitude", 1.0), f"{path}.amplitude"),
-            distort=docio.as_number(obj.get("distort", 0.0), f"{path}.distort"),
-            distort_seed=docio.as_integer(obj.get("distort_seed", 0), f"{path}.distort_seed"),
+            amplitude=f.read("amplitude", docio.as_number, 1.0),
+            distort=f.read("distort", docio.as_number, 0.0),
+            distort_seed=f.read("distort_seed", docio.as_integer, 0),
+            onset_s=f.read("t", docio.as_number, None),
         )
-        if "t" in obj:
-            fields["onset_s"] = docio.as_number(obj["t"], f"{path}.t")
-        if "t_begin" in obj or "t_end" in obj:
-            fields["t_begin_s"] = docio.as_number(docio.get(obj, "t_begin", path), f"{path}.t_begin")
-            fields["t_end_s"] = docio.as_number(docio.get(obj, "t_end", path), f"{path}.t_end")
-        try:
-            planted.append(PlantedInstance(pattern_id=pattern_id, **fields))
-        except ValueError as exc:
-            raise SchemaError(path, str(exc)) from exc
+        if "t_begin" in f.obj or "t_end" in f.obj:
+            fields["t_begin_s"] = f.read("t_begin", docio.as_number)
+            fields["t_end_s"] = f.read("t_end", docio.as_number)
+    try:
+        return PlantedInstance(pattern_id=pattern_id, **fields)
+    except ValueError as exc:
+        raise SchemaError(path, str(exc)) from exc
 
+
+def parse_plan(text: str) -> FixturePlan:
+    with docio.Fields(docio.parse_json(text, "plan")) as f:
+        duration = f.read("duration_s", docio.as_number)
+        rate = f.read("sample_rate_hz", docio.as_integer)
+        seed = f.read("seed", docio.as_integer, 0)
+        noise_rms = f.read("noise_rms", docio.as_number, 0.0)
+        allow_overlap = f.read("allow_overlap", docio.as_boolean, False)
+        if not duration > 0:
+            raise SchemaError(f.at("duration_s"), f"must be positive, got {duration}")
+        if not 0 < rate <= MAX_WAV_RATE_HZ:
+            raise SchemaError(f.at("sample_rate_hz"), f"must lie in [1, {MAX_WAV_RATE_HZ}], got {rate}")
+        if noise_rms < 0:
+            raise SchemaError(f.at("noise_rms"), f"must be >= 0, got {noise_rms}")
+        defs = f.read("patterns", docio.array_of(lambda obj, path: _parse_pattern(obj, path, rate)))
+        ids = [d.id for d in defs]
+        if len(set(ids)) != len(ids):
+            raise SchemaError(f.at("patterns"), "pattern ids must be unique")
+        planted = f.read("planted", docio.array_of(lambda obj, path: _parse_planted(obj, path, ids)))
     try:
         return FixturePlan(
             duration_s=duration,

@@ -141,52 +141,34 @@ def serialize(timeline: Timeline) -> str:
 
 
 def _event_from_obj(obj, path: str) -> EventInstance:
-    docio.as_object(obj, path)
-    kind_name = docio.as_string(docio.get(obj, "kind", path), f"{path}.kind")
+    with docio.Fields(obj, path) as f:
+        kind = f.enum("kind", PatternKind, "event kind")
+        pattern_id = f.read("pattern", docio.as_string)
+        strength = f.read("strength", docio.as_number)
+        peak_correlation = f.read("peak_correlation", docio.as_number)
+        impulse = kind is PatternKind.IMPULSE
+        t_s = f.read("t", docio.as_number) if impulse else None
+        t_begin_s = None if impulse else f.read("t_begin", docio.as_number)
+        t_end_s = None if impulse else f.read("t_end", docio.as_number)
     try:
-        kind = PatternKind(kind_name)
-    except ValueError:
-        raise SchemaError(f"{path}.kind", f"unknown event kind {kind_name!r}") from None
-    known = {"kind", "pattern", "strength", "peak_correlation"}
-    fields = {
-        "pattern_id": docio.as_string(docio.get(obj, "pattern", path), f"{path}.pattern"),
-        "strength": docio.as_number(docio.get(obj, "strength", path), f"{path}.strength"),
-        "peak_correlation": docio.as_number(
-            docio.get(obj, "peak_correlation", path), f"{path}.peak_correlation"
-        ),
-    }
-    if kind is PatternKind.IMPULSE:
-        known |= {"t"}
-        fields["t_s"] = docio.as_number(docio.get(obj, "t", path), f"{path}.t")
-    else:
-        known |= {"t_begin", "t_end"}
-        fields["t_begin_s"] = docio.as_number(docio.get(obj, "t_begin", path), f"{path}.t_begin")
-        fields["t_end_s"] = docio.as_number(docio.get(obj, "t_end", path), f"{path}.t_end")
-    docio.reject_unknown(obj, known, path)
-    try:
-        return EventInstance(kind=kind, **fields)
+        return EventInstance(pattern_id, kind, strength, peak_correlation, t_s, t_begin_s, t_end_s)
     except ValueError as exc:
         raise SchemaError(path, str(exc)) from exc
 
 
+def _track_from_obj(obj, path: str) -> Track:
+    with docio.Fields(obj, path) as f:
+        return Track(
+            track_id=f.read("track_id", docio.as_string),
+            events=tuple(f.read("events", docio.array_of(_event_from_obj))),
+            source_audio=f.read("source_audio", docio.nullable(docio.as_string), None),
+        )
+
+
 def deserialize(text: str) -> Timeline:
-    root = docio.as_object(docio.parse_json(text, "timeline"), "")
-    docio.reject_unknown(root, {"duration_s", "tracks"}, "")
-    duration = docio.as_number(docio.get(root, "duration_s", ""), "duration_s")
-    tracks = []
-    for i, track_obj in enumerate(docio.as_array(docio.get(root, "tracks", ""), "tracks")):
-        path = f"tracks[{i}]"
-        docio.as_object(track_obj, path)
-        docio.reject_unknown(track_obj, {"track_id", "events", "source_audio"}, path)
-        track_id = docio.as_string(docio.get(track_obj, "track_id", path), f"{path}.track_id")
-        source = track_obj.get("source_audio")
-        if source is not None:
-            source = docio.as_string(source, f"{path}.source_audio")
-        events = [
-            _event_from_obj(e, f"{path}.events[{j}]")
-            for j, e in enumerate(docio.as_array(docio.get(track_obj, "events", path), f"{path}.events"))
-        ]
-        tracks.append(Track(track_id=track_id, events=tuple(events), source_audio=source))
+    with docio.Fields(docio.parse_json(text, "timeline")) as f:
+        duration = f.read("duration_s", docio.as_number)
+        tracks = f.read("tracks", docio.array_of(_track_from_obj))
     try:
         return Timeline(tracks=tuple(tracks), duration_s=duration)
     except (ValueError, SoundCueError) as exc:

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -102,3 +103,13 @@ def mutated_json(doc, data) -> str:
     else:
         parent[path[-1]] = value
     return json.dumps(doc)
+
+
+# A key quoted the way `repr` quotes a string, as in "bindings['pop']".
+_QUOTED_KEY = re.compile(r"""\[(?:'(?:[^'\\]|\\.)*'|"(?:[^"\\]|\\.)*")\]""")
+
+
+def well_formed_path(path: str) -> bool:
+    """No leading, trailing or doubled dot in a field path, outside its quoted keys."""
+    bare = _QUOTED_KEY.sub("[]", path)
+    return not (bare.startswith(".") or bare.endswith(".") or ".." in bare)

@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +31,7 @@ from soundcue import (
     parse_scene,
     serialize_scene,
 )
-from conftest import mutated_json
+from conftest import mutated_json, well_formed_path
 
 KINDS = {
     "tick": PatternKind.IMPULSE,
@@ -193,6 +195,38 @@ class TestParseScene:
         with pytest.raises(SchemaError) as err:
             parse_scene(json.dumps(doc))
         assert "objects[0].track_id" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "field, value, reason",
+        [
+            ("fps", "x", "expected a number, got str"),
+            ("gravity", "x", "expected a number, got str"),
+            ("seed", "x", "expected an integer, got str"),
+            ("fps", 0, "fps must be positive and finite, got 0.0"),
+            ("gravity", -1, "gravity must be positive, got -1.0"),
+            ("duration_override_s", -1, "duration_override_s must be >= 0, got -1.0"),
+        ],
+    )
+    def test_bad_setting_is_reported_at_its_field(self, field, value, reason):
+        with pytest.raises(SchemaError) as err:
+            parse_scene(scene_doc(**{field: value}), KINDS)
+        assert (err.value.path, err.value.reason) == (field, reason)
+
+    def test_null_duration_override_means_none(self):
+        assert parse_scene(scene_doc(duration_override_s=None), KINDS).duration_override_s is None
+
+    def test_negative_duration_override_rejected_when_built(self):
+        with pytest.raises(ValueError, match="duration_override_s must be >= 0"):
+            SceneConfig(objects=(), duration_override_s=-1.0)
+
+    def test_readme_scene_binds_only_the_readme_manifest_patterns(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        blocks = [json.loads(b) for b in re.findall(r"```json\n(.*?)```", readme, re.DOTALL)]
+        (manifest,) = [b for b in blocks if isinstance(b, list)]
+        (scene,) = [b for b in blocks if isinstance(b, dict)]
+        kinds = {entry["id"]: PatternKind(entry["kind"]) for entry in manifest}
+        cfg = parse_scene(json.dumps(scene), kinds)
+        assert {pid for o in cfg.objects for pid in o.bindings} <= set(kinds)
 
 
 class TestBuildAnimation:
@@ -439,7 +473,7 @@ scenes = st.builds(
     fps=st.floats(0.0, 1e6, exclude_min=True),
     seed=st.integers(-(2**70), 2**70),
     gravity=positive,
-    duration_override_s=st.none() | finite,
+    duration_override_s=st.none() | st.floats(min_value=0.0, allow_infinity=False),
 )
 
 
@@ -457,6 +491,7 @@ class TestSceneProperties:
         text = mutated_json(json.loads(serialize_scene(cfg)), data)
         try:
             parsed = parse_scene(text, KINDS if with_kinds else None)
-        except SchemaError:
+        except SchemaError as exc:
+            assert well_formed_path(exc.path), exc.path
             return
         assert parse_scene(serialize_scene(parsed)) == parsed

@@ -25,7 +25,7 @@ from soundcue import (
 )
 from soundcue.audio import MAX_WAV_RATE_HZ
 from soundcue.synthgen import pattern_length
-from conftest import SR, mutated_json
+from conftest import SR, mutated_json, well_formed_path
 
 
 class TestMakePattern:
@@ -146,7 +146,7 @@ class TestFixturePlan:
     def test_realize_matches_manual_construction(self):
         _, plan = self.plan_text()
         seq, clips = realize(plan)
-        manual = place_instances(clips, plan.ground_truth())
+        manual = place_instances(clips, plan)
         assert seq.samples.tolist() == manual.samples.tolist()
 
     def test_planted_unknown_pattern(self):
@@ -218,6 +218,7 @@ class TestPlanProperties:
         text = mutated_json(json.loads(serialize_plan(plan)), data)
         try:
             parsed = parse_plan(text)
-        except SchemaError:
+        except SchemaError as exc:
+            assert well_formed_path(exc.path), exc.path
             return
         assert parse_plan(serialize_plan(parsed)) == parsed

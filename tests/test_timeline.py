@@ -15,7 +15,7 @@ from soundcue import (
     merge,
     serialize,
 )
-from conftest import mutated_json
+from conftest import mutated_json, well_formed_path
 
 
 def impulse(pattern_id, t, strength=1.0, peak=0.9):
@@ -151,6 +151,12 @@ class TestSerialization:
             deserialize('{"duration_s": 1.0, "tracks": [], "extra": 1}')
         assert "extra" in str(err.value)
 
+    @pytest.mark.parametrize("key, path", [("extra", "tracks[0].extra"), ("", "tracks[0]['']"), ("a.b", "tracks[0]['a.b']")])
+    def test_unknown_field_path_quotes_a_key_that_is_no_name(self, key, path):
+        with pytest.raises(SchemaError) as err:
+            deserialize(json.dumps({"duration_s": 1.0, "tracks": [{"track_id": "a", "events": [], key: 1}]}))
+        assert (err.value.path, err.value.reason) == (path, "unknown field")
+
 
 ids = st.text(max_size=6)
 
@@ -196,6 +202,7 @@ class TestSerializationProperties:
         text = mutated_json(json.loads(serialize(tl)), data)
         try:
             parsed = deserialize(text)
-        except SchemaError:
+        except SchemaError as exc:
+            assert well_formed_path(exc.path), exc.path
             return
         assert deserialize(serialize(parsed)) == parsed
