@@ -9,6 +9,8 @@ from the detected event timeline.
 from .audio import AudioClip, load_wav, resample, save_wav
 from .correlate import (
     CorrelationTrace,
+    Runs,
+    above_runs,
     energy,
     find_local_maxima,
     impulse_peaks,
@@ -16,6 +18,7 @@ from .correlate import (
     moving_average,
     normalized_cross_correlate,
     raw_cross_correlate,
+    scan_group,
     window_energy,
 )
 from .detect import (

@@ -7,10 +7,18 @@ samples, mono or stereo, under their plain format tags or as
 WAVE_FORMAT_EXTENSIBLE with a PCM or float SubFormat; stereo is averaged
 down to mono on load. A chunk whose declared size runs past the end of
 the file is rejected, not read short.
+
+`load_wav` walks the chunk headers with `seek` and decodes the data
+chunk block by block, `_BLOCK_FRAMES` frames at a time, into one
+preallocated float64 array that becomes the clip's samples without a
+copy. At its peak it holds that array and one block's bytes and
+temporaries, not the file's bytes beside the decoded take.
 """
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,6 +33,7 @@ _EXTENSIBLE = 0xFFFE
 # A standard SubFormat GUID is xxxxxxxx-0000-0010-8000-00aa00389b71, with the
 # plain format tag as xxxxxxxx; these are its last 12 bytes as stored.
 _SUBFORMAT_TAIL = bytes.fromhex("00001000800000aa00389b71")
+_BLOCK_FRAMES = 1 << 16  # frames load_wav decodes at a time
 # The largest rate save_wav can store: the fmt chunk holds the byte rate,
 # 4 bytes per frame for float32, in 32 bits.
 MAX_WAV_RATE_HZ = (2**32 - 1) // 4
@@ -32,7 +41,11 @@ MAX_WAV_RATE_HZ = (2**32 - 1) // 4
 
 @dataclass(frozen=True)
 class AudioClip:
-    """An immutable mono signal with amplitudes in [-1, 1]."""
+    """An immutable mono signal with amplitudes in [-1, 1].
+
+    The samples are held read-only: a writable array is copied, and a
+    read-only one, such as the array `load_wav` has just decoded, is kept.
+    """
 
     samples: np.ndarray
     sample_rate_hz: int
@@ -41,15 +54,18 @@ class AudioClip:
         arr = np.asarray(self.samples, dtype=np.float64)
         if arr.ndim != 1:
             raise ValueError(f"samples must be one-dimensional, got shape {arr.shape}")
-        if arr.size and not np.all(np.isfinite(arr)):
-            raise ValueError("samples must be finite")
-        if arr.size and float(np.max(np.abs(arr))) > 1.0 + 1e-9:
-            raise ValueError("samples must lie in [-1, 1]")
+        if arr.size:
+            lo, hi = float(arr.min()), float(arr.max())  # NaN propagates into both; no temporary array
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError("samples must be finite")
+            if max(hi, -lo) > 1.0 + 1e-9:
+                raise ValueError("samples must lie in [-1, 1]")
         rate = self.sample_rate_hz
         if not isinstance(rate, (int, np.integer)) or rate <= 0:
             raise ValueError(f"sample_rate_hz must be a positive integer, got {rate!r}")
-        arr = arr.copy()
-        arr.setflags(write=False)
+        if arr.flags.writeable:  # a read-only array is frozen already
+            arr = arr.copy()
+            arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
         object.__setattr__(self, "sample_rate_hz", int(rate))
 
@@ -61,17 +77,20 @@ class AudioClip:
         return self.samples.size / self.sample_rate_hz
 
 
-def _iter_chunks(raw: bytes, path):
+def _iter_chunks(f, size: int, path):
+    """(id, body offset, body size) of each chunk after the RIFF header of the open file `f` of `size` bytes."""
     pos = 12
-    while pos + 8 <= len(raw):
-        chunk_id = raw[pos : pos + 4]
-        (size,) = struct.unpack_from("<I", raw, pos + 4)
-        available = len(raw) - pos - 8
-        if size > available:
+    while pos + 8 <= size:
+        f.seek(pos)
+        header = f.read(8)
+        chunk_id = header[:4]
+        (length,) = struct.unpack_from("<I", header, 4)
+        available = size - pos - 8
+        if length > available:
             name = chunk_id.decode("latin-1")
-            raise WavFormatError(f"{path}: {name!r} chunk declares {size} bytes but only {available} remain")
-        yield chunk_id, raw[pos + 8 : pos + 8 + size]
-        pos += 8 + size + (size & 1)  # chunks are word-aligned
+            raise WavFormatError(f"{path}: {name!r} chunk declares {length} bytes but only {available} remain")
+        yield chunk_id, pos + 8, length
+        pos += 8 + length + (length & 1)  # chunks are word-aligned
 
 
 def _format_tag(fmt: bytes, path) -> int:
@@ -90,10 +109,18 @@ def _format_tag(fmt: bytes, path) -> int:
 
 def _decode_pcm24(data: bytes) -> np.ndarray:
     n = len(data) // 3
-    b = np.frombuffer(data, dtype=np.uint8)[: n * 3].reshape(n, 3).astype(np.int32)
-    value = b[:, 0] | (b[:, 1] << 8) | (b[:, 2] << 16)
-    value = np.where(value >= 1 << 23, value - (1 << 24), value)
-    return value.astype(np.float64) / _PCM24_SCALE
+    wide = np.zeros((n, 4), dtype=np.uint8)  # each sample in the top three bytes of a little-endian int32
+    wide[:, 1:] = np.frombuffer(data, dtype=np.uint8)[: n * 3].reshape(n, 3)
+    x = (wide.view("<i4")[:, 0] >> 8).astype(np.float64)  # the shift sign-extends
+    x /= _PCM24_SCALE
+    return x
+
+
+def _read(f, size: int, path) -> bytes:
+    data = f.read(size)
+    if len(data) != size:  # the walk checked every size, so the file changed since
+        raise WavFormatError(f"{path}: file ended while reading")
+    return data
 
 
 def load_wav(path) -> AudioClip:
@@ -102,50 +129,65 @@ def load_wav(path) -> AudioClip:
     Stereo frames are averaged; integer PCM is scaled by 1/2^(bits-1);
     float samples outside [-1, 1] are clamped (recordings commonly clip).
     """
-    raw = Path(path).read_bytes()
-    if len(raw) < 12 or raw[0:4] != b"RIFF" or raw[8:12] != b"WAVE":
-        raise WavFormatError(f"{path}: not a RIFF/WAVE file")
+    with open(path, "rb") as f:
+        size = f.seek(0, os.SEEK_END)
+        f.seek(0)
+        header = f.read(12)
+        if len(header) < 12 or header[0:4] != b"RIFF" or header[8:12] != b"WAVE":
+            raise WavFormatError(f"{path}: not a RIFF/WAVE file")
 
-    fmt = data = None
-    for chunk_id, body in _iter_chunks(raw, path):
-        if chunk_id == b"fmt " and fmt is None:
-            fmt = body
-        elif chunk_id == b"data" and data is None:
-            data = body
-    if fmt is None or len(fmt) < 16:
-        raise WavFormatError(f"{path}: missing or truncated fmt chunk")
-    if data is None:
-        raise WavFormatError(f"{path}: missing data chunk")
+        fmt = data = None
+        for chunk_id, offset, length in _iter_chunks(f, size, path):
+            if chunk_id == b"fmt " and fmt is None:
+                f.seek(offset)
+                fmt = _read(f, length, path)
+            elif chunk_id == b"data" and data is None:
+                data = offset, length
+        if fmt is None or len(fmt) < 16:
+            raise WavFormatError(f"{path}: missing or truncated fmt chunk")
+        if data is None:
+            raise WavFormatError(f"{path}: missing data chunk")
 
-    _, channels, rate, _, _, bits = struct.unpack_from("<HHIIHH", fmt, 0)
-    tag = _format_tag(fmt, path)
-    if rate <= 0:
-        raise WavFormatError(f"{path}: invalid sample rate {rate}")
-    if channels not in (1, 2):
-        raise UnsupportedWavError(f"{path}: {channels} channels (only mono or stereo is read)")
+        _, channels, rate, _, _, bits = struct.unpack_from("<HHIIHH", fmt, 0)
+        tag = _format_tag(fmt, path)
+        if rate <= 0:
+            raise WavFormatError(f"{path}: invalid sample rate {rate}")
+        if channels not in (1, 2):
+            raise UnsupportedWavError(f"{path}: {channels} channels (only mono or stereo is read)")
 
-    if tag == 1 and bits == 16:
-        usable = len(data) // 2 * 2
-        x = np.frombuffer(data[:usable], dtype="<i2").astype(np.float64) / _PCM16_SCALE
-    elif tag == 1 and bits == 24:
-        x = _decode_pcm24(data)
-    elif tag == 3 and bits == 32:
-        usable = len(data) // 4 * 4
-        x = np.frombuffer(data[:usable], dtype="<f4").astype(np.float64)
-        nan = np.flatnonzero(np.isnan(x))
-        if nan.size:
-            raise WavFormatError(f"{path}: frame {nan[0] // channels} holds a NaN sample")
-        x = np.clip(x, -1.0, 1.0)
-    else:
-        raise UnsupportedWavError(f"{path}: format tag {tag} with {bits}-bit samples is not supported")
+        def decode(raw: bytes, frame: int) -> np.ndarray:
+            """The float64 samples of `raw`, which starts at frame `frame`."""
+            if tag == 1 and bits == 16:
+                return np.divide(np.frombuffer(raw, dtype="<i2"), _PCM16_SCALE)
+            if tag == 1 and bits == 24:
+                return _decode_pcm24(raw)
+            x = np.frombuffer(raw, dtype="<f4").astype(np.float64)
+            nan = np.flatnonzero(np.isnan(x))
+            if nan.size:
+                raise WavFormatError(f"{path}: frame {frame + nan[0] // channels} holds a NaN sample")
+            return np.clip(x, -1.0, 1.0, out=x)
 
-    frames = x.size // channels
+        if (tag, bits) not in ((1, 16), (1, 24), (3, 32)):
+            raise UnsupportedWavError(f"{path}: format tag {tag} with {bits}-bit samples is not supported")
+        width = bits // 8
+        offset, length = data
+        samples = length // width
+        frames = samples // channels
+        out = np.empty(frames)
+        f.seek(offset)
+        for first in range(0, frames, _BLOCK_FRAMES):
+            count = min(_BLOCK_FRAMES, frames - first)
+            block = decode(_read(f, count * channels * width, path), first)
+            if channels == 2:
+                block.reshape(count, 2).mean(axis=1, out=out[first : first + count])
+            else:
+                out[first : first + count] = block
+            del block  # before the next block is decoded
+        decode(_read(f, (samples - frames * channels) * width, path), frames)  # a last partial frame: only checked
     if frames == 0:
         raise EmptyAudioError(f"{path}: zero-length audio")
-    x = x[: frames * channels]
-    if channels == 2:
-        x = x.reshape(frames, 2).mean(axis=1)
-    return AudioClip(x, int(rate))
+    out.setflags(write=False)
+    return AudioClip(out, int(rate))
 
 
 def _encode_pcm24(x: np.ndarray) -> bytes:

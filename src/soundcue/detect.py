@@ -1,14 +1,16 @@
 """Turn a recording plus a pattern dictionary into a timeline of events.
 
-One pass correlates and decides. `detect` works per pattern length:
-the length's window energy is computed once, its impulse patterns are
-correlated together by `impulse_peaks`, which picks their peaks batch by
-batch, and its continuous patterns get their whole trace one at a time,
-since the box average needs it. Each impulse pattern's peaks become
-`Candidates` arrays that suppression and strength measurement decide.
-Given a `traces` list, the same pass also keeps every trace it read
-there, the traces `soundcue detect --report` writes; without one, no
-impulse trace exists.
+One pass correlates and decides. `detect` makes one engine call per
+pattern length (`scan_group`): the length's patterns share each block's
+forward FFT and each lag's window energy, the impulse patterns' peaks
+are picked batch by batch, and the continuous patterns' box averages
+and the runs above their threshold are found batch by batch too. Each
+impulse pattern's peaks become `Candidates` arrays that suppression and
+strength measurement decide; each continuous pattern's runs become
+intervals. Without a `traces` sink, `detect` holds the take, the
+batches in flight and what it has found, and no other take-length
+array. Given a `traces` list, the same pass also keeps every trace it
+read there, the traces `soundcue detect --report` writes.
 
 Impulse patterns: local maxima of the normalized cross-correlation above
 the impulse threshold become candidates; candidates of all patterns then
@@ -38,14 +40,14 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 import numpy as np
 
 from .audio import AudioClip, resample
-from .correlate import (
+from .correlate import (  # noqa: F401  (bench/tracing.py looks the correlation names up in this module)
     CorrelationTrace,
+    Runs,
     energy,
-    find_local_maxima,  # noqa: F401  (bench/tracing.py looks the peak picker up in this module)
-    impulse_peaks,
+    find_local_maxima,
     moving_average,
     normalized_cross_correlate,
-    window_energy,
+    scan_group,
 )
 from .errors import DetectionError
 from .timeline import EventInstance, PatternKind, Timeline, Track
@@ -205,29 +207,22 @@ def suppress(candidates: Candidates, patterns: Mapping[str, SoundPattern]) -> Ca
 
 
 def _continuous_intervals(
-    averaged: CorrelationTrace, pattern: SoundPattern, cfg: DetectorConfig, duration_s: float
+    runs: Runs, pattern: SoundPattern, cfg: DetectorConfig, sample_rate_hz: int, duration_s: float
 ) -> list[tuple[float, float, float]]:
     """(t_begin, t_end, peak averaged magnitude) per detected interval.
 
-    The correlation at lag tau scores the window [tau, tau+dt], so lags
-    stay high only while a whole pattern still fits inside the sound:
-    onsets of a segment [b, e] span [b, e-dt]. The reported interval adds
-    the pattern duration back to the run's end so it describes when the
-    sound is playing; runs whose supports then touch are merged.
+    `runs` are the runs of the averaged magnitude above the continuous
+    threshold. The correlation at lag tau scores the window [tau, tau+dt],
+    so lags stay high only while a whole pattern still fits inside the
+    sound: onsets of a segment [b, e] span [b, e-dt]. The reported
+    interval adds the pattern duration back to the run's end so it
+    describes when the sound is playing; runs whose supports then touch
+    are merged.
     """
-    above = averaged.values > cfg.continuous_threshold
-    if not above.any():
-        return []
-    sr = averaged.sample_rate_hz
-    flat = np.flatnonzero(above)
-    breaks = np.flatnonzero(np.diff(flat) > 1)
-    run_starts = np.concatenate(([flat[0]], flat[breaks + 1]))
-    run_ends = np.concatenate((flat[breaks], [flat[-1]]))  # inclusive
     intervals: list[list[float]] = []
-    for i0, i1 in zip(run_starts, run_ends):
-        begin = i0 / sr
-        end = min((i1 + 1) / sr + pattern.duration_s, duration_s)
-        peak = float(np.max(averaged.values[i0 : i1 + 1]))
+    for i0, i1, peak in zip(runs.starts.tolist(), runs.ends.tolist(), runs.peaks.tolist()):
+        begin = i0 / sample_rate_hz
+        end = min((i1 + 1) / sample_rate_hz + pattern.duration_s, duration_s)
         if intervals and begin <= intervals[-1][1]:
             intervals[-1][1] = max(intervals[-1][1], end)
             intervals[-1][2] = max(intervals[-1][2], peak)
@@ -333,37 +328,34 @@ def detect(
     rate first so all lags share one time base. Event times are onsets:
     the instant the instance starts inside the recording.
 
-    The impulse patterns of each length are correlated together by
-    `impulse_peaks`, which picks their peaks batch by batch. Continuous
-    patterns need their whole trace for the box average and are
-    correlated one at a time. Given a list as `traces`, `detect` appends
-    (pattern, trace, averaged) for every pattern, the pattern aligned to
-    `s`'s rate: `trace` is the normalized cross-correlation its decisions
-    read, and `averaged` the rectified trace box-averaged over one
-    pattern duration, or None for an impulse pattern. Without it, no
-    impulse trace exists and each continuous trace is dropped once it is
-    averaged.
+    The patterns of each length are correlated together by `scan_group`,
+    which picks the impulse patterns' peaks and the runs of the
+    continuous patterns' box averages batch by batch. Given a list as
+    `traces`, `detect` appends (pattern, trace, averaged) for every
+    pattern, the pattern aligned to `s`'s rate: `trace` is the normalized
+    cross-correlation its decisions read, and `averaged` the rectified
+    trace box-averaged over one pattern duration, or None for an impulse
+    pattern. Without it, no trace exists.
     """
     cfg = cfg or DetectorConfig()
     peaks: list[PatternPeaks] = []
     events: list[EventInstance] = []
-    for m, group in _by_length(s, patterns).items():
-        take_energy = window_energy(s, m)
+    for group in _by_length(s, patterns).values():
         impulses = [pattern for pattern in group if pattern.kind is PatternKind.IMPULSE]
+        continuous = [pattern for pattern in group if pattern.kind is PatternKind.CONTINUOUS]
         kept = None if traces is None else []
-        found = impulse_peaks(s, [pattern.clip for pattern in impulses], take_energy, cfg.impulse_threshold, kept)
+        found, runs = scan_group(
+            s,
+            [pattern.clip for pattern in impulses],
+            [pattern.clip for pattern in continuous],
+            cfg.impulse_threshold,
+            cfg.continuous_threshold,
+            kept,
+        )
         peaks.extend((pattern, lags, values) for pattern, (lags, values) in zip(impulses, found))
-        if kept:
-            traces.extend((pattern, trace, None) for pattern, trace in zip(impulses, kept))
-        for pattern in group:
-            if pattern.kind is PatternKind.CONTINUOUS:
-                trace = normalized_cross_correlate(s, pattern.clip, take_energy)
-                averaged = moving_average(trace, pattern.duration_s, rectify=True)
-                if traces is not None:
-                    traces.append((pattern, trace, averaged))
-                del trace  # unless kept, before the events are measured
-                intervals = _continuous_intervals(averaged, pattern, cfg, s.duration_s)
-                del averaged  # unless kept, before the next pattern's trace is computed
-                events.extend(_event(s, pattern, b, e, peak) for b, e, peak in intervals)
-        del take_energy  # before the next length's is computed
+        for pattern, pattern_runs in zip(continuous, runs):
+            intervals = _continuous_intervals(pattern_runs, pattern, cfg, s.sample_rate_hz, s.duration_s)
+            events.extend(_event(s, pattern, b, e, peak) for b, e, peak in intervals)
+        if kept is not None:
+            traces.extend((pattern, trace, averaged) for pattern, (trace, averaged) in zip(impulses + continuous, kept))
     return _decide(s, peaks, events, cfg, track_id, source_audio)

@@ -86,14 +86,12 @@ class Timeline:
         if len(set(ids)) != len(ids):
             dupes = sorted({i for i in ids if ids.count(i) > 1})
             raise SoundCueError(f"duplicate track id(s): {', '.join(dupes)}")
-        if self.duration_s < 0:
-            raise ValueError(f"duration_s must be >= 0, got {self.duration_s}")
+        _check_duration(self.duration_s)
         for track in ordered:
             for event in track.events:
-                if event.onset_s < 0 or event.end_s > self.duration_s:
-                    raise ValueError(
-                        f"event for {event.pattern_id!r} at {event.onset_s} lies outside [0, {self.duration_s}]"
-                    )
+                fault = _range_fault(event, self.duration_s)
+                if fault is not None:
+                    raise ValueError(fault[1])
         object.__setattr__(self, "tracks", ordered)
 
     def track(self, track_id: str) -> Track:
@@ -101,6 +99,22 @@ class Timeline:
             if t.track_id == track_id:
                 return t
         raise KeyError(track_id)
+
+
+def _check_duration(duration_s: float) -> None:
+    if duration_s < 0:
+        raise ValueError(f"duration_s must be >= 0, got {duration_s}")
+
+
+def _range_fault(event: EventInstance, duration_s: float) -> Optional[tuple[str, str]]:
+    """(the time field at fault, the message) when `event` does not lie within [0, duration_s]."""
+    if event.onset_s >= 0 and event.end_s <= duration_s:
+        return None
+    if event.kind is PatternKind.IMPULSE:
+        field = "t"
+    else:
+        field = "t_begin" if event.onset_s < 0 else "t_end"
+    return field, f"event for {event.pattern_id!r} at {event.onset_s} lies outside [0, {duration_s}]"
 
 
 def merge(timelines: Iterable[Timeline]) -> Timeline:
@@ -140,7 +154,7 @@ def serialize(timeline: Timeline) -> str:
     return docio.dump_json({"duration_s": float(timeline.duration_s), "tracks": tracks})
 
 
-def _event_from_obj(obj, path: str) -> EventInstance:
+def _event_from_obj(obj, path: str, duration_s: float) -> EventInstance:
     with docio.Fields(obj, path) as f:
         kind = f.enum("kind", PatternKind, "event kind")
         pattern_id = f.read("pattern", docio.as_string)
@@ -151,27 +165,40 @@ def _event_from_obj(obj, path: str) -> EventInstance:
         t_begin_s = None if impulse else f.read("t_begin", docio.as_number)
         t_end_s = None if impulse else f.read("t_end", docio.as_number)
     try:
-        return EventInstance(pattern_id, kind, strength, peak_correlation, t_s, t_begin_s, t_end_s)
+        event = EventInstance(pattern_id, kind, strength, peak_correlation, t_s, t_begin_s, t_end_s)
     except ValueError as exc:
         raise SchemaError(path, str(exc)) from exc
+    fault = _range_fault(event, duration_s)
+    if fault is not None:
+        raise SchemaError(f"{path}.{fault[0]}", fault[1])
+    return event
 
 
-def _track_from_obj(obj, path: str) -> Track:
+def _track_from_obj(obj, path: str, duration_s: float) -> Track:
     with docio.Fields(obj, path) as f:
         return Track(
             track_id=f.read("track_id", docio.as_string),
-            events=tuple(f.read("events", docio.array_of(_event_from_obj))),
+            events=tuple(f.read("events", docio.array_of(lambda o, p: _event_from_obj(o, p, duration_s)))),
             source_audio=f.read("source_audio", docio.nullable(docio.as_string), None),
         )
 
 
+def _duration(value, path: str) -> float:
+    duration = docio.as_number(value, path)
+    try:
+        _check_duration(duration)
+    except ValueError as exc:
+        raise SchemaError(path, str(exc)) from exc
+    return duration
+
+
 def deserialize(text: str) -> Timeline:
     with docio.Fields(docio.parse_json(text, "timeline")) as f:
-        duration = f.read("duration_s", docio.as_number)
-        tracks = f.read("tracks", docio.array_of(_track_from_obj))
+        duration = f.read("duration_s", _duration)
+        tracks = f.read("tracks", docio.array_of(lambda obj, path: _track_from_obj(obj, path, duration)))
     try:
         return Timeline(tracks=tuple(tracks), duration_s=duration)
-    except (ValueError, SoundCueError) as exc:
+    except SoundCueError as exc:  # duplicate track ids; every field was checked where it was read
         raise SchemaError("", str(exc)) from exc
 
 

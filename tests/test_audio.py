@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 import uuid
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from soundcue import audio
 from soundcue import (
     AudioClip,
     EmptyAudioError,
@@ -48,6 +50,15 @@ class TestAudioClip:
         clip = AudioClip(np.zeros(4), SR)
         with pytest.raises(ValueError):
             clip.samples[0] = 1.0
+
+    def test_read_only_samples_are_kept_and_writable_ones_copied(self):
+        frozen = np.linspace(-1.0, 1.0, 5)
+        frozen.setflags(write=False)
+        assert AudioClip(frozen, SR).samples is frozen  # a decoded take is not copied
+        values = np.zeros(4)
+        clip = AudioClip(values, SR)
+        values[0] = 0.5
+        assert clip.samples[0] == 0.0 and not clip.samples.flags.writeable
 
 
 class TestLoadWav:
@@ -182,6 +193,95 @@ class TestLoadWavVariants:
         assert load_wav(path).samples.tolist() == [0.5]
 
 
+def variant_payload(rng, bits, tag, channels, frames, extra_samples=0):
+    """Random sample bytes of `frames` frames plus `extra_samples` of a last partial frame."""
+    count = frames * channels + extra_samples
+    if tag == 3:
+        return rng.uniform(-1.5, 1.5, count).astype("<f4").tobytes()
+    return rng.integers(0, 256, count * bits // 8, dtype=np.uint8).tobytes()
+
+
+VARIANTS = [(16, 1), (24, 1), (32, 3)]
+
+
+class TestLoadWavBlocks:
+    """The data chunk decoded block by block is the data chunk decoded at once."""
+
+    @pytest.mark.parametrize("bits, tag", VARIANTS, ids=["pcm16", "pcm24", "float32"])
+    @pytest.mark.parametrize("channels", [1, 2])
+    @pytest.mark.parametrize("extensible", [False, True])
+    @pytest.mark.parametrize("frames, extra", [(1, 0), (7, 0), (10, 1), (12, 0)])
+    def test_tiny_blocks_decode_like_one_block(self, tmp_path, monkeypatch, bits, tag, channels, extensible, frames, extra):
+        rng = np.random.default_rng(bits * 100 + channels * 10 + frames)
+        path = tmp_path / "v.wav"
+        fmt = _extensible_fmt(bits, channels, FLOAT_GUID if tag == 3 else PCM_GUID) if extensible else None
+        payload = variant_payload(rng, bits, tag, channels, frames, extra if channels == 2 else 0)
+        _write_raw_wav(path, payload, tag=0xFFFE if extensible else tag, bits=bits, channels=channels, fmt=fmt)
+        monkeypatch.setattr(audio, "_BLOCK_FRAMES", 1 << 30)
+        whole = load_wav(path)
+        for block in (1, 2, 3):
+            monkeypatch.setattr(audio, "_BLOCK_FRAMES", block)
+            got = load_wav(path)
+            assert got.sample_rate_hz == whole.sample_rate_hz
+            assert got.samples.tobytes() == whole.samples.tobytes(), block
+        assert len(whole) == frames
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    @pytest.mark.parametrize("frame, extra", [(0, 0), (7, 0), (9, 0), (10, 1)])
+    def test_nan_in_a_later_block_names_its_frame(self, tmp_path, monkeypatch, channels, frame, extra):
+        samples = np.full(10 * channels + extra, 0.25, dtype="<f4")
+        samples[min(frame * channels + channels - 1, samples.size - 1)] = np.nan  # the frame's last sample
+        path = tmp_path / "nan.wav"
+        _write_raw_wav(path, samples.tobytes(), tag=3, bits=32, channels=channels)
+        for block in (3, 1 << 16):
+            monkeypatch.setattr(audio, "_BLOCK_FRAMES", block)
+            with pytest.raises(WavFormatError, match=rf"nan\.wav: frame {frame} holds a NaN sample"):
+                load_wav(path)
+
+    @pytest.mark.parametrize("block", [2, 1 << 16])
+    @pytest.mark.parametrize("declared", [9, 10, 100])
+    def test_truncated_data_chunk_rejected_in_any_block_size(self, tmp_path, monkeypatch, block, declared):
+        monkeypatch.setattr(audio, "_BLOCK_FRAMES", block)
+        path = tmp_path / "cut.wav"
+        _write_raw_wav(path, struct.pack("<6h", 1, 2, 3, 4, 5, 6), tag=1, bits=16, channels=1, declared_size=declared + 4)
+        with pytest.raises(WavFormatError, match=rf"cut\.wav.*\b{declared + 4}\b.*\b12\b"):
+            load_wav(path)
+
+    @pytest.mark.parametrize("block", [2, 1 << 16])
+    def test_truncated_trailing_chunk_rejected_in_any_block_size(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(audio, "_BLOCK_FRAMES", block)
+        path = tmp_path / "tail.wav"
+        _write_raw_wav(path, struct.pack("<6h", 1, 2, 3, 4, 5, 6), tag=1, bits=16, channels=1)
+        path.write_bytes(path.read_bytes() + b"LIST" + struct.pack("<I", 64) + b"INFO")
+        with pytest.raises(WavFormatError, match=r"tail\.wav.*64.*\b4\b"):
+            load_wav(path)
+
+
+class TestLoadWavMemory:
+    """load_wav holds the decoded take and one block, not the file's bytes beside copies of the take."""
+
+    @pytest.mark.parametrize("fmt, channels", [("float32", 1), ("pcm16", 1), ("pcm24", 1), ("float32", 2)])
+    def test_peak_is_the_take_plus_one_block(self, tmp_path, fmt, channels):
+        rng = np.random.default_rng(12)
+        path = tmp_path / "take.wav"
+        frames = 10 * SR
+        if channels == 1:
+            save_wav(AudioClip(rng.uniform(-1, 1, frames), SR), path, sample_format=fmt)
+        else:
+            _write_raw_wav(path, rng.uniform(-1, 1, 2 * frames).astype("<f4").tobytes(), tag=3, bits=32, channels=2)
+        tracemalloc.start()
+        try:
+            clip = load_wav(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(clip) == frames
+        # One block: its bytes read, its decoded samples and their temporaries, under three
+        # blocks of decoded float64 samples.
+        block = 3 * 8 * channels * audio._BLOCK_FRAMES
+        assert peak <= clip.samples.nbytes + block
+
+
 class TestSaveWav:
     def test_zeros_roundtrip(self, tmp_path):
         path = tmp_path / "z.wav"
@@ -282,28 +382,47 @@ class TestWavProperties:
         frames=st.integers(0, 12),
     )
     def test_mutated_files_only_raise_soundcue_errors(self, tmp_path, data, bits_tag, channels, extensible, frames):
-        bits, tag = bits_tag
-        guid = FLOAT_GUID if tag == 3 else PCM_GUID
-        fmt = _extensible_fmt(bits, channels, guid) if extensible else None
-        path = tmp_path / "fuzz.wav"
-        payload = data.draw(st.binary(min_size=frames, max_size=frames * channels * 4), label="payload")
-        _write_raw_wav(path, payload, tag=0xFFFE if extensible else tag, bits=bits, channels=channels, fmt=fmt)
-        raw = bytearray(path.read_bytes())
-        # Overwrite header fields and chunk sizes with arbitrary 16- and 32-bit values,
-        # flip single bytes anywhere, then maybe cut the file or append a chunk.
-        for offset, value, width in data.draw(
-            st.lists(st.tuples(st.integers(0, len(raw) - 1), st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 4])),
-                     max_size=4),
-            label="edits",
-        ):
-            raw[offset : offset + width] = (value % (1 << 8 * width)).to_bytes(width, "little")
-        raw = raw[: data.draw(st.integers(0, len(raw)), label="length")]
-        raw += data.draw(st.sampled_from([b"", b"LIST" + struct.pack("<I", 4) + b"INFO", b"data\x02\x00\x00\x00ab"]),
-                         label="tail")
-        path.write_bytes(bytes(raw))
-        try:
-            clip = load_wav(path)
-        except SoundCueError:
-            return
-        assert len(clip) > 0 and clip.sample_rate_hz > 0
-        assert np.all(np.abs(clip.samples) <= 1.0)
+        load_mutated_wav(tmp_path, data, bits_tag, channels, extensible, frames)
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        data=st.data(),
+        bits_tag=st.sampled_from([(16, 1), (24, 1), (32, 3), (8, 1), (32, 1), (16, 3)]),
+        channels=st.integers(1, 3),
+        extensible=st.booleans(),
+        frames=st.integers(0, 12),
+    )
+    def test_mutated_files_in_tiny_blocks_only_raise_soundcue_errors(
+        self, tmp_path, monkeypatch, data, bits_tag, channels, extensible, frames
+    ):
+        monkeypatch.setattr(audio, "_BLOCK_FRAMES", 2)
+        load_mutated_wav(tmp_path, data, bits_tag, channels, extensible, frames)
+
+
+def load_mutated_wav(tmp_path, data, bits_tag, channels, extensible, frames):
+    """Write a WAV, mutate it as `data` draws, and load it: a SoundCueError or a valid clip."""
+    bits, tag = bits_tag
+    guid = FLOAT_GUID if tag == 3 else PCM_GUID
+    fmt = _extensible_fmt(bits, channels, guid) if extensible else None
+    path = tmp_path / "fuzz.wav"
+    payload = data.draw(st.binary(min_size=frames, max_size=frames * channels * 4), label="payload")
+    _write_raw_wav(path, payload, tag=0xFFFE if extensible else tag, bits=bits, channels=channels, fmt=fmt)
+    raw = bytearray(path.read_bytes())
+    # Overwrite header fields and chunk sizes with arbitrary 16- and 32-bit values,
+    # flip single bytes anywhere, then maybe cut the file or append a chunk.
+    for offset, value, width in data.draw(
+        st.lists(st.tuples(st.integers(0, len(raw) - 1), st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 4])),
+                 max_size=4),
+        label="edits",
+    ):
+        raw[offset : offset + width] = (value % (1 << 8 * width)).to_bytes(width, "little")
+    raw = raw[: data.draw(st.integers(0, len(raw)), label="length")]
+    raw += data.draw(st.sampled_from([b"", b"LIST" + struct.pack("<I", 4) + b"INFO", b"data\x02\x00\x00\x00ab"]),
+                     label="tail")
+    path.write_bytes(bytes(raw))
+    try:
+        clip = load_wav(path)
+    except SoundCueError:
+        return
+    assert len(clip) > 0 and clip.sample_rate_hz > 0
+    assert np.all(np.abs(clip.samples) <= 1.0)

@@ -1,4 +1,3 @@
-import importlib
 import json
 import math
 import tracemalloc
@@ -222,26 +221,30 @@ class TestDetect:
         assert peaks["report"] - peaks["plain"] < trace_bytes
 
     def test_report_computes_each_trace_once(self, fixture_dir, tmp_path, monkeypatch):
-        """The report writes the traces detection read: one engine pass and one energy per pattern length."""
-        detect_module = importlib.import_module("soundcue.detect")  # the package's `detect` is the function
-        calls = []
+        """The report writes the traces detection read: one engine pass per pattern length, whose
+        running energy sum takes each sample's square once."""
+        engine_calls, squared = [], {}  # squared: per pattern length, the running sums and the samples they took
+        real_dot, real_push = correlate._sliding_dot, correlate._WindowSums.push
 
-        def counted(name, real):
-            def spy(*args, **kwargs):
-                calls.append(name)
-                return real(*args, **kwargs)
+        def dot_spy(*args, **kwargs):
+            engine_calls.append(np.shape(args[1])[-1])  # the pattern length
+            return real_dot(*args, **kwargs)
 
-            return spy
+        def push_spy(sums, x):
+            if sums.of is np.square:
+                squared.setdefault(sums.w, []).append((id(sums), x.size))
+            return real_push(sums, x)
 
-        energy = counted("window_energy", correlate.window_energy)
-        for module in (detect_module, correlate):  # the correlation computes its own energy when given none
-            monkeypatch.setattr(module, "window_energy", energy)
-        monkeypatch.setattr(correlate, "_sliding_dot", counted("_sliding_dot", correlate._sliding_dot))
+        monkeypatch.setattr(correlate, "_sliding_dot", dot_spy)
+        monkeypatch.setattr(correlate._WindowSums, "push", push_spy)
         assert main([
             "detect", str(fixture_dir / "sequence.wav"), "--patterns", str(fixture_dir / "patterns.json"),
             "--track-id", "take", "--out-dir", str(tmp_path / "rep"), "--report",
         ]) == 0
-        assert sorted(calls) == ["_sliding_dot"] * 3 + ["window_energy"] * 3
+        assert len(engine_calls) == 3 and sorted(engine_calls) == sorted(squared)
+        samples = len(load_wav(fixture_dir / "sequence.wav"))
+        for pushes in squared.values():
+            assert len({sums for sums, _ in pushes}) == 1 and sum(size for _, size in pushes) == samples
 
     def test_report_shares_each_length_forward_fft(self, fixture_dir, tmp_path, monkeypatch):
         """Two impulse patterns of one length go through one engine call with `--report` too."""

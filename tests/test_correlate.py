@@ -19,8 +19,8 @@ from soundcue import (
     raw_cross_correlate,
     window_energy,
 )
-from soundcue import correlate
-from soundcue.correlate import EPS_ENERGY, _fft_length, _sliding_dot
+from soundcue import above_runs, correlate
+from soundcue.correlate import EPS_ENERGY, _BoxMean, _WindowSums, _fft_length, _sliding_dot
 
 SR = 8000
 
@@ -57,6 +57,17 @@ def direct_ncc(s, p):
     """
     denom = np.sqrt(np.maximum(reference_window_energy(s, len(p)), EPS_ENERGY) * float(np.dot(p, p)))
     return np.clip(direct_sliding_dot(s, p) / denom, -1.0, 1.0)
+
+
+def reference_window_sums(x, w, lead, mean, of):
+    """Index-array formula for sum(of(x)[max(i - lead, 0) : min(i - lead + w, n)]), divided by its length if `mean`."""
+    n = x.size
+    csum = np.concatenate(([0.0], np.cumsum(x if of is None else of(x))))
+    idx = np.arange(n)
+    starts = np.maximum(idx - lead, 0)
+    ends = np.minimum(idx - lead + w, n)
+    sums = csum[ends] - csum[starts]
+    return sums / (ends - starts) if mean else sums
 
 
 def reference_moving_average(values, w):
@@ -275,14 +286,6 @@ class TestTraceOwnership:
         values[0] = 0.9
         assert trace.values[0] == 0.1 and not trace.values.flags.writeable
 
-    def test_shared_energy_must_match_the_take(self):
-        s, p = clip(np.ones(16)), clip(np.ones(4))
-        with pytest.raises(ValueError):
-            normalized_cross_correlate(s, p, window_energy(clip(np.ones(15)), 4))
-        assert np.array_equal(
-            normalized_cross_correlate(s, p, window_energy(s, 4)).values, normalized_cross_correlate(s, p).values
-        )
-
 
 class TestReferenceEquality:
     """The prefix-sum slices do the index-array formulas' arithmetic, so results are bit for bit equal."""
@@ -356,10 +359,10 @@ class TestMemoryBound:
         assert self.peak_bytes(window_energy, s, len(p)) <= 2.5 * s.samples.nbytes  # prefix sum + output, no s*s
 
     def test_normalized_cross_correlate_with_shared_energy(self, take):
-        # The output plus the blocks in flight: no denominator the length of the take.
+        # The output plus the blocks in flight: the energy is shared batch by batch, no
+        # denominator or energy the length of the take.
         s, p = take
-        shared = window_energy(s, len(p))
-        assert self.peak_bytes(normalized_cross_correlate, s, p, shared) <= 2 * s.samples.nbytes
+        assert self.peak_bytes(normalized_cross_correlate, s, p) <= 2 * s.samples.nbytes
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_blocks_in_flight_share_one_budget(self, take, workers, monkeypatch):
@@ -576,14 +579,13 @@ class TestImpulsePeaks:
         plateaus = 0
         for trial in range(6):
             s = clip(plateau_take(rng, n, m))
-            shared = window_energy(s, m)
             threshold = float(rng.choice([0.3, 0.5, 0.9]))
-            got = impulse_peaks(s, clips, shared, threshold)
+            got = impulse_peaks(s, clips, threshold)
             kept = []  # the same call keeping its traces picks the same peaks from them
-            with_traces = impulse_peaks(s, clips, shared, threshold, kept)
+            with_traces = impulse_peaks(s, clips, threshold, kept)
             assert len(got) == len(with_traces) == len(kept) == len(clips)
             for p, (lags, values), (kept_lags, kept_values), kept_trace in zip(clips, got, with_traces, kept):
-                trace = normalized_cross_correlate(s, p, shared)
+                trace = normalized_cross_correlate(s, p)
                 assert kept_trace.values.tobytes() == trace.values.tobytes()
                 assert np.array_equal(kept_lags, lags) and np.array_equal(kept_values, values)
                 assert lags.dtype == np.int64 and values.dtype == np.float64
@@ -596,11 +598,8 @@ class TestImpulsePeaks:
         for n, m in ((40, 40), (100, 13), (9, 1)):
             s = clip(rng.uniform(-1, 1, n))
             clips = [clip(rng.uniform(-1, 1, m)) for _ in range(3)]
-            shared = window_energy(s, m)
-            for p, (lags, values) in zip(clips, impulse_peaks(s, clips, shared, 0.1)):
-                assert list(zip(lags.tolist(), values.tolist())) == find_local_maxima(
-                    normalized_cross_correlate(s, p, shared), 0.1
-                )
+            for p, (lags, values) in zip(clips, impulse_peaks(s, clips, 0.1)):
+                assert list(zip(lags.tolist(), values.tolist())) == find_local_maxima(normalized_cross_correlate(s, p), 0.1)
 
     def test_group_shares_one_engine_call_and_one_forward_fft_per_block(self, monkeypatch):
         calls, forward = [], []
@@ -621,7 +620,7 @@ class TestImpulsePeaks:
         rng = np.random.default_rng(42)
         s = clip(rng.uniform(-1, 1, 4 * block_step(m)))
         clips = [clip(rng.uniform(-1, 1, m)) for _ in range(4)]
-        impulse_peaks(s, clips, window_energy(s, m), 0.5)
+        impulse_peaks(s, clips, 0.5)
         assert calls == [(4, m)]
         take_blocks = [shape for shape in forward if len(shape) == 2]  # the patterns' own transforms are 1-D
         assert sum(shape[0] for shape in take_blocks) == 4  # every block once, not once per pattern
@@ -629,9 +628,122 @@ class TestImpulsePeaks:
     def test_rejects_mixed_lengths_and_bad_energy(self):
         s = clip(np.random.default_rng(43).uniform(-1, 1, 200))
         with pytest.raises(ValueError):
-            impulse_peaks(s, [clip(np.ones(4)), clip(np.ones(5))], window_energy(s, 4), 0.5)
-        with pytest.raises(ValueError):
-            impulse_peaks(s, [clip(np.ones(4))], window_energy(clip(np.ones(199)), 4), 0.5)
+            impulse_peaks(s, [clip(np.ones(4)), clip(np.ones(5))], 0.5)
         with pytest.raises(DetectionError):
-            impulse_peaks(s, [clip(np.ones(4)), clip(np.zeros(4))], window_energy(s, 4), 0.5)
-        assert impulse_peaks(s, [], window_energy(s, 4), 0.5) == []
+            impulse_peaks(s, [clip(np.ones(4)), clip(np.zeros(4))], 0.5)
+        assert impulse_peaks(s, [], 0.5) == []
+
+
+def pushed_in_chunks(sums, x, cuts, pops):
+    """`sums` fed x cut before each lag in `cuts`; after each chunk, the sums it completes, or only `pops` of them."""
+    bounds = sorted({0, x.size, *(c for c in cuts if 0 < c < x.size)})
+    out = []
+    for lo, hi in zip(bounds, bounds[1:]) if x.size else [(0, 0)]:
+        sums.push(x[lo:hi])
+        ready = sums.ready()
+        stop = min(sums.done + pops, ready) if pops is not None and hi < x.size else ready
+        out.append(sums.pop(stop))
+    out.append(sums.pop())
+    return np.concatenate(out)
+
+
+# Values that make rounding visible: large and tiny magnitudes, exact zeros and negative zeros.
+chunked_values = st.lists(
+    st.one_of(st.floats(-1.0, 1.0), st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-9, 0.3])), max_size=120
+)
+cut_lists = st.lists(st.integers(0, 120), max_size=12)
+
+
+class TestStreamedSums:
+    """Window sums from a prefix sum carried chunk to chunk are the whole sequence's sums, bit for bit."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(chunked_values, st.integers(1, 30), st.data(), cut_lists, st.one_of(st.none(), st.integers(0, 5)))
+    @example([0.5] * 10, 4, None, [2, 3, 7], None)  # cuts inside one window, rows shorter than w
+    @example([0.5, -0.0, 0.25], 1, None, [1, 2], 0)  # w = 1, one-lag rows, nothing popped early
+    @example([], 3, None, [], None)  # an empty sequence
+    def test_any_cuts_give_the_whole_sequence_sums(self, values, w, data, cuts, pops):
+        x = np.asarray(values, dtype=float)
+        lead = 0 if data is None else data.draw(st.integers(0, w - 1), label="lead")
+        of = None if data is None else data.draw(st.sampled_from([None, np.square, np.absolute]), label="of")
+        mean = data is not None and data.draw(st.booleans(), label="mean")
+        whole = reference_window_sums(x, w, lead, mean, of)
+        streamed = pushed_in_chunks(_WindowSums(x.size, w, lead, mean, of), x, cuts, pops)
+        assert streamed.tobytes() == whole.tobytes()
+        if of is np.square and lead == 0 and not mean:
+            assert np.array_equal(streamed, reference_window_energy(x, w))
+        if mean and lead == (w - 1) // 2 and w > 1:
+            assert np.array_equal(streamed, reference_moving_average(x if of is None else of(x), w))
+
+    @settings(max_examples=300, deadline=None)
+    @given(chunked_values, st.integers(0, 30), st.booleans(), cut_lists)
+    @example([0.1, -0.5, 0.2, 0.9], 0, True, [1, 3])  # w = 0 and w = 1 are the lag itself
+    @example([0.1, -0.5, 0.2, 0.9], 1, False, [2])
+    @example([0.3] * 9 + [-0.7] * 9, 7, True, [3, 4, 12])  # rows shorter than the window, one cut inside it
+    def test_box_means_in_rows_equal_moving_average(self, values, w, rectify, cuts):
+        x = np.asarray(values, dtype=float)
+        box = _BoxMean(x.size, w, rectify)
+        bounds = sorted({0, x.size, *(c for c in cuts if 0 < c < x.size)})
+        streamed = np.concatenate([box.push(x[lo:hi]) for lo, hi in zip(bounds, bounds[1:])] or [np.empty(0)])
+        whole = moving_average(CorrelationTrace(x, SR), max(w, 0.4) / SR, rectify).values
+        assert streamed.tobytes() == whole.tobytes()
+        assert np.array_equal(streamed, reference_moving_average(np.abs(x) if rectify else x, w))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_energy_carried_across_batches_equals_index_array_formula(self, workers, monkeypatch):
+        # The lead-0 energy each batch gets from the running prefix sum, one block per batch.
+        rng = np.random.default_rng(26 + workers)
+        monkeypatch.setattr(correlate, "_WORKERS", workers)
+        for m in (1, 5, 37):
+            n = 9 * block_step(m) + int(rng.integers(0, block_step(m)))
+            monkeypatch.setattr(correlate, "_BATCH_SAMPLES", _fft_length(n, m) * workers)
+            s = rng.uniform(-1, 1, n) * rng.choice([1.0, 1e-9], n)  # quiet stretches reach the clamp
+            p = rng.uniform(-1, 1, m)
+            denom = np.sqrt(np.maximum(reference_window_energy(s, m), EPS_ENERGY) * float(np.dot(p, p)))
+            expected = np.clip(_sliding_dot(s, p) / denom, -1.0, 1.0)
+            assert np.array_equal(normalized_cross_correlate(clip(s), clip(p)).values, expected), m
+
+    def test_one_running_sum_per_call(self, monkeypatch):
+        pushed, real_push = [], _WindowSums.push
+
+        def push_spy(self, x):
+            pushed.append((self.w, self.of, x.size))
+            return real_push(self, x)
+
+        monkeypatch.setattr(correlate, "_WORKERS", 2)
+        monkeypatch.setattr(correlate, "_BATCH_SAMPLES", 3 * _fft_length(4000, 50))
+        monkeypatch.setattr(_WindowSums, "push", push_spy)
+        rng = np.random.default_rng(27)
+        normalized_cross_correlate(clip(rng.uniform(-1, 1, 4000)), clip(rng.uniform(-1, 1, 50)))
+        assert len(pushed) > 3 and {(w, of) for w, of, _ in pushed} == {(50, np.square)}
+        assert sum(size for _, _, size in pushed) == 4000  # each sample squared once
+
+
+def reference_runs(values, threshold):
+    """(first, last, peak) of each maximal run above `threshold`, by a plain loop."""
+    runs, start = [], None
+    for i, v in enumerate(list(values) + [-np.inf]):
+        if v > threshold and start is None:
+            start = i
+        elif not v > threshold and start is not None:
+            runs.append((start, i - 1, max(values[start:i])))
+            start = None
+    return runs
+
+
+class TestStreamedRuns:
+    """Runs found row by row and stitched are the whole trace's runs."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(few_level_traces, st.sampled_from([-1.0, 0.0, 0.5, 0.7, 0.9]), st.lists(st.integers(0, 100), max_size=10))
+    @example([0.9] * 12, 0.5, [3, 6, 9])  # one run over four rows, filling two of them
+    @example([0.0, 0.9, 0.9, 0.0, 0.9], 0.5, [2, 4])  # runs crossing an edge, touching the trace's end
+    @example([0.9, 0.0, 0.9], 0.5, [1, 2])  # two runs one lag apart, each a row of its own
+    def test_matches_whole_trace(self, values, threshold, cuts):
+        v = np.asarray(values, dtype=float)
+        bounds = sorted({0, v.size, *(c for c in cuts if 0 < c < v.size)})
+        stitched = correlate._stitch_runs([correlate._row_runs(v[lo:hi], threshold, lo) for lo, hi in zip(bounds, bounds[1:])])
+        whole = above_runs(CorrelationTrace(v, SR), threshold)
+        for got, expected in zip(stitched, whole):
+            assert got.dtype == expected.dtype and np.array_equal(got, expected)
+        assert list(zip(*(column.tolist() for column in whole))) == reference_runs(values, threshold)

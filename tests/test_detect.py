@@ -28,8 +28,8 @@ from soundcue import (
     strength,
     suppress,
 )
-from soundcue import correlate
-from soundcue.correlate import moving_average, normalized_cross_correlate
+from soundcue import above_runs, correlate
+from soundcue.correlate import CorrelationTrace, _fft_length, moving_average, normalized_cross_correlate
 from conftest import SR, silent_clip
 
 
@@ -255,6 +255,12 @@ class TestSuppress:
             Candidates(("a",), [0], [0.0, 1.0], [0.9])
 
 
+# At its peak `detect` holds, beside the take, the ring of batch buffers (the spectra, products,
+# inverse transforms and energies of one batch per worker: about 4 budgets), each pattern's
+# spectrum and a boxcar's prefix sum: under 6 batch budgets, whatever the take's length.
+PEAK_BUDGETS = 6
+
+
 def continuous_intervals(s, pattern, cfg):
     """(t_begin_s, t_end_s) of each event `detect` finds for one continuous pattern."""
     return [(e.t_begin_s, e.t_end_s) for e in detect(s, [pattern], cfg).tracks[0].events]
@@ -414,7 +420,7 @@ class TestDetect:
         ]
 
     def test_window_energy_computed_once_per_pattern_length(self, dictionary, figure_sequence, monkeypatch):
-        detect_module = importlib.import_module("soundcue.detect")  # the package's `detect` is the function
+        """One engine call per pattern length, and each sample's square enters one running sum per length."""
         tick_twin = make_pattern("noise_burst", dictionary["tick"].duration_s, seed=11, sample_rate_hz=SR)
         chhh_twin = make_pattern("tonal_burst", dictionary["chhh"].duration_s, seed=12, sample_rate_hz=SR)
         patterns = [  # lengths interleaved: tick, chhh, poc, tick, chhh
@@ -424,40 +430,40 @@ class TestDetect:
             SoundPattern("tock", tick_twin, PatternKind.IMPULSE),
             SoundPattern("shhh", chhh_twin, PatternKind.CONTINUOUS),
         ]
-        computed, passed = [], []
-        real_energy, real_ncc = detect_module.window_energy, detect_module.normalized_cross_correlate
-        real_peaks = detect_module.impulse_peaks
+        groups, squared = [], {}
+        real_dot, real_push = correlate._sliding_dot, correlate._WindowSums.push
 
-        def energy_spy(s, m):
-            out = real_energy(s, m)
-            computed.append((m, out))
-            return out
+        def dot_spy(s, p, *args, **kwargs):
+            groups.append(np.shape(p))
+            return real_dot(s, p, *args, **kwargs)
 
-        def ncc_spy(s, p, take_energy=None):
-            passed.append((len(p), take_energy))
-            return real_ncc(s, p, take_energy)
+        def push_spy(sums, x):
+            if sums.of is np.square:
+                squared.setdefault(sums.w, []).append((id(sums), x.size))
+            return real_push(sums, x)
 
-        def peaks_spy(s, clips, take_energy, *rest):  # impulse patterns share one correlation per length
-            passed.extend((len(p), take_energy) for p in clips)
-            return real_peaks(s, clips, take_energy, *rest)
-
-        monkeypatch.setattr(detect_module, "window_energy", energy_spy)
-        monkeypatch.setattr(detect_module, "normalized_cross_correlate", ncc_spy)
-        monkeypatch.setattr(detect_module, "impulse_peaks", peaks_spy)
+        monkeypatch.setattr(correlate, "_WORKERS", 2)
+        monkeypatch.setattr(correlate, "_sliding_dot", dot_spy)
+        monkeypatch.setattr(correlate._WindowSums, "push", push_spy)
         result = detect(figure_sequence, patterns)
         lengths = [len(p.clip) for p in patterns]
-        assert sorted(m for m, _ in computed) == sorted(set(lengths)) and len(set(lengths)) == 3
-        energies = dict(computed)
-        assert sorted(m for m, _ in passed) == sorted(lengths)
-        assert all(energy is energies[m] for m, energy in passed)
+        assert sorted(groups) == sorted((lengths.count(m), m) for m in set(lengths)) and len(groups) == 3
+        assert sorted(squared) == sorted(set(lengths))
+        for pushes in squared.values():
+            assert len({sums for sums, _ in pushes}) == 1  # one running sum per length
+            assert sum(size for _, size in pushes) == len(figure_sequence)  # every sample squared once
+            assert len(pushes) > 1  # carried batch by batch, not over the whole take at once
         assert {e.pattern_id for e in result.tracks[0].events} >= {"tick", "poc", "chhh"}
 
-    def test_memory_holds_one_pattern_at_a_time(self):
-        """Only one length's window energy and one pattern's traces are alive at a time.
+    def test_memory_holds_one_pattern_at_a_time(self, monkeypatch):
+        """Without a sink, `detect` holds the batches in flight beside the take, and no take-length array.
 
-        About four take-length arrays at the peak; keeping the previous
-        pattern's traces alive while the next one correlates adds two more.
+        With continuous patterns of two lengths among the patterns, the
+        peak is a few batch budgets (8 * _BATCH_SAMPLES bytes each), the
+        same on a 20 s and a 60 s take to within one budget. One
+        take-length array is 1.7 budgets at 20 s and 5.0 at 60 s.
         """
+        monkeypatch.setattr(correlate, "_WORKERS", 2)
         patterns = [
             SoundPattern(f"{kind.value}_{i}", make_pattern("tonal_burst", d, seed=20 + i, sample_rate_hz=SR), kind)
             for i, (d, kind) in enumerate(
@@ -468,15 +474,19 @@ class TestDetect:
         planted = [PlantedInstance("impulse_0", onset_s=2.0), PlantedInstance("impulse_2", onset_s=9.0),
                    PlantedInstance("continuous_1", t_begin_s=4.0, t_end_s=6.0),
                    PlantedInstance("continuous_3", t_begin_s=12.0, t_end_s=14.0)]
-        s = plant({p.id: p.clip for p in patterns}, planted, duration=20.0, noise=0.02)
-        tracemalloc.start()
-        try:
-            events = detect(s, patterns).tracks[0].events
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert {e.pattern_id for e in events} == {p.id for p in patterns}
-        assert peak <= 5 * s.samples.nbytes
+        budget = 8 * correlate._BATCH_SAMPLES
+        peaks = {}
+        for duration in (20.0, 60.0):
+            s = plant({p.id: p.clip for p in patterns}, planted, duration=duration, noise=0.02)
+            tracemalloc.start()
+            try:
+                events = detect(s, patterns).tracks[0].events
+                _, peaks[duration] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert {e.pattern_id for e in events} == {p.id for p in patterns}
+        assert max(peaks.values()) <= PEAK_BUDGETS * budget, peaks
+        assert abs(peaks[60.0] - peaks[20.0]) <= budget, peaks
 
     def test_memory_holds_no_impulse_trace(self, monkeypatch):
         """Impulse patterns of one length hold their shared energy and the batches in flight, never a trace.
@@ -567,3 +577,61 @@ class TestEntryPointsAgree:
                     else:
                         expected = moving_average(reference, aligned.duration_s, rectify=True)
                         assert averaged.values.tobytes() == expected.values.tobytes()
+
+
+def cut_rows(n, cuts):
+    bounds = sorted({0, n, *(c for c in cuts if 0 < c < n)})
+    return list(zip(bounds, bounds[1:]))
+
+
+class TestStreamedContinuous:
+    """A continuous pattern's lags, box-averaged and thresholded batch by batch, decide the whole trace's intervals."""
+
+    RATE = 100
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.sampled_from([0.0, 0.2, 0.6, 0.9, -0.9, 1.0]), min_size=1, max_size=80),
+        st.integers(1, 9),
+        st.lists(st.integers(0, 80), max_size=8),
+        st.sampled_from([0.3, 0.5, 0.7]),
+        st.sampled_from([0.0, 0.05, 0.15]),
+    )
+    @example([0.0] * 3 + [0.9] * 4 + [0.0] * 3, 1, [5], 0.5, 0.0)  # a run that crosses a row edge
+    @example([0.0] * 3 + [0.9] * 6 + [0.0] * 3, 1, [4, 7], 0.5, 0.0)  # a run that fills a whole row
+    @example([0.0] * 5 + [-0.9] * 4, 3, [6, 8], 0.5, 0.0)  # a run that touches the end of the take
+    @example([0.9] * 3 + [0.0] + [0.9] * 3, 2, [2, 5], 0.5, 0.0)  # two runs whose supports touch
+    def test_rows_decide_like_the_whole_trace(self, values, w, cuts, threshold, min_duration):
+        detect_module = importlib.import_module("soundcue.detect")
+        v, rate = np.asarray(values, dtype=float), self.RATE
+        pattern = SoundPattern("c", AudioClip(np.full(w, 0.5), rate), PatternKind.CONTINUOUS)
+        cfg = DetectorConfig(continuous_threshold=threshold, continuous_min_duration_s=min_duration)
+        box = correlate._BoxRuns(v.size, w, threshold, keep=False)
+        for lo, hi in cut_rows(v.size, cuts):
+            box(v[lo:hi].copy())  # the engine hands a sink lags it may overwrite
+        duration = v.size / rate
+        streamed = detect_module._continuous_intervals(box.runs(), pattern, cfg, rate, duration)
+        averaged = moving_average(CorrelationTrace(v, rate), pattern.duration_s, rectify=True)
+        whole = detect_module._continuous_intervals(above_runs(averaged, threshold), pattern, cfg, rate, duration)
+        assert streamed == whole
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_one_block_per_batch_decides_like_the_default(self, dictionary, workers, monkeypatch):
+        shhh = make_pattern("tonal_burst", dictionary["tick"].duration_s, seed=13, sample_rate_hz=SR)
+        patterns = [*dictionary.values(), SoundPattern("shhh", shhh, PatternKind.CONTINUOUS)]
+        planted = [
+            PlantedInstance("tick", onset_s=0.5),
+            PlantedInstance("chhh", t_begin_s=2.0, t_end_s=3.5),  # across the first block edge
+            PlantedInstance("shhh", t_begin_s=4.0, t_end_s=4.6),
+            PlantedInstance("poc", onset_s=5.2),
+            PlantedInstance("chhh", t_begin_s=7.9, t_end_s=9.0),  # to the end of the take
+        ]
+        s = plant({p.id: p.clip for p in patterns}, planted, duration=9.0, noise=0.02)
+        cfg = DetectorConfig(continuous_min_duration_s=0.0)
+        default = detect(s, patterns, cfg).tracks[0].events
+        assert {e.pattern_id for e in default if e.kind is PatternKind.CONTINUOUS} == {"chhh", "shhh"}
+        m = len(dictionary["chhh"].clip)
+        monkeypatch.setattr(correlate, "_WORKERS", workers)
+        monkeypatch.setattr(correlate, "_BATCH_SAMPLES", _fft_length(len(s), m) * workers)
+        assert -(-len(s) // (_fft_length(len(s), m) - m + 1)) >= 3  # chhh's batches, one block each
+        assert detect(s, patterns, cfg).tracks[0].events == default

@@ -142,6 +142,30 @@ class TestSerialization:
             deserialize(json.dumps(doc))
         assert "tracks[0].events[0].t_end" in str(err.value)
 
+    def test_negative_duration_names_its_field(self):
+        with pytest.raises(SchemaError) as err:
+            deserialize('{"duration_s": -1, "tracks": []}')
+        assert (err.value.path, err.value.reason) == ("duration_s", "duration_s must be >= 0, got -1.0")
+
+    @pytest.mark.parametrize(
+        "event, field",
+        [
+            ({"kind": "impulse", "t": -1}, "t"),
+            ({"kind": "impulse", "t": 4}, "t"),
+            ({"kind": "continuous", "t_begin": -1, "t_end": 1}, "t_begin"),
+            ({"kind": "continuous", "t_begin": 1, "t_end": 4}, "t_end"),
+        ],
+    )
+    def test_event_outside_duration_names_its_time(self, event, field):
+        ok = {"kind": "impulse", "t": 1, "pattern": "tick", "strength": 1.0, "peak_correlation": 0.9}
+        bad = {"pattern": "tick", "strength": 1.0, "peak_correlation": 0.9, **event}
+        doc = {"duration_s": 3.0, "tracks": [{"track_id": "a", "events": []}, {"track_id": "b", "events": [ok, bad]}]}
+        with pytest.raises(SchemaError) as err:
+            deserialize(json.dumps(doc))
+        onset = float(event.get("t", event.get("t_begin")))
+        assert err.value.path == f"tracks[1].events[1].{field}"
+        assert err.value.reason == f"event for 'tick' at {onset} lies outside [0, 3.0]"
+
     def test_not_json(self):
         with pytest.raises(SchemaError):
             deserialize("{nope")
