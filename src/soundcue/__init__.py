@@ -50,6 +50,7 @@ from .animate import (
     SquashParams,
     TailMode,
     UniformRectPlacement,
+    csv_blocks,
     curves_to_csv,
     sample,
     slide_segment,

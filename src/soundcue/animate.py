@@ -16,12 +16,14 @@ one independent stream per spawned entity, so outputs are bit-identical
 across runs and inserting an event does not reshuffle the others.
 
 Curve tables export to CSV with each value's shortest round-trip `repr`,
-formatted a block of rows at a time. Within a block, `repr` runs once per
-distinct value of a column (distinct by bits, so -0.0 stays -0.0); curve
-columns repeat values a lot, and a constant one costs one `repr` per
-block. All objects of a scene share one time grid: its formatted column
-is kept, one string per block, and reused while the next table's grid
-has the very same bytes.
+formatted a block of rows at a time: `csv_blocks` yields the text block
+by block, so a writer holds one block of it, and `curves_to_csv` joins
+the blocks. Within a block, `repr` runs once per distinct value of a
+column (distinct by bits, so -0.0 stays -0.0); curve columns repeat
+values a lot, and a constant one costs one `repr` per block. All objects
+of a scene share one time grid: its formatted column is kept, one string
+per block, and reused while the next table's grid has the very same
+bytes.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -402,6 +404,18 @@ def _frames_within(times: np.ndarray, support) -> slice:
     return slice(int(i0), int(i1))
 
 
+def frame_count(duration_s: float, fps: float) -> int:
+    """The number of frames `sample` takes from t=0 through duration_s, or an
+    AnimationError when there is no such sampling."""
+    if fps <= 0:
+        raise AnimationError(f"fps must be positive, got {fps}")
+    if duration_s < 0:
+        raise AnimationError(f"duration_s must be >= 0, got {duration_s}")
+    if not duration_s * fps < _MAX_FRAMES:
+        raise AnimationError(f"{duration_s} s at fps {fps} is more frames than an array can hold")
+    return int(math.floor(duration_s * fps + 1e-9)) + 1
+
+
 def sample(
     position_providers: Sequence[PositionProvider],
     scale_providers: Sequence[ScaleProvider],
@@ -417,13 +431,7 @@ def sample(
     that interval and is evaluated only on the frames inside it: a factor
     of exactly 1 elsewhere changes no bit of the product.
     """
-    if fps <= 0:
-        raise AnimationError(f"fps must be positive, got {fps}")
-    if duration_s < 0:
-        raise AnimationError(f"duration_s must be >= 0, got {duration_s}")
-    if not duration_s * fps < _MAX_FRAMES:
-        raise AnimationError(f"{duration_s} s at fps {fps} is more frames than an array can hold")
-    n = int(math.floor(duration_s * fps + 1e-9)) + 1
+    n = frame_count(duration_s, fps)
     times = np.arange(n) / fps
     positions = np.zeros((n, 3))
     for provider in position_providers:
@@ -447,21 +455,26 @@ def on_axis(axis: int, values_fn: Callable[[np.ndarray], np.ndarray]) -> Positio
     return provider
 
 
-def curves_to_csv(curves: AnimationCurves) -> str:
-    """Tabular export, one row per frame: t,px,py,pz,sx,sy,sz.
+def csv_blocks(curves: AnimationCurves) -> Iterator[str]:
+    """Tabular export, one row per frame: the header `t,px,py,pz,sx,sy,sz`,
+    then the rows a block of `docio.CSV_BLOCK_ROWS` at a time.
 
     Each value is its `repr`, called once per distinct value of a column
     in each block of rows (`docio.format_floats`). The time column comes
     formatted from `_time_blocks`, which keeps the last grid it formatted.
     """
+    yield "t,px,py,pz,sx,sy,sz\n"
     values = (*curves.positions.T, *curves.scales.T)
-    blocks = ["t,px,py,pz,sx,sy,sz\n"]
     step = docio.CSV_BLOCK_ROWS
     starts = range(0, curves.times.size, step)
     for start, times in zip(starts, _time_blocks(curves.times.tobytes())):
         rows = slice(start, start + step)
-        blocks.append(docio.csv_block([times.split(","), *(docio.format_floats(v[rows]) for v in values)]))
-    return "".join(blocks)
+        yield docio.csv_block([times.split(","), *(docio.format_floats(v[rows]) for v in values)])
+
+
+def curves_to_csv(curves: AnimationCurves) -> str:
+    """The whole CSV of `csv_blocks` as one string."""
+    return "".join(csv_blocks(curves))
 
 
 @functools.lru_cache(maxsize=1)

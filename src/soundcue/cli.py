@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import docio, scene, synthgen, timeline
+from .animate import csv_blocks
 from .audio import load_wav, save_wav
 from .detect import DetectorConfig, SoundPattern, detect
 from .errors import SchemaError, SoundCueError
@@ -41,6 +42,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _track_id(value: str) -> str:
+    """The --track-id flag, which names the output files."""
+    try:
+        return docio.as_file_name(value, "")
+    except SchemaError as exc:
+        raise argparse.ArgumentTypeError(exc.reason) from exc
+
+
 def _add_detect_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--impulse-threshold", type=float, default=0.5)
     p.add_argument("--continuous-threshold", type=float, default=0.5)
@@ -55,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detect", help="detect pattern instances in a recording")
     p.add_argument("sequence", help="input WAV recording")
     p.add_argument("--patterns", required=True, help="pattern manifest (JSON list of {id, path, kind})")
-    p.add_argument("--track-id", default=None, help="track name (default: WAV file stem)")
+    p.add_argument("--track-id", type=_track_id, default=None, help="track name (default: WAV file stem)")
     _add_detect_flags(p)
     p.add_argument("--report", action="store_true", help="also write the correlation traces as CSV")
     p.add_argument("--out-dir", default=".")
@@ -171,12 +180,18 @@ def cmd_detect(args) -> None:
 
 
 def _write_animation(tl: Timeline, scene_cfg, out_dir: Path) -> scene.AnimationOutput:
+    """Write each object's curve CSV, then `animation.json`.
+
+    `output.curves` samples an object when it is read, and its CSV goes to
+    the file a block at a time, so one object's frames and one block of
+    text are held at once.
+    """
     output = scene.build_animation(tl, scene_cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
-    from .animate import curves_to_csv
-
     for curves in output.curves:
-        (out_dir / f"{curves.object_id}_curves.csv").write_text(curves_to_csv(curves), encoding="utf-8")
+        with open(out_dir / f"{curves.object_id}_curves.csv", "w", encoding="utf-8") as out:
+            out.writelines(csv_blocks(curves))
+        del curves  # before the next object is sampled
     (out_dir / "animation.json").write_text(scene.animation_document(output), encoding="utf-8")
     return output
 
@@ -231,11 +246,6 @@ def cmd_run(args) -> None:
         specs[name] = wav
     patterns = _load_manifest(args.patterns)
     cfg = _detector_config(args)
-    merged = timeline.merge([detect(load_wav(wav), patterns, cfg, name, wav) for name, wav in specs.items()])
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    timeline_path = out_dir / "timeline.json"
-    timeline.write_timeline(merged, timeline_path)
     scene_cfg = _scene_overrides(
         scene.parse_scene(
             docio.read_text(args.scene, "scene"),
@@ -243,6 +253,11 @@ def cmd_run(args) -> None:
         ),
         args,
     )
+    merged = timeline.merge([detect(load_wav(wav), patterns, cfg, name, wav) for name, wav in specs.items()])
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    timeline_path = out_dir / "timeline.json"
+    timeline.write_timeline(merged, timeline_path)
     output = _write_animation(merged, scene_cfg, out_dir)
     n_events = sum(len(t.events) for t in merged.tracks)
     print(

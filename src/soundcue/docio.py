@@ -72,6 +72,15 @@ def as_string(value, path: str) -> str:
     return value
 
 
+def as_file_name(value, path: str) -> str:
+    """A string that can name a file inside an output directory: not empty,
+    not `.` or `..`, and holding no `/`, `\\` or NUL."""
+    name = as_string(value, path)
+    if name in ("", ".", "..") or any(c in name for c in "/\\\x00"):
+        raise SchemaError(path, f"{name!r} cannot name a file: it is empty, . or .., or holds a /, \\ or NUL")
+    return name
+
+
 def as_number(value, path: str) -> float:
     """A finite number: NaN and Infinity parse as JSON but are no valid field value."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):

@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Mapping, Optional, Union
 
@@ -29,6 +30,7 @@ from .animate import (
     SquashParams,
     TailMode,
     UniformRectPlacement,
+    frame_count,
     on_axis,
     sample,
     slide_segment,
@@ -165,9 +167,38 @@ class SceneConfig:
         object.__setattr__(self, "objects", tuple(self.objects))
 
 
+class ObjectCurves(Sequence):
+    """Each scene object's `AnimationCurves`, in scene order, sampled when read.
+
+    It keeps each object's providers, not its frames. Reading `curves[i]`,
+    or each item while iterating, calls `sample` for that object, so a
+    caller that writes the objects one at a time holds one object's frames.
+    `len()`, indexing, slicing and iteration behave as on a tuple of the
+    curves; `object_ids` names the objects without sampling.
+    """
+
+    def __init__(self, motions, duration_s: float, fps: float):
+        self._motions = tuple(motions)  # (object_id, position providers, scale providers)
+        self._duration_s = duration_s
+        self._fps = fps
+
+    @property
+    def object_ids(self) -> tuple:
+        return tuple(object_id for object_id, _, _ in self._motions)
+
+    def __len__(self) -> int:
+        return len(self._motions)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(len(self))[index])
+        object_id, positions, scales = self._motions[index]
+        return sample(positions, scales, self._duration_s, self._fps, object_id=object_id)
+
+
 @dataclass(frozen=True)
 class AnimationOutput:
-    curves: tuple  # AnimationCurves per object, in scene order
+    curves: ObjectCurves  # AnimationCurves per object, in scene order, sampled when read
     spawns: tuple  # SpawnEvent, time-sorted
     fps: float
     seed: int
@@ -311,7 +342,7 @@ def _parse_bindings(value, path: str, pattern_kinds: Optional[Mapping[str, Patte
 def _parse_object(obj, path: str, pattern_kinds: Optional[Mapping[str, PatternKind]]) -> ObjectSpec:
     with docio.Fields(obj, path) as f:
         return ObjectSpec(
-            object_id=f.read("object_id", docio.as_string),
+            object_id=f.read("object_id", docio.as_file_name),
             track_id=f.read("track_id", docio.as_string),
             bindings=f.read("bindings", lambda value, where: _parse_bindings(value, where, pattern_kinds)),
         )
@@ -367,10 +398,14 @@ def binding_seed(master_seed: int, object_id: str, pattern_id: str) -> int:
 
 
 def build_animation(timeline: Timeline, cfg: SceneConfig) -> AnimationOutput:
-    """Drive the animation primitives from a timeline per the scene bindings."""
+    """Drive the animation primitives from a timeline per the scene bindings.
+
+    Every binding is resolved and every check made here; the curves are
+    sampled later, one object at a time, when `curves` is read.
+    """
     duration = cfg.duration_override_s if cfg.duration_override_s is not None else timeline.duration_s
     tracks = {t.track_id: t for t in timeline.tracks}
-    all_curves = []
+    motions = []
     all_spawns = []
     for index, obj in enumerate(cfg.objects):
         if obj.track_id not in tracks:
@@ -451,13 +486,12 @@ def build_animation(timeline: Timeline, cfg: SceneConfig) -> AnimationOutput:
             curve = steer_vertical(ups, downs, speeds.pop(), bounds.pop())
             position_providers.append(curve.position)
 
-        all_curves.append(
-            sample(position_providers, scale_providers, duration, cfg.fps, object_id=obj.object_id)
-        )
+        frame_count(duration, cfg.fps)  # the check `sample` makes, so bad input fails before any output
+        motions.append((obj.object_id, tuple(position_providers), tuple(scale_providers)))
 
     all_spawns.sort(key=lambda sp: (sp.t_s, sp.entity_kind, sp.size))
     return AnimationOutput(
-        curves=tuple(all_curves),
+        curves=ObjectCurves(motions, duration, cfg.fps),
         spawns=tuple(all_spawns),
         fps=cfg.fps,
         seed=cfg.seed,
@@ -472,7 +506,7 @@ def animation_document(output: AnimationOutput) -> str:
             "duration_s": float(output.duration_s),
             "fps": float(output.fps),
             "seed": int(output.seed),
-            "objects": [c.object_id for c in output.curves],
+            "objects": list(output.curves.object_ids),
             "spawns": [
                 {
                     "t": float(sp.t_s),

@@ -259,7 +259,7 @@ def _parse_pattern(obj, path: str, rate: int) -> PatternDef:
         fields = dict(
             kind=f.enum("kind", PatternKind, "pattern kind"),
             shape=f.read("shape", _shape, "tonal_burst"),
-            id=f.read("id", docio.as_string),
+            id=f.read("id", docio.as_file_name),
             duration_s=f.read("duration_s", docio.as_number),
             seed=f.read("seed", docio.as_integer),
         )

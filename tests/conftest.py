@@ -18,6 +18,12 @@ from soundcue import (
 
 SR = 44100
 
+# Ids that name output files (scene object ids, plan pattern ids): not
+# empty, not . or .., and holding no /, \ or NUL.
+file_names = st.text(
+    st.characters(exclude_categories=("Cs",), exclude_characters="/\\\x00"), min_size=1, max_size=6
+).filter(lambda name: name not in (".", ".."))
+
 
 @pytest.fixture(scope="session")
 def dictionary():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -6,8 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from soundcue import AudioClip, correlate, load_wav, make_pattern, read_timeline, resample, save_wav, scene
+from soundcue import (
+    AudioClip, correlate, curves_to_csv, load_wav, make_pattern, read_timeline, resample, save_wav, scene,
+)
 from soundcue import cli
+from soundcue.animate import _time_blocks
 from soundcue.cli import main
 
 SR = 44100
@@ -347,6 +351,73 @@ class TestSynth:
         assert [s["size"] for s in da["spawns"]] == [s["size"] for s in db["spawns"]]
         assert [s["position"] for s in da["spawns"]] != [s["position"] for s in db["spawns"]]
 
+    @pytest.mark.parametrize("signed_zero", [False, True], ids=["plain", "signed-zero-py"])
+    @pytest.mark.parametrize("frames", [1, 4095, 4096, 4097, 2 * 4096 + 3])
+    def test_streamed_files_match_the_kept_output(self, tmp_path, monkeypatch, frames, signed_zero):
+        """Each curve CSV written block by block is `curves_to_csv` of the curves the library keeps."""
+        if signed_zero:
+            real_sample = scene.sample
+
+            def sample_with_negative_zero_py(*args, **kwargs):
+                curves = real_sample(*args, **kwargs)
+                positions = curves.positions.copy()
+                positions[:, 1] = -0.0
+                return dataclasses.replace(curves, positions=positions)
+
+            monkeypatch.setattr(scene, "sample", sample_with_negative_zero_py)
+        events = [_impulse("tick", t) for t in (0.5, 1.3, 2.0, 30.0, 45.5, 81.0)]
+        events += [_continuous("chhh", 10.0, 20.0), _continuous("hooo", 40.0, 50.0)]
+        objects = [
+            {"object_id": "ball", "track_id": "take",
+             "bindings": {"tick": {"kind": "bounce_soft", "drift_speed": -0.5}}},
+            {"object_id": "slider", "track_id": "take", "bindings": {"chhh": {"kind": "slide", "speed": -1.0}}},
+            {"object_id": "lift", "track_id": "take", "bindings": {"hooo": {"kind": "move_up"}}},
+        ]
+        argv = _synth_argv(
+            tmp_path,
+            scene_doc={"objects": objects, "duration_override_s": (frames - 1) / 100},
+            duration_s=90.0,
+            tracks=[{"track_id": "take", "events": events}],
+        )
+        assert main(argv) == 0
+        output = scene.build_animation(read_timeline(argv[1]), scene.parse_scene((tmp_path / "scene.json").read_text()))
+        out = tmp_path / "out"
+        for i, name in enumerate(("ball", "slider", "lift")):
+            curves = output.curves[i]
+            assert curves.times.size == frames
+            assert (out / f"{name}_curves.csv").read_bytes() == curves_to_csv(curves).encode()
+        if signed_zero:
+            assert (out / "ball_curves.csv").read_text().splitlines()[1].split(",")[2] == "-0.0"
+        assert (out / "animation.json").read_text() == scene.animation_document(output)
+
+    def test_memory_does_not_grow_with_the_object_count(self, tmp_path):
+        """synth samples and writes one object at a time: six objects peak within one
+        object's curves of the peak of one."""
+        frames = 10_001
+        peaks = {}
+        for count in (1, 6):
+            objects = [
+                {"object_id": f"ball{i}", "track_id": "take", "bindings": {"tick": {"kind": "bounce_soft"}}}
+                for i in range(count)
+            ]
+            (tmp_path / str(count)).mkdir()
+            argv = _synth_argv(
+                tmp_path / str(count),
+                scene_doc={"objects": objects},
+                duration_s=100.0,
+                tracks=[{"track_id": "take", "events": [_impulse("tick", t + 0.5) for t in range(99)]}],
+            )
+            _time_blocks.cache_clear()
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                _, peaks[count] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert len((tmp_path / "6" / "out" / "ball5_curves.csv").read_text().splitlines()) == 1 + frames
+        curve_bytes = frames * 7 * 8
+        assert peaks[6] < peaks[1] + curve_bytes
+
 
 class TestRun:
     def test_single_track_equals_detect_then_synth(self, fixture_dir, tmp_path):
@@ -415,6 +486,15 @@ class TestRun:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+def _impulse(pattern, t):
+    return {"kind": "impulse", "pattern": pattern, "t": t, "strength": 1.0, "peak_correlation": 0.9}
+
+
+def _continuous(pattern, t_begin, t_end):
+    return {"kind": "continuous", "pattern": pattern, "t_begin": t_begin, "t_end": t_end,
+            "strength": 1.0, "peak_correlation": 0.7}
+
+
 def _gen_argv(tmp_path, **plan):
     write_plan(tmp_path / "plan.json", **plan)
     return ["gen", "--plan", str(tmp_path / "plan.json"), "--out-dir", str(tmp_path / "out")]
@@ -478,6 +558,10 @@ BAD_INPUTS = {
         "sample_rate_hz",
     ),
     "plan noise negative": (lambda p: _gen_argv(p, noise_rms=-1.0), "noise_rms"),
+    "plan pattern id outside the out dir": (
+        lambda p: _gen_argv(p, patterns=[{"id": "../../x", "kind": "impulse", "duration_s": 0.1, "seed": 1}], planted=[]),
+        "patterns[0].id",
+    ),
     "plan pattern shorter than 4 samples": (
         lambda p: _gen_argv(p, patterns=[{"id": "tick", "kind": "impulse", "duration_s": 1e-6, "seed": 1}], planted=[]),
         "patterns[0].duration_s",
@@ -540,6 +624,13 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert err.startswith("soundcue: error: ") and field in err
 
+    def test_too_many_frames_fail_before_any_output(self, tmp_path, capsys):
+        argv = _synth_argv(tmp_path) + ["--fps", "1e300"]
+        assert main(argv) == 2
+        assert "more frames than an array can hold" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*_curves.csv"))
+        assert not (tmp_path / "out" / "animation.json").exists()
+
     def test_value_error_inside_the_pipeline_is_not_bad_input(self, tmp_path, monkeypatch):
         argv = _synth_argv(tmp_path)
         assert main(argv) == 0
@@ -551,6 +642,51 @@ class TestBadInput:
         with pytest.raises(ValueError, match="a bug"):
             main(argv)
 
+
+NO_FILE_NAMES = ["", ".", "..", "../escaped", "sub/dir", "a\\b", "a\x00b"]
+
+
+class TestOutputNames:
+    """Object and track ids become file names, so a name that would leave
+    the output directory or name no file is rejected before anything is written."""
+
+    @pytest.mark.parametrize("object_id", NO_FILE_NAMES)
+    def test_synth_rejects_object_id(self, tmp_path, capsys, object_id):
+        objects = [{"object_id": object_id, "track_id": "take", "bindings": {"tick": {"kind": "bounce_hard"}}}]
+        argv = _synth_argv(tmp_path, scene_doc={"objects": objects})
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert "objects[0].object_id" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        assert not list(tmp_path.rglob("*_curves.csv"))
+
+    def test_run_rejects_object_id_before_detection(self, fixture_dir, tmp_path, monkeypatch, capsys):
+        detected = []
+        monkeypatch.setattr(cli, "detect", lambda *args, **kwargs: detected.append(args))
+        doc = write_scene(tmp_path / "scene.json")
+        doc["objects"][0]["object_id"] = "../escaped"
+        write_scene(tmp_path / "scene.json", doc)
+        out = tmp_path / "run" / "out"
+        code = main([
+            "run", "--track", f"take={fixture_dir / 'sequence.wav'}", "--patterns", str(fixture_dir / "patterns.json"),
+            "--scene", str(tmp_path / "scene.json"), "--out-dir", str(out),
+        ])
+        assert code == 2
+        assert "objects[0].object_id" in capsys.readouterr().err
+        assert detected == []
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("track_id", NO_FILE_NAMES)
+    def test_detect_rejects_track_id(self, tmp_path, monkeypatch, capsys, track_id):
+        detected = []
+        monkeypatch.setattr(cli, "detect", lambda *args, **kwargs: detected.append(args))
+        out = tmp_path / "det" / "out"
+        argv = ["detect", str(tmp_path / "take.wav"), "--patterns", str(tmp_path / "patterns.json"),
+                "--track-id", track_id, "--out-dir", str(out)]
+        assert main(argv) == 64
+        assert "--track-id" in capsys.readouterr().err
+        assert detected == []
+        assert not (tmp_path / "det").exists()
 
 class TestUsage:
     def test_no_command_is_usage_error(self):

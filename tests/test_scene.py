@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from soundcue import (
+    AnimationError,
     BounceAction,
     EventInstance,
     FixedPlacement,
@@ -31,7 +33,8 @@ from soundcue import (
     parse_scene,
     serialize_scene,
 )
-from conftest import mutated_json, well_formed_path
+from soundcue import animate, scene
+from conftest import file_names, mutated_json, well_formed_path
 
 KINDS = {
     "tick": PatternKind.IMPULSE,
@@ -212,6 +215,21 @@ class TestParseScene:
             parse_scene(scene_doc(**{field: value}), KINDS)
         assert (err.value.path, err.value.reason) == (field, reason)
 
+    @pytest.mark.parametrize("object_id", ["", ".", "..", "../escaped", "sub/dir", "a\\b", "a\x00b"])
+    def test_object_id_that_cannot_name_a_file_is_rejected(self, object_id):
+        doc = json.loads(scene_doc())
+        doc["objects"][0]["object_id"] = object_id
+        with pytest.raises(SchemaError) as err:
+            parse_scene(json.dumps(doc), KINDS)
+        assert err.value.path == "objects[0].object_id"
+        assert repr(object_id) in err.value.reason
+
+    @pytest.mark.parametrize("object_id", ["..x", "a.b", "-", " ", "ball:1", "\u00e9t\u00e9"])
+    def test_object_id_that_names_a_file_is_kept(self, object_id):
+        doc = json.loads(scene_doc())
+        doc["objects"][0]["object_id"] = object_id
+        assert parse_scene(json.dumps(doc), KINDS).objects[0].object_id == object_id
+
     def test_null_duration_override_means_none(self):
         assert parse_scene(scene_doc(duration_override_s=None), KINDS).duration_override_s is None
 
@@ -230,6 +248,52 @@ class TestParseScene:
 
 
 class TestBuildAnimation:
+    def _three_objects(self):
+        doc = json.loads(scene_doc(fps=100))
+        doc["objects"] = [
+            {"object_id": name, "track_id": "main", "bindings": {"tick": {"kind": "bounce_soft", "drift_speed": v}}}
+            for name, v in (("a", 0.0), ("b", 1.0), ("c", -2.0))
+        ]
+        tl = Timeline((Track("main", (impulse("tick", 0.5), impulse("tick", 1.5))),), 2.0)
+        return tl, parse_scene(json.dumps(doc), KINDS)
+
+    def test_curves_are_sampled_when_read(self, monkeypatch):
+        sampled = []
+
+        def spy(*args, **kwargs):
+            sampled.append(kwargs["object_id"])
+            return animate.sample(*args, **kwargs)
+
+        monkeypatch.setattr(scene, "sample", spy)
+        tl, cfg = self._three_objects()
+        out = build_animation(tl, cfg)
+        assert sampled == []
+        assert len(out.curves) == 3
+        assert out.curves.object_ids == ("a", "b", "c")
+        assert json.loads(animation_document(out))["objects"] == ["a", "b", "c"]
+        assert sampled == []
+        assert out.curves[1].object_id == "b"
+        assert out.curves[-1].object_id == "c"
+        assert sampled == ["b", "c"]
+        assert [c.object_id for c in out.curves] == ["a", "b", "c"]
+        assert [c.object_id for c in out.curves[::-2]] == ["c", "a"]
+        with pytest.raises(IndexError):
+            out.curves[3]
+
+    def test_each_read_samples_the_same_curves(self):
+        tl, cfg = self._three_objects()
+        out = build_animation(tl, cfg)
+        for first, again in zip(out.curves, tuple(out.curves)):
+            assert first is not again
+            for name in ("times", "positions", "scales"):
+                assert getattr(first, name).tobytes() == getattr(again, name).tobytes()
+        assert out.curves[2].positions[-1, 0] == -2.0 * 2.0
+
+    def test_too_many_frames_rejected_before_any_read(self):
+        tl, cfg = self._three_objects()
+        with pytest.raises(AnimationError, match="more frames than an array can hold"):
+            build_animation(tl, dataclasses.replace(cfg, fps=1e300))
+
     def test_empty_timeline_resting_objects(self):
         cfg = parse_scene(scene_doc(), KINDS)
         tl = Timeline((Track("main"),), 2.0)
@@ -466,7 +530,7 @@ names = st.text(max_size=6)
 scenes = st.builds(
     SceneConfig,
     objects=st.lists(
-        st.builds(ObjectSpec, object_id=names, track_id=names, bindings=st.dictionaries(names, actions(), max_size=3)),
+        st.builds(ObjectSpec, object_id=file_names, track_id=names, bindings=st.dictionaries(names, actions(), max_size=3)),
         max_size=3,
         unique_by=lambda o: o.object_id,
     ).map(tuple),

@@ -25,7 +25,7 @@ from soundcue import (
 )
 from soundcue.audio import MAX_WAV_RATE_HZ
 from soundcue.synthgen import pattern_length
-from conftest import SR, mutated_json, well_formed_path
+from conftest import SR, file_names, mutated_json, well_formed_path
 
 
 class TestMakePattern:
@@ -174,7 +174,7 @@ seeds = st.integers(-(2**70), 2**70)
 def plans(draw):
     rate = draw(st.integers(1, MAX_WAV_RATE_HZ))
     patterns = []
-    for pattern_id in draw(st.lists(st.text(max_size=6), unique=True, max_size=3)):
+    for pattern_id in draw(st.lists(file_names, unique=True, max_size=3)):
         pattern_s = draw(st.floats(4 / rate, 1e3))
         if pattern_length(pattern_s, rate) < 4:  # rounding at the floor
             continue
