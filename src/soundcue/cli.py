@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import logging
+import os
 import sys
 from pathlib import Path
 
@@ -162,6 +163,46 @@ def _write_correlation_report(path: Path, sequence, traced) -> None:
             out.write(docio.csv_block([docio.format_floats(v) for v in (times, *(t[start:stop] for t in traces))]))
 
 
+class _Outputs:
+    """A command's output files, written under temporary names in `out_dir` and renamed into place together.
+
+    `path(name)` gives the temporary path whose file becomes `name` once
+    the block ends without an error. On an error or an interrupt, every
+    temporary file is removed, and so are the directories the block
+    created, `out_dir` among them: a failed command leaves no file that
+    looks finished.
+    """
+
+    def __init__(self, out_dir: Path):
+        self.out_dir = out_dir
+        self.staged: list[tuple[Path, Path]] = []  # (temporary, final)
+
+    def __enter__(self) -> "_Outputs":
+        # The directories made for out_dir, innermost first.
+        self.created = [d for d in (self.out_dir, *self.out_dir.parents) if not d.exists()]
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        return self
+
+    def path(self, name: str) -> Path:
+        final = self.out_dir / name
+        temporary = self.out_dir / f".{name}.{os.getpid()}.tmp"
+        self.staged.append((temporary, final))
+        return temporary
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is None:
+            for temporary, final in self.staged:
+                os.replace(temporary, final)
+            return
+        for temporary, _ in self.staged:
+            temporary.unlink(missing_ok=True)
+        for directory in self.created:
+            try:
+                directory.rmdir()
+            except OSError:  # something else has been put there since
+                break
+
+
 def cmd_detect(args) -> None:
     patterns = _load_manifest(args.patterns)
     cfg = _detector_config(args)
@@ -169,31 +210,27 @@ def cmd_detect(args) -> None:
     track_id = Path(args.sequence).stem if args.track_id is None else args.track_id
     traced = [] if args.report else None  # the traces the one detection pass read, for the report
     result = detect(sequence, patterns, cfg, track_id, str(args.sequence), traced)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    timeline_path = out_dir / f"{track_id}.timeline.json"
-    timeline.write_timeline(result, timeline_path)
-    if args.report:
-        _write_correlation_report(out_dir / f"{track_id}.correlation.csv", sequence, traced)
+    timeline_path = Path(args.out_dir) / f"{track_id}.timeline.json"
+    with _Outputs(Path(args.out_dir)) as outputs:
+        timeline.write_timeline(result, outputs.path(timeline_path.name))
+        if args.report:
+            _write_correlation_report(outputs.path(f"{track_id}.correlation.csv"), sequence, traced)
     events = result.tracks[0].events
     print(f"detected {len(events)} event(s) on track {track_id!r} -> {timeline_path}")
 
 
-def _write_animation(tl: Timeline, scene_cfg, out_dir: Path) -> scene.AnimationOutput:
+def _write_animation(output: scene.AnimationOutput, outputs: _Outputs) -> None:
     """Write each object's curve CSV, then `animation.json`.
 
     `output.curves` samples an object when it is read, and its CSV goes to
     the file a block at a time, so one object's frames and one block of
     text are held at once.
     """
-    output = scene.build_animation(tl, scene_cfg)
-    out_dir.mkdir(parents=True, exist_ok=True)
     for curves in output.curves:
-        with open(out_dir / f"{curves.object_id}_curves.csv", "w", encoding="utf-8") as out:
+        with open(outputs.path(f"{curves.object_id}_curves.csv"), "w", encoding="utf-8") as out:
             out.writelines(csv_blocks(curves))
         del curves  # before the next object is sampled
-    (out_dir / "animation.json").write_text(scene.animation_document(output), encoding="utf-8")
-    return output
+    outputs.path("animation.json").write_text(scene.animation_document(output), encoding="utf-8")
 
 
 def _scene_overrides(cfg, args):
@@ -221,7 +258,9 @@ def _consumed(tl: Timeline, cfg) -> int:
 def cmd_synth(args) -> None:
     tl = timeline.read_timeline(args.timeline)
     scene_cfg = _scene_overrides(scene.parse_scene(docio.read_text(args.scene, "scene")), args)
-    output = _write_animation(tl, scene_cfg, Path(args.out_dir))
+    output = scene.build_animation(tl, scene_cfg)
+    with _Outputs(Path(args.out_dir)) as outputs:
+        _write_animation(output, outputs)
     print(
         f"synthesized {len(output.curves)} object(s), {_consumed(tl, scene_cfg)} event(s) consumed, "
         f"{output.duration_s:.3f} s at {output.fps} fps, {len(output.spawns)} spawn(s)"
@@ -255,10 +294,10 @@ def cmd_run(args) -> None:
     )
     merged = timeline.merge([detect(load_wav(wav), patterns, cfg, name, wav) for name, wav in specs.items()])
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    timeline_path = out_dir / "timeline.json"
-    timeline.write_timeline(merged, timeline_path)
-    output = _write_animation(merged, scene_cfg, out_dir)
+    output = scene.build_animation(merged, scene_cfg)
+    with _Outputs(out_dir) as outputs:
+        timeline.write_timeline(merged, outputs.path("timeline.json"))
+        _write_animation(output, outputs)
     n_events = sum(len(t.events) for t in merged.tracks)
     print(
         f"detected {n_events} event(s) on {len(merged.tracks)} track(s); "

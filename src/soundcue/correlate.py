@@ -3,16 +3,18 @@
 The sliding dot products behind both correlation flavours run blockwise
 through real FFTs by overlap-save (Stockham 1966): the sequence is cut
 into overlapping blocks of one FFT length L, each block is correlated
-with the pattern in the frequency domain, and the L - m + 1 lags of each
-block that do not wrap around are kept. L is the smaller of the next
-power of two >= 8*m and the next power of two >= n + m - 1, so work per
-sample depends on the pattern, not on the take, and the blocks in flight
-take a few megabytes whatever n is; a take shorter than about eight
-patterns is one zero-padded block. Batches of blocks run on one thread
-per usable CPU, the calling one among them, each batch in its own slot
-of a ring of buffers, so the result is the same bit for bit on any
-number of them. The test suite keeps an O(n*m) direct evaluation of the
-same sums as the reference oracle.
+with the patterns in the frequency domain, and the L - m_max + 1 lags of
+each block that wrap around for no pattern are kept. L is the smallest
+power of two >= max(2*m_max, 2^15) for the longest pattern's m_max, and
+never above the power of two >= n + m_max - 1 that holds the whole
+sequence in one zero-padded block: blocks of 2^15 points keep their
+buffers in the CPU's caches, and work per sample depends on the
+patterns, not on the take, so the blocks in flight take a few megabytes
+whatever n is. Batches of blocks run on one thread per usable CPU, the
+calling one among them, each batch in its own slot of a ring of
+buffers, so the result is the same bit for bit on any number of them.
+The test suite keeps an O(n*m) direct evaluation of the same sums as
+the reference oracle.
 
 Window sums (the sequence energy under each lag's window, the boxcar
 behind the moving average) come from a running prefix sum, `_WindowSums`:
@@ -22,12 +24,13 @@ over the whole sequence. Interior windows are differences of two slices
 of it, and only the clamped windows at the edges index it lag by lag.
 `window_energy` and `moving_average` are that code over one chunk.
 
-Patterns of one length share the window energy and the block layout, so
-the engine takes a group of them: the calling thread carries the
-energy's prefix sum from batch to batch and hands each batch its lags'
-energies (Lewis 1995, "Fast Normalized Cross-Correlation"); each batch of
-blocks is forward-transformed once, and every pattern of the group then
-multiplies, inverse-transforms and normalizes its own copy.
+The engine takes a whole pattern dictionary, of any lengths, in one pass
+over the take: the calling thread carries one prefix sum of the take's
+squares from batch to batch and hands each batch the span its lags read,
+from which each pattern takes the window energies of its own length
+(Lewis 1995, "Fast Normalized Cross-Correlation"); each batch of blocks
+is forward-transformed once, and every pattern then multiplies,
+inverse-transforms and normalizes its own copy.
 `normalized_cross_correlate` and `raw_cross_correlate` are a group of
 one that keeps its output. `scan_group` decides as it goes: each worker
 picks the local maxima of an impulse pattern's batch of lags as soon as
@@ -116,9 +119,22 @@ def _pow2_at_least(x: int) -> int:
     return 1 << (x - 1).bit_length()
 
 
+# The shortest overlap-save block: 2^15 points. A batch of such blocks keeps its float and
+# complex buffers in a CPU's 2 MB per-core cache while every pattern multiplies and
+# inverse-transforms them. With two 0.2 s patterns on a 60 s, 44.1 kHz take (2 threads of a
+# Xeon VM), a lag costs about 33 ns at 2^15 or 2^16 points, 41 at 2^17 and 53 at 2^18; at
+# 2^14 points a 0.12 s pattern costs 34 ns against 28, as each block repeats its overlap.
+_MIN_BLOCK = 1 << 15
+
+
 def _fft_length(n: int, m: int) -> int:
-    """Overlap-save block length for an n-sample sequence and an m-sample pattern."""
-    return min(_pow2_at_least(8 * m), _pow2_at_least(n + m - 1))
+    """Overlap-save block length for an n-sample sequence and patterns of at most m samples.
+
+    The smallest power of two >= max(2 * m, _MIN_BLOCK), so each block
+    yields more than half its points as lags, but never more than the
+    power of two >= n + m - 1 that takes the whole sequence in one block.
+    """
+    return min(_pow2_at_least(max(2 * m, _MIN_BLOCK)), _pow2_at_least(n + m - 1))
 
 
 class _WindowSums:
@@ -138,6 +154,9 @@ class _WindowSums:
     beyond them. Interior windows are slice differences of the prefix
     sum; only the at most w - 1 edge lags whose window is clamped index
     it one by one.
+
+    With lead 0, `pop_prefix` returns the prefix sums themselves instead,
+    which serve windows of every width up to w.
     """
 
     def __init__(self, n: int, w: int, lead: int = 0, mean: bool = False, of=None):
@@ -186,17 +205,43 @@ class _WindowSums:
         if self.mean:
             sums[lo - start : hi - start] /= w
             sums[edges - start] /= ends - starts
-        self.done = stop
-        first = max(stop - lead, 0)  # keep only the prefix sums the windows still to come start at
-        self.csum, self.base = c[first - base :].copy(), first
+        self._drop(stop)
         return sums
 
+    def pop_prefix(self, stop: int) -> np.ndarray:
+        """The prefix sums that lags done .. stop - 1 read, for windows of any width up to w; lead 0 only.
 
-def _pop_energy(sums: _WindowSums, stop: Optional[int] = None, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """The next window energies from `sums` (over s^2), each at least EPS_ENERGY."""
-    energy = sums.pop(stop, out)
-    np.maximum(energy, EPS_ENERGY, out=energy)
-    return energy
+        Entry t is sum(of(x)[: done + t]), for done + t up to
+        min(stop - 1 + w, n); `stop` must not pass `ready()`. Lag i's
+        window of width v <= w is [i, min(i + v, n)), so its sum is entry
+        min(i + v, n) - done minus entry i - done: one prefix serves every
+        width (`_window_energy`). The result is a view of prefix sums this
+        object no longer writes, so it stays valid after later pushes.
+        """
+        c, base = self.csum, self.base
+        prefix = c[self.done - base : min(stop - 1 + self.w, self.n) + 1 - base]
+        self._drop(stop)
+        return prefix
+
+    def _drop(self, stop: int) -> None:
+        """Mark lags up to stop - 1 done, and hold only the prefix sums the windows still to come start at."""
+        self.done = stop
+        first = max(stop - self.lead, 0)
+        self.csum, self.base = self.csum[first - self.base :].copy(), first
+
+
+def _window_energy(prefix: np.ndarray, w: int, out: np.ndarray) -> np.ndarray:
+    """max(sum of squares under each lag's w-sample window, EPS_ENERGY), written to `out`, one value per lag.
+
+    `prefix` is what `_WindowSums.pop_prefix` gives for these lags. Lags
+    whose window runs past the take's end come last; the prefix then ends
+    at the take's end, and their sums are its last entry minus their own.
+    """
+    inner = max(min(out.size, prefix.size - w), 0)  # lags whose window lies inside the prefix
+    np.subtract(prefix[w : w + inner], prefix[:inner], out=out[:inner])
+    np.subtract(prefix[-1], prefix[inner : out.size], out=out[inner:])
+    np.maximum(out, EPS_ENERGY, out=out)
+    return out
 
 
 def _box_width(window_s: float, sample_rate_hz: int) -> int:
@@ -230,13 +275,20 @@ class _BoxMean:
         return self.sums.pop(out=out)
 
 
+def sum_of_squares(x: np.ndarray) -> float:
+    """sum(x**2) by numpy's pairwise summation on the calling thread.
+
+    Not np.dot: a BLAS dot product may run threaded on long inputs, and
+    then its bits depend on how many CPUs the process may use.
+    """
+    return float(np.add.reduce(np.square(x)))
+
+
 def _check_group(s: AudioClip, clips: Sequence[AudioClip]) -> list[float]:
-    """Each clip's energy; the clips must share one length and fit the take."""
+    """Each clip's energy; every clip must fit the take."""
     for clip in clips:
         _check_pair(s, clip)
-    if len({len(clip) for clip in clips}) > 1:
-        raise ValueError(f"clips must share one length, got {sorted({len(clip) for clip in clips})}")
-    energies = [float(np.dot(clip.samples, clip.samples)) for clip in clips]
+    energies = [sum_of_squares(clip.samples) for clip in clips]
     if min(energies) <= 0.0:
         raise DetectionError("pattern has zero energy")
     return energies
@@ -244,7 +296,7 @@ def _check_group(s: AudioClip, clips: Sequence[AudioClip]) -> list[float]:
 
 def _sliding_dot(
     s: np.ndarray,
-    p: np.ndarray,
+    p,
     pattern_energy=None,
     peaks_above: Optional[float] = None,
     sinks: Sequence[Optional[Callable[[np.ndarray], None]]] = (),
@@ -252,22 +304,28 @@ def _sliding_dot(
 ):
     """sum_u s[tau+u] * p[u] for tau = 0..len(s)-1, s zero-padded at the tail.
 
-    `p` is one pattern, shape (m,), or a group of patterns of one length,
-    shape (g, m); the output then has shape (g, len(s)). The group shares
-    its block layout, so each block's forward FFT is taken once for all
-    of them.
+    `p` is one pattern, shape (m,), or a group of g patterns of any
+    lengths (a sequence of 1-D arrays, or a 2-D array); the output then
+    has shape (g, len(s)). The group shares one block layout, so each
+    block's forward FFT is taken once for all of them.
 
     Overlap-save: block b is s[b*step : b*step + nfft] (zeros past the
-    end), and its circular correlation with a pattern is exact for the
-    first step = nfft - m + 1 lags, which become out[b*step : (b+1)*step].
+    end), nfft = `_fft_length(n, m_max)` for the longest pattern's m_max.
+    Each pattern's spectrum is its rfft zero-padded to nfft, and its
+    circular correlation with a block is exact for the first
+    nfft - m + 1 >= step = nfft - m_max + 1 lags, which become
+    out[b*step : (b+1)*step].
 
     Given `pattern_energy`, one value per pattern (or one for all), each
     lag is divided by sqrt(take energy * pattern energy) and clipped to
     [-1, 1] instead: the normalized cross-correlation, finished batch by
-    batch. The take energy under each lag's window comes from a running
-    prefix sum of s^2 that the calling thread carries from batch to
-    batch (`_WindowSums`), so it is the same bit for bit as
-    `window_energy(s, m)` and never exists at take length.
+    batch. The take energy under each lag's window comes from one
+    running prefix sum of s^2 that the calling thread carries from batch
+    to batch (`_WindowSums`) and hands each batch the span of it its lags
+    read; each pattern takes its own window width's differences of that
+    span (`_window_energy`). So each energy is the same bit for bit as
+    `window_energy(s, m)`, whatever lengths the group mixes, and none
+    exists at take length.
 
     `sinks[j]`, when given and not None, is called by the calling thread
     with pattern j's normalized lags, batch by batch in lag order; it may
@@ -290,10 +348,13 @@ def _sliding_dot(
     calling thread allocates every buffer: memory a helper thread
     allocates would stay in that thread's malloc arena after the call.
     """
-    group = np.atleast_2d(p)
-    n, (g, m) = s.size, group.shape
-    nfft = _fft_length(n, m)
-    step = nfft - m + 1
+    single = isinstance(p, np.ndarray) and p.ndim == 1
+    group = [p] if single else list(p)
+    n, g = s.size, len(group)
+    lengths = [row.size for row in group]
+    m_max = max(lengths)
+    nfft = _fft_length(n, m_max)
+    step = nfft - m_max + 1
     n_blocks = -(-n // step)
     batch = max(1, _BATCH_SAMPLES // (nfft * _WORKERS))  # blocks per batch; all slots share the budget
     n_batches = -(-n_blocks // batch)
@@ -303,7 +364,7 @@ def _sliding_dot(
     # spectrum it multiplied in place, the others' get a row buffer unless kept.
     own_rows = [] if keep else [j for j in range(g - 1) if sinks[j] is not None]
     energies = None if pattern_energy is None else np.broadcast_to(np.asarray(pattern_energy, dtype=float), (g,))
-    energy_sums = None if energies is None else _WindowSums(n, m, of=np.square)
+    energy_sums = None if energies is None else _WindowSums(n, m_max, of=np.square)
     most = min(batch, n_blocks)  # blocks in the largest batch
 
     def buffers(shape, dtype=float) -> list:
@@ -313,21 +374,15 @@ def _sliding_dot(
     # The last pattern of a group multiplies in place: a group of one needs no product buffer.
     products = buffers((most, nfft // 2 + 1), complex) if g > 1 else None
     blocks_out = buffers((most, nfft))
-    # Each batch's take energies: kept, in the last pattern's rows until it normalizes them.
-    window = buffers(most * step) if energies is not None and not keep else None
     rows = buffers((len(own_rows), most * step)) if own_rows else None
     segments = [None] * slots
+    prefixes = [None] * slots  # each batch's prefix sums of s^2, which every pattern's window energies read
     out = np.empty((g, n)) if keep else None
     peaks = [[None] * n_batches for _ in range(g)]  # each batch's _RowPeaks, per pattern
 
     def lags(i: int) -> tuple[int, int, int]:
         """Batch i's slot, first lag and number of blocks."""
         return i % slots, i * batch * step, min(batch, n_blocks - i * batch)
-
-    def take_energies(i: int) -> np.ndarray:
-        """The take energies of batch i's lags inside the take."""
-        slot, lo, k = lags(i)
-        return out[g - 1, lo : lo + k * step] if keep else window[slot][: min(k * step, n - lo)]
 
     def dest(i: int, j: int) -> np.ndarray:
         """Where pattern j's lags of batch i go, shape (blocks, step); a kept batch that runs past the take is copied out."""
@@ -340,15 +395,15 @@ def _sliding_dot(
         return product[:k].view(np.float64).reshape(-1)[: k * step].reshape(k, step)
 
     def prepare(i: int) -> None:
-        """The calling thread's part before batch i runs: its samples, and its lags' take energies."""
+        """The calling thread's part before batch i runs: its samples, and the prefix sums of its lags' take energies."""
         slot, lo, k = lags(i)
         length = (k - 1) * step + nfft
         seg = s[lo : lo + length]
         segments[slot] = seg if seg.size == length else np.concatenate((seg, np.zeros(length - seg.size)))
         if energy_sums is not None:
             stop = min(lo + k * step, n)
-            energy_sums.push(s[energy_sums.pushed : min(stop + m - 1, n)])
-            _pop_energy(energy_sums, stop, take_energies(i))
+            energy_sums.push(s[energy_sums.pushed : min(stop + m_max - 1, n)])
+            prefixes[slot] = energy_sums.pop_prefix(stop)
 
     def run(i: int) -> None:
         slot, lo, k = lags(i)
@@ -364,8 +419,8 @@ def _sliding_dot(
             if energies is None:
                 rows_j[...] = full[:k, :step]
             else:
-                denom = flat[: n - lo]  # the lags inside the take
-                np.multiply(take_energies(i), energies[j], out=denom)
+                denom = _window_energy(prefixes[slot], lengths[j], flat[: n - lo])  # the lags inside the take
+                np.multiply(denom, energies[j], out=denom)
                 np.sqrt(denom, out=denom)
                 flat[denom.size :] = 1.0  # lags past the take are cut off below; keep their division defined
                 np.divide(full[:k, :step], rows_j, out=rows_j)
@@ -413,7 +468,7 @@ def _sliding_dot(
                 pending.append([i, pool.submit(run, i)])
             while pending:
                 settle(pending.popleft())
-    if keep and p.ndim == 1:
+    if keep and single:
         out = out[0]
     if peaks_above is None:
         return out
@@ -445,7 +500,7 @@ def window_energy(s: AudioClip, m: int) -> np.ndarray:
     """
     sums = _WindowSums(len(s), m, of=np.square)
     sums.push(s.samples)
-    out = _pop_energy(sums)
+    out = _window_energy(sums.pop_prefix(len(s)), m, np.empty(len(s)))
     out.setflags(write=False)
     return out
 
@@ -465,7 +520,7 @@ def normalized_cross_correlate(s: AudioClip, p: AudioClip) -> CorrelationTrace:
 
 def energy(x: AudioClip) -> float:
     """Discretized integral of the squared signal (dimensionless * seconds)."""
-    return float(np.dot(x.samples, x.samples) / x.sample_rate_hz)
+    return sum_of_squares(x.samples) / x.sample_rate_hz
 
 
 def moving_average(trace: CorrelationTrace, window_s: float, rectify: bool = False) -> CorrelationTrace:
@@ -660,21 +715,25 @@ def scan_group(
     continuous_threshold: float,
     traces: Optional[list] = None,
 ) -> tuple[list[tuple[np.ndarray, np.ndarray]], list[Runs]]:
-    """The normalized cross-correlations of clips of one length, decided in one engine call.
+    """The normalized cross-correlations of a dictionary's clips, of any lengths, decided in one engine call.
 
     Returns, per impulse clip, the (lags, values) of
     `local_maxima(normalized_cross_correlate(s, clip), threshold)` and,
     per continuous clip, the `above_runs` at `continuous_threshold` of
     `moving_average(normalized_cross_correlate(s, clip), clip.duration_s,
-    rectify=True)`. The clips share each block's forward FFT and each
-    lag's take energy. Each batch of an impulse clip's lags is peak-picked
+    rectify=True)`. The clips share one block layout, set by the longest
+    of them, each block's forward FFT and one running sum of the take's
+    squares, from which each distinct length gets its lags' window
+    energies. Each batch of an impulse clip's lags is peak-picked
     in the worker that normalized it; a continuous clip's lags go batch by
     batch to the calling thread, which box-averages and thresholds them
     (`_BoxRuns`). So no take-length array exists, unless `traces` is a
     list: then (trace, averaged) is appended per clip, impulses first,
-    where trace is the lags its decisions read, the same bit for bit as
-    `normalized_cross_correlate(s, clip)`, and averaged its box means, or
-    None for an impulse clip.
+    where trace is the lags its decisions read and averaged its box
+    means, or None for an impulse clip. When every clip has one length,
+    the layout is `normalized_cross_correlate`'s and the trace is the
+    same bit for bit; a shorter clip beside a longer one is cut into
+    other blocks, which moves its lags by a few ulps.
     """
     clips = [*impulses, *continuous]
     if not clips:
@@ -684,8 +743,7 @@ def scan_group(
     n, rate = len(s), s.sample_rate_hz
     boxes = [_BoxRuns(n, _box_width(clip.duration_s, rate), continuous_threshold, keep) for clip in continuous]
     sinks = [None] * len(impulses) + boxes
-    group = np.stack([clip.samples for clip in clips])
-    values, peaks = _sliding_dot(s.samples, group, energies, threshold, sinks, keep)
+    values, peaks = _sliding_dot(s.samples, [clip.samples for clip in clips], energies, threshold, sinks, keep)
     if keep:
         traces.extend(
             (_fresh_trace(row, rate), None if box is None else _fresh_trace(box.averaged, rate))
@@ -702,9 +760,8 @@ def impulse_peaks(
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per clip, the (lags, values) of `local_maxima(normalized_cross_correlate(s, clip), threshold)`.
 
-    `scan_group` of impulse clips only: the clips must share one length.
-    Given a list as `traces`, each clip's trace, the lags its peaks were
-    picked from, is appended to it.
+    `scan_group` of impulse clips only. Given a list as `traces`, each
+    clip's trace, the lags its peaks were picked from, is appended to it.
     """
     kept = None if traces is None else []
     peaks, _ = scan_group(s, clips, (), threshold, threshold, kept)

@@ -1,13 +1,14 @@
 """Turn a recording plus a pattern dictionary into a timeline of events.
 
 One pass correlates and decides. `detect` makes one engine call per
-pattern length (`scan_group`): the length's patterns share each block's
-forward FFT and each lag's window energy, the impulse patterns' peaks
-are picked batch by batch, and the continuous patterns' box averages
-and the runs above their threshold are found batch by batch too. Each
-impulse pattern's peaks become `Candidates` arrays that suppression and
-strength measurement decide; each continuous pattern's runs become
-intervals. Without a `traces` sink, `detect` holds the take, the
+take (`scan_group`) for the whole dictionary, whatever its patterns'
+lengths: they share one block layout, each block's forward FFT and one
+running sum of the take's squares that gives each length its window
+energies; the impulse patterns' peaks are picked batch by batch, and
+the continuous patterns' box averages and the runs above their
+threshold are found batch by batch too. Each impulse pattern's peaks
+become `Candidates` arrays that suppression and strength measurement
+decide; each continuous pattern's runs become intervals. Without a `traces` sink, `detect` holds the take, the
 batches in flight and what it has found, and no other take-length
 array. Given a `traces` list, the same pass also keeps every trace it
 read there, the traces `soundcue detect --report` writes.
@@ -48,6 +49,7 @@ from .correlate import (  # noqa: F401  (bench/tracing.py looks the correlation 
     moving_average,
     normalized_cross_correlate,
     scan_group,
+    sum_of_squares,
 )
 from .errors import DetectionError
 from .timeline import EventInstance, PatternKind, Timeline, Track
@@ -64,7 +66,7 @@ class SoundPattern:
     def __post_init__(self):
         if not self.id:
             raise ValueError("pattern id must be non-empty")
-        if len(self.clip) == 0 or float(np.dot(self.clip.samples, self.clip.samples)) <= 0.0:
+        if len(self.clip) == 0 or sum_of_squares(self.clip.samples) <= 0.0:
             raise ValueError(f"pattern {self.id!r} has zero energy")
 
     @property
@@ -268,17 +270,14 @@ def _aligned(pattern: SoundPattern, rate: int) -> SoundPattern:
 TracedPattern = tuple[SoundPattern, CorrelationTrace, Optional[CorrelationTrace]]  # (pattern, trace, averaged)
 
 
-def _by_length(s: AudioClip, patterns: Sequence[SoundPattern]) -> dict[int, list[SoundPattern]]:
-    """The dictionary, checked and aligned to `s`'s rate, grouped by pattern length."""
+def _checked(s: AudioClip, patterns: Sequence[SoundPattern]) -> list[SoundPattern]:
+    """The dictionary, checked and aligned to `s`'s rate."""
     if not patterns:
         raise DetectionError("pattern dictionary is empty")
     ids = [p.id for p in patterns]
     if len(set(ids)) != len(ids):
         raise DetectionError("pattern ids must be unique")
-    by_length: dict[int, list[SoundPattern]] = {}
-    for pattern in (_aligned(p, s.sample_rate_hz) for p in patterns):
-        by_length.setdefault(len(pattern.clip), []).append(pattern)
-    return by_length
+    return [_aligned(p, s.sample_rate_hz) for p in patterns]
 
 
 PatternPeaks = tuple[SoundPattern, np.ndarray, np.ndarray]  # an impulse pattern, its peaks' lags and values
@@ -328,34 +327,34 @@ def detect(
     rate first so all lags share one time base. Event times are onsets:
     the instant the instance starts inside the recording.
 
-    The patterns of each length are correlated together by `scan_group`,
-    which picks the impulse patterns' peaks and the runs of the
-    continuous patterns' box averages batch by batch. Given a list as
-    `traces`, `detect` appends (pattern, trace, averaged) for every
-    pattern, the pattern aligned to `s`'s rate: `trace` is the normalized
-    cross-correlation its decisions read, and `averaged` the rectified
-    trace box-averaged over one pattern duration, or None for an impulse
-    pattern. Without it, no trace exists.
+    The whole dictionary, whatever its patterns' lengths, is correlated
+    in one `scan_group` call, one pass over the take that picks the
+    impulse patterns' peaks and the runs of the continuous patterns' box
+    averages batch by batch. Given a list as `traces`, `detect` appends
+    (pattern, trace, averaged) for every pattern, the pattern aligned to
+    `s`'s rate: `trace` is the normalized cross-correlation its decisions
+    read, and `averaged` the rectified trace box-averaged over one
+    pattern duration, or None for an impulse pattern. Without it, no
+    trace exists.
     """
     cfg = cfg or DetectorConfig()
-    peaks: list[PatternPeaks] = []
+    aligned = _checked(s, patterns)
+    impulses = [pattern for pattern in aligned if pattern.kind is PatternKind.IMPULSE]
+    continuous = [pattern for pattern in aligned if pattern.kind is PatternKind.CONTINUOUS]
+    kept = None if traces is None else []
+    found, runs = scan_group(
+        s,
+        [pattern.clip for pattern in impulses],
+        [pattern.clip for pattern in continuous],
+        cfg.impulse_threshold,
+        cfg.continuous_threshold,
+        kept,
+    )
+    peaks: list[PatternPeaks] = [(pattern, lags, values) for pattern, (lags, values) in zip(impulses, found)]
     events: list[EventInstance] = []
-    for group in _by_length(s, patterns).values():
-        impulses = [pattern for pattern in group if pattern.kind is PatternKind.IMPULSE]
-        continuous = [pattern for pattern in group if pattern.kind is PatternKind.CONTINUOUS]
-        kept = None if traces is None else []
-        found, runs = scan_group(
-            s,
-            [pattern.clip for pattern in impulses],
-            [pattern.clip for pattern in continuous],
-            cfg.impulse_threshold,
-            cfg.continuous_threshold,
-            kept,
-        )
-        peaks.extend((pattern, lags, values) for pattern, (lags, values) in zip(impulses, found))
-        for pattern, pattern_runs in zip(continuous, runs):
-            intervals = _continuous_intervals(pattern_runs, pattern, cfg, s.sample_rate_hz, s.duration_s)
-            events.extend(_event(s, pattern, b, e, peak) for b, e, peak in intervals)
-        if kept is not None:
-            traces.extend((pattern, trace, averaged) for pattern, (trace, averaged) in zip(impulses + continuous, kept))
+    for pattern, pattern_runs in zip(continuous, runs):
+        intervals = _continuous_intervals(pattern_runs, pattern, cfg, s.sample_rate_hz, s.duration_s)
+        events.extend(_event(s, pattern, b, e, peak) for b, e, peak in intervals)
+    if kept is not None:
+        traces.extend((pattern, trace, averaged) for pattern, (trace, averaged) in zip(impulses + continuous, kept))
     return _decide(s, peaks, events, cfg, track_id, source_audio)

@@ -43,6 +43,7 @@ from .errors import AnimationError, SceneError, SchemaError
 from .timeline import PatternKind, Timeline
 
 logger = logging.getLogger(__name__)
+_UNBOUND_LISTED = 4  # unbound (pattern, object) pairs the one INFO line of a build names
 
 # Spawn action kind -> (entity kind, default placement, default size_per_strength).
 _SPAWNS = {
@@ -407,6 +408,7 @@ def build_animation(timeline: Timeline, cfg: SceneConfig) -> AnimationOutput:
     tracks = {t.track_id: t for t in timeline.tracks}
     motions = []
     all_spawns = []
+    unbound = []  # (pattern, object) pairs whose events no binding reads
     for index, obj in enumerate(cfg.objects):
         if obj.track_id not in tracks:
             raise SceneError(f"object {obj.object_id!r} references missing track {obj.track_id!r}")
@@ -415,7 +417,8 @@ def build_animation(timeline: Timeline, cfg: SceneConfig) -> AnimationOutput:
         for event in track.events:
             by_pattern.setdefault(event.pattern_id, []).append(event)
         for pattern_id in sorted(set(by_pattern) - set(obj.bindings)):
-            logger.info("track %r: pattern %r has no binding on %r, ignoring", track.track_id, pattern_id, obj.object_id)
+            logger.debug("track %r: pattern %r has no binding on %r, ignoring", track.track_id, pattern_id, obj.object_id)
+            unbound.append(f"{pattern_id!r} on {obj.object_id!r}")
 
         position_providers = []
         scale_providers = []
@@ -489,6 +492,9 @@ def build_animation(timeline: Timeline, cfg: SceneConfig) -> AnimationOutput:
         frame_count(duration, cfg.fps)  # the check `sample` makes, so bad input fails before any output
         motions.append((obj.object_id, tuple(position_providers), tuple(scale_providers)))
 
+    if unbound:
+        listed = ": " + ", ".join(unbound) if len(unbound) <= _UNBOUND_LISTED else " (listed at DEBUG level)"
+        logger.info("%d (pattern, object) pair(s) have events but no binding, ignored%s", len(unbound), listed)
     all_spawns.sort(key=lambda sp: (sp.t_s, sp.entity_kind, sp.size))
     return AnimationOutput(
         curves=ObjectCurves(motions, duration, cfg.fps),

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import math
 import tracemalloc
@@ -10,7 +11,7 @@ import pytest
 from soundcue import (
     AudioClip, correlate, curves_to_csv, load_wav, make_pattern, read_timeline, resample, save_wav, scene,
 )
-from soundcue import cli
+from soundcue import animate, cli
 from soundcue.animate import _time_blocks
 from soundcue.cli import main
 
@@ -225,18 +226,18 @@ class TestDetect:
         assert peaks["report"] - peaks["plain"] < trace_bytes
 
     def test_report_computes_each_trace_once(self, fixture_dir, tmp_path, monkeypatch):
-        """The report writes the traces detection read: one engine pass per pattern length, whose
-        running energy sum takes each sample's square once."""
-        engine_calls, squared = [], {}  # squared: per pattern length, the running sums and the samples they took
+        """The report writes the traces detection read: one engine pass over the take for every
+        pattern length, whose running energy sum takes each sample's square once."""
+        engine_calls, squared = [], []  # squared: the running sums, their widths and the samples they took
         real_dot, real_push = correlate._sliding_dot, correlate._WindowSums.push
 
         def dot_spy(*args, **kwargs):
-            engine_calls.append(np.shape(args[1])[-1])  # the pattern length
+            engine_calls.append(sorted(len(row) for row in args[1]))  # the pattern lengths
             return real_dot(*args, **kwargs)
 
         def push_spy(sums, x):
             if sums.of is np.square:
-                squared.setdefault(sums.w, []).append((id(sums), x.size))
+                squared.append((id(sums), sums.w, x.size))
             return real_push(sums, x)
 
         monkeypatch.setattr(correlate, "_sliding_dot", dot_spy)
@@ -245,13 +246,12 @@ class TestDetect:
             "detect", str(fixture_dir / "sequence.wav"), "--patterns", str(fixture_dir / "patterns.json"),
             "--track-id", "take", "--out-dir", str(tmp_path / "rep"), "--report",
         ]) == 0
-        assert len(engine_calls) == 3 and sorted(engine_calls) == sorted(squared)
-        samples = len(load_wav(fixture_dir / "sequence.wav"))
-        for pushes in squared.values():
-            assert len({sums for sums, _ in pushes}) == 1 and sum(size for _, size in pushes) == samples
+        assert len(engine_calls) == 1 and len(set(engine_calls[0])) == 3  # three lengths, one pass
+        assert {(sums, w) for sums, w, _ in squared} == {(squared[0][0], max(engine_calls[0]))}
+        assert sum(size for _, _, size in squared) == len(load_wav(fixture_dir / "sequence.wav"))
 
     def test_report_shares_each_length_forward_fft(self, fixture_dir, tmp_path, monkeypatch):
-        """Two impulse patterns of one length go through one engine call with `--report` too."""
+        """Two impulse patterns of one length go through the take's one engine call with `--report` too."""
         tick = load_wav(fixture_dir / "patterns" / "tick.wav")
         twin = make_pattern("noise_burst", tick.duration_s, seed=11, sample_rate_hz=SR)
         assert len(twin) == len(tick)
@@ -263,16 +263,16 @@ class TestDetect:
                 "--track-id", "take"]
         plain, report = tmp_path / "plain", tmp_path / "rep"
         assert main(args + ["--out-dir", str(plain)]) == 0
-        shapes, real_dot = [], correlate._sliding_dot
+        calls, real_dot = [], correlate._sliding_dot
 
         def dot_spy(s, p, *rest, **kwargs):
-            shapes.append(np.shape(p))
+            calls.append([len(row) for row in p])
             return real_dot(s, p, *rest, **kwargs)
 
         monkeypatch.setattr(correlate, "_sliding_dot", dot_spy)
         assert main(args + ["--out-dir", str(report), "--report"]) == 0
-        assert [shape for shape in shapes if shape[-1] == len(tick)] == [(2, len(tick))]
-        assert len(shapes) == 3  # one per pattern length
+        assert len(calls) == 1  # one per take
+        assert calls[0].count(len(tick)) == 2 and len(calls[0]) == 4
         assert (report / "take.timeline.json").read_bytes() == (plain / "take.timeline.json").read_bytes()
         header = (report / "take.correlation.csv").read_text().split("\n", 1)[0]
         assert header == "t,ncc_chhh,avg_chhh,ncc_poc,ncc_tick,ncc_tock"
@@ -687,6 +687,63 @@ class TestOutputNames:
         assert "--track-id" in capsys.readouterr().err
         assert detected == []
         assert not (tmp_path / "det").exists()
+
+class TestAtomicOutputs:
+    """`run` and `synth` rename their files into place only once all are complete: a failure leaves none behind."""
+
+    @staticmethod
+    def fail_second_block(monkeypatch):
+        """Make the second block of curve rows a CSV writer formats raise, as a full disk would."""
+        blocks, real_block = [], cli.docio.csv_block
+
+        def failing_block(columns):
+            blocks.append(len(columns[0]))
+            if len(blocks) == 2:
+                raise OSError("No space left on device")
+            return real_block(columns)
+
+        monkeypatch.setattr(cli.docio, "CSV_BLOCK_ROWS", 16)
+        monkeypatch.setattr(cli.docio, "csv_block", failing_block)
+        # A time grid formatted in 16-row blocks must not stay in the memo after the test.
+        monkeypatch.setattr(animate, "_time_blocks", functools.lru_cache(maxsize=1)(_time_blocks.__wrapped__))
+        return blocks
+
+    def test_synth_failure_leaves_nothing(self, tmp_path, monkeypatch, capsys):
+        argv = _synth_argv(tmp_path)
+        blocks = self.fail_second_block(monkeypatch)
+        assert main(argv) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert len(blocks) == 2
+        assert not (tmp_path / "out").exists()  # the directory synth made is gone too
+        assert not list(tmp_path.rglob("*_curves.csv")) and not list(tmp_path.rglob("*.tmp"))
+
+    def test_run_failure_keeps_an_existing_directory_without_new_files(self, fixture_dir, tmp_path, monkeypatch):
+        write_scene(tmp_path / "scene.json")
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept")
+        argv = ["run", "--track", f"take={fixture_dir / 'sequence.wav'}", "--patterns", str(fixture_dir / "patterns.json"),
+                "--scene", str(tmp_path / "scene.json"), "--out-dir", str(out)]
+        self.fail_second_block(monkeypatch)
+        assert main(argv) == 2
+        assert sorted(path.name for path in out.iterdir()) == ["notes.txt"]  # no timeline, no CSV, no temporary file
+        monkeypatch.undo()
+        assert main(argv) == 0
+        assert sorted(path.name for path in out.iterdir()) == ["animation.json", "ball_curves.csv", "notes.txt", "timeline.json"]
+
+    def test_interrupt_removes_the_directory_run_made(self, fixture_dir, tmp_path, monkeypatch):
+        write_scene(tmp_path / "scene.json")
+
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli.scene, "animation_document", interrupt)
+        out = tmp_path / "new" / "out"
+        with pytest.raises(KeyboardInterrupt):
+            main(["run", "--track", f"take={fixture_dir / 'sequence.wav'}", "--patterns", str(fixture_dir / "patterns.json"),
+                  "--scene", str(tmp_path / "scene.json"), "--out-dir", str(out)])
+        assert not (tmp_path / "new").exists()
+
 
 class TestUsage:
     def test_no_command_is_usage_error(self):

@@ -20,7 +20,7 @@ from soundcue import (
     window_energy,
 )
 from soundcue import above_runs, correlate
-from soundcue.correlate import EPS_ENERGY, _BoxMean, _WindowSums, _fft_length, _sliding_dot
+from soundcue.correlate import EPS_ENERGY, _BoxMean, _WindowSums, _fft_length, _sliding_dot, sum_of_squares
 
 SR = 8000
 
@@ -208,6 +208,31 @@ class TestBlockEdges:
         assert_matches_direct(n, m, seed)
 
 
+class TestBlockLength:
+    """The block rule: a power of two of at least 2^15 points and twice the longest pattern, never above one block for the take."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 1 << 24), st.data())
+    @example(1, None)  # a one-sample take and pattern: a one-point block
+    @example(32768, None)
+    def test_rule(self, n, data):
+        m = 1 if data is None else data.draw(st.integers(1, n), label="m")
+        nfft = _fft_length(n, m)
+        whole = 1 << (n + m - 2).bit_length()  # the power of two >= n + m - 1: the take in one block
+        assert nfft > 0 and nfft & (nfft - 1) == 0
+        assert nfft <= whole
+        assert nfft >= 2 * m or n + m - 1 == 1
+        assert nfft >= 1 << 15 or nfft == whole  # a shorter block only when the take is shorter
+        if nfft < whole:
+            assert nfft == 1 << max(2 * m - 1, (1 << 15) - 1).bit_length()
+
+    def test_lengths_of_the_benchmark_patterns(self):
+        long_take = 120 * 44100
+        assert correlate._MIN_BLOCK == 1 << 15
+        assert [_fft_length(long_take, m) for m in (5292, 8820, 22050)] == [1 << 15, 1 << 15, 1 << 16]
+        assert _fft_length(44100, 882) == 1 << 15 and _fft_length(1000, 5) == 1024
+
+
 def random_pair(n, m):
     rng = np.random.default_rng(n * 7 + m)
     return rng.uniform(-1, 1, n), rng.uniform(-1, 1, m)
@@ -297,7 +322,7 @@ class TestReferenceEquality:
             m = int(rng.choice([1, n, int(rng.integers(1, n + 1))]))
             s = rng.uniform(-1, 1, n)
             p = rng.uniform(-1, 1, m)
-            pattern_energy = float(np.dot(p, p))
+            pattern_energy = sum_of_squares(p)
             denom = np.sqrt(np.maximum(reference_window_energy(s, m), EPS_ENERGY) * pattern_energy)
             expected = np.clip(_sliding_dot(s, p) / denom, -1.0, 1.0)
             assert np.array_equal(normalized_cross_correlate(clip(s), clip(p)).values, expected), (n, m)
@@ -625,10 +650,33 @@ class TestImpulsePeaks:
         take_blocks = [shape for shape in forward if len(shape) == 2]  # the patterns' own transforms are 1-D
         assert sum(shape[0] for shape in take_blocks) == 4  # every block once, not once per pattern
 
-    def test_rejects_mixed_lengths_and_bad_energy(self):
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_mixed_group_normalization_equals_index_array_formula(self, workers, monkeypatch):
+        """Patterns of several lengths in one call: each divides by its own length's window energy, bit for bit."""
+        rng = np.random.default_rng(44 + workers)
+        monkeypatch.setattr(correlate, "_WORKERS", workers)
+        for _ in range(4):
+            lengths = [int(m) for m in rng.integers(1, 300, 3)]
+            n = int(rng.integers(2, 5)) * block_step(max(lengths)) + int(rng.integers(0, 300))
+            monkeypatch.setattr(correlate, "_BATCH_SAMPLES", _fft_length(n, max(lengths)) * workers)  # one block per batch
+            s = rng.uniform(-1, 1, n) * rng.choice([1.0, 1e-9], n)  # quiet stretches reach the clamp
+            group = [rng.uniform(-1, 1, m) for m in lengths]
+            raw = _sliding_dot(s, group)
+            normalized = _sliding_dot(s, group, [sum_of_squares(p) for p in group])
+            for p, raw_row, row in zip(group, raw, normalized):
+                denom = np.sqrt(np.maximum(reference_window_energy(s, p.size), EPS_ENERGY) * sum_of_squares(p))
+                assert np.array_equal(row, np.clip(raw_row / denom, -1.0, 1.0)), lengths
+                assert np.max(np.abs(raw_row - _sliding_dot(s, p))) < 1e-9  # its own layout, alone
+
+    def test_mixed_lengths_equal_each_pattern_alone_and_bad_energy_is_rejected(self):
         s = clip(np.random.default_rng(43).uniform(-1, 1, 200))
-        with pytest.raises(ValueError):
-            impulse_peaks(s, [clip(np.ones(4)), clip(np.ones(5))], 0.5)
+        clips = [clip(np.ones(4)), clip(np.ones(5))]
+        assert _fft_length(200, 4) == _fft_length(200, 5)  # one block either way: the same layout, the same bits
+        kept = []
+        for p, (lags, values), trace in zip(clips, impulse_peaks(s, clips, 0.5, kept), kept):
+            reference = normalized_cross_correlate(s, p)
+            assert trace.values.tobytes() == reference.values.tobytes()
+            assert list(zip(lags.tolist(), values.tolist())) == find_local_maxima(reference, 0.5)
         with pytest.raises(DetectionError):
             impulse_peaks(s, [clip(np.ones(4)), clip(np.zeros(4))], 0.5)
         assert impulse_peaks(s, [], 0.5) == []
@@ -699,7 +747,7 @@ class TestStreamedSums:
             monkeypatch.setattr(correlate, "_BATCH_SAMPLES", _fft_length(n, m) * workers)
             s = rng.uniform(-1, 1, n) * rng.choice([1.0, 1e-9], n)  # quiet stretches reach the clamp
             p = rng.uniform(-1, 1, m)
-            denom = np.sqrt(np.maximum(reference_window_energy(s, m), EPS_ENERGY) * float(np.dot(p, p)))
+            denom = np.sqrt(np.maximum(reference_window_energy(s, m), EPS_ENERGY) * sum_of_squares(p))
             expected = np.clip(_sliding_dot(s, p) / denom, -1.0, 1.0)
             assert np.array_equal(normalized_cross_correlate(clip(s), clip(p)).values, expected), m
 
@@ -710,13 +758,14 @@ class TestStreamedSums:
             pushed.append((self.w, self.of, x.size))
             return real_push(self, x)
 
+        n = 4 * block_step(50)
         monkeypatch.setattr(correlate, "_WORKERS", 2)
-        monkeypatch.setattr(correlate, "_BATCH_SAMPLES", 3 * _fft_length(4000, 50))
+        monkeypatch.setattr(correlate, "_BATCH_SAMPLES", 3 * _fft_length(n, 50))
         monkeypatch.setattr(_WindowSums, "push", push_spy)
         rng = np.random.default_rng(27)
-        normalized_cross_correlate(clip(rng.uniform(-1, 1, 4000)), clip(rng.uniform(-1, 1, 50)))
+        normalized_cross_correlate(clip(rng.uniform(-1, 1, n)), clip(rng.uniform(-1, 1, 50)))
         assert len(pushed) > 3 and {(w, of) for w, of, _ in pushed} == {(50, np.square)}
-        assert sum(size for _, _, size in pushed) == 4000  # each sample squared once
+        assert sum(size for _, _, size in pushed) == n  # each sample squared once
 
 
 def reference_runs(values, threshold):

@@ -454,6 +454,28 @@ class TestBuildAnimation:
         assert out.spawns == ()
         assert any("'pop'" in record.getMessage() for record in caplog.records)
 
+    def test_unbound_pairs_logged_once_per_build(self, caplog):
+        """One INFO line per build counts the unbound (pattern, object) pairs; each pair has its own DEBUG line."""
+        import logging
+
+        doc = json.loads(scene_doc())
+        doc["objects"] = [dict(doc["objects"][0], object_id=f"ball{i}") for i in range(3)]
+        cfg = parse_scene(json.dumps(doc), KINDS)
+        unbound = [f"u{k}" for k in range(8)]
+        tl = Timeline((Track("main", tuple(impulse(pid, 0.1 + 0.1 * k) for k, pid in enumerate(unbound))),), 2.0)
+        with caplog.at_level(logging.DEBUG, logger="soundcue.scene"):
+            build_animation(tl, cfg)
+        info = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+        debug = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+        assert len(info) == 1 and info[0].startswith("24 (pattern, object) pair(s)")
+        assert "'u0'" not in info[0]  # too many to name
+        assert len(debug) == 24 and all("no binding" in line for line in debug)
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="soundcue.scene"):
+            build_animation(Timeline((Track("main", (impulse("u0", 0.5),)),), 2.0), cfg)
+        (line,) = [r.getMessage() for r in caplog.records]
+        assert line.startswith("3 (pattern, object) pair(s)") and "'u0' on 'ball2'" in line
+
     def test_duration_override(self):
         cfg = parse_scene(scene_doc(duration_override_s=5.0), KINDS)
         tl = Timeline((Track("main"),), 2.0)
