@@ -10,11 +10,8 @@ from .audio import AudioClip, load_wav, resample, save_wav
 from .correlate import (
     CorrelationTrace,
     Runs,
-    above_runs,
     energy,
     find_local_maxima,
-    impulse_peaks,
-    local_maxima,
     moving_average,
     normalized_cross_correlate,
     raw_cross_correlate,

@@ -167,10 +167,12 @@ class _Outputs:
     """A command's output files, written under temporary names in `out_dir` and renamed into place together.
 
     `path(name)` gives the temporary path whose file becomes `name` once
-    the block ends without an error. On an error or an interrupt, every
-    temporary file is removed, and so are the directories the block
-    created, `out_dir` among them: a failed command leaves no file that
-    looks finished.
+    the block ends without an error; `name` may lie in a subdirectory of
+    `out_dir`, such as `patterns/tick.wav`, and the temporary file sits
+    beside its final one. On an error or an interrupt, every temporary
+    file is removed, and so are the directories the block created,
+    `out_dir` and those subdirectories among them: a failed command
+    leaves no file that looks finished.
     """
 
     def __init__(self, out_dir: Path):
@@ -185,7 +187,10 @@ class _Outputs:
 
     def path(self, name: str) -> Path:
         final = self.out_dir / name
-        temporary = self.out_dir / f".{name}.{os.getpid()}.tmp"
+        # The subdirectories made for it, innermost first, are removed before those made earlier.
+        self.created[:0] = [d for d in (final.parent, *final.parent.parents) if not d.exists()]
+        final.parent.mkdir(parents=True, exist_ok=True)
+        temporary = final.parent / f".{final.name}.{os.getpid()}.tmp"
         self.staged.append((temporary, final))
         return temporary
 
@@ -311,15 +316,15 @@ def cmd_gen(args) -> None:
         plan = dataclasses.replace(plan, seed=args.seed)
     sequence, clips = synthgen.realize(plan)
     out_dir = Path(args.out_dir)
-    pattern_dir = out_dir / "patterns"
-    pattern_dir.mkdir(parents=True, exist_ok=True)
-    save_wav(sequence, out_dir / "sequence.wav", sample_format="float32")
-    manifest = []
-    for definition in plan.patterns:
-        save_wav(clips[definition.id], pattern_dir / f"{definition.id}.wav", sample_format="float32")
-        manifest.append({"id": definition.id, "kind": definition.kind.value, "path": f"patterns/{definition.id}.wav"})
-    (out_dir / "patterns.json").write_text(docio.dump_json(manifest), encoding="utf-8")
-    (out_dir / "groundtruth.json").write_text(synthgen.serialize_plan(plan), encoding="utf-8")
+    with _Outputs(out_dir) as outputs:
+        save_wav(sequence, outputs.path("sequence.wav"), sample_format="float32")
+        manifest = []
+        for definition in plan.patterns:
+            rel = f"patterns/{definition.id}.wav"
+            save_wav(clips[definition.id], outputs.path(rel), sample_format="float32")
+            manifest.append({"id": definition.id, "kind": definition.kind.value, "path": rel})
+        outputs.path("patterns.json").write_text(docio.dump_json(manifest), encoding="utf-8")
+        outputs.path("groundtruth.json").write_text(synthgen.serialize_plan(plan), encoding="utf-8")
     print(f"generated {sequence.duration_s:.3f} s fixture with {len(plan.patterns)} pattern(s) -> {out_dir}")
 
 

@@ -31,8 +31,12 @@ from which each pattern takes the window energies of its own length
 (Lewis 1995, "Fast Normalized Cross-Correlation"); each batch of blocks
 is forward-transformed once, and every pattern then multiplies,
 inverse-transforms and normalizes its own copy.
-`normalized_cross_correlate` and `raw_cross_correlate` are a group of
-one that keeps its output. `scan_group` decides as it goes: each worker
+`scan_group` is the pipeline's one entry to the engine. The
+single-pattern functions, `normalized_cross_correlate` and
+`raw_cross_correlate` (a group of one that keeps its output),
+`window_energy`, `moving_average` and `find_local_maxima`, are the
+references that tests and the acceptance criteria read.
+`scan_group` decides as it goes: each worker
 picks the local maxima of an impulse pattern's batch of lags as soon as
 they are normalized, and the calling thread stitches the runs above the
 threshold that cross batch edges; a continuous pattern's lags reach the
@@ -296,18 +300,18 @@ def _check_group(s: AudioClip, clips: Sequence[AudioClip]) -> list[float]:
 
 def _sliding_dot(
     s: np.ndarray,
-    p,
-    pattern_energy=None,
+    patterns: Sequence[np.ndarray],
+    energies: Optional[Sequence[float]] = None,
     peaks_above: Optional[float] = None,
     sinks: Sequence[Optional[Callable[[np.ndarray], None]]] = (),
     keep: bool = True,
 ):
-    """sum_u s[tau+u] * p[u] for tau = 0..len(s)-1, s zero-padded at the tail.
+    """sum_u s[tau+u] * p[u] for tau = 0..len(s)-1 and each pattern p, s zero-padded at the tail.
 
-    `p` is one pattern, shape (m,), or a group of g patterns of any
-    lengths (a sequence of 1-D arrays, or a 2-D array); the output then
-    has shape (g, len(s)). The group shares one block layout, so each
-    block's forward FFT is taken once for all of them.
+    `patterns` is a group of g patterns of any lengths (a sequence of 1-D
+    arrays, or a 2-D array); the output has shape (g, len(s)). The group
+    shares one block layout, so each block's forward FFT is taken once
+    for all of them.
 
     Overlap-save: block b is s[b*step : b*step + nfft] (zeros past the
     end), nfft = `_fft_length(n, m_max)` for the longest pattern's m_max.
@@ -316,27 +320,27 @@ def _sliding_dot(
     nfft - m + 1 >= step = nfft - m_max + 1 lags, which become
     out[b*step : (b+1)*step].
 
-    Given `pattern_energy`, one value per pattern (or one for all), each
-    lag is divided by sqrt(take energy * pattern energy) and clipped to
-    [-1, 1] instead: the normalized cross-correlation, finished batch by
-    batch. The take energy under each lag's window comes from one
-    running prefix sum of s^2 that the calling thread carries from batch
-    to batch (`_WindowSums`) and hands each batch the span of it its lags
-    read; each pattern takes its own window width's differences of that
-    span (`_window_energy`). So each energy is the same bit for bit as
-    `window_energy(s, m)`, whatever lengths the group mixes, and none
-    exists at take length.
+    Given `energies`, one value per pattern, each lag is divided by
+    sqrt(take energy * pattern energy) and clipped to [-1, 1] instead: the
+    normalized cross-correlation, finished batch by batch. The take energy
+    under each lag's window comes from one running prefix sum of s^2 that
+    the calling thread carries from batch to batch (`_WindowSums`) and
+    hands each batch the span of it its lags read; each pattern takes its
+    own window width's differences of that span (`_window_energy`). So
+    each energy is the same bit for bit as `window_energy(s, m)`, whatever
+    lengths the group mixes, and none exists at take length.
 
     `sinks[j]`, when given and not None, is called by the calling thread
     with pattern j's normalized lags, batch by batch in lag order; it may
     overwrite them unless they are kept. With `peaks_above` (normalized
-    only), each other pattern's batch of lags is peak-picked as soon as
-    it is normalized, and the call returns the output (None unless
-    `keep`) and, per pattern, the (lags, values) arrays `local_maxima`
-    gives on the whole trace (None for a pattern with a sink). Without
-    `keep`, no output exists: each batch is normalized into memory that
-    is dead by then, the product spectrum its inverse FFT has just read,
-    or a row buffer of its slot for a sink that has not had it yet.
+    only), each other pattern's batch of lags is peak-picked as soon as it
+    is normalized, and the call returns the output (None unless `keep`)
+    and, per pattern, the (lags, values) arrays of the peaks
+    `find_local_maxima` lists on the whole trace (None for a pattern with
+    a sink). Without `keep`, no output exists: each batch is normalized
+    into memory that is dead by then, the product spectrum its inverse FFT
+    has just read, or a row buffer of its slot for a sink that has not had
+    it yet.
 
     Batches of blocks run on up to _WORKERS threads, the calling one
     among them (numpy's FFTs release the GIL). Each batch has a slot of
@@ -348,8 +352,7 @@ def _sliding_dot(
     calling thread allocates every buffer: memory a helper thread
     allocates would stay in that thread's malloc arena after the call.
     """
-    single = isinstance(p, np.ndarray) and p.ndim == 1
-    group = [p] if single else list(p)
+    group = list(patterns)
     n, g = s.size, len(group)
     lengths = [row.size for row in group]
     m_max = max(lengths)
@@ -363,7 +366,6 @@ def _sliding_dot(
     # A sink's lags must outlive their batch: the last pattern's stay in the forward
     # spectrum it multiplied in place, the others' get a row buffer unless kept.
     own_rows = [] if keep else [j for j in range(g - 1) if sinks[j] is not None]
-    energies = None if pattern_energy is None else np.broadcast_to(np.asarray(pattern_energy, dtype=float), (g,))
     energy_sums = None if energies is None else _WindowSums(n, m_max, of=np.square)
     most = min(batch, n_blocks)  # blocks in the largest batch
 
@@ -468,8 +470,6 @@ def _sliding_dot(
                 pending.append([i, pool.submit(run, i)])
             while pending:
                 settle(pending.popleft())
-    if keep and single:
-        out = out[0]
     if peaks_above is None:
         return out
     return out, [_stitch(rows) if sink is None else None for rows, sink in zip(peaks, sinks)]
@@ -484,7 +484,7 @@ def _fresh_trace(values: np.ndarray, sample_rate_hz: int) -> CorrelationTrace:
 def raw_cross_correlate(s: AudioClip, p: AudioClip) -> CorrelationTrace:
     """Unnormalized cross-correlation, the discretized overlap integral."""
     _check_pair(s, p)
-    values = _sliding_dot(s.samples, p.samples)
+    values = _sliding_dot(s.samples, [p.samples])[0]
     values /= s.sample_rate_hz
     return _fresh_trace(values, s.sample_rate_hz)
 
@@ -513,8 +513,7 @@ def normalized_cross_correlate(s: AudioClip, p: AudioClip) -> CorrelationTrace:
     (`window_energy`), so the score is invariant to how loud the instance
     was voiced.
     """
-    (pattern_energy,) = _check_group(s, [p])
-    values = _sliding_dot(s.samples, p.samples, pattern_energy)
+    values = _sliding_dot(s.samples, [p.samples], _check_group(s, [p]))[0]
     return _fresh_trace(values, s.sample_rate_hz)
 
 
@@ -627,12 +626,6 @@ def _stitch(rows: Iterable[_RowPeaks]) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(lags).astype(np.int64, copy=False), np.concatenate(values)
 
 
-def local_maxima(trace: CorrelationTrace, threshold: float) -> tuple[np.ndarray, np.ndarray]:
-    """(lags, values) of `find_local_maxima`, as an int64 and a float64 array."""
-    v = trace.values
-    return _stitch([_row_peaks(v, threshold, 0)] if v.size else [])
-
-
 def find_local_maxima(trace: CorrelationTrace, threshold: float) -> list[tuple[int, float]]:
     """Lags of strict local maxima above `threshold`, in increasing order.
 
@@ -640,7 +633,8 @@ def find_local_maxima(trace: CorrelationTrace, threshold: float) -> list[tuple[i
     midpoint for even plateaus). Runs touching either end of the trace are
     never maxima, so a monotone trace yields nothing.
     """
-    lags, values = local_maxima(trace, threshold)
+    v = trace.values
+    lags, values = _stitch([_row_peaks(v, threshold, 0)] if v.size else [])
     return list(zip(lags.tolist(), values.tolist()))
 
 
@@ -675,11 +669,6 @@ def _stitch_runs(rows: Sequence[Runs]) -> Runs:
     firsts = np.flatnonzero(np.concatenate(([True], starts[1:] != ends[:-1] + 1)))
     lasts = np.concatenate((firsts[1:] - 1, [starts.size - 1]))
     return Runs(starts[firsts], ends[lasts], np.maximum.reduceat(peaks, firsts))
-
-
-def above_runs(trace: CorrelationTrace, threshold: float) -> Runs:
-    """The maximal runs of `trace` above `threshold`, in lag order."""
-    return _stitch_runs([_row_runs(trace.values, threshold, 0)])
 
 
 class _BoxRuns:
@@ -717,23 +706,25 @@ def scan_group(
 ) -> tuple[list[tuple[np.ndarray, np.ndarray]], list[Runs]]:
     """The normalized cross-correlations of a dictionary's clips, of any lengths, decided in one engine call.
 
-    Returns, per impulse clip, the (lags, values) of
-    `local_maxima(normalized_cross_correlate(s, clip), threshold)` and,
-    per continuous clip, the `above_runs` at `continuous_threshold` of
+    This is the engine's one entry for a dictionary. Returns, per impulse
+    clip, the peaks `find_local_maxima(normalized_cross_correlate(s,
+    clip), threshold)` lists, as an int64 array of lags and a float64
+    array of values, and, per continuous clip, the maximal runs (`Runs`)
+    above `continuous_threshold` of
     `moving_average(normalized_cross_correlate(s, clip), clip.duration_s,
     rectify=True)`. The clips share one block layout, set by the longest
     of them, each block's forward FFT and one running sum of the take's
     squares, from which each distinct length gets its lags' window
-    energies. Each batch of an impulse clip's lags is peak-picked
-    in the worker that normalized it; a continuous clip's lags go batch by
-    batch to the calling thread, which box-averages and thresholds them
+    energies. Each batch of an impulse clip's lags is peak-picked in the
+    worker that normalized it; a continuous clip's lags go batch by batch
+    to the calling thread, which box-averages and thresholds them
     (`_BoxRuns`). So no take-length array exists, unless `traces` is a
     list: then (trace, averaged) is appended per clip, impulses first,
-    where trace is the lags its decisions read and averaged its box
-    means, or None for an impulse clip. When every clip has one length,
-    the layout is `normalized_cross_correlate`'s and the trace is the
-    same bit for bit; a shorter clip beside a longer one is cut into
-    other blocks, which moves its lags by a few ulps.
+    where trace is the lags its decisions read and averaged its box means,
+    or None for an impulse clip. When every clip has one length, the
+    layout is `normalized_cross_correlate`'s and the trace is the same bit
+    for bit; a shorter clip beside a longer one is cut into other blocks,
+    which moves its lags by a few ulps.
     """
     clips = [*impulses, *continuous]
     if not clips:
@@ -750,21 +741,3 @@ def scan_group(
             for row, box in zip(values, sinks)
         )
     return peaks[: len(impulses)], [box.runs() for box in boxes]
-
-
-def impulse_peaks(
-    s: AudioClip,
-    clips: Sequence[AudioClip],
-    threshold: float,
-    traces: Optional[list[CorrelationTrace]] = None,
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per clip, the (lags, values) of `local_maxima(normalized_cross_correlate(s, clip), threshold)`.
-
-    `scan_group` of impulse clips only. Given a list as `traces`, each
-    clip's trace, the lags its peaks were picked from, is appended to it.
-    """
-    kept = None if traces is None else []
-    peaks, _ = scan_group(s, clips, (), threshold, threshold, kept)
-    if traces is not None:
-        traces.extend(trace for trace, _ in kept)
-    return peaks

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -122,20 +122,6 @@ class Candidates:
             object.__setattr__(self, name, arr)
         if len(self) and not 0 <= self.pattern_index.min() <= self.pattern_index.max() < len(self.pattern_ids):
             raise ValueError(f"pattern_index must index pattern_ids ({len(self.pattern_ids)} ids)")
-
-    @classmethod
-    def of(cls, candidates: Iterable[Candidate]) -> "Candidates":
-        """The `Candidate`s as arrays, their pattern ids in order of first appearance."""
-        candidates = list(candidates)
-        index: dict[str, int] = {}
-        for cand in candidates:
-            index.setdefault(cand.pattern_id, len(index))
-        return cls(
-            tuple(index),
-            [index[c.pattern_id] for c in candidates],
-            [c.lag_time_s for c in candidates],
-            [c.correlation_value for c in candidates],
-        )
 
     def __len__(self) -> int:
         return np.size(self.pattern_index)

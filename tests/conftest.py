@@ -63,6 +63,18 @@ def figure_sequence(dictionary, figure_plan):
     return place_instances(clips, figure_plan)
 
 
+def reference_runs(values, threshold):
+    """(first, last, peak) of each maximal run above `threshold`, by a plain loop."""
+    runs, start = [], None
+    for i, v in enumerate(list(values) + [-np.inf]):
+        if v > threshold and start is None:
+            start = i
+        elif not v > threshold and start is not None:
+            runs.append((start, i - 1, max(values[start:i])))
+            start = None
+    return runs
+
+
 def silent_clip(duration_s: float, sr: int = SR):
     from soundcue import AudioClip
 

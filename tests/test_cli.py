@@ -1,5 +1,7 @@
+import ast
 import dataclasses
 import functools
+import importlib
 import json
 import math
 import tracemalloc
@@ -76,6 +78,7 @@ class TestGen:
         assert (fixture_dir / "patterns.json").exists()
         assert (fixture_dir / "groundtruth.json").exists()
         assert (fixture_dir / "patterns" / "tick.wav").exists()
+        assert not list(fixture_dir.rglob("*.tmp"))
 
     def test_same_seed_byte_identical(self, tmp_path):
         plan_path = tmp_path / "plan.json"
@@ -689,7 +692,7 @@ class TestOutputNames:
         assert not (tmp_path / "det").exists()
 
 class TestAtomicOutputs:
-    """`run` and `synth` rename their files into place only once all are complete: a failure leaves none behind."""
+    """`gen`, `run` and `synth` rename their files into place only once all are complete: a failure leaves none behind."""
 
     @staticmethod
     def fail_second_block(monkeypatch):
@@ -717,6 +720,22 @@ class TestAtomicOutputs:
         assert not (tmp_path / "out").exists()  # the directory synth made is gone too
         assert not list(tmp_path.rglob("*_curves.csv")) and not list(tmp_path.rglob("*.tmp"))
 
+    def test_gen_failure_leaves_nothing(self, tmp_path, monkeypatch, capsys):
+        saved, real_save = [], cli.save_wav
+
+        def failing_save(clip, path, **kwargs):
+            saved.append(Path(path))
+            if len(saved) == 2:
+                raise OSError("No space left on device")
+            return real_save(clip, path, **kwargs)
+
+        monkeypatch.setattr(cli, "save_wav", failing_save)
+        argv = _gen_argv(tmp_path)
+        assert main(argv) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert saved[1].parent.name == "patterns"  # the sequence was written, then a pattern WAV failed
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["plan.json"]  # out/ and patterns/ are gone
+
     def test_run_failure_keeps_an_existing_directory_without_new_files(self, fixture_dir, tmp_path, monkeypatch):
         write_scene(tmp_path / "scene.json")
         out = tmp_path / "out"
@@ -743,6 +762,21 @@ class TestAtomicOutputs:
             main(["run", "--track", f"take={fixture_dir / 'sequence.wav'}", "--patterns", str(fixture_dir / "patterns.json"),
                   "--scene", str(tmp_path / "scene.json"), "--out-dir", str(out)])
         assert not (tmp_path / "new").exists()
+
+
+class TestTracerTargets:
+    """Every name the benchmark's tracer patches exists where it looks it up, so deleting one fails here."""
+
+    def test_every_target_resolves(self):
+        source = (Path(__file__).resolve().parents[1] / "bench" / "tracing.py").read_text(encoding="utf-8")
+        targets = next(
+            ast.literal_eval(node.value)
+            for node in ast.parse(source).body
+            if isinstance(node, ast.Assign) and any(getattr(name, "id", None) == "TARGETS" for name in node.targets)
+        )
+        assert targets
+        for module, attribute, _ in targets:
+            assert hasattr(importlib.import_module(module), attribute), (module, attribute)
 
 
 class TestUsage:

@@ -12,15 +12,15 @@ from soundcue import (
     DetectionError,
     energy,
     find_local_maxima,
-    impulse_peaks,
-    local_maxima,
     moving_average,
     normalized_cross_correlate,
     raw_cross_correlate,
+    scan_group,
     window_energy,
 )
-from soundcue import above_runs, correlate
+from soundcue import correlate
 from soundcue.correlate import EPS_ENERGY, _BoxMean, _WindowSums, _fft_length, _sliding_dot, sum_of_squares
+from conftest import reference_runs
 
 SR = 8000
 
@@ -324,7 +324,7 @@ class TestReferenceEquality:
             p = rng.uniform(-1, 1, m)
             pattern_energy = sum_of_squares(p)
             denom = np.sqrt(np.maximum(reference_window_energy(s, m), EPS_ENERGY) * pattern_energy)
-            expected = np.clip(_sliding_dot(s, p) / denom, -1.0, 1.0)
+            expected = np.clip(_sliding_dot(s, [p])[0] / denom, -1.0, 1.0)
             assert np.array_equal(normalized_cross_correlate(clip(s), clip(p)).values, expected), (n, m)
 
     def test_moving_average_equals_index_array_formula(self):
@@ -395,7 +395,7 @@ class TestMemoryBound:
         # sample of the shared batch budget, plus at most the padded copy of the tail.
         s, p = take
         monkeypatch.setattr(correlate, "_WORKERS", workers)
-        peak = self.peak_bytes(_sliding_dot, s.samples, p.samples)
+        peak = self.peak_bytes(_sliding_dot, s.samples, [p.samples])
         assert peak - s.samples.nbytes <= 3 * 8 * correlate._BATCH_SAMPLES
 
     @pytest.mark.parametrize("window_samples", [0.4, 5292])
@@ -564,12 +564,14 @@ class TestStitchedPeaks:
         assert stitched_maxima(values, threshold, cuts) == expected
 
     def test_array_and_list_forms_agree(self):
+        # The (lags, values) arrays `scan_group` returns are `find_local_maxima`'s list, stitched from rows.
         trace = CorrelationTrace(np.array([0.0, 0.7, 0.7, 0.0, 0.9, 0.0]), SR)
-        lags, values = local_maxima(trace, 0.5)
+        lags, values = correlate._stitch([correlate._row_peaks(trace.values, 0.5, 0)])
         assert lags.tolist() == [1, 4] and values.tolist() == [0.7, 0.9]
         assert find_local_maxima(trace, 0.5) == [(1, 0.7), (4, 0.9)]
-        empty = local_maxima(CorrelationTrace(np.empty(0), SR), 0.5)
+        empty = correlate._stitch([])
         assert empty[0].dtype == np.int64 and empty[0].size == 0 and empty[1].size == 0
+        assert find_local_maxima(CorrelationTrace(np.empty(0), SR), 0.5) == []
 
 
 def plateau_take(rng, n, m):
@@ -587,7 +589,7 @@ def plateau_take(rng, n, m):
 
 
 class TestImpulsePeaks:
-    """One correlation per pattern length, peaks picked per batch: the same peaks as the whole traces give."""
+    """`scan_group` of impulse clips, peaks picked per batch: the same peaks as the whole traces give."""
 
     M = 5
 
@@ -605,13 +607,13 @@ class TestImpulsePeaks:
         for trial in range(6):
             s = clip(plateau_take(rng, n, m))
             threshold = float(rng.choice([0.3, 0.5, 0.9]))
-            got = impulse_peaks(s, clips, threshold)
+            got, _ = scan_group(s, clips, (), threshold, threshold)
             kept = []  # the same call keeping its traces picks the same peaks from them
-            with_traces = impulse_peaks(s, clips, threshold, kept)
+            with_traces, _ = scan_group(s, clips, (), threshold, threshold, kept)
             assert len(got) == len(with_traces) == len(kept) == len(clips)
-            for p, (lags, values), (kept_lags, kept_values), kept_trace in zip(clips, got, with_traces, kept):
+            for p, (lags, values), (kept_lags, kept_values), (kept_trace, averaged) in zip(clips, got, with_traces, kept):
                 trace = normalized_cross_correlate(s, p)
-                assert kept_trace.values.tobytes() == trace.values.tobytes()
+                assert kept_trace.values.tobytes() == trace.values.tobytes() and averaged is None
                 assert np.array_equal(kept_lags, lags) and np.array_equal(kept_values, values)
                 assert lags.dtype == np.int64 and values.dtype == np.float64
                 assert list(zip(lags.tolist(), values.tolist())) == find_local_maxima(trace, threshold)
@@ -623,7 +625,7 @@ class TestImpulsePeaks:
         for n, m in ((40, 40), (100, 13), (9, 1)):
             s = clip(rng.uniform(-1, 1, n))
             clips = [clip(rng.uniform(-1, 1, m)) for _ in range(3)]
-            for p, (lags, values) in zip(clips, impulse_peaks(s, clips, 0.1)):
+            for p, (lags, values) in zip(clips, scan_group(s, clips, (), 0.1, 0.1)[0]):
                 assert list(zip(lags.tolist(), values.tolist())) == find_local_maxima(normalized_cross_correlate(s, p), 0.1)
 
     def test_group_shares_one_engine_call_and_one_forward_fft_per_block(self, monkeypatch):
@@ -645,7 +647,7 @@ class TestImpulsePeaks:
         rng = np.random.default_rng(42)
         s = clip(rng.uniform(-1, 1, 4 * block_step(m)))
         clips = [clip(rng.uniform(-1, 1, m)) for _ in range(4)]
-        impulse_peaks(s, clips, 0.5)
+        scan_group(s, clips, (), 0.5, 0.5)
         assert calls == [(4, m)]
         take_blocks = [shape for shape in forward if len(shape) == 2]  # the patterns' own transforms are 1-D
         assert sum(shape[0] for shape in take_blocks) == 4  # every block once, not once per pattern
@@ -666,20 +668,19 @@ class TestImpulsePeaks:
             for p, raw_row, row in zip(group, raw, normalized):
                 denom = np.sqrt(np.maximum(reference_window_energy(s, p.size), EPS_ENERGY) * sum_of_squares(p))
                 assert np.array_equal(row, np.clip(raw_row / denom, -1.0, 1.0)), lengths
-                assert np.max(np.abs(raw_row - _sliding_dot(s, p))) < 1e-9  # its own layout, alone
+                assert np.max(np.abs(raw_row - _sliding_dot(s, [p])[0])) < 1e-9  # its own layout, alone
 
     def test_mixed_lengths_equal_each_pattern_alone_and_bad_energy_is_rejected(self):
         s = clip(np.random.default_rng(43).uniform(-1, 1, 200))
         clips = [clip(np.ones(4)), clip(np.ones(5))]
         assert _fft_length(200, 4) == _fft_length(200, 5)  # one block either way: the same layout, the same bits
         kept = []
-        for p, (lags, values), trace in zip(clips, impulse_peaks(s, clips, 0.5, kept), kept):
+        for p, (lags, values), (trace, _) in zip(clips, scan_group(s, clips, (), 0.5, 0.5, kept)[0], kept):
             reference = normalized_cross_correlate(s, p)
             assert trace.values.tobytes() == reference.values.tobytes()
             assert list(zip(lags.tolist(), values.tolist())) == find_local_maxima(reference, 0.5)
         with pytest.raises(DetectionError):
-            impulse_peaks(s, [clip(np.ones(4)), clip(np.zeros(4))], 0.5)
-        assert impulse_peaks(s, [], 0.5) == []
+            scan_group(s, [clip(np.ones(4)), clip(np.zeros(4))], (), 0.5, 0.5)
 
 
 def pushed_in_chunks(sums, x, cuts, pops):
@@ -748,7 +749,7 @@ class TestStreamedSums:
             s = rng.uniform(-1, 1, n) * rng.choice([1.0, 1e-9], n)  # quiet stretches reach the clamp
             p = rng.uniform(-1, 1, m)
             denom = np.sqrt(np.maximum(reference_window_energy(s, m), EPS_ENERGY) * sum_of_squares(p))
-            expected = np.clip(_sliding_dot(s, p) / denom, -1.0, 1.0)
+            expected = np.clip(_sliding_dot(s, [p])[0] / denom, -1.0, 1.0)
             assert np.array_equal(normalized_cross_correlate(clip(s), clip(p)).values, expected), m
 
     def test_one_running_sum_per_call(self, monkeypatch):
@@ -768,18 +769,6 @@ class TestStreamedSums:
         assert sum(size for _, _, size in pushed) == n  # each sample squared once
 
 
-def reference_runs(values, threshold):
-    """(first, last, peak) of each maximal run above `threshold`, by a plain loop."""
-    runs, start = [], None
-    for i, v in enumerate(list(values) + [-np.inf]):
-        if v > threshold and start is None:
-            start = i
-        elif not v > threshold and start is not None:
-            runs.append((start, i - 1, max(values[start:i])))
-            start = None
-    return runs
-
-
 class TestStreamedRuns:
     """Runs found row by row and stitched are the whole trace's runs."""
 
@@ -792,7 +781,31 @@ class TestStreamedRuns:
         v = np.asarray(values, dtype=float)
         bounds = sorted({0, v.size, *(c for c in cuts if 0 < c < v.size)})
         stitched = correlate._stitch_runs([correlate._row_runs(v[lo:hi], threshold, lo) for lo, hi in zip(bounds, bounds[1:])])
-        whole = above_runs(CorrelationTrace(v, SR), threshold)
-        for got, expected in zip(stitched, whole):
-            assert got.dtype == expected.dtype and np.array_equal(got, expected)
-        assert list(zip(*(column.tolist() for column in whole))) == reference_runs(values, threshold)
+        assert [column.dtype for column in stitched] == [np.int64, np.int64, np.float64]
+        assert list(zip(*(column.tolist() for column in stitched))) == reference_runs(values, threshold)
+
+
+class TestScanGroup:
+    """The engine's one entry for a dictionary: every decision it returns is read off the traces it keeps."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_decisions_equal_the_kept_traces(self, workers, monkeypatch):
+        short, long = 5, 9
+        n = 6 * block_step(long) + 11
+        monkeypatch.setattr(correlate, "_WORKERS", workers)
+        monkeypatch.setattr(correlate, "_BATCH_SAMPLES", _fft_length(n, long) * workers)  # one block per batch
+        rng = np.random.default_rng(48 + workers)
+        s = clip(plateau_take(rng, n, long))
+        impulses = [clip(np.full(short, 0.5)), clip(rng.uniform(-1, 1, long))]
+        continuous = [clip(rng.uniform(-1, 1, short)), clip(-np.full(long, 0.25))]
+        kept = []
+        peaks, runs = scan_group(s, impulses, continuous, 0.5, 0.3, kept)
+        assert len(peaks) == len(runs) == 2 and len(kept) == 4  # impulses first
+        for (lags, values), (trace, averaged) in zip(peaks, kept[:2]):
+            assert averaged is None and lags.size > 0
+            assert list(zip(lags.tolist(), values.tolist())) == find_local_maxima(trace, 0.5)
+        for p, found, (trace, averaged) in zip(continuous, runs, kept[2:]):
+            assert averaged.values.tobytes() == moving_average(trace, p.duration_s, rectify=True).values.tobytes()
+            assert found.starts.size > 0
+            assert list(zip(*(column.tolist() for column in found))) == reference_runs(averaged.values, 0.3)
+        assert scan_group(s, [], [], 0.5, 0.3) == ([], [])  # an empty dictionary

@@ -33,16 +33,17 @@ from soundcue import (
     strength,
     suppress,
 )
-from soundcue import above_runs, correlate
+from soundcue import correlate
 from soundcue.correlate import (
     CorrelationTrace,
+    Runs,
     _fft_length,
     moving_average,
     normalized_cross_correlate,
     sum_of_squares,
     window_energy,
 )
-from conftest import SR, silent_clip
+from conftest import SR, reference_runs, silent_clip
 
 
 EPS = np.finfo(float).eps
@@ -102,9 +103,21 @@ def bisect_suppress(candidates, patterns):
     return sorted(kept, key=lambda c: (c.lag_time_s, c.pattern_id))
 
 
+def candidate_arrays(candidates):
+    """The `Candidate`s as `Candidates` arrays, their pattern ids in order of first appearance."""
+    candidates = list(candidates)
+    index = {pid: i for i, pid in enumerate(dict.fromkeys(c.pattern_id for c in candidates))}
+    return Candidates(
+        tuple(index),
+        [index[c.pattern_id] for c in candidates],
+        [c.lag_time_s for c in candidates],
+        [c.correlation_value for c in candidates],
+    )
+
+
 def suppressed(candidates, patterns):
     """`suppress` on a list of `Candidate`s, its survivors as a list."""
-    return list(suppress(Candidates.of(candidates), patterns))
+    return list(suppress(candidate_arrays(candidates), patterns))
 
 
 def constant_pattern(pattern_id, n, sample_rate_hz):
@@ -282,7 +295,7 @@ class TestSuppress:
             values = rng.choice([0.6, 0.75, 0.9], n)  # ties inside pairs
             ids = rng.choice(sorted(SUPPRESS_PATTERNS), n).tolist()
         cands = [Candidate(pid, float(t), float(v)) for pid, t, v in zip(ids, times, values)]
-        arrays = Candidates.of(cands)
+        arrays = candidate_arrays(cands)
         start = time.perf_counter()
         survivors = suppress(arrays, SUPPRESS_PATTERNS)
         elapsed = time.perf_counter() - start
@@ -300,11 +313,11 @@ class TestSuppress:
 
     def test_candidates_are_arrays_with_a_length(self):
         cands = [Candidate("b", 1.0, 0.8), Candidate("a", 0.5, 0.9), Candidate("b", 2.0, 0.7)]
-        arrays = Candidates.of(cands)
+        arrays = Candidates(("b", "a"), [0, 1, 0], [1.0, 0.5, 2.0], [0.8, 0.9, 0.7])
         assert len(arrays) == 3 and list(arrays) == cands
         assert arrays.pattern_ids == ("b", "a") and arrays.pattern_index.tolist() == [0, 1, 0]
         assert not arrays.lag_time_s.flags.writeable
-        assert len(suppress(Candidates.of([]), SUPPRESS_PATTERNS)) == 0
+        assert len(suppress(Candidates((), [], [], []), SUPPRESS_PATTERNS)) == 0
         with pytest.raises(ValueError):
             Candidates(("a",), [0, 1], [0.0, 1.0], [0.9, 0.9])  # index 1 names no pattern
         with pytest.raises(ValueError):
@@ -689,7 +702,7 @@ class TestOnePass:
             for event in detect(s, group, replace(cfg, suppression=False)).tracks[0].events
         ]
         if cfg.suppression:  # suppression runs across lengths, over the union's impulse candidates
-            candidates = Candidates.of(
+            candidates = candidate_arrays(
                 Candidate(e.pattern_id, e.t_s, e.peak_correlation) for e in union if e.kind is PatternKind.IMPULSE
             )
             survivors = {(c.pattern_id, c.lag_time_s) for c in suppress(candidates, aligned)}
@@ -740,7 +753,9 @@ class TestStreamedContinuous:
         duration = v.size / rate
         streamed = detect_module._continuous_intervals(box.runs(), pattern, cfg, rate, duration)
         averaged = moving_average(CorrelationTrace(v, rate), pattern.duration_s, rectify=True)
-        whole = detect_module._continuous_intervals(above_runs(averaged, threshold), pattern, cfg, rate, duration)
+        rows = reference_runs(averaged.values, threshold)
+        whole_runs = Runs(*(np.array([row[k] for row in rows]) for k in range(3)))
+        whole = detect_module._continuous_intervals(whole_runs, pattern, cfg, rate, duration)
         assert streamed == whole
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
