@@ -49,6 +49,27 @@ take. Kept, the traces and box means are the ones
 `soundcue detect --report` writes. `find_local_maxima` is the same row
 and stitch code over one row, so the peak definition exists once.
 
+An impulse pattern can only fire near its own instances, so its blocks
+are screened before they are inverse-transformed: the upper-bound early
+rejection of bounded partial correlation (Di Stefano, Mattoccia &
+Tombari 2005), applied to Lewis's FFT-domain correlation. By the
+triangle inequality on the inverse DFT, no output of irfft(S * conj(P))
+exceeds B = sum_k w_k |S_k| |P_k| / N (w = 1 at DC and Nyquist, 2
+elsewhere, as the conjugate half of the spectrum repeats the other
+bins). A block whose B * (1 + 1e-6) is at most threshold * sqrt(pattern
+energy * the smallest window energy among its lags) has no lag above
+the threshold. The margin is far above pocketfft's rounding, which is
+O(eps * log2(N) * sqrt(N)) of B, about 1e-12 at N = 2^15. Such a dead
+block is neither multiplied, inverse-transformed, normalized nor
+peak-picked. The stitcher gets a stand-in row with no peaks and -1.0 as
+its first and last values, which it only compares with values above the
+threshold, so every decision is the one the real row gives. Live blocks
+run the unscreened code, so their lags are the same bit for bit. A
+pattern is screened when it is an impulse with no sink, the traces are
+not kept, the threshold is above 0, and its bound on white noise is
+expected below its limit (`_noise_ratio`): tonal cues are, noise bursts,
+whose bound spreads over every bin, are not.
+
 Lag convention: values[tau] is the score for the pattern *starting* at
 sample tau of the sequence, with the sequence treated as zero beyond its
 end. Raw correlation approximates the integral of s(u+tau)*p(u) du, so
@@ -58,10 +79,12 @@ windowed cosine similarity, which is what thresholds apply to.
 
 from __future__ import annotations
 
+import math
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -298,6 +321,49 @@ def _check_group(s: AudioClip, clips: Sequence[AudioClip]) -> list[float]:
     return energies
 
 
+# A block is dead when its bound, times 1 + _BOUND_MARGIN, is at most the threshold times its
+# smallest denominator. The bound holds in exact arithmetic; the inverse FFT it bounds is
+# rounded by O(eps * log2(N) * sqrt(N)) of it, about 1e-12 at N = 2^15, and the bound and the
+# limit by a few eps, so a margin of 1e-6 leaves every computed lag of a dead block under the
+# threshold.
+_BOUND_MARGIN = 1e-6
+
+
+def _bound_weights(pattern_spec: np.ndarray, nfft: int) -> np.ndarray:
+    """w_k * |P_k| / nfft for a pattern's rfft P of length nfft: w = 1 at DC and Nyquist, 2 elsewhere.
+
+    For a block's rfft S, |S| @ these weights bounds every one of the
+    nfft outputs of irfft(S * P, nfft): each is (1 / nfft) times a sum of
+    the product's terms over the full spectrum, whose conjugate half
+    repeats every bin but those two, and no term exceeds |S_k| * |P_k|.
+    """
+    weights = np.abs(pattern_spec) * (2.0 / nfft)
+    weights[0] /= 2
+    if nfft % 2 == 0:
+        weights[-1] /= 2
+    return weights
+
+
+def _noise_ratio(pattern_spec: np.ndarray, nfft: int, m: int, threshold: float) -> float:
+    """The expected ratio of a block's bound to its limit on white noise, for a pattern of m samples.
+
+    With noise of variance v, E|S_k| = (sqrt(pi) / 2) * sqrt(nfft * v) and
+    the window energy is about m * v; with the pattern's energy by Parseval,
+    sum(w |P|^2) / nfft, the ratio is
+    (sqrt(pi) / 2) * sum(w |P|) / (threshold * sqrt(m * sum(w |P|^2))).
+    """
+    weighted = _bound_weights(pattern_spec, nfft) * nfft  # w_k * |P_k|
+    power = float(np.add.reduce(weighted * np.abs(pattern_spec)))  # not np.dot: see `sum_of_squares`
+    return math.sqrt(math.pi) / 2 * float(np.add.reduce(weighted)) / (threshold * math.sqrt(m * power))
+
+
+# Only a pattern whose `_noise_ratio` is below 1 is screened. A tonal cue's energy sits in a
+# few bins, so its bound stays far under the limit wherever it is not voiced: the benchmark's
+# tonal cues read 0.15 and skip 64 % of (block, pattern) pairs. A noise burst's spreads over
+# every bin and reads about 4; it skipped 14 % of its blocks, too few to pay for the screen.
+_NOISE_GATE = 1.0
+
+
 def _sliding_dot(
     s: np.ndarray,
     patterns: Sequence[np.ndarray],
@@ -342,6 +408,18 @@ def _sliding_dot(
     has just read, or a row buffer of its slot for a sink that has not had
     it yet.
 
+    Without `keep`, a peak-picked pattern is screened block by block (see
+    the module docstring) when `peaks_above` > 0 and its `_noise_ratio` is
+    below _NOISE_GATE. `screen` writes |S| and each screened length's
+    window energies into the slot's inverse-FFT output buffer, which no
+    pattern of the batch has written yet, so it holds no buffer of its
+    own. Its limit, peaks_above * sqrt(E_j * min E_w) over the block's lags
+    inside the take, is rounded as each lag's denominator is, so it is at
+    most every one of them. Only the live blocks' spectra are multiplied,
+    moved to the front of the product buffer (in place for the last
+    pattern); each run of consecutive live blocks is normalized and
+    peak-picked as one row, and each run of dead blocks gets a `_quiet_row`.
+
     Batches of blocks run on up to _WORKERS threads, the calling one
     among them (numpy's FFTs release the GIL). Each batch has a slot of
     a ring of one set of buffers per thread, and is finished (handed to
@@ -380,14 +458,17 @@ def _sliding_dot(
     segments = [None] * slots
     prefixes = [None] * slots  # each batch's prefix sums of s^2, which every pattern's window energies read
     out = np.empty((g, n)) if keep else None
-    peaks = [[None] * n_batches for _ in range(g)]  # each batch's _RowPeaks, per pattern
+    peaks = [[None] * n_batches for _ in range(g)]  # each batch's list of _RowPeaks, per pattern
 
     def lags(i: int) -> tuple[int, int, int]:
         """Batch i's slot, first lag and number of blocks."""
         return i % slots, i * batch * step, min(batch, n_blocks - i * batch)
 
     def dest(i: int, j: int) -> np.ndarray:
-        """Where pattern j's lags of batch i go, shape (blocks, step); a kept batch that runs past the take is copied out."""
+        """Where pattern j's lags of batch i go, shape (blocks, step); a kept batch that runs past the take is copied out.
+
+        A screened pattern's live blocks take its first rows, in order.
+        """
         slot, lo, k = lags(i)
         if keep and lo + k * step <= n:
             return out[j, lo : lo + k * step].reshape(k, step)
@@ -407,30 +488,70 @@ def _sliding_dot(
             energy_sums.push(s[energy_sums.pushed : min(stop + m_max - 1, n)])
             prefixes[slot] = energy_sums.pop_prefix(stop)
 
+    def screen(slot: int, lo: int, k: int) -> np.ndarray:
+        """(k, screened patterns) bools: True where no lag of the block can score above `peaks_above`.
+
+        Each block's bound is |S| times the pattern's `_bound_weights`; its
+        limit is `peaks_above` times the smallest denominator among its lags
+        inside the take. Both are computed in the slot's inverse-FFT output
+        buffer, which no pattern of this batch has written yet.
+        """
+        flat = blocks_out[slot].reshape(-1)
+        inside = min(k * step, n - lo)  # every block has lags inside the take
+        firsts = np.arange(0, inside, step)
+        floors = np.empty((k, len(screened)))
+        for m, cols in screened_lengths.items():
+            floors[:, cols] = np.minimum.reduceat(_window_energy(prefixes[slot], m, flat[:inside]), firsts)[:, None]
+        mags = flat[: k * (nfft // 2 + 1)].reshape(k, nfft // 2 + 1)
+        np.absolute(specs[slot][:k], out=mags)
+        bounds = np.einsum("kf,jf->kj", mags, screened_weights)  # no BLAS: its threads would contend with the workers
+        np.multiply(floors, screened_energies, out=floors)  # as each lag's denominator is rounded
+        np.sqrt(floors, out=floors)
+        return bounds * (1.0 + _BOUND_MARGIN) <= floors * peaks_above
+
     def run(i: int) -> None:
         slot, lo, k = lags(i)
         spec, full = specs[slot], blocks_out[slot]
         blocks = np.lib.stride_tricks.sliding_window_view(segments[slot], nfft)[::step]
         np.fft.rfft(blocks, axis=1, out=spec[:k])
+        dead = screen(slot, lo, k) if screened else None
         for j in range(g):
-            product = spec[:k] if j == g - 1 else products[slot][:k]
-            np.multiply(spec[:k], pattern_specs[j], out=product)
-            np.fft.irfft(product, nfft, axis=1, out=full[:k])
+            product = spec if j == g - 1 else products[slot]
+            alive = ~dead[:, screened[j]] if j in screened else np.ones(k, dtype=bool)
+            live = np.flatnonzero(alive)
+            if live.size < k:  # the live blocks' spectra, moved to the front (b >= r, so in place too)
+                for r, b in enumerate(live):
+                    product[r] = spec[b]
+            if live.size:
+                source = spec if live.size == k else product
+                np.multiply(source[: live.size], pattern_specs[j], out=product[: live.size])
+                np.fft.irfft(product[: live.size], nfft, axis=1, out=full[: live.size])
             rows_j = dest(i, j)
-            flat = rows_j.reshape(-1)  # rows_j's memory
-            if energies is None:
-                rows_j[...] = full[:k, :step]
-            else:
-                denom = _window_energy(prefixes[slot], lengths[j], flat[: n - lo])  # the lags inside the take
-                np.multiply(denom, energies[j], out=denom)
-                np.sqrt(denom, out=denom)
-                flat[denom.size :] = 1.0  # lags past the take are cut off below; keep their division defined
-                np.divide(full[:k, :step], rows_j, out=rows_j)
-                np.clip(rows_j, -1.0, 1.0, out=rows_j)
-            if keep and lo + k * step > n:
-                out[j, lo:] = flat[: n - lo]
-            if peaks_above is not None and sinks[j] is None:
-                peaks[j][i] = _row_peaks(flat[: n - lo], peaks_above, lo)
+            picked = []
+            r = 0  # the row of `full` and of `rows_j` that holds the run's first block
+            for b, count, is_live in _block_runs(alive):
+                start = lo + b * step
+                if not is_live:
+                    picked.append(_quiet_row(start))
+                    continue
+                rows = rows_j[r : r + count]
+                flat = rows.reshape(-1)  # rows' memory
+                inside = min(count * step, n - start)
+                if energies is None:
+                    rows[...] = full[r : r + count, :step]
+                else:
+                    denom = _window_energy(prefixes[slot][b * step :], lengths[j], flat[:inside])
+                    np.multiply(denom, energies[j], out=denom)
+                    np.sqrt(denom, out=denom)
+                    flat[inside:] = 1.0  # lags past the take are cut off below; keep their division defined
+                    np.divide(full[r : r + count, :step], rows, out=rows)
+                    np.clip(rows, -1.0, 1.0, out=rows)
+                if keep and start + count * step > n:
+                    out[j, start:] = flat[:inside]
+                if peaks_above is not None and sinks[j] is None:
+                    picked.append(_row_peaks(flat[:inside], peaks_above, start))
+                r += count
+            peaks[j][i] = picked
 
     def finish(i: int) -> None:
         """Hand batch i's lags inside the take to the sinks (calling thread, in batch order)."""
@@ -440,6 +561,17 @@ def _sliding_dot(
                 sink(out[j, lo : lo + k * step] if keep else dest(i, j).reshape(-1)[: n - lo])
 
     pattern_specs = [np.conj(np.fft.rfft(row, nfft)) for row in group]
+    screened: dict[int, int] = {}  # each screened pattern's column in `screen`'s result
+    if energies is not None and peaks_above is not None and peaks_above > 0 and not keep:
+        for j in range(g):
+            if sinks[j] is None and _noise_ratio(pattern_specs[j], nfft, lengths[j], peaks_above) < _NOISE_GATE:
+                screened[j] = len(screened)
+    if screened:
+        screened_weights = np.stack([_bound_weights(pattern_specs[j], nfft) for j in screened])
+        screened_energies = np.array([energies[j] for j in screened])
+        screened_lengths: dict[int, list[int]] = {}  # pattern length -> its columns
+        for j, col in screened.items():
+            screened_lengths.setdefault(lengths[j], []).append(col)
     if workers == 1:
         for i in range(n_batches):
             prepare(i)
@@ -472,7 +604,7 @@ def _sliding_dot(
                 settle(pending.popleft())
     if peaks_above is None:
         return out
-    return out, [_stitch(rows) if sink is None else None for rows, sink in zip(peaks, sinks)]
+    return out, [_stitch(chain.from_iterable(rows)) if sink is None else None for rows, sink in zip(peaks, sinks)]
 
 
 def _fresh_trace(values: np.ndarray, sample_rate_hz: int) -> CorrelationTrace:
@@ -560,6 +692,22 @@ class _RowPeaks(NamedTuple):
     after: Optional[float]
     tail_start: Optional[int]
     before: Optional[float]
+
+
+def _quiet_row(lo: int) -> _RowPeaks:
+    """What `_stitch` needs of a row of lags from `lo` that are all at most the threshold (> 0): no peaks, no runs.
+
+    Its first and last values stand in as -1.0. `_stitch` compares them
+    only with a run's value, which is above the threshold, so -1.0
+    decides as the row's real values would.
+    """
+    return _RowPeaks(np.empty(0, dtype=np.int64), np.empty(0), lo, -1.0, -1.0, None, None, None, None)
+
+
+def _block_runs(alive: np.ndarray) -> list[tuple[int, int, bool]]:
+    """(first block, number of blocks, live) of each maximal run of blocks that are all live or all dead."""
+    cuts = [0, *(np.flatnonzero(np.diff(alive)) + 1).tolist(), alive.size]
+    return [(lo, hi - lo, bool(alive[lo])) for lo, hi in zip(cuts, cuts[1:])]
 
 
 def _row_peaks(v: np.ndarray, threshold: float, lo: int) -> _RowPeaks:
@@ -716,8 +864,10 @@ def scan_group(
     of them, each block's forward FFT and one running sum of the take's
     squares, from which each distinct length gets its lags' window
     energies. Each batch of an impulse clip's lags is peak-picked in the
-    worker that normalized it; a continuous clip's lags go batch by batch
-    to the calling thread, which box-averages and thresholds them
+    worker that normalized it, once the blocks that cannot reach
+    `threshold` are screened out (`_sliding_dot`; not when `traces` is
+    kept); a continuous clip's lags go batch by batch to the calling
+    thread, which box-averages and thresholds them
     (`_BoxRuns`). So no take-length array exists, unless `traces` is a
     list: then (trace, averaged) is appended per clip, impulses first,
     where trace is the lags its decisions read and averaged its box means,

@@ -809,3 +809,197 @@ class TestScanGroup:
             assert found.starts.size > 0
             assert list(zip(*(column.tolist() for column in found))) == reference_runs(averaged.values, 0.3)
         assert scan_group(s, [], [], 0.5, 0.3) == ([], [])  # an empty dictionary
+
+
+SCREEN_M = 2048  # long enough, at 2^15-point blocks, for a tone to pass the screen's gate at thresholds >= 0.3
+SCREEN_STEP = block_step(SCREEN_M)
+
+
+def tone(m, cycles):
+    """A Hann-windowed sinusoid: its energy sits in a few bins, so the engine screens it."""
+    return np.hanning(m) * np.sin(2 * np.pi * cycles * np.arange(m) / m)
+
+
+def screen_patterns(rng, order):
+    """Two tones and a broadband burst of SCREEN_M samples, in `order`; the burst fails the gate."""
+    patterns = [tone(SCREEN_M, 40), tone(SCREEN_M, 97), rng.uniform(-1, 1, SCREEN_M)]
+    return [clip(patterns[i]) for i in order]
+
+
+def block_take(rng, kinds, patterns, n):
+    """A take of n samples whose i-th block of SCREEN_STEP lags is of kinds[i].
+
+    "zero" is exact zeros, "quiet" noise of rms about 1e-3, "noise" loud
+    broadband noise, "tone" copies of a pattern in noise at about the
+    noise's level (where a looser bound would hide a real peak) and
+    "loud" loud copies over quiet noise. "mixed" is a copy in quiet noise
+    followed by loud noise, so only the block's quietest windows let it fire.
+    """
+    s = np.zeros(n)
+    for b, kind in enumerate(kinds):
+        lo, hi = b * SCREEN_STEP, min((b + 1) * SCREEN_STEP, n)
+        if kind == "zero":
+            continue
+        if kind == "mixed":
+            mid = (lo + hi) // 2
+            s[lo:hi] = np.concatenate((rng.normal(0, 1e-3, mid - lo), rng.uniform(-0.8, 0.8, hi - mid)))
+            p = patterns[int(rng.integers(len(patterns)))].samples
+            at = int(rng.integers(lo, max(mid - p.size, lo) + 1))
+            s[at : at + p.size] += 0.05 * p[: n - at] / np.sqrt(np.mean(p * p))
+            continue
+        level = {"quiet": 1e-3, "noise": 0.5, "tone": 0.05, "loud": 1e-3}[kind]
+        s[lo:hi] = rng.normal(0, level, hi - lo)
+        if kind in ("tone", "loud"):
+            for _ in range(int(rng.integers(1, 4))):
+                p = patterns[int(rng.integers(len(patterns)))].samples
+                at = int(rng.integers(lo, max(hi - p.size, lo) + 1))
+                amp = 1.0 if kind == "loud" else float(rng.uniform(0.5, 3.0)) * level / np.sqrt(np.mean(p * p))
+                s[at : at + p.size] += amp * p[: n - at]
+    return clip(s / max(1.0, float(np.max(np.abs(s)))))
+
+
+def irfft_rows(monkeypatch):
+    """Spy on np.fft.irfft: the list it returns grows by the rows of each call."""
+    counted, real = [], np.fft.irfft
+
+    def spy(a, *args, **kwargs):
+        counted.append(np.shape(a)[0] if np.ndim(a) == 2 else 1)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "irfft", spy)
+    return counted
+
+
+class TestScreen:
+    """Impulse blocks whose spectral bound cannot reach the threshold are skipped, and no decision moves."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.sampled_from(["zero", "quiet", "noise", "tone", "loud", "mixed"]), min_size=1, max_size=5),
+        st.sampled_from([0.05, 0.3, 0.5, 0.9, 1.0]),
+        st.sampled_from([1, 2, 3]),
+        st.integers(0, 2**32 - 1),
+        st.permutations(range(3)),
+        st.sampled_from([1, 3]),
+    )
+    @example(["quiet", "loud", "tone", "quiet"], 0.5, 2, 0, [2, 0, 1], 1)  # dead first and last blocks
+    @example(["loud"], 0.3, 1, 1, [0, 1, 2], 1)  # a one-block take
+    @example(["zero", "tone", "zero", "loud", "noise"], 0.9, 3, 2, [2, 1, 0], 1)  # exact zeros, the last pattern a tone
+    @example(["quiet", "loud", "quiet", "tone", "quiet"], 0.5, 1, 3, [2, 0, 1], 3)  # live blocks moved within a batch
+    @example(["noise", "mixed", "quiet"], 0.5, 2, 4, [0, 1, 2], 1)  # a block that only its quietest windows keep live
+    def test_peaks_equal_the_unscreened_reference(self, kinds, threshold, workers, seed, order, per_batch):
+        rng = np.random.default_rng(seed)
+        patterns = screen_patterns(rng, order)
+        n = (len(kinds) - 1) * SCREEN_STEP + int(rng.integers(SCREEN_M, SCREEN_STEP + 1))
+        s = block_take(rng, kinds, patterns, n)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(correlate, "_WORKERS", workers)
+            mp.setattr(correlate, "_BATCH_SAMPLES", _fft_length(n, SCREEN_M) * workers * per_batch)
+            screened, _ = scan_group(s, patterns, (), threshold, threshold)
+            kept = []
+            unscreened, _ = scan_group(s, patterns, (), threshold, threshold, kept)
+        for p, (lags, values), (kept_lags, kept_values), (trace, _) in zip(patterns, screened, unscreened, kept):
+            reference = normalized_cross_correlate(s, p)
+            assert trace.values.tobytes() == reference.values.tobytes()
+            assert np.array_equal(lags, kept_lags) and np.array_equal(values, kept_values)
+            assert list(zip(lags.tolist(), values.tolist())) == find_local_maxima(reference, threshold)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_clipped_plateau_between_dead_blocks(self, workers, monkeypatch):
+        """A run of 1.0 fills two live blocks; the blocks before and after it are dead, and their stand-ins bound it.
+
+        A block's data holds the first m - 1 samples of the next block's
+        lags, so a block beside the plateau can only be dead if every one
+        of its windows is far louder than the plateau's: the windows at the
+        plateau's edges each hold one loud sample, and the noise around it
+        is about as loud per window. Every sample is a multiple of 2^-10,
+        so the window energies are exact and the plateau's lags clip to 1.0.
+        """
+        m = 3000
+        step = block_step(m)
+        n = 5 * step
+        s = np.round(np.random.default_rng(60).uniform(-0.035, 0.035, n) * 1024) / 1024
+        end = 3 * step - 1 + m  # lags step .. 3 * step - 1 have their windows in the constant stretch
+        s[step:end] = 2.0**-10
+        s[step - 1] = s[end] = 1.0
+        pattern = clip(np.full(m, 0.5))
+        monkeypatch.setattr(correlate, "_WORKERS", workers)
+        monkeypatch.setattr(correlate, "_BATCH_SAMPLES", _fft_length(n, m) * workers)  # one block per batch
+        stand_ins, real_quiet = [], correlate._quiet_row
+
+        def quiet_spy(lo):
+            stand_ins.append(lo)
+            return real_quiet(lo)
+
+        monkeypatch.setattr(correlate, "_quiet_row", quiet_spy)
+        trace = normalized_cross_correlate(clip(s), pattern)
+        assert np.all(trace.values[step : 3 * step] == 1.0)
+        for threshold in (0.5, 0.9):
+            stand_ins.clear()
+            (lags, values), = scan_group(clip(s), [pattern], (), threshold, threshold)[0]
+            assert trace.values[step - 1] < threshold and trace.values[3 * step] < threshold
+            assert {0, 3 * step} <= set(stand_ins)  # the blocks on either side of the plateau were screened out
+            assert list(zip(lags.tolist(), values.tolist())) == find_local_maxima(trace, threshold) == [(2 * step - 1, 1.0)]
+
+    def test_threshold_at_or_below_zero_screens_nothing(self, monkeypatch):
+        rng = np.random.default_rng(61)
+        patterns = screen_patterns(rng, [0, 1, 2])
+        kinds = ["quiet", "loud", "quiet", "zero"]
+        s = block_take(rng, kinds, patterns, len(kinds) * SCREEN_STEP)
+        rows = irfft_rows(monkeypatch)
+        monkeypatch.setattr(correlate, "_WORKERS", 1)
+        for threshold in (0.0, -0.5):
+            rows.clear()
+            found, _ = scan_group(s, patterns, (), threshold, threshold)
+            assert sum(rows) == len(kinds) * len(patterns)
+            for p, (lags, values) in zip(patterns, found):
+                assert list(zip(lags.tolist(), values.tolist())) == find_local_maxima(normalized_cross_correlate(s, p), threshold)
+
+
+class TestScreenBound:
+    """The spectral bound holds every output of a block's inverse FFT, and the screen engages only where it may."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12), st.data())
+    @example(3, None)  # a delta against a delta: the bound is tight
+    def test_bound_holds_every_output_of_the_inverse_fft(self, log_n, data):
+        nfft = 1 << log_n
+        if data is None:
+            s, p = np.eye(nfft)[0], np.eye(1, nfft)[0]
+        else:
+            # Magnitudes under 1e-30 are drawn as 0: a product that underflows keeps no relative margin.
+            # The engine's limits never come near there, as its window energies are at least EPS_ENERGY.
+            values = st.floats(-1e3, 1e3).map(lambda x: x if abs(x) > 1e-30 else 0.0)
+            signals = st.lists(st.one_of(values, st.sampled_from([0.0, 1.0, -1.0])), min_size=1, max_size=nfft)
+            s = np.resize(np.asarray(data.draw(signals, label="block")), nfft)
+            p = np.asarray(data.draw(signals, label="pattern"))
+        spec, pattern_spec = np.fft.rfft(s), np.conj(np.fft.rfft(p, nfft))
+        outputs = np.fft.irfft(spec * pattern_spec, nfft)
+        bound = np.abs(spec) @ correlate._bound_weights(pattern_spec, nfft)
+        # Exact in exact arithmetic; the margin the engine adds covers the transforms' rounding.
+        assert bound * (1 + correlate._BOUND_MARGIN) >= np.max(np.abs(outputs))
+        if data is None:
+            assert bound == pytest.approx(np.max(np.abs(outputs)), rel=1e-12)
+
+    def test_sparse_take_inverse_transforms_fewer_rows(self, monkeypatch):
+        rng = np.random.default_rng(62)
+        tones = screen_patterns(rng, [0, 1])
+        kinds = ["quiet", "loud", "quiet", "quiet", "tone", "zero"]
+        s = block_take(rng, kinds, tones, len(kinds) * SCREEN_STEP)
+        blocks = len(kinds)
+        rows = irfft_rows(monkeypatch)
+        monkeypatch.setattr(correlate, "_WORKERS", 2)
+        scan_group(s, tones, (), 0.5, 0.5)
+        assert sum(rows) < blocks * len(tones)
+        rows.clear()
+        scan_group(s, tones, (), 0.5, 0.5, [])  # kept traces are never screened
+        assert sum(rows) == blocks * len(tones)
+        rows.clear()
+        scan_group(s, [], tones, 0.5, 0.5)  # nor are continuous patterns
+        assert sum(rows) == blocks * len(tones)
+        burst = clip(rng.uniform(-1, 1, SCREEN_M))
+        nfft = _fft_length(s.samples.size, SCREEN_M)
+        assert correlate._noise_ratio(np.conj(np.fft.rfft(burst.samples, nfft)), nfft, SCREEN_M, 0.5) >= correlate._NOISE_GATE
+        rows.clear()
+        scan_group(s, [burst], (), 0.5, 0.5)  # nor is a pattern that fails the gate
+        assert sum(rows) == blocks
