@@ -17,13 +17,15 @@ across runs and inserting an event does not reshuffle the others.
 
 Curve tables export to CSV with each value's shortest round-trip `repr`,
 formatted a block of rows at a time: `csv_blocks` yields the text block
-by block, so a writer holds one block of it, and `curves_to_csv` joins
-the blocks. Within a block, `repr` runs once per distinct value of a
-column (distinct by bits, so -0.0 stays -0.0); curve columns repeat
-values a lot, and a constant one costs one `repr` per block. All objects
-of a scene share one time grid: its formatted column is kept, one string
-per block, and reused while the next table's grid has the very same
-bytes.
+by block, so each writer process holds one block of it, and
+`curves_to_csv` joins the blocks. `sample` can sample a range of frames
+only, whose rows are bit for bit those of all frames, so writer
+processes can each format their own range of one table. Within a block,
+`repr` runs once per distinct value of a column (distinct by bits, so
+-0.0 stays -0.0); curve columns repeat values a lot, and a constant one
+costs one `repr` per block. All objects of a scene share one time grid:
+its formatted column is kept, one string per block, and reused while
+the next table's grid has the very same bytes.
 """
 
 from __future__ import annotations
@@ -422,24 +424,32 @@ def sample(
     duration_s: float,
     fps: float,
     object_id: str = "object",
+    frames: Optional[range] = None,
 ) -> AnimationCurves:
-    """Sample the composed motion uniformly from t=0 through duration_s.
+    """Sample the composed motion uniformly from t=0 through duration_s,
+    on the frames of the range `frames` only if it is given.
 
     Positions of all providers sum; scales multiply componentwise, in
     provider order. A scale provider with a `support` (t_begin, t_end),
     such as a `SquashProfile` or a `SlideSegment`, is the identity outside
     that interval and is evaluated only on the frames inside it: a factor
-    of exactly 1 elsewhere changes no bit of the product.
+    of exactly 1 elsewhere changes no bit of the product. Every provider
+    is pointwise in t, so the curves of a range of frames are bit for bit
+    those rows of the curves of all frames.
     """
     n = frame_count(duration_s, fps)
-    times = np.arange(n) / fps
-    positions = np.zeros((n, 3))
+    if frames is None:
+        frames = range(n)
+    elif frames.step != 1 or not 0 <= frames.start <= frames.stop <= n:
+        raise ValueError(f"frames must be a contiguous range within range({n}), got {frames}")
+    times = np.arange(frames.start, frames.stop) / fps
+    positions = np.zeros((times.size, 3))
     for provider in position_providers:
         positions = positions + provider(times)
-    scales = np.ones((n, 3))
+    scales = np.ones((times.size, 3))
     for provider in scale_providers:
-        frames = _frames_within(times, getattr(provider, "support", None))
-        scales[frames] *= provider(times[frames])
+        inside = _frames_within(times, getattr(provider, "support", None))
+        scales[inside] *= provider(times[inside])
     return AnimationCurves(object_id=object_id, fps=float(fps), times=times, positions=positions, scales=scales)
 
 
@@ -455,15 +465,17 @@ def on_axis(axis: int, values_fn: Callable[[np.ndarray], np.ndarray]) -> Positio
     return provider
 
 
-def csv_blocks(curves: AnimationCurves) -> Iterator[str]:
-    """Tabular export, one row per frame: the header `t,px,py,pz,sx,sy,sz`,
-    then the rows a block of `docio.CSV_BLOCK_ROWS` at a time.
+def csv_blocks(curves: AnimationCurves, header: bool = True) -> Iterator[str]:
+    """Tabular export, one row per frame: the header `t,px,py,pz,sx,sy,sz`
+    unless `header` is False, then the rows a block of
+    `docio.CSV_BLOCK_ROWS` at a time.
 
     Each value is its `repr`, called once per distinct value of a column
     in each block of rows (`docio.format_floats`). The time column comes
     formatted from `_time_blocks`, which keeps the last grid it formatted.
     """
-    yield "t,px,py,pz,sx,sy,sz\n"
+    if header:
+        yield "t,px,py,pz,sx,sy,sz\n"
     values = (*curves.positions.T, *curves.scales.T)
     step = docio.CSV_BLOCK_ROWS
     starts = range(0, curves.times.size, step)

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import docio, scene, synthgen, timeline
+from . import docio, parallel, scene, synthgen, timeline
 from .animate import csv_blocks
 from .audio import load_wav, save_wav
 from .detect import DetectorConfig, SoundPattern, detect
@@ -224,17 +224,61 @@ def cmd_detect(args) -> None:
     print(f"detected {len(events)} event(s) on track {track_id!r} -> {timeline_path}")
 
 
+def _frame_ranges(frames: int) -> list:
+    """`frames` cut into one contiguous range of whole CSV blocks per writer process.
+
+    There is one writer per usable CPU where processes can be forked
+    (`parallel.processes`), but no more than leaves each at least two
+    blocks: forking and reaping a process costs about as much as
+    formatting one block.
+    """
+    rows = docio.CSV_BLOCK_ROWS
+    blocks = -(-frames // rows)
+    count = parallel.processes(blocks // 2)
+    edges = [blocks * k // count * rows for k in range(count)] + [frames]
+    return [range(lo, hi) for lo, hi in zip(edges, edges[1:])]
+
+
+def _append(path: Path, parts) -> None:
+    """Append the files `parts` to `path` in order, copied by the kernel."""
+    with open(path, "r+b") as out:  # not "ab": sendfile refuses a file opened to append
+        out.seek(0, os.SEEK_END)
+        for part in parts:
+            with open(part, "rb") as source:
+                while os.sendfile(out.fileno(), source.fileno(), None, 1 << 30):
+                    pass
+
+
 def _write_animation(output: scene.AnimationOutput, outputs: _Outputs) -> None:
     """Write each object's curve CSV, then `animation.json`.
 
-    `output.curves` samples an object when it is read, and its CSV goes to
-    the file a block at a time, so one object's frames and one block of
-    text are held at once.
+    Each CSV is cut into `_frame_ranges`. This process writes the first
+    range of every object to the object's file; a forked process per
+    further range samples every object on its own frames only and writes
+    them to a part file beside it. Once all are done the parts are
+    appended in order and removed, on failure too. Each process samples
+    an object when it writes it and writes a block at a time, so it holds
+    one object's frames of its range and one block of text at once.
     """
-    for curves in output.curves:
-        with open(outputs.path(f"{curves.object_id}_curves.csv"), "w", encoding="utf-8") as out:
-            out.writelines(csv_blocks(curves))
-        del curves  # before the next object is sampled
+    curves = output.curves
+    ranges = _frame_ranges(curves.frame_count)
+    paths = [outputs.path(f"{object_id}_curves.csv") for object_id in curves.object_ids]
+    files = [paths] + [[path.with_suffix(f".part{k}") for path in paths] for k in range(1, len(ranges))]
+
+    def write_range(k: int) -> None:
+        for index, path in enumerate(files[k]):
+            with open(path, "w", encoding="utf-8") as out:
+                out.writelines(csv_blocks(curves.on_frames(index, ranges[k]), header=k == 0))
+
+    try:
+        parallel.split(write_range, len(ranges))
+        if len(ranges) > 1:
+            for index, path in enumerate(paths):
+                _append(path, [parts[index] for parts in files[1:]])
+    finally:
+        for parts in files[1:]:
+            for part in parts:
+                part.unlink(missing_ok=True)
     outputs.path("animation.json").write_text(scene.animation_document(output), encoding="utf-8")
 
 

@@ -10,9 +10,10 @@ never above the power of two >= n + m_max - 1 that holds the whole
 sequence in one zero-padded block: blocks of 2^15 points keep their
 buffers in the CPU's caches, and work per sample depends on the
 patterns, not on the take, so the blocks in flight take a few megabytes
-whatever n is. Batches of blocks run on one thread per usable CPU, the
-calling one among them, each batch in its own slot of a ring of
-buffers, so the result is the same bit for bit on any number of them.
+whatever n is. Batches of blocks run on one thread per usable CPU
+(`parallel.usable_cpus`), the calling one among them, each batch in its
+own slot of a ring of buffers, so the result is the same bit for bit on
+any number of them.
 The test suite keeps an O(n*m) direct evaluation of the same sums as
 the reference oracle.
 
@@ -80,7 +81,6 @@ windowed cosine similarity, which is what thresholds apply to.
 from __future__ import annotations
 
 import math
-import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -91,19 +91,11 @@ import numpy as np
 
 from .audio import AudioClip
 from .errors import DetectionError
+from .parallel import usable_cpus
 
 EPS_ENERGY = 1e-12
 _BATCH_SAMPLES = 1 << 19  # samples of blocks in flight across all workers: 4 MB of float64
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not every platform has CPU affinity
-        return os.cpu_count() or 1
-
-
-_WORKERS = _usable_cpus()  # threads one correlation runs its FFT batches on
+_WORKERS = usable_cpus()  # threads one correlation runs its FFT batches on
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,8 @@ their index paths (`tracks[0]`), and `nullable` lets a field be null.
 
 Every CSV soundcue writes formats its floats with `format_floats` and
 joins them with `csv_block`, a block of `CSV_BLOCK_ROWS` rows at a time,
-so one block's strings exist at once, not the whole table's.
+so in each process that writes it one block's strings exist at once, not
+the whole table's.
 """
 
 from __future__ import annotations

@@ -33,6 +33,9 @@ class SchemaError(SoundCueError):
         self.reason = message
         super().__init__(f"{path}: {message}" if path else message)
 
+    def __reduce__(self):
+        return type(self), (self.path, self.reason)
+
 
 class DetectionError(SoundCueError):
     """Detection inputs violate a precondition (rates, empty patterns...)."""

@@ -175,7 +175,9 @@ class ObjectCurves(Sequence):
     or each item while iterating, calls `sample` for that object, so a
     caller that writes the objects one at a time holds one object's frames.
     `len()`, indexing, slicing and iteration behave as on a tuple of the
-    curves; `object_ids` names the objects without sampling.
+    curves; `object_ids` names the objects without sampling. Every object
+    has `frame_count` frames, and `on_frames(i, frames)` samples object i
+    on a range of them only: those rows of `curves[i]`, bit for bit.
     """
 
     def __init__(self, motions, duration_s: float, fps: float):
@@ -187,14 +189,22 @@ class ObjectCurves(Sequence):
     def object_ids(self) -> tuple:
         return tuple(object_id for object_id, _, _ in self._motions)
 
+    @property
+    def frame_count(self) -> int:
+        return frame_count(self._duration_s, self._fps)
+
     def __len__(self) -> int:
         return len(self._motions)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
             return tuple(self[i] for i in range(len(self))[index])
+        return self.on_frames(index, None)
+
+    def on_frames(self, index: int, frames: Optional[range]):
+        """Object `index`'s `AnimationCurves` on the range `frames`, or on all frames for None."""
         object_id, positions, scales = self._motions[index]
-        return sample(positions, scales, self._duration_s, self._fps, object_id=object_id)
+        return sample(positions, scales, self._duration_s, self._fps, object_id=object_id, frames=frames)
 
 
 @dataclass(frozen=True)

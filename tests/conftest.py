@@ -1,6 +1,8 @@
 import copy
+import dataclasses
 import json
 import math
+import os
 import re
 
 import numpy as np
@@ -14,6 +16,7 @@ from soundcue import (
     SoundPattern,
     make_pattern,
     place_instances,
+    scene,
 )
 
 SR = 44100
@@ -23,6 +26,27 @@ SR = 44100
 file_names = st.text(
     st.characters(exclude_categories=("Cs",), exclude_characters="/\\\x00"), min_size=1, max_size=6
 ).filter(lambda name: name not in (".", ".."))
+
+
+def negative_zero_py(monkeypatch):
+    """Make `scene.sample` return every table with a py column of -0.0, which no provider yields."""
+    real_sample = scene.sample
+
+    def sample_with_negative_zero_py(*args, **kwargs):
+        curves = real_sample(*args, **kwargs)
+        positions = curves.positions.copy()
+        positions[:, 1] = -0.0
+        return dataclasses.replace(curves, positions=positions)
+
+    monkeypatch.setattr(scene, "sample", sample_with_negative_zero_py)
+
+
+@pytest.fixture()
+def no_process_left():
+    """After the test, no child process of this one is left, running or unreaped."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture(scope="session")

@@ -1,9 +1,11 @@
 import ast
-import dataclasses
 import functools
 import importlib
 import json
 import math
+import os
+import signal
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -13,11 +15,14 @@ import pytest
 from soundcue import (
     AudioClip, correlate, curves_to_csv, load_wav, make_pattern, read_timeline, resample, save_wav, scene,
 )
-from soundcue import animate, cli
+from soundcue import animate, cli, parallel
 from soundcue.animate import _time_blocks
 from soundcue.cli import main
+from conftest import negative_zero_py
 
 SR = 44100
+
+pytestmark = pytest.mark.usefixtures("no_process_left")
 
 
 def write_plan(path: Path, **overrides):
@@ -359,15 +364,7 @@ class TestSynth:
     def test_streamed_files_match_the_kept_output(self, tmp_path, monkeypatch, frames, signed_zero):
         """Each curve CSV written block by block is `curves_to_csv` of the curves the library keeps."""
         if signed_zero:
-            real_sample = scene.sample
-
-            def sample_with_negative_zero_py(*args, **kwargs):
-                curves = real_sample(*args, **kwargs)
-                positions = curves.positions.copy()
-                positions[:, 1] = -0.0
-                return dataclasses.replace(curves, positions=positions)
-
-            monkeypatch.setattr(scene, "sample", sample_with_negative_zero_py)
+            negative_zero_py(monkeypatch)
         events = [_impulse("tick", t) for t in (0.5, 1.3, 2.0, 30.0, 45.5, 81.0)]
         events += [_continuous("chhh", 10.0, 20.0), _continuous("hooo", 40.0, 50.0)]
         objects = [
@@ -762,6 +759,160 @@ class TestAtomicOutputs:
             main(["run", "--track", f"take={fixture_dir / 'sequence.wav'}", "--patterns", str(fixture_dir / "patterns.json"),
                   "--scene", str(tmp_path / "scene.json"), "--out-dir", str(out)])
         assert not (tmp_path / "new").exists()
+
+
+def _force_cpus(monkeypatch, cpus):
+    """Make the writer see `cpus` usable CPUs; the returned list gets the process count of each split."""
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+    counts, real_split = [], parallel.split
+
+    def split(work, count):
+        counts.append(count)
+        return real_split(work, count)
+
+    monkeypatch.setattr(parallel, "split", split)
+    return counts
+
+
+def _small_blocks(monkeypatch):
+    """Curve CSVs in blocks of 16 rows, so a short synth splits across processes."""
+    monkeypatch.setattr(cli.docio, "CSV_BLOCK_ROWS", 16)
+    # A time grid formatted in 16-row blocks must not stay in the memo after the test.
+    monkeypatch.setattr(animate, "_time_blocks", functools.lru_cache(maxsize=1)(_time_blocks.__wrapped__))
+
+
+def _on_block(monkeypatch, parent=None, child=None):
+    """Call `parent()` or `child()` before each curve block this process or a forked one formats."""
+    pid, real_block = os.getpid(), cli.docio.csv_block
+
+    def block(columns):
+        act = parent if os.getpid() == pid else child
+        if act is not None:
+            act()
+        return real_block(columns)
+
+    monkeypatch.setattr(cli.docio, "csv_block", block)
+
+
+def _raise(exc):
+    def act():
+        raise exc
+
+    return act
+
+
+@pytest.mark.skipif(not parallel.FORKS, reason="the writer forks only on Linux")
+class TestForkedWriters:
+    """`synth` and `run` write each curve CSV in contiguous ranges of whole blocks, one
+    forked process per usable CPU with at least two blocks each: the files are those of
+    one process, byte for byte, and every process is reaped on every path."""
+
+    @pytest.mark.parametrize("signed_zero", [False, True], ids=["plain", "signed-zero-py"])
+    # In 4096-row blocks, 3 blocks are written by one process, 4 by two and 7 by three.
+    @pytest.mark.parametrize(
+        "frames, processes",
+        [(8191, (1, 1, 1)), (8192, (1, 1, 1)), (12288, (1, 1, 1)), (12289, (1, 2, 2)), (16385, (1, 2, 2)),
+         (3 * 8192 + 5, (1, 2, 3))],
+    )
+    def test_files_equal_those_of_one_process(self, tmp_path, monkeypatch, frames, processes, signed_zero):
+        if signed_zero:
+            negative_zero_py(monkeypatch)
+        # Windows across the range edges at 81.92 s and 163.84 s (frames 8192 and 16384 at 100 fps).
+        events = [_impulse("tick", t) for t in (0.5, 30.0, 81.9, 81.95, 120.0, 163.8, 200.0, 245.0)]
+        events += [_continuous("chhh", 80.0, 83.0), _continuous("chhh", 163.0, 165.0)]
+        events += [_continuous("hooo", 79.0, 82.5), _continuous("hooo", 160.0, 170.0)]
+        objects = [
+            {"object_id": "ball", "track_id": "take",
+             "bindings": {"tick": {"kind": "bounce_soft", "drift_speed": -0.5}}},
+            {"object_id": "slider", "track_id": "take", "bindings": {"chhh": {"kind": "slide", "speed": -1.0}}},
+            {"object_id": "lift", "track_id": "take", "bindings": {"hooo": {"kind": "move_up", "speed": 0.1}}},
+        ]
+        argv = _synth_argv(
+            tmp_path,
+            scene_doc={"objects": objects, "duration_override_s": (frames - 1) / 100},
+            duration_s=250.0,
+            tracks=[{"track_id": "take", "events": events}],
+        )[:-1]
+        files = {}
+        for cpus in (1, 2, 3):
+            with monkeypatch.context() as mp:
+                counts = _force_cpus(mp, cpus)
+                out = tmp_path / f"out{cpus}"
+                assert main(argv + [str(out)]) == 0
+            assert counts == [processes[cpus - 1]]
+            assert sorted(path.name for path in out.iterdir()) == sorted(
+                ["animation.json", "ball_curves.csv", "slider_curves.csv", "lift_curves.csv"]
+            )  # no part file or temporary left
+            files[cpus] = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert files[2] == files[1] and files[3] == files[1]
+        assert len(files[1]["ball_curves.csv"].splitlines()) == 1 + frames
+        if signed_zero:
+            assert files[3]["ball_curves.csv"].splitlines()[-1].split(b",")[2] == b"-0.0"
+
+    def test_run_splits_like_synth(self, fixture_dir, tmp_path, monkeypatch):
+        write_scene(tmp_path / "scene.json")
+        _small_blocks(monkeypatch)
+        argv = ["run", "--track", f"take={fixture_dir / 'sequence.wav'}", "--patterns", str(fixture_dir / "patterns.json"),
+                "--scene", str(tmp_path / "scene.json"), "--out-dir"]
+        outputs = {}
+        for cpus in (1, 3):
+            with monkeypatch.context() as mp:
+                counts = _force_cpus(mp, cpus)
+                assert main(argv + [str(tmp_path / str(cpus))]) == 0
+            assert counts == [cpus]  # 601 frames at 100 fps: 38 blocks of 16 rows
+            outputs[cpus] = {path.name: path.read_bytes() for path in (tmp_path / str(cpus)).iterdir()}
+        assert outputs[3] == outputs[1]
+
+    def test_os_error_in_a_forked_range_is_bad_input(self, tmp_path, monkeypatch, capsys):
+        argv = _synth_argv(tmp_path)
+        _small_blocks(monkeypatch)
+        counts = _force_cpus(monkeypatch, 2)
+        _on_block(monkeypatch, child=_raise(OSError("No space left on device")))
+        assert main(argv) == 2
+        assert counts == [2]
+        assert capsys.readouterr().err == "soundcue: error: No space left on device\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["scene.json", "take.timeline.json"]
+
+    def test_value_error_in_a_forked_range_is_a_bug(self, tmp_path, monkeypatch):
+        argv = _synth_argv(tmp_path)
+        _small_blocks(monkeypatch)
+        _force_cpus(monkeypatch, 2)
+        _on_block(monkeypatch, child=_raise(ValueError("a bug, not bad input")))
+        with pytest.raises(ValueError, match="a bug") as caught:
+            main(argv)
+        assert isinstance(caught.value.__cause__, parallel.RemoteTraceback)
+        assert "ValueError: a bug, not bad input" in str(caught.value.__cause__)
+        assert not (tmp_path / "out").exists()
+
+    def test_forked_process_killed_is_reported(self, tmp_path, monkeypatch, capsys):
+        argv = _synth_argv(tmp_path)
+        _small_blocks(monkeypatch)
+        _force_cpus(monkeypatch, 2)
+        _on_block(monkeypatch, child=lambda: os.kill(os.getpid(), signal.SIGKILL))
+        assert main(argv) == 2
+        assert "was killed by signal 9" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("failure", [OSError("No space left on device"), KeyboardInterrupt()], ids=repr)
+    def test_failure_here_stops_the_forked_ranges(self, tmp_path, monkeypatch, failure):
+        """This process's failure kills the forked writer, which would otherwise stall for 40 s, and reaps it."""
+        argv = _synth_argv(tmp_path)
+        _small_blocks(monkeypatch)
+        _force_cpus(monkeypatch, 2)
+
+        def stall():
+            time.sleep(40)
+            os._exit(0)
+
+        _on_block(monkeypatch, parent=_raise(failure), child=stall)
+        started = time.monotonic()
+        if isinstance(failure, OSError):
+            assert main(argv) == 2
+        else:
+            with pytest.raises(KeyboardInterrupt):
+                main(argv)
+        assert time.monotonic() - started < 30
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["scene.json", "take.timeline.json"]
 
 
 class TestTracerTargets:

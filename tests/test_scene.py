@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from soundcue import (
@@ -34,7 +34,7 @@ from soundcue import (
     serialize_scene,
 )
 from soundcue import animate, scene
-from conftest import file_names, mutated_json, well_formed_path
+from conftest import file_names, mutated_json, negative_zero_py, well_formed_path
 
 KINDS = {
     "tick": PatternKind.IMPULSE,
@@ -581,3 +581,92 @@ class TestSceneProperties:
             assert well_formed_path(exc.path), exc.path
             return
         assert parse_scene(serialize_scene(parsed)) == parsed
+
+
+RANGE_FPS = 100
+RANGE_TICKS = (0.3, 0.55, 1.0, 1.72, 2.4, 3.05, 3.99)
+RANGE_SLIDES = ((0.4, 1.3), (2.0, 3.5))
+RANGE_UPS = ((0.2, 0.9), (2.5, 2.6))  # the first climbs past z_max
+RANGE_DOWNS = ((1.5, 2.2),)  # falls past z_min
+RANGE_SQUASH_S = 0.3
+# Frames on and beside the edges of every window a provider is evaluated on.
+RANGE_EDGES = sorted({
+    max(0, round(t * RANGE_FPS) + d)
+    for t in (
+        *(t + h for t in RANGE_TICKS for h in (-RANGE_SQUASH_S / 2, 0.0, RANGE_SQUASH_S / 2)),
+        *(t for interval in RANGE_SLIDES + RANGE_UPS + RANGE_DOWNS for t in interval),
+    )
+    for d in (-1, 0, 1)
+})
+
+
+def _range_output(frames):
+    """Every provider kind on one track, sampled over `frames` frames at RANGE_FPS."""
+    steer = {"speed": 4.0, "z_min": 0.0, "z_max": 1.0}
+    objects = [
+        ("hard", {"tick": {"kind": "bounce_hard", "drift_speed": -0.5}}),
+        ("soft", {"tick": {"kind": "bounce_soft", "drift_speed": 0.25, "squash_duration_s": RANGE_SQUASH_S}}),
+        ("slider", {"chhh": {"kind": "slide", "speed": -1.0}}),
+        ("lift", {"hooo": {"kind": "move_up", **steer}, "heee": {"kind": "move_down", **steer}}),
+    ]
+    doc = {
+        "fps": RANGE_FPS,
+        "duration_override_s": (frames - 1) / RANGE_FPS,
+        "objects": [{"object_id": name, "track_id": "main", "bindings": b} for name, b in objects],
+    }
+    events = [impulse("tick", t, strength=0.5 + i / 4) for i, t in enumerate(RANGE_TICKS)]
+    events += [continuous("chhh", *interval) for interval in RANGE_SLIDES]
+    events += [continuous("hooo", *interval) for interval in RANGE_UPS]
+    events += [continuous("heee", *interval) for interval in RANGE_DOWNS]
+    return build_animation(Timeline((Track("main", tuple(events)),), 4.0), parse_scene(json.dumps(doc), KINDS))
+
+
+@st.composite
+def frame_ranges(draw):
+    """(frames, lo, hi): a frame count, and a range of its frames whose edges often fall inside a window."""
+    frames = draw(st.integers(1, 4 * RANGE_FPS + 1))
+    edge = st.integers(0, frames) | st.sampled_from(RANGE_EDGES).map(lambda f: min(f, frames))
+    lo, hi = sorted((draw(edge), draw(edge)))
+    return frames, lo, hi
+
+
+class TestFrameRanges:
+    """`ObjectCurves.on_frames` samples a range of frames only, and gets bit for bit
+    those rows of the whole sampling: every provider is pointwise in t."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(frame_ranges(), st.booleans())
+    @example((401, 0, 401), False)
+    @example((401, 400, 401), False)  # the last frame alone
+    @example((401, 0, 1), True)
+    @example((1, 0, 1), False)
+    @example((401, 30, 30), False)  # no frame
+    @example((401, 20, 350), True)  # starts inside the squash window [0.15, 0.45] s of the first tick
+    def test_range_equals_those_rows_of_the_whole(self, frame_range, signed_zero):
+        frames, lo, hi = frame_range
+        with pytest.MonkeyPatch.context() as mp:
+            if signed_zero:
+                negative_zero_py(mp)
+            curves = _range_output(frames).curves
+            assert curves.frame_count == frames
+            for index, object_id in enumerate(curves.object_ids):
+                whole = curves[index]
+                part = curves.on_frames(index, range(lo, hi))
+                assert part.object_id == object_id and part.times.size == hi - lo
+                for name in ("times", "positions", "scales"):
+                    assert getattr(part, name).tobytes() == getattr(whole, name)[lo:hi].tobytes(), (object_id, name)
+
+    def test_every_provider_moves_inside_the_ranges(self):
+        """The scene of the property above exercises what it claims to: squashes, slides and clamped steering."""
+        curves = _range_output(4 * RANGE_FPS + 1).curves
+        hard, soft, slider, lift = curves
+        assert hard.positions[:, 0].min() == -0.5 * 4.0 and np.all(hard.scales == 1.0)
+        assert soft.scales[:, 2].min() < 1.0 and soft.positions[:, 2].max() > 0.0
+        assert slider.positions[:, 0].min() < 0.0 and slider.scales[:, 2].min() < 1.0
+        z = lift.positions[:, 2]
+        assert z.max() == 1.0 and np.count_nonzero(z == 1.0) > 1 and z[round(2.3 * RANGE_FPS)] == 0.0
+
+    @pytest.mark.parametrize("frames", [range(-1, 3), range(0, 403), range(0, 10, 2), range(5, 3)])
+    def test_range_outside_the_frames_rejected(self, frames):
+        with pytest.raises(ValueError, match="contiguous range"):
+            _range_output(401).curves.on_frames(0, frames)
