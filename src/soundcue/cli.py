@@ -110,11 +110,14 @@ def _relative_path(value, path: str) -> str:
     return rel
 
 
-def _manifest_pattern(obj, where: str, directory: Path) -> SoundPattern:
+def _manifest_pattern(obj, where: str, directory: Path, ids: set) -> SoundPattern:
     with docio.Fields(obj, where) as f:
         pattern_id = f.read("id", docio.as_string)
         rel = f.read("path", _relative_path)
         kind = f.enum("kind", PatternKind, "pattern kind")
+    if pattern_id in ids:
+        raise SchemaError(f.at("id"), f"pattern id {pattern_id!r} is given twice; pattern ids must be unique")
+    ids.add(pattern_id)
     clip = load_wav(directory / rel)
     try:
         return SoundPattern(id=pattern_id, clip=clip, kind=kind)
@@ -123,9 +126,13 @@ def _manifest_pattern(obj, where: str, directory: Path) -> SoundPattern:
 
 
 def _load_manifest(path) -> list[SoundPattern]:
+    """The manifest's patterns: at least one, with distinct ids, each id checked before its WAV is read."""
     manifest_path = Path(path)
     entries = docio.parse_json(docio.read_text(manifest_path, "manifest"), "manifest")
-    return docio.array_of(lambda obj, where: _manifest_pattern(obj, where, manifest_path.parent))(entries, "")
+    if docio.as_array(entries, "") == []:
+        raise SchemaError("", "manifest is empty: the pattern dictionary needs at least one pattern")
+    ids = set()
+    return docio.array_of(lambda obj, where: _manifest_pattern(obj, where, manifest_path.parent, ids))(entries, "")
 
 
 def _detector_config(args) -> DetectorConfig:
@@ -142,25 +149,34 @@ def _detector_config(args) -> DetectorConfig:
     return cfg
 
 
-def _write_correlation_report(path: Path, sequence, traced) -> None:
-    """Wide CSV of the (pattern, trace, averaged) items `detect` kept, sorted by pattern id.
+class _CorrelationReport:
+    """`detect --report`'s recorder: a wide CSV of every pattern's traces, one column each, sorted by pattern id.
 
-    The rows are formatted and written a block at a time, so the text of
-    only one block is held in memory.
+    `detect` calls it with each pattern's trace and box means, batch by
+    batch. It writes the whole blocks of rows every column has reached, and
+    the rest once all are complete: about one batch per column and one
+    block of text are held, whatever the take's length.
     """
-    names, traces = ["t"], []
-    for pattern, trace, averaged in sorted(traced, key=lambda item: item[0].id):
-        names.append(f"ncc_{pattern.id}")
-        traces.append(trace.values)
-        if averaged is not None:
-            names.append(f"avg_{pattern.id}")
-            traces.append(averaged.values)
-    with open(path, "w", encoding="utf-8") as out:
-        out.write(",".join(names) + "\n")
-        for start in range(0, len(sequence), docio.CSV_BLOCK_ROWS):
-            stop = min(start + docio.CSV_BLOCK_ROWS, len(sequence))
-            times = np.arange(start, stop) / sequence.sample_rate_hz
-            out.write(docio.csv_block([docio.format_floats(v) for v in (times, *(t[start:stop] for t in traces))]))
+
+    def __init__(self, out, patterns, sequence):
+        self.out, self.n, self.rate, self.written = out, len(sequence), sequence.sample_rate_hz, 0  # rows written
+        self.pending = {}  # (pattern id, averaged) -> the column's values not yet written, in column order
+        for pattern in sorted(patterns, key=lambda p: p.id):
+            for averaged in (False, True) if pattern.kind is PatternKind.CONTINUOUS else (False,):
+                self.pending[pattern.id, averaged] = np.empty(0)
+        names = ["t", *(("avg_" if averaged else "ncc_") + pattern_id for pattern_id, averaged in self.pending)]
+        out.write(",".join(map(docio.csv_cell, names)) + "\n")
+
+    def __call__(self, pattern_id: str, averaged: bool, values: np.ndarray) -> None:
+        self.pending[pattern_id, averaged] = np.concatenate((self.pending[pattern_id, averaged], values))
+        rows, ready = docio.CSV_BLOCK_ROWS, min(v.size for v in self.pending.values())
+        count = ready if self.written + ready == self.n else ready // rows * rows  # rows to write now
+        for lo in range(0, count, rows):
+            times = np.arange(self.written + lo, self.written + min(lo + rows, count)) / self.rate
+            columns = (times, *(v[lo : lo + times.size] for v in self.pending.values()))
+            self.out.write(docio.csv_block([docio.format_floats(v) for v in columns]))
+        self.pending = {key: v[count:] for key, v in self.pending.items()}
+        self.written += count
 
 
 class _Outputs:
@@ -213,13 +229,15 @@ def cmd_detect(args) -> None:
     cfg = _detector_config(args)
     sequence = load_wav(args.sequence)
     track_id = Path(args.sequence).stem if args.track_id is None else args.track_id
-    traced = [] if args.report else None  # the traces the one detection pass read, for the report
-    result = detect(sequence, patterns, cfg, track_id, str(args.sequence), traced)
     timeline_path = Path(args.out_dir) / f"{track_id}.timeline.json"
     with _Outputs(Path(args.out_dir)) as outputs:
+        if args.report:  # written as the one detection pass reads the traces
+            with open(outputs.path(f"{track_id}.correlation.csv"), "w", encoding="utf-8") as out:
+                record = _CorrelationReport(out, patterns, sequence)
+                result = detect(sequence, patterns, cfg, track_id, str(args.sequence), record)
+        else:
+            result = detect(sequence, patterns, cfg, track_id, str(args.sequence))
         timeline.write_timeline(result, outputs.path(timeline_path.name))
-        if args.report:
-            _write_correlation_report(outputs.path(f"{track_id}.correlation.csv"), sequence, traced)
     events = result.tracks[0].events
     print(f"detected {len(events)} event(s) on track {track_id!r} -> {timeline_path}")
 

@@ -34,21 +34,21 @@ is forward-transformed once, and every pattern then multiplies,
 inverse-transforms and normalizes its own copy.
 `scan_group` is the pipeline's one entry to the engine. The
 single-pattern functions, `normalized_cross_correlate` and
-`raw_cross_correlate` (a group of one that keeps its output),
+`raw_cross_correlate` (a group of one whose sink fills the trace),
 `window_energy`, `moving_average` and `find_local_maxima`, are the
-references that tests and the acceptance criteria read.
-`scan_group` decides as it goes: each worker
-picks the local maxima of an impulse pattern's batch of lags as soon as
-they are normalized, and the calling thread stitches the runs above the
-threshold that cross batch edges; a continuous pattern's lags reach the
-calling thread batch by batch in lag order, which rectifies them into
-the boxcar's running prefix sum and thresholds each box mean once its
-window is complete. Whether the output is kept is a separate choice.
-Not kept, no trace exists at take length: the group holds the batches
-in flight, about w samples of each boxcar and the runs found, beside the
-take. Kept, the traces and box means are the ones
-`soundcue detect --report` writes. `find_local_maxima` is the same row
-and stitch code over one row, so the peak definition exists once.
+references that tests and the acceptance criteria read. Lags leave the
+engine only through per-batch sinks, and `scan_group` decides as they
+go: each worker picks the local maxima of an impulse pattern's batch of
+lags as soon as they are normalized, and the calling thread stitches the
+runs above the threshold that cross batch edges; a continuous pattern's
+lags reach the calling thread batch by batch in lag order, which
+rectifies them into the boxcar's running prefix sum and thresholds each
+box mean once its window is complete. No trace exists at take length:
+the group holds the batches in flight, about w samples of each boxcar
+and the runs found, beside the take. A `record` callback (`soundcue
+detect --report`) gets each lag and box mean as the calling thread
+decides it, impulse peaks too. `find_local_maxima` is the same row and
+stitch code over one row, so the peak definition exists once.
 
 An impulse pattern can only fire near its own instances, so its blocks
 are screened before they are inverse-transformed: the upper-bound early
@@ -66,10 +66,10 @@ peak-picked. The stitcher gets a stand-in row with no peaks and -1.0 as
 its first and last values, which it only compares with values above the
 threshold, so every decision is the one the real row gives. Live blocks
 run the unscreened code, so their lags are the same bit for bit. A
-pattern is screened when it is an impulse with no sink, the traces are
-not kept, the threshold is above 0, and its bound on white noise is
-expected below its limit (`_noise_ratio`): tonal cues are, noise bursts,
-whose bound spreads over every bin, are not.
+pattern is screened when it is an impulse with no sink, the threshold
+is above 0, and its bound on white noise is expected below its limit
+(`_noise_ratio`): tonal cues are, noise bursts, whose bound spreads over
+every bin, are not.
 
 Lag convention: values[tau] is the score for the pattern *starting* at
 sample tau of the sequence, with the sequence treated as zero beyond its
@@ -84,6 +84,7 @@ import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
@@ -359,15 +360,14 @@ _NOISE_GATE = 1.0
 def _sliding_dot(
     s: np.ndarray,
     patterns: Sequence[np.ndarray],
+    sinks: Sequence[Optional[Callable[[np.ndarray], None]]],
     energies: Optional[Sequence[float]] = None,
     peaks_above: Optional[float] = None,
-    sinks: Sequence[Optional[Callable[[np.ndarray], None]]] = (),
-    keep: bool = True,
-):
+) -> list:
     """sum_u s[tau+u] * p[u] for tau = 0..len(s)-1 and each pattern p, s zero-padded at the tail.
 
     `patterns` is a group of g patterns of any lengths (a sequence of 1-D
-    arrays, or a 2-D array); the output has shape (g, len(s)). The group
+    arrays, or a 2-D array), with one entry of `sinks` each. The group
     shares one block layout, so each block's forward FFT is taken once
     for all of them.
 
@@ -375,8 +375,8 @@ def _sliding_dot(
     end), nfft = `_fft_length(n, m_max)` for the longest pattern's m_max.
     Each pattern's spectrum is its rfft zero-padded to nfft, and its
     circular correlation with a block is exact for the first
-    nfft - m + 1 >= step = nfft - m_max + 1 lags, which become
-    out[b*step : (b+1)*step].
+    nfft - m + 1 >= step = nfft - m_max + 1 lags: lags b*step ..
+    (b+1)*step - 1.
 
     Given `energies`, one value per pattern, each lag is divided by
     sqrt(take energy * pattern energy) and clipped to [-1, 1] instead: the
@@ -388,19 +388,17 @@ def _sliding_dot(
     each energy is the same bit for bit as `window_energy(s, m)`, whatever
     lengths the group mixes, and none exists at take length.
 
-    `sinks[j]`, when given and not None, is called by the calling thread
-    with pattern j's normalized lags, batch by batch in lag order; it may
-    overwrite them unless they are kept. With `peaks_above` (normalized
-    only), each other pattern's batch of lags is peak-picked as soon as it
-    is normalized, and the call returns the output (None unless `keep`)
-    and, per pattern, the (lags, values) arrays of the peaks
-    `find_local_maxima` lists on the whole trace (None for a pattern with
-    a sink). Without `keep`, no output exists: each batch is normalized
-    into memory that is dead by then, the product spectrum its inverse FFT
-    has just read, or a row buffer of its slot for a sink that has not had
-    it yet.
+    Lags leave only through `sinks`: `sinks[j]`, if not None, is called
+    by the calling thread with pattern j's lags, batch by batch in lag
+    order, and may overwrite them. No take-length output exists: a batch
+    is normalized into dead memory, the product spectrum its inverse FFT
+    has read, or a row buffer of its slot for a sink. With `peaks_above`
+    (normalized only), each pattern without a sink has its batches of lags
+    peak-picked as they are normalized. Returns, per pattern, the (lags,
+    values) arrays of the peaks `find_local_maxima` lists on the whole
+    trace: None with a sink, none without `peaks_above`.
 
-    Without `keep`, a peak-picked pattern is screened block by block (see
+    A peak-picked pattern is screened block by block (see
     the module docstring) when `peaks_above` > 0 and its `_noise_ratio` is
     below _NOISE_GATE. `screen` writes |S| and each screened length's
     window energies into the slot's inverse-FFT output buffer, which no
@@ -432,10 +430,9 @@ def _sliding_dot(
     batch = max(1, _BATCH_SAMPLES // (nfft * _WORKERS))  # blocks per batch; all slots share the budget
     n_batches = -(-n_blocks // batch)
     workers = slots = min(_WORKERS, n_batches)  # a ring of one slot per worker
-    sinks = list(sinks) + [None] * (g - len(sinks))
     # A sink's lags must outlive their batch: the last pattern's stay in the forward
-    # spectrum it multiplied in place, the others' get a row buffer unless kept.
-    own_rows = [] if keep else [j for j in range(g - 1) if sinks[j] is not None]
+    # spectrum it multiplied in place, the others' get a row buffer.
+    own_rows = [j for j in range(g - 1) if sinks[j] is not None]
     energy_sums = None if energies is None else _WindowSums(n, m_max, of=np.square)
     most = min(batch, n_blocks)  # blocks in the largest batch
 
@@ -449,7 +446,6 @@ def _sliding_dot(
     rows = buffers((len(own_rows), most * step)) if own_rows else None
     segments = [None] * slots
     prefixes = [None] * slots  # each batch's prefix sums of s^2, which every pattern's window energies read
-    out = np.empty((g, n)) if keep else None
     peaks = [[None] * n_batches for _ in range(g)]  # each batch's list of _RowPeaks, per pattern
 
     def lags(i: int) -> tuple[int, int, int]:
@@ -457,13 +453,8 @@ def _sliding_dot(
         return i % slots, i * batch * step, min(batch, n_blocks - i * batch)
 
     def dest(i: int, j: int) -> np.ndarray:
-        """Where pattern j's lags of batch i go, shape (blocks, step); a kept batch that runs past the take is copied out.
-
-        A screened pattern's live blocks take its first rows, in order.
-        """
+        """Where pattern j's lags of batch i go, shape (blocks, step); a screened pattern's live blocks first."""
         slot, lo, k = lags(i)
-        if keep and lo + k * step <= n:
-            return out[j, lo : lo + k * step].reshape(k, step)
         if j in own_rows:
             return rows[slot][own_rows.index(j), : k * step].reshape(k, step)
         product = specs[slot] if j == g - 1 else products[slot]  # k * step <= k * (nfft + 2) floats
@@ -538,8 +529,6 @@ def _sliding_dot(
                     flat[inside:] = 1.0  # lags past the take are cut off below; keep their division defined
                     np.divide(full[r : r + count, :step], rows, out=rows)
                     np.clip(rows, -1.0, 1.0, out=rows)
-                if keep and start + count * step > n:
-                    out[j, start:] = flat[:inside]
                 if peaks_above is not None and sinks[j] is None:
                     picked.append(_row_peaks(flat[:inside], peaks_above, start))
                 r += count
@@ -547,14 +536,14 @@ def _sliding_dot(
 
     def finish(i: int) -> None:
         """Hand batch i's lags inside the take to the sinks (calling thread, in batch order)."""
-        _, lo, k = lags(i)
+        lo = lags(i)[1]
         for j, sink in enumerate(sinks):
             if sink is not None:
-                sink(out[j, lo : lo + k * step] if keep else dest(i, j).reshape(-1)[: n - lo])
+                sink(dest(i, j).reshape(-1)[: n - lo])
 
     pattern_specs = [np.conj(np.fft.rfft(row, nfft)) for row in group]
     screened: dict[int, int] = {}  # each screened pattern's column in `screen`'s result
-    if energies is not None and peaks_above is not None and peaks_above > 0 and not keep:
+    if energies is not None and peaks_above is not None and peaks_above > 0:
         for j in range(g):
             if sinks[j] is None and _noise_ratio(pattern_specs[j], nfft, lengths[j], peaks_above) < _NOISE_GATE:
                 screened[j] = len(screened)
@@ -594,9 +583,20 @@ def _sliding_dot(
                 pending.append([i, pool.submit(run, i)])
             while pending:
                 settle(pending.popleft())
-    if peaks_above is None:
-        return out
-    return out, [_stitch(chain.from_iterable(rows)) if sink is None else None for rows, sink in zip(peaks, sinks)]
+    return [_stitch(chain.from_iterable(rows)) if sink is None else None for rows, sink in zip(peaks, sinks)]
+
+
+def _whole(s: np.ndarray, patterns: Sequence[np.ndarray], energies: Optional[Sequence[float]] = None) -> np.ndarray:
+    """`_sliding_dot`'s lags of every pattern over the whole take, shape (g, len(s)), each row filled by its sink."""
+    out = np.empty((len(patterns), s.size))
+    filled = [0] * len(patterns)  # lags each row holds so far
+
+    def sink(j: int, lags: np.ndarray) -> None:
+        out[j, filled[j] : filled[j] + lags.size] = lags
+        filled[j] += lags.size
+
+    _sliding_dot(s, patterns, [partial(sink, j) for j in range(len(patterns))], energies)
+    return out
 
 
 def _fresh_trace(values: np.ndarray, sample_rate_hz: int) -> CorrelationTrace:
@@ -608,7 +608,7 @@ def _fresh_trace(values: np.ndarray, sample_rate_hz: int) -> CorrelationTrace:
 def raw_cross_correlate(s: AudioClip, p: AudioClip) -> CorrelationTrace:
     """Unnormalized cross-correlation, the discretized overlap integral."""
     _check_pair(s, p)
-    values = _sliding_dot(s.samples, [p.samples])[0]
+    values = _whole(s.samples, [p.samples])[0]
     values /= s.sample_rate_hz
     return _fresh_trace(values, s.sample_rate_hz)
 
@@ -637,7 +637,7 @@ def normalized_cross_correlate(s: AudioClip, p: AudioClip) -> CorrelationTrace:
     (`window_energy`), so the score is invariant to how loud the instance
     was voiced.
     """
-    values = _sliding_dot(s.samples, [p.samples], _check_group(s, [p]))[0]
+    values = _whole(s.samples, [p.samples], _check_group(s, [p]))[0]
     return _fresh_trace(values, s.sample_rate_hz)
 
 
@@ -811,29 +811,31 @@ def _stitch_runs(rows: Sequence[Runs]) -> Runs:
     return Runs(starts[firsts], ends[lasts], np.maximum.reduceat(peaks, firsts))
 
 
-class _BoxRuns:
-    """A sink for `_sliding_dot`: the runs above `threshold` of a trace's rectified box mean over w lags.
+class _Decider:
+    """A sink for `_sliding_dot` that decides a trace on the calling thread, as it arrives batch by batch in lag order.
 
-    The trace arrives batch by batch in lag order. Its box means, the
-    values of `moving_average(trace, w / rate, rectify=True)`, are kept in
-    `averaged` when asked; otherwise only the runs found are.
+    With a `_BoxMean` as `box`, it finds the runs above `threshold` of the
+    trace's rectified box means, which take the lags' memory; without, the
+    peaks above it that `find_local_maxima` lists on the whole trace.
+    `record`, if given, gets (False, lags) and, with a box, (True, means).
     """
 
-    def __init__(self, n: int, w: int, threshold: float, keep: bool):
-        self.mean = _BoxMean(n, w, rectify=True)
-        self.threshold = threshold
-        self.averaged = np.empty(n) if keep else None
-        self.done = 0  # box means computed so far
-        self.rows: list[Runs] = []
+    def __init__(self, threshold: float, box: Optional[_BoxMean] = None, record: Optional[Callable] = None):
+        self.threshold, self.box, self.record = threshold, box, record
+        self.done, self.rows = 0, []  # the values decided so far, and their rows
 
     def __call__(self, lags: np.ndarray) -> None:
-        # Unless kept, the lags are dead once pushed into the prefix sum: their memory takes the means.
-        means = self.mean.push(lags, lags if self.averaged is None else self.averaged[self.done :])
-        self.rows.append(_row_runs(means, self.threshold, self.done))
-        self.done += means.size
+        if self.record:
+            self.record(False, lags)
+        if self.box is not None:
+            lags = self.box.push(lags, lags)
+            if self.record:
+                self.record(True, lags)
+        self.rows.append((_row_peaks if self.box is None else _row_runs)(lags, self.threshold, self.done))
+        self.done += lags.size
 
-    def runs(self) -> Runs:
-        return _stitch_runs(self.rows)
+    def decided(self):  # the peaks' (lags, values) arrays, or the box means' `Runs`
+        return _stitch(self.rows) if self.box is None else _stitch_runs(self.rows)
 
 
 def scan_group(
@@ -842,44 +844,38 @@ def scan_group(
     continuous: Sequence[AudioClip],
     threshold: float,
     continuous_threshold: float,
-    traces: Optional[list] = None,
+    record: Optional[Callable[[int, bool, np.ndarray], None]] = None,
 ) -> tuple[list[tuple[np.ndarray, np.ndarray]], list[Runs]]:
     """The normalized cross-correlations of a dictionary's clips, of any lengths, decided in one engine call.
 
     This is the engine's one entry for a dictionary. Returns, per impulse
     clip, the peaks `find_local_maxima(normalized_cross_correlate(s,
-    clip), threshold)` lists, as an int64 array of lags and a float64
-    array of values, and, per continuous clip, the maximal runs (`Runs`)
-    above `continuous_threshold` of
-    `moving_average(normalized_cross_correlate(s, clip), clip.duration_s,
-    rectify=True)`. The clips share one block layout, set by the longest
-    of them, each block's forward FFT and one running sum of the take's
-    squares, from which each distinct length gets its lags' window
-    energies. Each batch of an impulse clip's lags is peak-picked in the
-    worker that normalized it, once the blocks that cannot reach
-    `threshold` are screened out (`_sliding_dot`; not when `traces` is
-    kept); a continuous clip's lags go batch by batch to the calling
-    thread, which box-averages and thresholds them
-    (`_BoxRuns`). So no take-length array exists, unless `traces` is a
-    list: then (trace, averaged) is appended per clip, impulses first,
-    where trace is the lags its decisions read and averaged its box means,
-    or None for an impulse clip. When every clip has one length, the
-    layout is `normalized_cross_correlate`'s and the trace is the same bit
-    for bit; a shorter clip beside a longer one is cut into other blocks,
-    which moves its lags by a few ulps.
+    clip), threshold)` lists, as int64 lags and float64 values, and, per
+    continuous clip, the `Runs` above `continuous_threshold` of its
+    trace's rectified `moving_average` over `clip.duration_s`. The clips
+    share one block layout, set by the longest, each block's forward FFT
+    and one running sum of the take's squares. An impulse clip's batches
+    are screened and peak-picked in the workers (`_sliding_dot`), a
+    continuous clip's box-averaged and thresholded by a `_Decider` on the
+    calling thread, so no take-length array exists.
+
+    Given `record`, every clip gets a `_Decider`, so none is screened, and
+    `record(j, averaged, values)` is called batch by batch in lag order
+    with clip j's lags (`averaged` False; impulses count first) and a
+    continuous clip's box means (True), valid only during the call. With
+    one length in the group, the lags are `normalized_cross_correlate`'s
+    bit for bit; a shorter clip beside a longer one moves by a few ulps.
     """
     clips = [*impulses, *continuous]
     if not clips:
         return [], []
     energies = _check_group(s, clips)
-    keep = traces is not None
     n, rate = len(s), s.sample_rate_hz
-    boxes = [_BoxRuns(n, _box_width(clip.duration_s, rate), continuous_threshold, keep) for clip in continuous]
-    sinks = [None] * len(impulses) + boxes
-    values, peaks = _sliding_dot(s.samples, [clip.samples for clip in clips], energies, threshold, sinks, keep)
-    if keep:
-        traces.extend(
-            (_fresh_trace(row, rate), None if box is None else _fresh_trace(box.averaged, rate))
-            for row, box in zip(values, sinks)
-        )
-    return peaks[: len(impulses)], [box.runs() for box in boxes]
+    recorders = [None if record is None else partial(record, j) for j in range(len(clips))]
+    sinks = [None if record is None else _Decider(threshold, None, recorders[j]) for j in range(len(impulses))] + [
+        _Decider(continuous_threshold, _BoxMean(n, _box_width(clip.duration_s, rate), rectify=True), recorder)
+        for clip, recorder in zip(continuous, recorders[len(impulses) :])
+    ]
+    found = _sliding_dot(s.samples, [clip.samples for clip in clips], sinks, energies, threshold)
+    decided = [peaks if sink is None else sink.decided() for peaks, sink in zip(found, sinks)]
+    return decided[: len(impulses)], decided[len(impulses) :]

@@ -8,10 +8,11 @@ energies; the impulse patterns' peaks are picked batch by batch, and
 the continuous patterns' box averages and the runs above their
 threshold are found batch by batch too. Each impulse pattern's peaks
 become `Candidates` arrays that suppression and strength measurement
-decide; each continuous pattern's runs become intervals. Without a `traces` sink, `detect` holds the take, the
-batches in flight and what it has found, and no other take-length
-array. Given a `traces` list, the same pass also keeps every trace it
-read there, the traces `soundcue detect --report` writes.
+decide; each continuous pattern's runs become intervals. `detect` holds
+the take, the batches in flight and what it has found, and no other
+take-length array. Given a `record` callback, the same pass also hands
+it every trace it reads, batch by batch: what `soundcue detect --report`
+writes as it goes.
 
 Impulse patterns: local maxima of the normalized cross-correlation above
 the impulse threshold become candidates; candidates of all patterns then
@@ -36,20 +37,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .audio import AudioClip, resample
 from .correlate import (  # noqa: F401  (bench/tracing.py looks the correlation names up in this module)
-    CorrelationTrace,
-    Runs,
-    energy,
-    find_local_maxima,
-    moving_average,
-    normalized_cross_correlate,
-    scan_group,
-    sum_of_squares,
+    Runs, energy, find_local_maxima, moving_average, normalized_cross_correlate, scan_group, sum_of_squares,
 )
 from .errors import DetectionError
 from .timeline import EventInstance, PatternKind, Timeline, Track
@@ -253,15 +247,11 @@ def _aligned(pattern: SoundPattern, rate: int) -> SoundPattern:
         raise DetectionError(f"{exc} at {rate} Hz") from exc
 
 
-TracedPattern = tuple[SoundPattern, CorrelationTrace, Optional[CorrelationTrace]]  # (pattern, trace, averaged)
-
-
 def _checked(s: AudioClip, patterns: Sequence[SoundPattern]) -> list[SoundPattern]:
     """The dictionary, checked and aligned to `s`'s rate."""
     if not patterns:
         raise DetectionError("pattern dictionary is empty")
-    ids = [p.id for p in patterns]
-    if len(set(ids)) != len(ids):
+    if len({p.id for p in patterns}) != len(patterns):
         raise DetectionError("pattern ids must be unique")
     return [_aligned(p, s.sample_rate_hz) for p in patterns]
 
@@ -305,42 +295,33 @@ def detect(
     cfg: Optional[DetectorConfig] = None,
     track_id: str = "main",
     source_audio: Optional[str] = None,
-    traces: Optional[list[TracedPattern]] = None,
+    record: Optional[Callable[[str, bool, np.ndarray], None]] = None,
 ) -> Timeline:
     """Run the full pipeline over one recording; returns a one-track timeline.
 
     Patterns recorded at a different rate are resampled to the sequence's
     rate first so all lags share one time base. Event times are onsets:
-    the instant the instance starts inside the recording.
+    the instant the instance starts inside the recording. The whole
+    dictionary, whatever its patterns' lengths, is correlated and decided
+    in one `scan_group` call, one pass over the take.
 
-    The whole dictionary, whatever its patterns' lengths, is correlated
-    in one `scan_group` call, one pass over the take that picks the
-    impulse patterns' peaks and the runs of the continuous patterns' box
-    averages batch by batch. Given a list as `traces`, `detect` appends
-    (pattern, trace, averaged) for every pattern, the pattern aligned to
-    `s`'s rate: `trace` is the normalized cross-correlation its decisions
-    read, and `averaged` the rectified trace box-averaged over one
-    pattern duration, or None for an impulse pattern. Without it, no
-    trace exists.
+    Given `record`, it is called as `record(pattern_id, averaged, values)`
+    with each batch, in lag order, of the normalized cross-correlation a
+    pattern's decisions read (`averaged` False) and of a continuous
+    pattern's rectified box means over one pattern duration (True). The
+    values are valid only during the call.
     """
     cfg = cfg or DetectorConfig()
     aligned = _checked(s, patterns)
     impulses = [pattern for pattern in aligned if pattern.kind is PatternKind.IMPULSE]
     continuous = [pattern for pattern in aligned if pattern.kind is PatternKind.CONTINUOUS]
-    kept = None if traces is None else []
-    found, runs = scan_group(
-        s,
-        [pattern.clip for pattern in impulses],
-        [pattern.clip for pattern in continuous],
-        cfg.impulse_threshold,
-        cfg.continuous_threshold,
-        kept,
-    )
+    ids = [pattern.id for pattern in impulses + continuous]  # scan_group's clip order
+    recorded = None if record is None else lambda j, averaged, values: record(ids[j], averaged, values)
+    found, runs = scan_group(s, [p.clip for p in impulses], [p.clip for p in continuous], cfg.impulse_threshold,
+                             cfg.continuous_threshold, recorded)
     peaks: list[PatternPeaks] = [(pattern, lags, values) for pattern, (lags, values) in zip(impulses, found)]
     events: list[EventInstance] = []
     for pattern, pattern_runs in zip(continuous, runs):
         intervals = _continuous_intervals(pattern_runs, pattern, cfg, s.sample_rate_hz, s.duration_s)
         events.extend(_event(s, pattern, b, e, peak) for b, e, peak in intervals)
-    if kept is not None:
-        traces.extend((pattern, trace, averaged) for pattern, (trace, averaged) in zip(impulses + continuous, kept))
     return _decide(s, peaks, events, cfg, track_id, source_audio)

@@ -194,6 +194,11 @@ def format_floats(values: np.ndarray) -> list[str]:
     return texts[inverse].tolist()
 
 
+def csv_cell(text: str) -> str:
+    """`text` as one CSV cell: quoted, with its quotes doubled, if it holds a comma, a quote, CR or LF (RFC 4180)."""
+    return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
+
+
 def csv_block(columns: Sequence[Sequence[str]]) -> str:
     """The CSV rows of one block, each ended by a newline, from each column's cells."""
     return "\n".join(map(",".join, zip(*columns))) + "\n"

@@ -99,6 +99,20 @@ def reference_runs(values, threshold):
     return runs
 
 
+class Recorder:
+    """A `record` callback for `scan_group` and `detect`: a copy of every batch it is given, per (clip, averaged)."""
+
+    def __init__(self):
+        self.batches = {}
+
+    def __call__(self, clip, averaged, values):
+        self.batches.setdefault((clip, averaged), []).append(values.copy())
+
+    def trace(self, clip, averaged=False):
+        """The trace that the batches of (clip, averaged) make, joined in the order they came."""
+        return np.concatenate(self.batches[clip, averaged])
+
+
 def silent_clip(duration_s: float, sr: int = SR):
     from soundcue import AudioClip
 

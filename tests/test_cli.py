@@ -1,6 +1,8 @@
 import ast
+import csv
 import functools
 import importlib
+import io
 import json
 import math
 import os
@@ -13,7 +15,8 @@ import numpy as np
 import pytest
 
 from soundcue import (
-    AudioClip, correlate, curves_to_csv, load_wav, make_pattern, read_timeline, resample, save_wav, scene,
+    AudioClip, GroundTruth, PatternKind, PlantedInstance, SoundPattern, correlate, curves_to_csv, detect, load_wav,
+    make_pattern, place_instances, read_timeline, resample, save_wav, scene,
 )
 from soundcue import animate, cli, parallel
 from soundcue.animate import _time_blocks
@@ -217,21 +220,40 @@ class TestDetect:
         assert main(args + ["--out-dir", str(report), "--report"]) == 0
         assert (report / "take.timeline.json").read_bytes() == (plain / "take.timeline.json").read_bytes()
 
-    def test_report_memory_is_bounded(self, fixture_dir, tmp_path):
-        """The report holds its traces and one block of text, never the whole file's text."""
-        args = ["detect", str(fixture_dir / "sequence.wav"), "--patterns", str(fixture_dir / "patterns.json"),
-                "--track-id", "take"]
+    def test_report_memory_is_bounded(self, tmp_path, monkeypatch):
+        """The report is written as `detect` reads the traces: its memory does not grow with the take.
+
+        With impulse and continuous patterns of two lengths, `detect` and
+        the report's recorder peak the same on a 20 s and a 60 s take, to
+        within one batch budget (8 * _BATCH_SAMPLES bytes). One trace of
+        the 40 s between them is 2.4 budgets.
+        """
+        rate = 4000
+        monkeypatch.setattr(correlate, "_WORKERS", 2)
+        monkeypatch.setattr(correlate, "_BATCH_SAMPLES", 1 << 16)  # one block a batch: 3 batches at 20 s, 8 at 60 s
+        kinds = (("tick", 0.1, PatternKind.IMPULSE), ("chhh", 0.2, PatternKind.CONTINUOUS), ("poc", 0.2, PatternKind.IMPULSE))
+        patterns = [
+            SoundPattern(pid, make_pattern("tonal_burst", d, seed=20 + i, sample_rate_hz=rate), kind)
+            for i, (pid, d, kind) in enumerate(kinds)
+        ]
+        planted = [PlantedInstance("tick", onset_s=2.0), PlantedInstance("poc", onset_s=9.0),
+                   PlantedInstance("chhh", t_begin_s=4.0, t_end_s=6.0)]
+        budget = 8 * correlate._BATCH_SAMPLES
         peaks = {}
-        for name, flags in (("plain", []), ("report", ["--report"])):
-            tracemalloc.start()
-            try:
-                assert main(args + ["--out-dir", str(tmp_path / name), *flags]) == 0
-                _, peaks[name] = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-        lines = (tmp_path / "report" / "take.correlation.csv").read_text().splitlines()
-        trace_bytes = (len(lines[0].split(",")) - 1) * (len(lines) - 1) * 8
-        assert peaks["report"] - peaks["plain"] < trace_bytes
+        for duration in (20.0, 60.0):
+            plan = GroundTruth(duration_s=duration, sample_rate_hz=rate, seed=1, noise_rms=0.02, planted=tuple(planted))
+            s = place_instances({p.id: p.clip for p in patterns}, plan)
+            with open(os.devnull, "w", encoding="utf-8") as out:
+                report = cli._CorrelationReport(out, patterns, s)
+                tracemalloc.start()
+                try:
+                    events = detect(s, patterns, record=report).tracks[0].events
+                    _, peaks[duration] = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+            assert report.written == len(s)  # every row of the report was written
+            assert {e.pattern_id for e in events} == {p.id for p in patterns}
+        assert abs(peaks[60.0] - peaks[20.0]) <= budget, peaks
 
     def test_report_computes_each_trace_once(self, fixture_dir, tmp_path, monkeypatch):
         """The report writes the traces detection read: one engine pass over the take for every
@@ -297,6 +319,80 @@ class TestDetect:
         lines = (report / "take.correlation.csv").read_text().splitlines()
         assert lines[0] == "t,ncc_chhh,avg_chhh,ncc_poc,ncc_tick"
         assert len(lines) - 1 == len(load_wav(fixture_dir / "sequence.wav"))
+
+
+    def test_report_bytes_do_not_depend_on_blocks_or_batches(self, fixture_dir, tmp_path, monkeypatch):
+        """Rows are written once every column reaches them: the file is the same whatever the CSV block and batch sizes."""
+        args = ["detect", str(fixture_dir / "sequence.wav"), "--patterns", str(fixture_dir / "patterns.json"),
+                "--track-id", "take", "--report"]
+        assert main(args + ["--out-dir", str(tmp_path / "default")]) == 0
+        monkeypatch.setattr(cli.docio, "CSV_BLOCK_ROWS", 1000)  # divides no batch
+        monkeypatch.setattr(correlate, "_BATCH_SAMPLES", 1 << 16)  # batches of one block, whose lags the box means trail
+        assert main(args + ["--out-dir", str(tmp_path / "small")]) == 0
+        default = (tmp_path / "default" / "take.correlation.csv").read_bytes()
+        assert (tmp_path / "small" / "take.correlation.csv").read_bytes() == default
+        assert default.count(b"\n") == 1 + len(load_wav(fixture_dir / "sequence.wav"))
+
+    def test_report_quotes_ids_that_need_it(self, fixture_dir, tmp_path):
+        """A pattern id holding a comma, a quote, CR or LF is one quoted header cell; other ids stay bare."""
+        ids = {"tick": "ti,ck", "poc": 'p"oc', "chhh": "ch\r\nhh"}
+        manifest = json.loads((fixture_dir / "patterns.json").read_text())
+        for entry in manifest:
+            entry["id"] = ids[entry["id"]]
+        manifest.append({"id": "plain", "kind": "impulse", "path": "patterns/tick.wav"})
+        (fixture_dir / "patterns.json").write_text(json.dumps(manifest))
+        out = tmp_path / "rep"
+        assert main(["detect", str(fixture_dir / "sequence.wav"), "--patterns", str(fixture_dir / "patterns.json"),
+                     "--track-id", "take", "--out-dir", str(out), "--report"]) == 0
+        text = (out / "take.correlation.csv").read_bytes().decode("utf-8")
+        assert text.split("\n", 1)[0] == 't,"ncc_ch\r'
+        rows = list(csv.reader(io.StringIO(text)))
+        assert rows[0] == ["t", "ncc_ch\r\nhh", "avg_ch\r\nhh", 'ncc_p"oc', "ncc_plain", "ncc_ti,ck"]
+        assert len(rows) - 1 == len(load_wav(fixture_dir / "sequence.wav"))
+        assert {len(row) for row in rows} == {6}
+
+
+class TestManifest:
+    """A manifest with a repeated pattern id, or with no pattern, exits 2 at its field before any take is read."""
+
+    CASES = {
+        "repeated id": (lambda entries: entries + [dict(entries[1], path=entries[0]["path"])], "[3].id: pattern id"),
+        "no pattern": (lambda entries: [], "manifest is empty"),
+    }
+
+    def edited(self, fixture_dir, case):
+        manifest = fixture_dir / "patterns.json"
+        manifest.write_text(json.dumps(self.CASES[case][0](json.loads(manifest.read_text()))))
+        return manifest
+
+    @staticmethod
+    def spy(monkeypatch, module, name):
+        calls, real = [], getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+        return calls
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_detect(self, fixture_dir, tmp_path, monkeypatch, capsys, case):
+        manifest = self.edited(fixture_dir, case)
+        read = self.spy(monkeypatch, cli, "load_wav")
+        capsys.readouterr()
+        assert main(["detect", str(fixture_dir / "sequence.wav"), "--patterns", str(manifest),
+                     "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"soundcue: error: {self.CASES[case][1]}")
+        assert all(Path(args[0]).name != "sequence.wav" for args in read)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_run(self, fixture_dir, tmp_path, monkeypatch, capsys, case):
+        manifest = self.edited(fixture_dir, case)
+        write_scene(tmp_path / "scene.json")
+        parsed, detected = self.spy(monkeypatch, scene, "parse_scene"), self.spy(monkeypatch, cli, "detect")
+        capsys.readouterr()
+        assert main(["run", "--track", f"take={fixture_dir / 'sequence.wav'}", "--patterns", str(manifest),
+                     "--scene", str(tmp_path / "scene.json"), "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"soundcue: error: {self.CASES[case][1]}")
+        assert parsed == [] and detected == []
+        assert not (tmp_path / "out").exists()
 
 
 class TestSynth:
@@ -689,7 +785,7 @@ class TestOutputNames:
         assert not (tmp_path / "det").exists()
 
 class TestAtomicOutputs:
-    """`gen`, `run` and `synth` rename their files into place only once all are complete: a failure leaves none behind."""
+    """`gen`, `run`, `synth` and `detect` rename their files into place only once all are complete: a failure leaves none behind."""
 
     @staticmethod
     def fail_second_block(monkeypatch):
@@ -716,6 +812,16 @@ class TestAtomicOutputs:
         assert len(blocks) == 2
         assert not (tmp_path / "out").exists()  # the directory synth made is gone too
         assert not list(tmp_path.rglob("*_curves.csv")) and not list(tmp_path.rglob("*.tmp"))
+
+    def test_detect_report_failure_leaves_nothing(self, fixture_dir, tmp_path, monkeypatch, capsys):
+        """The report is written during detection: a block that fails there leaves no report and no timeline."""
+        blocks = self.fail_second_block(monkeypatch)
+        out = tmp_path / "new" / "out"
+        assert main(["detect", str(fixture_dir / "sequence.wav"), "--patterns", str(fixture_dir / "patterns.json"),
+                     "--track-id", "take", "--out-dir", str(out), "--report"]) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert len(blocks) == 2
+        assert not (tmp_path / "new").exists()
 
     def test_gen_failure_leaves_nothing(self, tmp_path, monkeypatch, capsys):
         saved, real_save = [], cli.save_wav

@@ -19,8 +19,8 @@ from soundcue import (
     window_energy,
 )
 from soundcue import correlate
-from soundcue.correlate import EPS_ENERGY, _BoxMean, _WindowSums, _fft_length, _sliding_dot, sum_of_squares
-from conftest import reference_runs
+from soundcue.correlate import EPS_ENERGY, _BoxMean, _WindowSums, _fft_length, _whole, sum_of_squares
+from conftest import Recorder, reference_runs
 
 SR = 8000
 
@@ -324,7 +324,7 @@ class TestReferenceEquality:
             p = rng.uniform(-1, 1, m)
             pattern_energy = sum_of_squares(p)
             denom = np.sqrt(np.maximum(reference_window_energy(s, m), EPS_ENERGY) * pattern_energy)
-            expected = np.clip(_sliding_dot(s, [p])[0] / denom, -1.0, 1.0)
+            expected = np.clip(_whole(s, [p])[0] / denom, -1.0, 1.0)
             assert np.array_equal(normalized_cross_correlate(clip(s), clip(p)).values, expected), (n, m)
 
     def test_moving_average_equals_index_array_formula(self):
@@ -391,11 +391,11 @@ class TestMemoryBound:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_blocks_in_flight_share_one_budget(self, take, workers, monkeypatch):
-        # Beside the output: every worker's spectra and block outputs, 2 x 8 bytes per
-        # sample of the shared batch budget, plus at most the padded copy of the tail.
+        # Beside the output its sink fills: every worker's spectra and block outputs, 2 x 8
+        # bytes per sample of the shared batch budget, plus at most the padded copy of the tail.
         s, p = take
         monkeypatch.setattr(correlate, "_WORKERS", workers)
-        peak = self.peak_bytes(_sliding_dot, s.samples, [p.samples])
+        peak = self.peak_bytes(_whole, s.samples, [p.samples])
         assert peak - s.samples.nbytes <= 3 * 8 * correlate._BATCH_SAMPLES
 
     @pytest.mark.parametrize("window_samples", [0.4, 5292])
@@ -608,12 +608,14 @@ class TestImpulsePeaks:
             s = clip(plateau_take(rng, n, m))
             threshold = float(rng.choice([0.3, 0.5, 0.9]))
             got, _ = scan_group(s, clips, (), threshold, threshold)
-            kept = []  # the same call keeping its traces picks the same peaks from them
-            with_traces, _ = scan_group(s, clips, (), threshold, threshold, kept)
-            assert len(got) == len(with_traces) == len(kept) == len(clips)
-            for p, (lags, values), (kept_lags, kept_values), (kept_trace, averaged) in zip(clips, got, with_traces, kept):
+            recorded = Recorder()  # the same call recording its lags picks the same peaks, on the calling thread
+            with_traces, _ = scan_group(s, clips, (), threshold, threshold, recorded)
+            assert len(got) == len(with_traces) == len(clips)
+            assert set(recorded.batches) == {(j, False) for j in range(len(clips))}  # no box means for impulses
+            assert all(len(batches) >= 10 for batches in recorded.batches.values())  # handed over batch by batch
+            for j, (p, (lags, values), (kept_lags, kept_values)) in enumerate(zip(clips, got, with_traces)):
                 trace = normalized_cross_correlate(s, p)
-                assert kept_trace.values.tobytes() == trace.values.tobytes() and averaged is None
+                assert recorded.trace(j).tobytes() == trace.values.tobytes()
                 assert np.array_equal(kept_lags, lags) and np.array_equal(kept_values, values)
                 assert lags.dtype == np.int64 and values.dtype == np.float64
                 assert list(zip(lags.tolist(), values.tolist())) == find_local_maxima(trace, threshold)
@@ -663,21 +665,21 @@ class TestImpulsePeaks:
             monkeypatch.setattr(correlate, "_BATCH_SAMPLES", _fft_length(n, max(lengths)) * workers)  # one block per batch
             s = rng.uniform(-1, 1, n) * rng.choice([1.0, 1e-9], n)  # quiet stretches reach the clamp
             group = [rng.uniform(-1, 1, m) for m in lengths]
-            raw = _sliding_dot(s, group)
-            normalized = _sliding_dot(s, group, [sum_of_squares(p) for p in group])
+            raw = _whole(s, group)
+            normalized = _whole(s, group, [sum_of_squares(p) for p in group])
             for p, raw_row, row in zip(group, raw, normalized):
                 denom = np.sqrt(np.maximum(reference_window_energy(s, p.size), EPS_ENERGY) * sum_of_squares(p))
                 assert np.array_equal(row, np.clip(raw_row / denom, -1.0, 1.0)), lengths
-                assert np.max(np.abs(raw_row - _sliding_dot(s, [p])[0])) < 1e-9  # its own layout, alone
+                assert np.max(np.abs(raw_row - _whole(s, [p])[0])) < 1e-9  # its own layout, alone
 
     def test_mixed_lengths_equal_each_pattern_alone_and_bad_energy_is_rejected(self):
         s = clip(np.random.default_rng(43).uniform(-1, 1, 200))
         clips = [clip(np.ones(4)), clip(np.ones(5))]
         assert _fft_length(200, 4) == _fft_length(200, 5)  # one block either way: the same layout, the same bits
-        kept = []
-        for p, (lags, values), (trace, _) in zip(clips, scan_group(s, clips, (), 0.5, 0.5, kept)[0], kept):
+        recorded = Recorder()
+        for j, (p, (lags, values)) in enumerate(zip(clips, scan_group(s, clips, (), 0.5, 0.5, recorded)[0])):
             reference = normalized_cross_correlate(s, p)
-            assert trace.values.tobytes() == reference.values.tobytes()
+            assert recorded.trace(j).tobytes() == reference.values.tobytes()
             assert list(zip(lags.tolist(), values.tolist())) == find_local_maxima(reference, 0.5)
         with pytest.raises(DetectionError):
             scan_group(s, [clip(np.ones(4)), clip(np.zeros(4))], (), 0.5, 0.5)
@@ -749,7 +751,7 @@ class TestStreamedSums:
             s = rng.uniform(-1, 1, n) * rng.choice([1.0, 1e-9], n)  # quiet stretches reach the clamp
             p = rng.uniform(-1, 1, m)
             denom = np.sqrt(np.maximum(reference_window_energy(s, m), EPS_ENERGY) * sum_of_squares(p))
-            expected = np.clip(_sliding_dot(s, [p])[0] / denom, -1.0, 1.0)
+            expected = np.clip(_whole(s, [p])[0] / denom, -1.0, 1.0)
             assert np.array_equal(normalized_cross_correlate(clip(s), clip(p)).values, expected), m
 
     def test_one_running_sum_per_call(self, monkeypatch):
@@ -786,7 +788,7 @@ class TestStreamedRuns:
 
 
 class TestScanGroup:
-    """The engine's one entry for a dictionary: every decision it returns is read off the traces it keeps."""
+    """The engine's one entry for a dictionary: every decision it returns is read off the traces it records."""
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_decisions_equal_the_kept_traces(self, workers, monkeypatch):
@@ -798,16 +800,18 @@ class TestScanGroup:
         s = clip(plateau_take(rng, n, long))
         impulses = [clip(np.full(short, 0.5)), clip(rng.uniform(-1, 1, long))]
         continuous = [clip(rng.uniform(-1, 1, short)), clip(-np.full(long, 0.25))]
-        kept = []
-        peaks, runs = scan_group(s, impulses, continuous, 0.5, 0.3, kept)
-        assert len(peaks) == len(runs) == 2 and len(kept) == 4  # impulses first
-        for (lags, values), (trace, averaged) in zip(peaks, kept[:2]):
-            assert averaged is None and lags.size > 0
-            assert list(zip(lags.tolist(), values.tolist())) == find_local_maxima(trace, 0.5)
-        for p, found, (trace, averaged) in zip(continuous, runs, kept[2:]):
-            assert averaged.values.tobytes() == moving_average(trace, p.duration_s, rectify=True).values.tobytes()
+        recorded = Recorder()
+        peaks, runs = scan_group(s, impulses, continuous, 0.5, 0.3, recorded)
+        assert len(peaks) == len(runs) == 2
+        assert set(recorded.batches) == {(0, False), (1, False), (2, False), (2, True), (3, False), (3, True)}  # impulses first
+        for j, (lags, values) in enumerate(peaks):
+            assert lags.size > 0
+            assert list(zip(lags.tolist(), values.tolist())) == find_local_maxima(CorrelationTrace(recorded.trace(j), SR), 0.5)
+        for j, (p, found) in enumerate(zip(continuous, runs), 2):
+            trace, averaged = CorrelationTrace(recorded.trace(j), SR), recorded.trace(j, True)
+            assert averaged.tobytes() == moving_average(trace, p.duration_s, rectify=True).values.tobytes()
             assert found.starts.size > 0
-            assert list(zip(*(column.tolist() for column in found))) == reference_runs(averaged.values, 0.3)
+            assert list(zip(*(column.tolist() for column in found))) == reference_runs(averaged, 0.3)
         assert scan_group(s, [], [], 0.5, 0.3) == ([], [])  # an empty dictionary
 
 
@@ -896,11 +900,11 @@ class TestScreen:
             mp.setattr(correlate, "_WORKERS", workers)
             mp.setattr(correlate, "_BATCH_SAMPLES", _fft_length(n, SCREEN_M) * workers * per_batch)
             screened, _ = scan_group(s, patterns, (), threshold, threshold)
-            kept = []
-            unscreened, _ = scan_group(s, patterns, (), threshold, threshold, kept)
-        for p, (lags, values), (kept_lags, kept_values), (trace, _) in zip(patterns, screened, unscreened, kept):
+            recorded = Recorder()
+            unscreened, _ = scan_group(s, patterns, (), threshold, threshold, recorded)
+        for j, (p, (lags, values), (kept_lags, kept_values)) in enumerate(zip(patterns, screened, unscreened)):
             reference = normalized_cross_correlate(s, p)
-            assert trace.values.tobytes() == reference.values.tobytes()
+            assert recorded.trace(j).tobytes() == reference.values.tobytes()
             assert np.array_equal(lags, kept_lags) and np.array_equal(values, kept_values)
             assert list(zip(lags.tolist(), values.tolist())) == find_local_maxima(reference, threshold)
 
@@ -992,7 +996,7 @@ class TestScreenBound:
         scan_group(s, tones, (), 0.5, 0.5)
         assert sum(rows) < blocks * len(tones)
         rows.clear()
-        scan_group(s, tones, (), 0.5, 0.5, [])  # kept traces are never screened
+        scan_group(s, tones, (), 0.5, 0.5, Recorder())  # recorded scans are never screened
         assert sum(rows) == blocks * len(tones)
         rows.clear()
         scan_group(s, [], tones, 0.5, 0.5)  # nor are continuous patterns

@@ -43,7 +43,7 @@ from soundcue.correlate import (
     sum_of_squares,
     window_energy,
 )
-from conftest import SR, reference_runs, silent_clip
+from conftest import SR, Recorder, reference_runs, silent_clip
 
 
 EPS = np.finfo(float).eps
@@ -611,7 +611,7 @@ def mixed_dictionaries(draw):
 
 
 class TestEntryPointsAgree:
-    """`detect` with a `traces` list decides as without one, and keeps the reference traces."""
+    """`detect` with a `record` callback decides as without one, and records the reference traces."""
 
     @settings(max_examples=30, deadline=None)
     @given(mixed_dictionaries(), st.data())
@@ -635,24 +635,24 @@ class TestEntryPointsAgree:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(correlate, "_WORKERS", workers)
                 mp.setattr(correlate, "_BATCH_SAMPLES", 1 << 14)  # one or two blocks a batch: several batches
-                traces = []
+                recorded = Recorder()
                 batch = serialize(detect(s, patterns, cfg))
-                assert batch == serialize(detect(s, patterns, cfg, traces=traces))
-                assert sorted(pattern.id for pattern, _, _ in traces) == sorted(clips)
+                assert batch == serialize(detect(s, patterns, cfg, record=recorded))
+                assert sorted(pattern_id for pattern_id, averaged in recorded.batches if not averaged) == sorted(clips)
                 one_length = len({len(clip) for clip in clips.values()}) == 1
-                for pattern, trace, averaged in traces:
-                    aligned = clips[pattern.id]
-                    assert np.array_equal(pattern.clip.samples, aligned.samples)
+                for pattern in patterns:
+                    aligned = clips[pattern.id]  # at the take's rate
+                    trace = CorrelationTrace(recorded.trace(pattern.id), SR)
                     reference = normalized_cross_correlate(s, aligned)
                     if one_length:  # the layout `normalized_cross_correlate` uses: the same bits
                         assert trace.values.tobytes() == reference.values.tobytes()
                     else:  # cut into the longest pattern's blocks
                         assert np.all(np.abs(trace.values - reference.values) <= layout_bound(s, len(aligned)))
                     if pattern.kind is PatternKind.IMPULSE:
-                        assert averaged is None
+                        assert (pattern.id, True) not in recorded.batches
                     else:
                         expected = moving_average(trace, aligned.duration_s, rectify=True)
-                        assert averaged.values.tobytes() == expected.values.tobytes()
+                        assert recorded.trace(pattern.id, True).tobytes() == expected.values.tobytes()
 
 
 @st.composite
@@ -747,11 +747,11 @@ class TestStreamedContinuous:
         v, rate = np.asarray(values, dtype=float), self.RATE
         pattern = SoundPattern("c", AudioClip(np.full(w, 0.5), rate), PatternKind.CONTINUOUS)
         cfg = DetectorConfig(continuous_threshold=threshold, continuous_min_duration_s=min_duration)
-        box = correlate._BoxRuns(v.size, w, threshold, keep=False)
+        box = correlate._Decider(threshold, correlate._BoxMean(v.size, w, rectify=True))
         for lo, hi in cut_rows(v.size, cuts):
             box(v[lo:hi].copy())  # the engine hands a sink lags it may overwrite
         duration = v.size / rate
-        streamed = detect_module._continuous_intervals(box.runs(), pattern, cfg, rate, duration)
+        streamed = detect_module._continuous_intervals(box.decided(), pattern, cfg, rate, duration)
         averaged = moving_average(CorrelationTrace(v, rate), pattern.duration_s, rectify=True)
         rows = reference_runs(averaged.values, threshold)
         whole_runs = Runs(*(np.array([row[k] for row in rows]) for k in range(3)))
