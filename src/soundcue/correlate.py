@@ -1,29 +1,18 @@
 """Correlation and peak-picking primitives.
 
 The sliding dot products behind both correlation flavours run blockwise
-through real FFTs by overlap-save (Stockham 1966): the sequence is cut
-into overlapping blocks of one FFT length L, each block is correlated
-with the patterns in the frequency domain, and the L - m_max + 1 lags of
-each block that wrap around for no pattern are kept. L is the smallest
-power of two >= max(2*m_max, 2^15) for the longest pattern's m_max, and
-never above the power of two >= n + m_max - 1 that holds the whole
-sequence in one zero-padded block: blocks of 2^15 points keep their
-buffers in the CPU's caches, and work per sample depends on the
-patterns, not on the take, so the blocks in flight take a few megabytes
-whatever n is. Batches of blocks run on one thread per usable CPU
-(`parallel.usable_cpus`), the calling one among them, each batch in its
-own slot of a ring of buffers, so the result is the same bit for bit on
-any number of them.
-The test suite keeps an O(n*m) direct evaluation of the same sums as
-the reference oracle.
+through real FFTs by overlap-save (Stockham 1966; `_Layout`). Work per
+sample depends on the patterns, not on the take, so the blocks in flight
+take a few megabytes whatever its length. `_segments` reads the take
+batch by batch, and `_ring` runs the batches on one thread per usable CPU
+(`parallel.usable_cpus`), the calling one among them, so the result is
+the same bit for bit on any number of them. The test suite keeps an
+O(n*m) direct evaluation of the same sums as the reference oracle.
 
 Window sums (the sequence energy under each lag's window, the boxcar
-behind the moving average) come from a running prefix sum, `_WindowSums`:
-the sequence arrives chunk by chunk, each chunk's cumsum starts from the
-last value before it, so every value is bit for bit that of one cumsum
-over the whole sequence. Interior windows are differences of two slices
-of it, and only the clamped windows at the edges index it lag by lag.
-`window_energy` and `moving_average` are that code over one chunk.
+behind the moving average) come from a running prefix sum, `_WindowSums`,
+to which the sequence arrives chunk by chunk; `window_energy` and
+`moving_average` are that code over one chunk.
 
 The engine takes a whole pattern dictionary, of any lengths, in one pass
 over the take: the calling thread carries one prefix sum of the take's
@@ -38,17 +27,11 @@ single-pattern functions, `normalized_cross_correlate` and
 `window_energy`, `moving_average` and `find_local_maxima`, are the
 references that tests and the acceptance criteria read. Lags leave the
 engine only through per-batch sinks, and `scan_group` decides as they
-go: each worker picks the local maxima of an impulse pattern's batch of
-lags as soon as they are normalized, and the calling thread stitches the
-runs above the threshold that cross batch edges; a continuous pattern's
-lags reach the calling thread batch by batch in lag order, which
-rectifies them into the boxcar's running prefix sum and thresholds each
-box mean once its window is complete. No trace exists at take length:
-the group holds the batches in flight, about w samples of each boxcar
-and the runs found, beside the take. A `record` callback (`soundcue
-detect --report`) gets each lag and box mean as the calling thread
-decides it, impulse peaks too. `find_local_maxima` is the same row and
-stitch code over one row, so the peak definition exists once.
+go, so no trace exists at take length: the group holds the batches in
+flight, about w samples of each boxcar and the runs found, beside the
+take. Impulse peaks are picked row by row and stitched across batch
+edges; `find_local_maxima` is the same row and stitch code over one row,
+so the peak definition exists once.
 
 An impulse pattern can only fire near its own instances, so its blocks
 are screened before they are inverse-transformed: the upper-bound early
@@ -82,11 +65,11 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -357,6 +340,121 @@ def _noise_ratio(pattern_spec: np.ndarray, nfft: int, m: int, threshold: float) 
 _NOISE_GATE = 1.0
 
 
+class _Layout(NamedTuple):
+    """The overlap-save layout of an n-sample take for patterns of at most m_max samples.
+
+    Block b is s[b*step : b*step + nfft], zeros past the take's end, with
+    nfft = `_fft_length(n, m_max)`. A pattern of m samples, its rfft
+    zero-padded to nfft, correlates circularly with a block exactly for
+    its first nfft - m + 1 >= step = nfft - m_max + 1 lags: lags b*step ..
+    (b+1)*step - 1. Blocks run `batch` at a time, so that the `slots`
+    batches in flight, one per worker, share _BATCH_SAMPLES.
+    """
+
+    n: int
+    m_max: int
+    nfft: int
+    step: int
+    blocks: int
+    batch: int  # blocks per batch; the last batch may have fewer
+    batches: int
+    slots: int  # batches in flight, each in its own set of buffers
+
+    @classmethod
+    def of(cls, n: int, m_max: int) -> _Layout:
+        nfft = _fft_length(n, m_max)
+        step = nfft - m_max + 1
+        blocks = -(-n // step)
+        batch = max(1, _BATCH_SAMPLES // (nfft * _WORKERS))
+        batches = -(-blocks // batch)
+        return cls(n, m_max, nfft, step, blocks, batch, batches, min(_WORKERS, batches))
+
+    def span(self, i: int) -> tuple[int, int]:
+        """Batch i's first lag and number of blocks."""
+        return i * self.batch * self.step, min(self.batch, self.blocks - i * self.batch)
+
+
+def _segments(s: np.ndarray, layout: _Layout) -> Iterator[np.ndarray]:
+    """Each batch's samples, in batch order: the k*step + m_max - 1 from its first lag that its k blocks read.
+
+    Past the take's end they are zeros, and consecutive segments overlap
+    by m_max - 1 samples. This is the engine's one read of the take.
+    """
+    for i in range(layout.batches):
+        lo, k = layout.span(i)
+        length = k * layout.step + layout.m_max - 1
+        seg = s[lo : lo + length]
+        yield seg if seg.size == length else np.concatenate((seg, np.zeros(length - seg.size)))
+
+
+def _ring(count: int, slots: int, prepare: Callable, run: Callable, finish: Callable) -> None:
+    """Run batches 0 .. count - 1 on `slots` threads, the calling one among them, and finish them in order.
+
+    `prepare(i)` returns batch i's state, and `finish(state)` takes it in
+    batch order, both on the calling thread; `run(state)` runs on a helper
+    thread or the calling one (numpy's FFTs release the GIL). Batch
+    i + slots is prepared only after batch i is finished, so batch i may
+    own slot i % slots of a ring of buffers. Waiting for the oldest batch,
+    the calling thread runs the oldest batch no helper has started, as the
+    helpers do. A helper's error is re-raised here, and no helper is left
+    running when the call returns or raises. With one slot no thread starts.
+    """
+    pending = deque()  # [state, its future, None once run], in batch order
+
+    def settle(entry: list) -> None:
+        """Finish the oldest batch; until it has run, run the oldest batches no helper has started."""
+        while entry[1] is not None:
+            idle = None if entry[1].done() else next(
+                (e for e in (entry, *pending) if e[1] is not None and e[1].cancel()), None
+            )
+            if idle is None:  # done, or every batch in flight has started
+                entry[1].result()  # re-raises a helper's error
+                entry[1] = None
+            else:
+                run(idle[0])
+                idle[1] = None
+        finish(entry[0])
+
+    # With one slot, each future is one no thread starts, so `settle` claims it and runs its batch.
+    with (ThreadPoolExecutor(slots - 1) if slots > 1 else nullcontext()) as pool:
+        for i in range(count):
+            if len(pending) == slots:  # batch i takes the oldest batch's slot
+                settle(pending.popleft())
+            state = prepare(i)
+            pending.append([state, Future() if pool is None else pool.submit(run, state)])
+        while pending:
+            settle(pending.popleft())
+
+
+class _Batch(NamedTuple):
+    """One batch of blocks in flight, from `prepare` to `finish` in `_sliding_dot`."""
+
+    slot: int  # its set of buffers in the ring
+    lo: int  # its first lag
+    k: int  # its number of blocks
+    samples: np.ndarray  # its segment of the take (`_segments`)
+    prefix: Optional[np.ndarray]  # the prefix sums of s^2 its lags' window energies read
+    peaks: list  # per lane, the `_RowPeaks` of its rows, filled by `run`
+
+
+class _Lane(NamedTuple):
+    """One pattern's part of an engine call, fixed for the call; the lists hold one buffer per slot.
+
+    A batch's lags go to dead memory, the product spectrum its inverse
+    FFT has read, unless a sink needs them past the batch: then the last
+    pattern's stay in the forward spectrum it multiplied in place, and
+    each other pattern's go to its own row buffer.
+    """
+
+    spec: np.ndarray  # conj(rfft(pattern, nfft))
+    m: int
+    energy: Optional[float]  # None for raw lags
+    column: Optional[int]  # its column in the screen's result; None when not screened
+    sink: Optional[Callable[[np.ndarray], None]]
+    products: list  # where its product spectra go
+    lags: list  # where its lags go, step per block, flat
+
+
 def _sliding_dot(
     s: np.ndarray,
     patterns: Sequence[np.ndarray],
@@ -366,224 +464,128 @@ def _sliding_dot(
 ) -> list:
     """sum_u s[tau+u] * p[u] for tau = 0..len(s)-1 and each pattern p, s zero-padded at the tail.
 
-    `patterns` is a group of g patterns of any lengths (a sequence of 1-D
-    arrays, or a 2-D array), with one entry of `sinks` each. The group
-    shares one block layout, so each block's forward FFT is taken once
-    for all of them.
-
-    Overlap-save: block b is s[b*step : b*step + nfft] (zeros past the
-    end), nfft = `_fft_length(n, m_max)` for the longest pattern's m_max.
-    Each pattern's spectrum is its rfft zero-padded to nfft, and its
-    circular correlation with a block is exact for the first
-    nfft - m + 1 >= step = nfft - m_max + 1 lags: lags b*step ..
-    (b+1)*step - 1.
-
-    Given `energies`, one value per pattern, each lag is divided by
-    sqrt(take energy * pattern energy) and clipped to [-1, 1] instead: the
-    normalized cross-correlation, finished batch by batch. The take energy
-    under each lag's window comes from one running prefix sum of s^2 that
-    the calling thread carries from batch to batch (`_WindowSums`) and
-    hands each batch the span of it its lags read; each pattern takes its
-    own window width's differences of that span (`_window_energy`). So
-    each energy is the same bit for bit as `window_energy(s, m)`, whatever
-    lengths the group mixes, and none exists at take length.
-
-    Lags leave only through `sinks`: `sinks[j]`, if not None, is called
-    by the calling thread with pattern j's lags, batch by batch in lag
-    order, and may overwrite them. No take-length output exists: a batch
-    is normalized into dead memory, the product spectrum its inverse FFT
-    has read, or a row buffer of its slot for a sink. With `peaks_above`
-    (normalized only), each pattern without a sink has its batches of lags
-    peak-picked as they are normalized. Returns, per pattern, the (lags,
-    values) arrays of the peaks `find_local_maxima` lists on the whole
-    trace: None with a sink, none without `peaks_above`.
-
-    A peak-picked pattern is screened block by block (see
-    the module docstring) when `peaks_above` > 0 and its `_noise_ratio` is
-    below _NOISE_GATE. `screen` writes |S| and each screened length's
-    window energies into the slot's inverse-FFT output buffer, which no
-    pattern of the batch has written yet, so it holds no buffer of its
-    own. Its limit, peaks_above * sqrt(E_j * min E_w) over the block's lags
-    inside the take, is rounded as each lag's denominator is, so it is at
-    most every one of them. Only the live blocks' spectra are multiplied,
-    moved to the front of the product buffer (in place for the last
-    pattern); each run of consecutive live blocks is normalized and
-    peak-picked as one row, and each run of dead blocks gets a `_quiet_row`.
-
-    Batches of blocks run on up to _WORKERS threads, the calling one
-    among them (numpy's FFTs release the GIL). Each batch has a slot of
-    a ring of one set of buffers per thread, and is finished (handed to
-    the sinks) in batch order before its slot is reused; waiting for a
-    batch a helper runs, the calling thread runs the oldest batch no
-    helper has started, as the helpers do. Each batch writes only its
-    own rows, so the result does not depend on the thread count. The
-    calling thread allocates every buffer: memory a helper thread
-    allocates would stay in that thread's malloc arena after the call.
+    `patterns` is a group of patterns of any lengths (1-D arrays, or a 2-D
+    array) sharing one `_Layout`, with one entry of `sinks` each. Given
+    `energies`, one per pattern, each lag is divided by sqrt(take energy *
+    pattern energy), each take energy `window_energy(s, m)`'s bit for bit,
+    and clipped to [-1, 1]. sinks[j], if not None, gets pattern j's lags
+    on the calling thread, batch by batch in lag order, and may overwrite
+    them. With `peaks_above` (normalized only), each pattern without a
+    sink is screened (see the module docstring) and peak-picked batch by
+    batch. Returns, per pattern, the (lags, values) arrays of the peaks
+    `find_local_maxima` lists on the whole trace: None with a sink, none
+    without `peaks_above`.
     """
     group = list(patterns)
-    n, g = s.size, len(group)
-    lengths = [row.size for row in group]
-    m_max = max(lengths)
-    nfft = _fft_length(n, m_max)
-    step = nfft - m_max + 1
-    n_blocks = -(-n // step)
-    batch = max(1, _BATCH_SAMPLES // (nfft * _WORKERS))  # blocks per batch; all slots share the budget
-    n_batches = -(-n_blocks // batch)
-    workers = slots = min(_WORKERS, n_batches)  # a ring of one slot per worker
-    # A sink's lags must outlive their batch: the last pattern's stay in the forward
-    # spectrum it multiplied in place, the others' get a row buffer.
-    own_rows = [j for j in range(g - 1) if sinks[j] is not None]
-    energy_sums = None if energies is None else _WindowSums(n, m_max, of=np.square)
-    most = min(batch, n_blocks)  # blocks in the largest batch
+    g = len(group)
+    lay = _Layout.of(s.size, max(row.size for row in group))
+    n, nfft, step, half = lay.n, lay.nfft, lay.step, lay.nfft // 2 + 1
+    most = min(lay.batch, lay.blocks)  # blocks in the largest batch
 
     def buffers(shape, dtype=float) -> list:
-        return [np.empty(shape, dtype=dtype) for _ in range(slots)]
+        """One buffer per slot, allocated on the calling thread: a helper's would stay in its malloc arena."""
+        return [np.empty(shape, dtype=dtype) for _ in range(lay.slots)]
 
-    specs = buffers((most, nfft // 2 + 1), complex)
-    # The last pattern of a group multiplies in place: a group of one needs no product buffer.
-    products = buffers((most, nfft // 2 + 1), complex) if g > 1 else None
-    blocks_out = buffers((most, nfft))
-    rows = buffers((len(own_rows), most * step)) if own_rows else None
-    segments = [None] * slots
-    prefixes = [None] * slots  # each batch's prefix sums of s^2, which every pattern's window energies read
-    peaks = [[None] * n_batches for _ in range(g)]  # each batch's list of _RowPeaks, per pattern
+    specs, full = buffers((most, half), complex), buffers((most, nfft))  # forward spectra, inverse FFTs
+    shared = buffers((most, half), complex) if g > 1 else None  # the product spectra of all but the last pattern
+    lanes: list[_Lane] = []
+    for j, (pattern, sink) in enumerate(zip(group, sinks)):
+        spec = np.conj(np.fft.rfft(pattern, nfft))
+        products = specs if j == g - 1 else shared  # the last pattern multiplies in place
+        lags = buffers(most * step) if sink is not None and j < g - 1 else [p.view(float).reshape(-1) for p in products]
+        gated = (energies is not None and sink is None and peaks_above is not None and peaks_above > 0
+                 and _noise_ratio(spec, nfft, pattern.size, peaks_above) < _NOISE_GATE)
+        column = sum(lane.column is not None for lane in lanes) if gated else None
+        lanes.append(_Lane(spec, pattern.size, None if energies is None else energies[j], column, sink, products, lags))
+    screened = [lane for lane in lanes if lane.column is not None]
+    if screened:
+        weights = np.stack([_bound_weights(lane.spec, nfft) for lane in screened])
+        screened_energies = np.array([lane.energy for lane in screened])
+        columns_of = {lane.m: [other.column for other in screened if other.m == lane.m] for lane in screened}
+    energy_sums = None if energies is None else _WindowSums(n, lay.m_max, of=np.square)
+    segments = _segments(s, lay)
+    peaks = [[] for _ in lanes]  # per lane, the `_RowPeaks` of its rows in lag order
 
-    def lags(i: int) -> tuple[int, int, int]:
-        """Batch i's slot, first lag and number of blocks."""
-        return i % slots, i * batch * step, min(batch, n_blocks - i * batch)
+    def prepare(i: int) -> _Batch:
+        """Batch i's segment, and the prefix sums of s^2 its lags' window energies read."""
+        (lo, k), seg = lay.span(i), next(segments)
+        prefix = None
+        if energy_sums is not None:  # the running sum takes the take's samples no batch has pushed
+            energy_sums.push(seg[energy_sums.pushed - lo : n - lo])
+            prefix = energy_sums.pop_prefix(min(lo + k * step, n))
+        return _Batch(i % lay.slots, lo, k, seg, prefix, [])
 
-    def dest(i: int, j: int) -> np.ndarray:
-        """Where pattern j's lags of batch i go, shape (blocks, step); a screened pattern's live blocks first."""
-        slot, lo, k = lags(i)
-        if j in own_rows:
-            return rows[slot][own_rows.index(j), : k * step].reshape(k, step)
-        product = specs[slot] if j == g - 1 else products[slot]  # k * step <= k * (nfft + 2) floats
-        return product[:k].view(np.float64).reshape(-1)[: k * step].reshape(k, step)
+    def screen(batch: _Batch) -> np.ndarray:
+        """(k, screened lanes) bools: True where a block is dead (see the module docstring).
 
-    def prepare(i: int) -> None:
-        """The calling thread's part before batch i runs: its samples, and the prefix sums of its lags' take energies."""
-        slot, lo, k = lags(i)
-        length = (k - 1) * step + nfft
-        seg = s[lo : lo + length]
-        segments[slot] = seg if seg.size == length else np.concatenate((seg, np.zeros(length - seg.size)))
-        if energy_sums is not None:
-            stop = min(lo + k * step, n)
-            energy_sums.push(s[energy_sums.pushed : min(stop + m_max - 1, n)])
-            prefixes[slot] = energy_sums.pop_prefix(stop)
-
-    def screen(slot: int, lo: int, k: int) -> np.ndarray:
-        """(k, screened patterns) bools: True where no lag of the block can score above `peaks_above`.
-
-        Each block's bound is |S| times the pattern's `_bound_weights`; its
-        limit is `peaks_above` times the smallest denominator among its lags
-        inside the take. Both are computed in the slot's inverse-FFT output
-        buffer, which no pattern of this batch has written yet.
+        The limits are rounded as each lag's denominator is, so each is at
+        most every one of them. They and |S| are computed in the slot's
+        inverse-FFT output buffer, which no pattern of the batch has written yet.
         """
-        flat = blocks_out[slot].reshape(-1)
-        inside = min(k * step, n - lo)  # every block has lags inside the take
+        k, flat = batch.k, full[batch.slot].reshape(-1)
+        inside = min(k * step, n - batch.lo)  # every block has lags inside the take
         firsts = np.arange(0, inside, step)
         floors = np.empty((k, len(screened)))
-        for m, cols in screened_lengths.items():
-            floors[:, cols] = np.minimum.reduceat(_window_energy(prefixes[slot], m, flat[:inside]), firsts)[:, None]
-        mags = flat[: k * (nfft // 2 + 1)].reshape(k, nfft // 2 + 1)
-        np.absolute(specs[slot][:k], out=mags)
-        bounds = np.einsum("kf,jf->kj", mags, screened_weights)  # no BLAS: its threads would contend with the workers
+        for m, cols in columns_of.items():
+            floors[:, cols] = np.minimum.reduceat(_window_energy(batch.prefix, m, flat[:inside]), firsts)[:, None]
+        mags = flat[: k * half].reshape(k, half)
+        np.absolute(specs[batch.slot][:k], out=mags)
+        bounds = np.einsum("kf,jf->kj", mags, weights)  # no BLAS: its threads would contend with the workers
         np.multiply(floors, screened_energies, out=floors)  # as each lag's denominator is rounded
         np.sqrt(floors, out=floors)
         return bounds * (1.0 + _BOUND_MARGIN) <= floors * peaks_above
 
-    def run(i: int) -> None:
-        slot, lo, k = lags(i)
-        spec, full = specs[slot], blocks_out[slot]
-        blocks = np.lib.stride_tricks.sliding_window_view(segments[slot], nfft)[::step]
-        np.fft.rfft(blocks, axis=1, out=spec[:k])
-        dead = screen(slot, lo, k) if screened else None
-        for j in range(g):
-            product = spec if j == g - 1 else products[slot]
-            alive = ~dead[:, screened[j]] if j in screened else np.ones(k, dtype=bool)
+    def run(batch: _Batch) -> None:
+        """The forward FFT, then each lane's products, inverse FFT, normalization and peaks, for its live blocks."""
+        slot, lo, k = batch.slot, batch.lo, batch.k
+        spec, out = specs[slot], full[slot]
+        np.fft.rfft(np.lib.stride_tricks.sliding_window_view(batch.samples, nfft)[::step], axis=1, out=spec[:k])
+        dead = screen(batch) if screened else None
+        for lane in lanes:
+            product = lane.products[slot]
+            alive = np.ones(k, dtype=bool) if lane.column is None else ~dead[:, lane.column]
             live = np.flatnonzero(alive)
             if live.size < k:  # the live blocks' spectra, moved to the front (b >= r, so in place too)
                 for r, b in enumerate(live):
                     product[r] = spec[b]
             if live.size:
                 source = spec if live.size == k else product
-                np.multiply(source[: live.size], pattern_specs[j], out=product[: live.size])
-                np.fft.irfft(product[: live.size], nfft, axis=1, out=full[: live.size])
-            rows_j = dest(i, j)
+                np.multiply(source[: live.size], lane.spec, out=product[: live.size])
+                np.fft.irfft(product[: live.size], nfft, axis=1, out=out[: live.size])
+            lags = lane.lags[slot][: k * step].reshape(k, step)
             picked = []
-            r = 0  # the row of `full` and of `rows_j` that holds the run's first block
+            r = 0  # the row of `out` and of `lags` that holds the run's first block
             for b, count, is_live in _block_runs(alive):
                 start = lo + b * step
                 if not is_live:
                     picked.append(_quiet_row(start))
                     continue
-                rows = rows_j[r : r + count]
+                rows = lags[r : r + count]
                 flat = rows.reshape(-1)  # rows' memory
                 inside = min(count * step, n - start)
-                if energies is None:
-                    rows[...] = full[r : r + count, :step]
+                if lane.energy is None:
+                    rows[...] = out[r : r + count, :step]
                 else:
-                    denom = _window_energy(prefixes[slot][b * step :], lengths[j], flat[:inside])
-                    np.multiply(denom, energies[j], out=denom)
+                    denom = _window_energy(batch.prefix[b * step :], lane.m, flat[:inside])
+                    np.multiply(denom, lane.energy, out=denom)
                     np.sqrt(denom, out=denom)
                     flat[inside:] = 1.0  # lags past the take are cut off below; keep their division defined
-                    np.divide(full[r : r + count, :step], rows, out=rows)
+                    np.divide(out[r : r + count, :step], rows, out=rows)
                     np.clip(rows, -1.0, 1.0, out=rows)
-                if peaks_above is not None and sinks[j] is None:
+                if peaks_above is not None and lane.sink is None:
                     picked.append(_row_peaks(flat[:inside], peaks_above, start))
                 r += count
-            peaks[j][i] = picked
+            batch.peaks.append(picked)
 
-    def finish(i: int) -> None:
-        """Hand batch i's lags inside the take to the sinks (calling thread, in batch order)."""
-        lo = lags(i)[1]
-        for j, sink in enumerate(sinks):
-            if sink is not None:
-                sink(dest(i, j).reshape(-1)[: n - lo])
+    def finish(batch: _Batch) -> None:
+        """Keep the batch's peaks, and hand its lags inside the take to the sinks."""
+        for lane, lane_peaks, found in zip(lanes, peaks, batch.peaks):
+            lane_peaks.extend(found)
+            if lane.sink is not None:
+                lane.sink(lane.lags[batch.slot][: min(batch.k * step, n - batch.lo)])
 
-    pattern_specs = [np.conj(np.fft.rfft(row, nfft)) for row in group]
-    screened: dict[int, int] = {}  # each screened pattern's column in `screen`'s result
-    if energies is not None and peaks_above is not None and peaks_above > 0:
-        for j in range(g):
-            if sinks[j] is None and _noise_ratio(pattern_specs[j], nfft, lengths[j], peaks_above) < _NOISE_GATE:
-                screened[j] = len(screened)
-    if screened:
-        screened_weights = np.stack([_bound_weights(pattern_specs[j], nfft) for j in screened])
-        screened_energies = np.array([energies[j] for j in screened])
-        screened_lengths: dict[int, list[int]] = {}  # pattern length -> its columns
-        for j, col in screened.items():
-            screened_lengths.setdefault(lengths[j], []).append(col)
-    if workers == 1:
-        for i in range(n_batches):
-            prepare(i)
-            run(i)
-            finish(i)
-    else:
-        pending = deque()  # [batch, its future, None once done], in batch order
-
-        def settle(entry: list) -> None:
-            """Finish the oldest batch; until it is done, run the oldest batches no helper has started."""
-            while entry[1] is not None:
-                idle = None if entry[1].done() else next(
-                    (e for e in (entry, *pending) if e[1] is not None and e[1].cancel()), None
-                )
-                if idle is None:  # done, or every batch in flight has started
-                    entry[1].result()  # re-raises a helper's error
-                    entry[1] = None
-                else:
-                    run(idle[0])
-                    idle[1] = None
-            finish(entry[0])
-
-        with ThreadPoolExecutor(workers - 1) as pool:
-            for i in range(n_batches):
-                if len(pending) == slots:  # batch i takes the oldest batch's slot
-                    settle(pending.popleft())
-                prepare(i)
-                pending.append([i, pool.submit(run, i)])
-            while pending:
-                settle(pending.popleft())
-    return [_stitch(chain.from_iterable(rows)) if sink is None else None for rows, sink in zip(peaks, sinks)]
+    _ring(lay.batches, lay.slots, prepare, run, finish)
+    return [_stitch(rows) if lane.sink is None else None for lane, rows in zip(lanes, peaks)]
 
 
 def _whole(s: np.ndarray, patterns: Sequence[np.ndarray], energies: Optional[Sequence[float]] = None) -> np.ndarray:
@@ -618,9 +620,7 @@ def window_energy(s: AudioClip, m: int) -> np.ndarray:
 
     The take's half of the normalized correlation's denominator, the
     energies the correlation engine carries batch by batch, here over the
-    take as one chunk. It depends on the pattern only through its length,
-    so patterns of one length share it (Lewis 1995, "Fast Normalized
-    Cross-Correlation").
+    take as one chunk. It depends on the pattern only through its length.
     """
     sums = _WindowSums(len(s), m, of=np.square)
     sums.push(s.samples)
@@ -852,12 +852,9 @@ def scan_group(
     clip, the peaks `find_local_maxima(normalized_cross_correlate(s,
     clip), threshold)` lists, as int64 lags and float64 values, and, per
     continuous clip, the `Runs` above `continuous_threshold` of its
-    trace's rectified `moving_average` over `clip.duration_s`. The clips
-    share one block layout, set by the longest, each block's forward FFT
-    and one running sum of the take's squares. An impulse clip's batches
-    are screened and peak-picked in the workers (`_sliding_dot`), a
-    continuous clip's box-averaged and thresholded by a `_Decider` on the
-    calling thread, so no take-length array exists.
+    trace's rectified `moving_average` over `clip.duration_s`. An impulse
+    clip's batches are screened and peak-picked in the workers
+    (`_sliding_dot`), a continuous clip's decided by a `_Decider`.
 
     Given `record`, every clip gets a `_Decider`, so none is screened, and
     `record(j, averaged, values)` is called batch by batch in lag order

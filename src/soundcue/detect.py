@@ -247,13 +247,19 @@ def _aligned(pattern: SoundPattern, rate: int) -> SoundPattern:
         raise DetectionError(f"{exc} at {rate} Hz") from exc
 
 
-def _checked(s: AudioClip, patterns: Sequence[SoundPattern]) -> list[SoundPattern]:
-    """The dictionary, checked and aligned to `s`'s rate."""
+def _checked(s: AudioClip, patterns: Sequence[SoundPattern], track_id: str) -> list[SoundPattern]:
+    """The dictionary, checked and aligned to `s`'s rate; each pattern must fit the take."""
     if not patterns:
         raise DetectionError("pattern dictionary is empty")
     if len({p.id for p in patterns}) != len(patterns):
         raise DetectionError("pattern ids must be unique")
-    return [_aligned(p, s.sample_rate_hz) for p in patterns]
+    aligned = [_aligned(p, s.sample_rate_hz) for p in patterns]
+    for p in aligned:
+        if len(p.clip) > len(s):
+            raise DetectionError(
+                f"pattern {p.id!r} ({len(p.clip)} samples) is longer than track {track_id!r} ({len(s)} samples)"
+            )
+    return aligned
 
 
 PatternPeaks = tuple[SoundPattern, np.ndarray, np.ndarray]  # an impulse pattern, its peaks' lags and values
@@ -312,7 +318,7 @@ def detect(
     values are valid only during the call.
     """
     cfg = cfg or DetectorConfig()
-    aligned = _checked(s, patterns)
+    aligned = _checked(s, patterns, track_id)
     impulses = [pattern for pattern in aligned if pattern.kind is PatternKind.IMPULSE]
     continuous = [pattern for pattern in aligned if pattern.kind is PatternKind.CONTINUOUS]
     ids = [pattern.id for pattern in impulses + continuous]  # scan_group's clip order

@@ -582,6 +582,36 @@ class TestRun:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+class TestPatternLongerThanTake:
+    """A pattern that does not fit a take exits 2 naming the pattern and the track, among many of each."""
+
+    @staticmethod
+    def short_take(tmp_path):
+        path = tmp_path / "a.wav"  # 0.2 s: tick (0.12 s) and poc (0.10 s) fit it, chhh (0.25 s) does not
+        save_wav(AudioClip(np.random.default_rng(5).uniform(-0.1, 0.1, int(0.2 * SR)), SR), path)
+        return path
+
+    def test_detect(self, fixture_dir, tmp_path, capsys):
+        code = main([
+            "detect", str(self.short_take(tmp_path)), "--patterns", str(fixture_dir / "patterns.json"),
+            "--track-id", "snippet", "--out-dir", str(tmp_path / "o"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("soundcue: error: ") and "'chhh'" in err and "'snippet'" in err, err
+
+    def test_run_with_a_long_and_a_short_track(self, fixture_dir, tmp_path, capsys):
+        scene_path = tmp_path / "scene.json"
+        write_scene(scene_path)
+        code = main([
+            "run", "--track", f"take={fixture_dir / 'sequence.wav'}", "--track", f"snippet={self.short_take(tmp_path)}",
+            "--patterns", str(fixture_dir / "patterns.json"), "--scene", str(scene_path), "--out-dir", str(tmp_path / "o"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("soundcue: error: ") and "'chhh'" in err and "'snippet'" in err and "'take'" not in err, err
+
+
 def _impulse(pattern, t):
     return {"kind": "impulse", "pattern": pattern, "t": t, "strength": 1.0, "peak_correlation": 0.9}
 

@@ -1,4 +1,6 @@
 import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -231,6 +233,120 @@ class TestBlockLength:
         assert correlate._MIN_BLOCK == 1 << 15
         assert [_fft_length(long_take, m) for m in (5292, 8820, 22050)] == [1 << 15, 1 << 15, 1 << 16]
         assert _fft_length(44100, 882) == 1 << 15 and _fft_length(1000, 5) == 1024
+
+
+class TestLayoutAndSegments:
+    """`_Layout` and `_segments`: blocks that cover the take, and batch segments that join into it."""
+
+    @staticmethod
+    def grid():
+        """(n, m) pairs: a pattern as long as the take, n at a whole number of blocks and one off, and short takes."""
+        cases = [(1, 1), (40, 40), (5000, 5000), (1000, 5), (9000, 300)]  # the last three cap nfft below 2^15
+        for m in (1, 700, 20000):
+            step = _fft_length(1 << 22, m) - m + 1  # the uncapped block's lags
+            cases += [(blocks * step + d, m) for blocks in (2, 5) for d in (-1, 0, 1)]
+        return cases
+
+    @pytest.mark.parametrize("workers,budget", [(1, 1 << 19), (2, 1 << 16), (3, 1 << 19)])
+    def test_blocks_cover_the_take_and_segments_join_into_it(self, workers, budget, monkeypatch):
+        monkeypatch.setattr(correlate, "_WORKERS", workers)
+        monkeypatch.setattr(correlate, "_BATCH_SAMPLES", budget)
+        rng = np.random.default_rng(50 + workers)
+        capped = 0
+        for n, m in self.grid():
+            lay = correlate._Layout.of(n, m)
+            assert (lay.n, lay.m_max, lay.nfft, lay.step) == (n, m, _fft_length(n, m), _fft_length(n, m) - m + 1)
+            assert lay.batch == max(1, budget // (lay.nfft * workers))
+            assert lay.batches == -(-lay.blocks // lay.batch) and lay.slots == min(workers, lay.batches)
+            assert (lay.blocks - 1) * lay.step < n <= lay.blocks * lay.step  # the blocks cover the take
+            capped += lay.nfft < 1 << 15
+            spans = [lay.span(i) for i in range(lay.batches)]
+            assert [k for _, k in spans[:-1]] == [lay.batch] * (lay.batches - 1) and sum(k for _, k in spans) == lay.blocks
+            assert [lo for lo, _ in spans] == [i * lay.batch * lay.step for i in range(lay.batches)]
+            s = rng.uniform(-1, 1, n)
+            segments = list(correlate._segments(s, lay))
+            assert [seg.size for seg in segments] == [k * lay.step + m - 1 for _, k in spans]
+            for a, b in zip(segments, segments[1:]):
+                assert np.array_equal(a[a.size - (m - 1) :], b[: m - 1])  # consecutive segments overlap by m - 1
+            joined = np.concatenate([segments[0]] + [seg[m - 1 :] for seg in segments[1:]])
+            assert joined.size == lay.blocks * lay.step + m - 1
+            assert np.array_equal(joined, np.concatenate((s, np.zeros(joined.size - n))))
+        assert capped >= 4
+
+
+class TestRing:
+    """`_ring`, the engine's one scheduler, on fake batches."""
+
+    @staticmethod
+    def fake(count, slots, fail_run=None, fail_finish=None, helper_first=False):
+        """prepare/run/finish that log what the calling thread sees; `fail_*` raise at that batch."""
+        log, runs, caller = [], [], threading.get_ident()
+        helper_ran = threading.Event()
+
+        def prepare(i):
+            if helper_first and i == 1:
+                assert helper_ran.wait(10)  # batch 0 is running on a helper
+            log.append(("prepare", i))
+            return [i]
+
+        def run(state):
+            on_helper = threading.get_ident() != caller
+            runs.append((state[0], on_helper))
+            if on_helper:
+                helper_ran.set()
+            time.sleep(0.001 * (state[0] % 3))
+            if state[0] == fail_run or (fail_run == "helper" and on_helper):
+                raise RuntimeError(f"run {state[0]}")
+            state.append("ran")
+
+        def finish(state):
+            log.append(("finish", state))
+            if state[0] == fail_finish:
+                raise RuntimeError(f"finish {state[0]}")
+
+        return (prepare, run, finish), log, runs
+
+    @pytest.mark.parametrize("slots", [1, 2, 3, 6])  # 6: more threads than most CI hosts have CPUs
+    def test_order_slot_reuse_and_states(self, slots, monkeypatch):
+        started, real_start = [], threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t) or real_start(t))
+        count = 3 * slots + 2
+        before, interval = threading.active_count(), sys.getswitchinterval()
+        parts, log, runs = self.fake(count, slots)
+        sys.setswitchinterval(1e-6)  # switch threads often, so a race would show
+        try:
+            correlate._ring(count, slots, *parts)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == before
+        finished = [state for event, state in log if event == "finish"]
+        assert finished == [[i, "ran"] for i in range(count)]  # in batch order, each after its own run
+        assert sorted(i for i, _ in runs) == list(range(count))  # each batch ran once
+        order = [(event, state if event == "prepare" else state[0]) for event, state in log]
+        for i in range(count - slots):
+            assert order.index(("prepare", i + slots)) > order.index(("finish", i))  # its slot is free
+        if slots == 1:
+            assert started == [] and not any(on_helper for _, on_helper in runs)
+
+    @pytest.mark.parametrize("slots", [2, 3])
+    def test_helper_error_reaches_the_caller(self, slots):
+        before = threading.active_count()
+        parts, _, runs = self.fake(3 * slots + 2, slots, fail_run="helper", helper_first=True)
+        with pytest.raises(RuntimeError, match="run"):
+            correlate._ring(3 * slots + 2, slots, *parts)
+        assert any(on_helper for _, on_helper in runs)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("slots", [1, 2, 3])
+    @pytest.mark.parametrize("fail", ["run", "finish"])
+    def test_error_in_run_or_finish_reaches_the_caller(self, slots, fail):
+        before = threading.active_count()
+        parts, log, _ = self.fake(3 * slots + 2, slots, **{f"fail_{fail}": slots})
+        with pytest.raises(RuntimeError, match=fail):
+            correlate._ring(3 * slots + 2, slots, *parts)
+        assert threading.active_count() == before
+        if fail == "finish":
+            assert [state[0] for event, state in log if event == "finish"] == list(range(slots + 1))
 
 
 def random_pair(n, m):
