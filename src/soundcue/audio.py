@@ -13,6 +13,8 @@ chunk block by block, `_BLOCK_FRAMES` frames at a time, into one
 preallocated float64 array that becomes the clip's samples without a
 copy. At its peak it holds that array and one block's bytes and
 temporaries, not the file's bytes beside the decoded take.
+`read_wav_header` is that walk alone: a file's frame count and rate,
+with every check that does not need the samples.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -123,6 +126,58 @@ def _read(f, size: int, path) -> bytes:
     return data
 
 
+class WavHeader(NamedTuple):
+    """What a WAV file's chunk walk finds: its frames, rate and sample format, and where its data chunk lies."""
+
+    frames: int
+    sample_rate_hz: int
+    channels: int
+    tag: int  # 1 for integer PCM, 3 for IEEE float
+    bits: int
+    offset: int  # the data chunk's first byte
+    length: int  # the data chunk's bytes
+
+
+def _walk_header(f, path) -> WavHeader:
+    """Check the RIFF header and walk the chunks of the open file `f`; rejects any file `load_wav` cannot decode."""
+    size = f.seek(0, os.SEEK_END)
+    f.seek(0)
+    header = f.read(12)
+    if len(header) < 12 or header[0:4] != b"RIFF" or header[8:12] != b"WAVE":
+        raise WavFormatError(f"{path}: not a RIFF/WAVE file")
+
+    fmt = data = None
+    for chunk_id, offset, length in _iter_chunks(f, size, path):
+        if chunk_id == b"fmt " and fmt is None:
+            f.seek(offset)
+            fmt = _read(f, length, path)
+        elif chunk_id == b"data" and data is None:
+            data = offset, length
+    if fmt is None or len(fmt) < 16:
+        raise WavFormatError(f"{path}: missing or truncated fmt chunk")
+    if data is None:
+        raise WavFormatError(f"{path}: missing data chunk")
+
+    _, channels, rate, _, _, bits = struct.unpack_from("<HHIIHH", fmt, 0)
+    tag = _format_tag(fmt, path)
+    if rate <= 0:
+        raise WavFormatError(f"{path}: invalid sample rate {rate}")
+    if channels not in (1, 2):
+        raise UnsupportedWavError(f"{path}: {channels} channels (only mono or stereo is read)")
+    if (tag, bits) not in ((1, 16), (1, 24), (3, 32)):
+        raise UnsupportedWavError(f"{path}: format tag {tag} with {bits}-bit samples is not supported")
+    frames = data[1] // (bits // 8) // channels
+    if frames == 0:
+        raise EmptyAudioError(f"{path}: zero-length audio")
+    return WavHeader(frames, int(rate), channels, tag, bits, *data)
+
+
+def read_wav_header(path) -> WavHeader:
+    """The header of the WAV file at `path`, checked as `load_wav` checks it, without reading its samples."""
+    with open(path, "rb") as f:
+        return _walk_header(f, path)
+
+
 def load_wav(path) -> AudioClip:
     """Read a WAV file into a mono clip.
 
@@ -130,30 +185,8 @@ def load_wav(path) -> AudioClip:
     float samples outside [-1, 1] are clamped (recordings commonly clip).
     """
     with open(path, "rb") as f:
-        size = f.seek(0, os.SEEK_END)
-        f.seek(0)
-        header = f.read(12)
-        if len(header) < 12 or header[0:4] != b"RIFF" or header[8:12] != b"WAVE":
-            raise WavFormatError(f"{path}: not a RIFF/WAVE file")
-
-        fmt = data = None
-        for chunk_id, offset, length in _iter_chunks(f, size, path):
-            if chunk_id == b"fmt " and fmt is None:
-                f.seek(offset)
-                fmt = _read(f, length, path)
-            elif chunk_id == b"data" and data is None:
-                data = offset, length
-        if fmt is None or len(fmt) < 16:
-            raise WavFormatError(f"{path}: missing or truncated fmt chunk")
-        if data is None:
-            raise WavFormatError(f"{path}: missing data chunk")
-
-        _, channels, rate, _, _, bits = struct.unpack_from("<HHIIHH", fmt, 0)
-        tag = _format_tag(fmt, path)
-        if rate <= 0:
-            raise WavFormatError(f"{path}: invalid sample rate {rate}")
-        if channels not in (1, 2):
-            raise UnsupportedWavError(f"{path}: {channels} channels (only mono or stereo is read)")
+        h = _walk_header(f, path)
+        tag, bits, channels, frames = h.tag, h.bits, h.channels, h.frames
 
         def decode(raw: bytes, frame: int) -> np.ndarray:
             """The float64 samples of `raw`, which starts at frame `frame`."""
@@ -167,14 +200,10 @@ def load_wav(path) -> AudioClip:
                 raise WavFormatError(f"{path}: frame {frame + nan[0] // channels} holds a NaN sample")
             return np.clip(x, -1.0, 1.0, out=x)
 
-        if (tag, bits) not in ((1, 16), (1, 24), (3, 32)):
-            raise UnsupportedWavError(f"{path}: format tag {tag} with {bits}-bit samples is not supported")
         width = bits // 8
-        offset, length = data
-        samples = length // width
-        frames = samples // channels
+        samples = h.length // width
         out = np.empty(frames)
-        f.seek(offset)
+        f.seek(h.offset)
         for first in range(0, frames, _BLOCK_FRAMES):
             count = min(_BLOCK_FRAMES, frames - first)
             block = decode(_read(f, count * channels * width, path), first)
@@ -184,10 +213,8 @@ def load_wav(path) -> AudioClip:
                 out[first : first + count] = block
             del block  # before the next block is decoded
         decode(_read(f, (samples - frames * channels) * width, path), frames)  # a last partial frame: only checked
-    if frames == 0:
-        raise EmptyAudioError(f"{path}: zero-length audio")
     out.setflags(write=False)
-    return AudioClip(out, int(rate))
+    return AudioClip(out, h.sample_rate_hz)
 
 
 def _encode_pcm24(x: np.ndarray) -> bytes:

@@ -26,8 +26,8 @@ import numpy as np
 
 from . import docio, parallel, scene, synthgen, timeline
 from .animate import csv_blocks
-from .audio import load_wav, save_wav
-from .detect import DetectorConfig, SoundPattern, detect
+from .audio import load_wav, read_wav_header, save_wav
+from .detect import DetectorConfig, SoundPattern, check_dictionary, detect
 from .errors import SchemaError, SoundCueError
 from .timeline import PatternKind, Timeline
 
@@ -359,6 +359,9 @@ def cmd_run(args) -> None:
         ),
         args,
     )
+    for name, wav in specs.items():  # every track's header, before any track is loaded or correlated
+        header = read_wav_header(wav)
+        check_dictionary(patterns, header.frames, header.sample_rate_hz, name)
     merged = timeline.merge([detect(load_wav(wav), patterns, cfg, name, wav) for name, wav in specs.items()])
     out_dir = Path(args.out_dir)
     output = scene.build_animation(merged, scene_cfg)

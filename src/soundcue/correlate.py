@@ -9,18 +9,16 @@ batch by batch, and `_ring` runs the batches on one thread per usable CPU
 the same bit for bit on any number of them. The test suite keeps an
 O(n*m) direct evaluation of the same sums as the reference oracle.
 
-Window sums (the sequence energy under each lag's window, the boxcar
-behind the moving average) come from a running prefix sum, `_WindowSums`,
-to which the sequence arrives chunk by chunk; `window_energy` and
-`moving_average` are that code over one chunk.
-
 The engine takes a whole pattern dictionary, of any lengths, in one pass
-over the take: the calling thread carries one prefix sum of the take's
-squares from batch to batch and hands each batch the span its lags read,
-from which each pattern takes the window energies of its own length
-(Lewis 1995, "Fast Normalized Cross-Correlation"); each batch of blocks
-is forward-transformed once, and every pattern then multiplies,
-inverse-transforms and normalizes its own copy.
+over the take. Each batch of blocks is forward-transformed once, and
+the worker that runs it takes a prefix sum of each block's squares
+(`_block_prefix`), from which each pattern takes the window energies of
+its own length (Lewis 1995, "Fast Normalized Cross-Correlation"); every
+pattern then multiplies, inverse-transforms and normalizes its own copy.
+`window_energy` is that per-block code over a lone pattern's layout.
+The boxcar behind a continuous pattern's moving average is a running
+prefix sum that the calling thread carries row by row (`_BoxMean`);
+`moving_average` is that code over one row.
 `scan_group` is the pipeline's one entry to the engine. The
 single-pattern functions, `normalized_cross_correlate` and
 `raw_cross_correlate` (a group of one whose sink fills the trace),
@@ -140,113 +138,6 @@ def _fft_length(n: int, m: int) -> int:
     return min(_pow2_at_least(max(2 * m, _MIN_BLOCK)), _pow2_at_least(n + m - 1))
 
 
-class _WindowSums:
-    """sum(of(x)[max(i - lead, 0) : min(i - lead + w, n)]) for i = 0..n-1, with x given chunk by chunk.
-
-    Needs 0 <= lead < w. `of` is an elementwise ufunc (np.square,
-    np.absolute) applied straight into the prefix-sum buffer, so no
-    transformed copy of x is made; None sums x itself. With `mean`, each
-    sum is divided by its window's clamped length.
-
-    `push` appends a chunk of x to the prefix sum. Its np.cumsum starts
-    from the last value before the chunk, so each value, and so each sum,
-    is bit for bit that of one cumsum over the whole of x. `pop` returns
-    the sums of the next lags in order, as many as `ready` says are
-    complete unless told fewer, and then holds only the prefix sums the
-    windows still to come need: at most w values plus what was pushed
-    beyond them. Interior windows are slice differences of the prefix
-    sum; only the at most w - 1 edge lags whose window is clamped index
-    it one by one.
-
-    With lead 0, `pop_prefix` returns the prefix sums themselves instead,
-    which serve windows of every width up to w.
-    """
-
-    def __init__(self, n: int, w: int, lead: int = 0, mean: bool = False, of=None):
-        if not 0 <= lead < w:
-            raise ValueError(f"window sums need 0 <= lead < w, got lead {lead}, w {w}")
-        self.n, self.w, self.lead, self.mean, self.of = n, w, lead, mean, of
-        self.pushed = 0  # samples of x pushed so far
-        self.done = 0  # lags whose sums have been returned
-        self.base = 0  # the index into x's prefix sum of csum[0]
-        self.csum = np.zeros(1)
-
-    def push(self, x: np.ndarray) -> None:
-        held = self.csum
-        csum = np.empty(held.size + x.size)
-        csum[: held.size] = held
-        if self.of is None:
-            csum[held.size :] = x
-        else:
-            self.of(x, out=csum[held.size :])
-        # The whole sequence's cumsum starts at x[0] itself, each later chunk at the sum before it.
-        run = csum[held.size :] if self.pushed == 0 else csum[held.size - 1 :]
-        np.cumsum(run, out=run)
-        self.csum = csum
-        self.pushed += x.size
-
-    def ready(self) -> int:
-        """The number of lags whose windows lie within the samples pushed so far: all of them once x is complete."""
-        if self.pushed >= self.n:
-            return self.n
-        return max(self.pushed - self.w + self.lead + 1, self.done)
-
-    def pop(self, stop: Optional[int] = None, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """The sums of lags done .. stop - 1 (by default up to `ready()`), written to the start of `out` if given."""
-        n, w, lead, start = self.n, self.w, self.lead, self.done
-        stop = self.ready() if stop is None else stop
-        sums = np.empty(stop - start) if out is None else out[: stop - start]
-        c, base = self.csum, self.base
-        lo = min(max(lead, start), stop)  # first lag whose window starts inside x
-        hi = min(max(n - w + lead + 1, lo), stop)  # first lag whose window runs past the end
-        first = lead + base  # lag i's window starts at csum[i - first]
-        np.subtract(c[lo - first + w : hi - first + w], c[lo - first : hi - first], out=sums[lo - start : hi - start])
-        edges = np.r_[start:lo, hi:stop]
-        starts = np.maximum(edges - lead, 0)
-        ends = np.minimum(edges - lead + w, n)
-        sums[edges - start] = c[ends - base] - c[starts - base]
-        if self.mean:
-            sums[lo - start : hi - start] /= w
-            sums[edges - start] /= ends - starts
-        self._drop(stop)
-        return sums
-
-    def pop_prefix(self, stop: int) -> np.ndarray:
-        """The prefix sums that lags done .. stop - 1 read, for windows of any width up to w; lead 0 only.
-
-        Entry t is sum(of(x)[: done + t]), for done + t up to
-        min(stop - 1 + w, n); `stop` must not pass `ready()`. Lag i's
-        window of width v <= w is [i, min(i + v, n)), so its sum is entry
-        min(i + v, n) - done minus entry i - done: one prefix serves every
-        width (`_window_energy`). The result is a view of prefix sums this
-        object no longer writes, so it stays valid after later pushes.
-        """
-        c, base = self.csum, self.base
-        prefix = c[self.done - base : min(stop - 1 + self.w, self.n) + 1 - base]
-        self._drop(stop)
-        return prefix
-
-    def _drop(self, stop: int) -> None:
-        """Mark lags up to stop - 1 done, and hold only the prefix sums the windows still to come start at."""
-        self.done = stop
-        first = max(stop - self.lead, 0)
-        self.csum, self.base = self.csum[first - self.base :].copy(), first
-
-
-def _window_energy(prefix: np.ndarray, w: int, out: np.ndarray) -> np.ndarray:
-    """max(sum of squares under each lag's w-sample window, EPS_ENERGY), written to `out`, one value per lag.
-
-    `prefix` is what `_WindowSums.pop_prefix` gives for these lags. Lags
-    whose window runs past the take's end come last; the prefix then ends
-    at the take's end, and their sums are its last entry minus their own.
-    """
-    inner = max(min(out.size, prefix.size - w), 0)  # lags whose window lies inside the prefix
-    np.subtract(prefix[w : w + inner], prefix[:inner], out=out[:inner])
-    np.subtract(prefix[-1], prefix[inner : out.size], out=out[inner:])
-    np.maximum(out, EPS_ENERGY, out=out)
-    return out
-
-
 def _box_width(window_s: float, sample_rate_hz: int) -> int:
     return int(round(window_s * sample_rate_hz))
 
@@ -257,11 +148,23 @@ class _BoxMean:
     A partial window at either end of the trace averages what exists; a
     window of at most one lag is the lag itself. With `rectify`, the means
     are of |values|, rectified straight into the prefix sum.
+
+    Lag i's window is [i - lead, i - lead + w) clamped to the trace, lead
+    = (w - 1) // 2, and its sum a difference of the trace's prefix sum.
+    Each row's np.cumsum starts from the last sum before it, so every
+    value, and so every mean, is bit for bit that of one cumsum over the
+    whole trace (`moving_average`). Between rows only the prefix sums
+    that windows still to come start at are held: at most w values.
+    Interior windows are slice differences; only the at most w - 1 edge
+    lags whose window is clamped index the prefix sum one by one.
     """
 
     def __init__(self, n: int, w: int, rectify: bool):
-        self.rectify = rectify
-        self.sums = _WindowSums(n, w, (w - 1) // 2, True, np.absolute if rectify else None) if w > 1 else None
+        self.n, self.w, self.lead, self.rectify = n, w, (w - 1) // 2, rectify
+        self.pushed = 0  # lags pushed so far
+        self.done = 0  # lags whose means have been returned
+        self.base = 0  # the index into the trace's prefix sum of csum[0]
+        self.csum = np.zeros(1)
 
     def push(self, row: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """The means the rows so far complete and no earlier push returned.
@@ -269,13 +172,35 @@ class _BoxMean:
         They are written to the start of `out` if it is given and large
         enough; `out` may be `row` itself.
         """
-        if self.sums is None:
-            dest = np.empty(row.size) if out is None else out[: row.size]
+        n, w, lead, start, base = self.n, self.w, self.lead, self.done, self.base
+        if w <= 1:
+            dest = np.empty(row.size) if out is None or out.size < row.size else out[: row.size]
             return (np.absolute if self.rectify else np.positive)(row, out=dest)
-        self.sums.push(row)
-        if out is not None and out.size < self.sums.ready() - self.sums.done:
-            out = None
-        return self.sums.pop(out=out)
+        held = self.csum
+        c = np.empty(held.size + row.size)
+        c[: held.size] = held
+        if self.rectify:
+            np.absolute(row, out=c[held.size :])
+        else:
+            c[held.size :] = row
+        # The whole trace's cumsum starts at its first lag itself, each later row at the sum before it.
+        run = c[held.size :] if self.pushed == 0 else c[held.size - 1 :]
+        np.cumsum(run, out=run)
+        self.pushed += row.size
+        stop = n if self.pushed >= n else max(self.pushed - w + lead + 1, start)  # lags whose windows are complete
+        means = np.empty(stop - start) if out is None or out.size < stop - start else out[: stop - start]
+        lo = min(max(lead, start), stop)  # first lag whose window starts inside the trace
+        hi = min(max(n - w + lead + 1, lo), stop)  # first lag whose window runs past the end
+        first = lead + base  # lag i's window starts at c[i - first]
+        np.subtract(c[lo - first + w : hi - first + w], c[lo - first : hi - first], out=means[lo - start : hi - start])
+        means[lo - start : hi - start] /= w
+        edges = np.r_[start:lo, hi:stop]
+        starts = np.maximum(edges - lead, 0)
+        ends = np.minimum(edges - lead + w, n)
+        means[edges - start] = (c[ends - base] - c[starts - base]) / (ends - starts)
+        self.done, self.base = stop, max(stop - lead, 0)
+        self.csum = c[self.base - base :].copy()
+        return means
 
 
 def sum_of_squares(x: np.ndarray) -> float:
@@ -373,6 +298,10 @@ class _Layout(NamedTuple):
         """Batch i's first lag and number of blocks."""
         return i * self.batch * self.step, min(self.batch, self.blocks - i * self.batch)
 
+    def cut(self, seg: np.ndarray) -> np.ndarray:
+        """The k overlap-save blocks of a batch's segment (`_segments`): a (k, nfft) view."""
+        return np.lib.stride_tricks.sliding_window_view(seg, self.nfft)[:: self.step]
+
 
 def _segments(s: np.ndarray, layout: _Layout) -> Iterator[np.ndarray]:
     """Each batch's samples, in batch order: the k*step + m_max - 1 from its first lag that its k blocks read.
@@ -385,6 +314,38 @@ def _segments(s: np.ndarray, layout: _Layout) -> Iterator[np.ndarray]:
         length = k * layout.step + layout.m_max - 1
         seg = s[lo : lo + length]
         yield seg if seg.size == length else np.concatenate((seg, np.zeros(length - seg.size)))
+
+
+def _block_prefix(blocks: np.ndarray) -> np.ndarray:
+    """Per overlap-save block (`_Layout.cut`), the prefix sums of its squares: a (k, nfft + 1) array.
+
+    Row b is [0, cumsum(block_b^2)], anchored at the block's first
+    sample, so each lag's window energy carries the rounding of at most
+    one block's energy, whatever the take's length (Higham 2002, ch. 4),
+    and depends only on (n, m_max), not on the batches. Zeros past the
+    take's end add +0.0, so a window that runs past it sums exactly what
+    is left of it.
+
+    Unlike the ring's buffers, the array is allocated per batch, in the
+    worker that runs it. Freeing one per batch lets glibc raise its mmap
+    threshold early in a process's first engine call; with one buffer per
+    slot held for the whole call, pocketfft's scratch (about 1 MB per
+    2^15-point FFT call) was mapped and unmapped on every FFT of that
+    call: 27,900 page faults against 9,500 on the benchmark's
+    impulse_dense take, and the same peak RSS either way.
+    """
+    prefix = np.empty((blocks.shape[0], blocks.shape[1] + 1))
+    prefix[:, 0] = 0.0
+    np.square(blocks, out=prefix[:, 1:])
+    np.cumsum(prefix, axis=1, out=prefix)
+    return prefix
+
+
+def _window_energy(prefix: np.ndarray, m: int, step: int, out: np.ndarray) -> np.ndarray:
+    """max(sum of s^2 under each lag's m-sample window, EPS_ENERGY), written to `out`: step lags per block of `prefix`."""
+    np.subtract(prefix[:, m : m + step], prefix[:, :step], out=out)
+    np.maximum(out, EPS_ENERGY, out=out)
+    return out
 
 
 def _ring(count: int, slots: int, prepare: Callable, run: Callable, finish: Callable) -> None:
@@ -433,7 +394,6 @@ class _Batch(NamedTuple):
     lo: int  # its first lag
     k: int  # its number of blocks
     samples: np.ndarray  # its segment of the take (`_segments`)
-    prefix: Optional[np.ndarray]  # the prefix sums of s^2 its lags' window energies read
     peaks: list  # per lane, the `_RowPeaks` of its rows, filled by `run`
 
 
@@ -467,10 +427,11 @@ def _sliding_dot(
     `patterns` is a group of patterns of any lengths (1-D arrays, or a 2-D
     array) sharing one `_Layout`, with one entry of `sinks` each. Given
     `energies`, one per pattern, each lag is divided by sqrt(take energy *
-    pattern energy), each take energy `window_energy(s, m)`'s bit for bit,
-    and clipped to [-1, 1]. sinks[j], if not None, gets pattern j's lags
-    on the calling thread, batch by batch in lag order, and may overwrite
-    them. With `peaks_above` (normalized only), each pattern without a
+    pattern energy), the take energy from its block's prefix sum
+    (`_block_prefix`; `window_energy(s, m)`'s bit for bit when m is the
+    group's longest length), and clipped to [-1, 1]. sinks[j], if not
+    None, gets pattern j's lags on the calling thread, batch by batch in
+    lag order, and may overwrite them. With `peaks_above` (normalized only), each pattern without a
     sink is screened (see the module docstring) and peak-picked batch by
     batch. Returns, per pattern, the (lags, values) arrays of the peaks
     `find_local_maxima` lists on the whole trace: None with a sink, none
@@ -502,32 +463,24 @@ def _sliding_dot(
         weights = np.stack([_bound_weights(lane.spec, nfft) for lane in screened])
         screened_energies = np.array([lane.energy for lane in screened])
         columns_of = {lane.m: [other.column for other in screened if other.m == lane.m] for lane in screened}
-    energy_sums = None if energies is None else _WindowSums(n, lay.m_max, of=np.square)
     segments = _segments(s, lay)
     peaks = [[] for _ in lanes]  # per lane, the `_RowPeaks` of its rows in lag order
 
     def prepare(i: int) -> _Batch:
-        """Batch i's segment, and the prefix sums of s^2 its lags' window energies read."""
-        (lo, k), seg = lay.span(i), next(segments)
-        prefix = None
-        if energy_sums is not None:  # the running sum takes the take's samples no batch has pushed
-            energy_sums.push(seg[energy_sums.pushed - lo : n - lo])
-            prefix = energy_sums.pop_prefix(min(lo + k * step, n))
-        return _Batch(i % lay.slots, lo, k, seg, prefix, [])
+        return _Batch(i % lay.slots, *lay.span(i), next(segments), [])
 
-    def screen(batch: _Batch) -> np.ndarray:
+    def screen(batch: _Batch, prefix: np.ndarray) -> np.ndarray:
         """(k, screened lanes) bools: True where a block is dead (see the module docstring).
 
         The limits are rounded as each lag's denominator is, so each is at
-        most every one of them. They and |S| are computed in the slot's
+        most every one of them; the last block's lags past the take only
+        lower its limit. They and |S| are computed in the slot's
         inverse-FFT output buffer, which no pattern of the batch has written yet.
         """
         k, flat = batch.k, full[batch.slot].reshape(-1)
-        inside = min(k * step, n - batch.lo)  # every block has lags inside the take
-        firsts = np.arange(0, inside, step)
         floors = np.empty((k, len(screened)))
         for m, cols in columns_of.items():
-            floors[:, cols] = np.minimum.reduceat(_window_energy(batch.prefix, m, flat[:inside]), firsts)[:, None]
+            floors[:, cols] = _window_energy(prefix, m, step, flat[: k * step].reshape(k, step)).min(axis=1)[:, None]
         mags = flat[: k * half].reshape(k, half)
         np.absolute(specs[batch.slot][:k], out=mags)
         bounds = np.einsum("kf,jf->kj", mags, weights)  # no BLAS: its threads would contend with the workers
@@ -539,8 +492,10 @@ def _sliding_dot(
         """The forward FFT, then each lane's products, inverse FFT, normalization and peaks, for its live blocks."""
         slot, lo, k = batch.slot, batch.lo, batch.k
         spec, out = specs[slot], full[slot]
-        np.fft.rfft(np.lib.stride_tricks.sliding_window_view(batch.samples, nfft)[::step], axis=1, out=spec[:k])
-        dead = screen(batch) if screened else None
+        blocks = lay.cut(batch.samples)
+        np.fft.rfft(blocks, axis=1, out=spec[:k])
+        prefix = None if energies is None else _block_prefix(blocks)
+        dead = screen(batch, prefix) if screened else None
         for lane in lanes:
             product = lane.products[slot]
             alive = np.ones(k, dtype=bool) if lane.column is None else ~dead[:, lane.column]
@@ -566,10 +521,9 @@ def _sliding_dot(
                 if lane.energy is None:
                     rows[...] = out[r : r + count, :step]
                 else:
-                    denom = _window_energy(batch.prefix[b * step :], lane.m, flat[:inside])
+                    denom = _window_energy(prefix[b : b + count], lane.m, step, rows)
                     np.multiply(denom, lane.energy, out=denom)
                     np.sqrt(denom, out=denom)
-                    flat[inside:] = 1.0  # lags past the take are cut off below; keep their division defined
                     np.divide(out[r : r + count, :step], rows, out=rows)
                     np.clip(rows, -1.0, 1.0, out=rows)
                 if peaks_above is not None and lane.sink is None:
@@ -618,13 +572,17 @@ def raw_cross_correlate(s: AudioClip, p: AudioClip) -> CorrelationTrace:
 def window_energy(s: AudioClip, m: int) -> np.ndarray:
     """max(sum of s^2 under each lag's m-sample window, EPS_ENERGY), read-only.
 
-    The take's half of the normalized correlation's denominator, the
-    energies the correlation engine carries batch by batch, here over the
-    take as one chunk. It depends on the pattern only through its length.
+    The take's half of the normalized correlation's denominator: the
+    engine's per-block code (`_block_prefix`) over a lone pattern's
+    layout, batch by batch. It depends on the pattern only through its length.
     """
-    sums = _WindowSums(len(s), m, of=np.square)
-    sums.push(s.samples)
-    out = _window_energy(sums.pop_prefix(len(s)), m, np.empty(len(s)))
+    lay = _Layout.of(len(s), m)
+    out = np.empty((lay.blocks, lay.step))  # whole blocks of lags; those past the take are cut off
+    for i, seg in enumerate(_segments(s.samples, lay)):
+        first = i * lay.batch
+        blocks = lay.cut(seg)
+        _window_energy(_block_prefix(blocks), m, lay.step, out[first : first + blocks.shape[0]])
+    out = out.reshape(-1)[: len(s)]
     out.setflags(write=False)
     return out
 
@@ -861,7 +819,10 @@ def scan_group(
     with clip j's lags (`averaged` False; impulses count first) and a
     continuous clip's box means (True), valid only during the call. With
     one length in the group, the lags are `normalized_cross_correlate`'s
-    bit for bit; a shorter clip beside a longer one moves by a few ulps.
+    bit for bit. A shorter clip beside a longer one is cut into the
+    longer one's blocks, numerator and window energy alike: it moves by a
+    few ulps where its window holds sound, more at a near-silent window
+    after loud samples.
     """
     clips = [*impulses, *continuous]
     if not clips:

@@ -2,8 +2,8 @@
 
 One pass correlates and decides. `detect` makes one engine call per
 take (`scan_group`) for the whole dictionary, whatever its patterns'
-lengths: they share one block layout, each block's forward FFT and one
-running sum of the take's squares that gives each length its window
+lengths: they share one block layout, each block's forward FFT and each
+block's prefix sum of squares, which gives each length its window
 energies; the impulse patterns' peaks are picked batch by batch, and
 the continuous patterns' box averages and the runs above their
 threshold are found batch by batch too. Each impulse pattern's peaks
@@ -247,17 +247,21 @@ def _aligned(pattern: SoundPattern, rate: int) -> SoundPattern:
         raise DetectionError(f"{exc} at {rate} Hz") from exc
 
 
-def _checked(s: AudioClip, patterns: Sequence[SoundPattern], track_id: str) -> list[SoundPattern]:
-    """The dictionary, checked and aligned to `s`'s rate; each pattern must fit the take."""
+def check_dictionary(patterns: Sequence[SoundPattern], n: int, rate: int, track_id: str) -> list[SoundPattern]:
+    """The dictionary, checked and aligned to a take of n samples at `rate` Hz; each pattern must fit the take.
+
+    It needs only the take's length and rate, so `soundcue run` checks
+    every track's WAV header with it before correlating any track.
+    """
     if not patterns:
         raise DetectionError("pattern dictionary is empty")
     if len({p.id for p in patterns}) != len(patterns):
         raise DetectionError("pattern ids must be unique")
-    aligned = [_aligned(p, s.sample_rate_hz) for p in patterns]
+    aligned = [_aligned(p, rate) for p in patterns]
     for p in aligned:
-        if len(p.clip) > len(s):
+        if len(p.clip) > n:
             raise DetectionError(
-                f"pattern {p.id!r} ({len(p.clip)} samples) is longer than track {track_id!r} ({len(s)} samples)"
+                f"pattern {p.id!r} ({len(p.clip)} samples) is longer than track {track_id!r} ({n} samples)"
             )
     return aligned
 
@@ -318,7 +322,7 @@ def detect(
     values are valid only during the call.
     """
     cfg = cfg or DetectorConfig()
-    aligned = _checked(s, patterns, track_id)
+    aligned = check_dictionary(patterns, len(s), s.sample_rate_hz, track_id)
     impulses = [pattern for pattern in aligned if pattern.kind is PatternKind.IMPULSE]
     continuous = [pattern for pattern in aligned if pattern.kind is PatternKind.CONTINUOUS]
     ids = [pattern.id for pattern in impulses + continuous]  # scan_group's clip order

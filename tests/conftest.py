@@ -18,6 +18,7 @@ from soundcue import (
     place_instances,
     scene,
 )
+from soundcue import correlate
 
 SR = 44100
 
@@ -97,6 +98,25 @@ def reference_runs(values, threshold):
             runs.append((start, i - 1, max(values[start:i])))
             start = None
     return runs
+
+
+def reference_window_energy(s, m, m_max=None):
+    """Index-array formula for the energy under each lag's m-sample window, per overlap-save block.
+
+    Lag i lies in block b = i // step of the layout for patterns of at
+    most m_max samples (default m), which starts at sample b * step; its
+    energy is a difference of that block's own prefix sum of s^2, s
+    zero-padded past its end: the reference for the engine's per-block sums.
+    """
+    n, m_max = s.size, m if m_max is None else m_max
+    nfft = correlate._fft_length(n, m_max)
+    step = nfft - m_max + 1
+    blocks = -(-n // step)
+    padded = np.concatenate((s, np.zeros(blocks * step + nfft - n)))
+    squares = padded[np.arange(blocks)[:, None] * step + np.arange(nfft)] ** 2
+    csum = np.concatenate((np.zeros((blocks, 1)), np.cumsum(squares, axis=1)), axis=1)
+    b, t = np.divmod(np.arange(n), step)
+    return csum[b, t + m] - csum[b, t]
 
 
 class Recorder:

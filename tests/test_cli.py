@@ -257,28 +257,27 @@ class TestDetect:
 
     def test_report_computes_each_trace_once(self, fixture_dir, tmp_path, monkeypatch):
         """The report writes the traces detection read: one engine pass over the take for every
-        pattern length, whose running energy sum takes each sample's square once."""
-        engine_calls, squared = [], []  # squared: the running sums, their widths and the samples they took
-        real_dot, real_push = correlate._sliding_dot, correlate._WindowSums.push
+        pattern length, which builds each block's prefix sum of s^2 once."""
+        engine_calls, built = [], []  # built: the blocks of each prefix sum of s^2
+        real_dot, real_prefix = correlate._sliding_dot, correlate._block_prefix
 
         def dot_spy(*args, **kwargs):
             engine_calls.append(sorted(len(row) for row in args[1]))  # the pattern lengths
             return real_dot(*args, **kwargs)
 
-        def push_spy(sums, x):
-            if sums.of is np.square:
-                squared.append((id(sums), sums.w, x.size))
-            return real_push(sums, x)
+        def prefix_spy(blocks):
+            built.append(blocks.shape[0])
+            return real_prefix(blocks)
 
         monkeypatch.setattr(correlate, "_sliding_dot", dot_spy)
-        monkeypatch.setattr(correlate._WindowSums, "push", push_spy)
+        monkeypatch.setattr(correlate, "_block_prefix", prefix_spy)
         assert main([
             "detect", str(fixture_dir / "sequence.wav"), "--patterns", str(fixture_dir / "patterns.json"),
             "--track-id", "take", "--out-dir", str(tmp_path / "rep"), "--report",
         ]) == 0
         assert len(engine_calls) == 1 and len(set(engine_calls[0])) == 3  # three lengths, one pass
-        assert {(sums, w) for sums, w, _ in squared} == {(squared[0][0], max(engine_calls[0]))}
-        assert sum(size for _, _, size in squared) == len(load_wav(fixture_dir / "sequence.wav"))
+        n = len(load_wav(fixture_dir / "sequence.wav"))
+        assert sum(built) == correlate._Layout.of(n, max(engine_calls[0])).blocks  # every block once, for every pattern
 
     def test_report_shares_each_length_forward_fft(self, fixture_dir, tmp_path, monkeypatch):
         """Two impulse patterns of one length go through the take's one engine call with `--report` too."""
@@ -600,16 +599,39 @@ class TestPatternLongerThanTake:
         assert code == 2
         assert err.startswith("soundcue: error: ") and "'chhh'" in err and "'snippet'" in err, err
 
-    def test_run_with_a_long_and_a_short_track(self, fixture_dir, tmp_path, capsys):
+    @staticmethod
+    def run_two_tracks(fixture_dir, tmp_path, second, monkeypatch):
+        """`run` on the fixture's take and then `second`: its exit code and the engine calls it made."""
+        engine_calls, real_dot = [], correlate._sliding_dot
+
+        def dot_spy(*args, **kwargs):
+            engine_calls.append(args[0].size)
+            return real_dot(*args, **kwargs)
+
+        monkeypatch.setattr(correlate, "_sliding_dot", dot_spy)
         scene_path = tmp_path / "scene.json"
         write_scene(scene_path)
         code = main([
-            "run", "--track", f"take={fixture_dir / 'sequence.wav'}", "--track", f"snippet={self.short_take(tmp_path)}",
+            "run", "--track", f"take={fixture_dir / 'sequence.wav'}", "--track", f"snippet={second}",
             "--patterns", str(fixture_dir / "patterns.json"), "--scene", str(scene_path), "--out-dir", str(tmp_path / "o"),
         ])
+        return code, engine_calls
+
+    def test_run_with_a_long_and_a_short_track(self, fixture_dir, tmp_path, capsys, monkeypatch):
+        code, engine_calls = self.run_two_tracks(fixture_dir, tmp_path, self.short_take(tmp_path), monkeypatch)
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("soundcue: error: ") and "'chhh'" in err and "'snippet'" in err and "'take'" not in err, err
+        assert engine_calls == []  # every track's header is checked before the first track is correlated
+        assert not (tmp_path / "o").exists()
+
+    def test_run_with_a_later_track_that_is_not_a_wav(self, fixture_dir, tmp_path, capsys, monkeypatch):
+        bad = tmp_path / "notes.wav"
+        bad.write_bytes(b"not a wave file")
+        code, engine_calls = self.run_two_tracks(fixture_dir, tmp_path, bad, monkeypatch)
+        err = capsys.readouterr().err
+        assert code == 2 and "notes.wav: not a RIFF/WAVE file" in err, err
+        assert engine_calls == []
 
 
 def _impulse(pattern, t):

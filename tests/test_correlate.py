@@ -1,3 +1,4 @@
+import math
 import sys
 import threading
 import time
@@ -21,10 +22,11 @@ from soundcue import (
     window_energy,
 )
 from soundcue import correlate
-from soundcue.correlate import EPS_ENERGY, _BoxMean, _WindowSums, _fft_length, _whole, sum_of_squares
-from conftest import Recorder, reference_runs
+from soundcue.correlate import EPS_ENERGY, _BoxMean, _fft_length, _whole, sum_of_squares
+from conftest import Recorder, reference_runs, reference_window_energy
 
 SR = 8000
+EPS = np.finfo(float).eps
 
 
 def clip(values, sr=SR):
@@ -41,35 +43,17 @@ def direct_sliding_dot(s, p):
     return out
 
 
-def reference_window_energy(s, m):
-    """Index-array formula for the energy under each lag's window: the reference for the prefix-sum slices."""
-    n = s.size
-    csum = np.concatenate(([0.0], np.cumsum(s * s)))
-    ends = np.minimum(np.arange(n) + m, n)
-    return csum[ends] - csum[:n]
-
-
 def direct_ncc(s, p):
     """Oracle of the normalized flavour: the direct numerator over the reference window energy.
 
-    Energies come from the prefix-sum formula (pinned bit for bit by
-    TestReferenceEquality), not from per-window sums: a prefix-sum
-    difference carries eps * (energy so far) of rounding, which on a
-    quiet sample under a one-sample pattern alone exceeds 1e-9 of score.
+    Energies come from the per-block prefix-sum formula (pinned bit for
+    bit by TestReferenceEquality), not from per-window sums: a prefix-sum
+    difference carries eps * (its block's energy so far) of rounding,
+    which on a quiet sample under a one-sample pattern alone exceeds 1e-9
+    of score (TestWindowEnergyRounding bounds it).
     """
     denom = np.sqrt(np.maximum(reference_window_energy(s, len(p)), EPS_ENERGY) * float(np.dot(p, p)))
     return np.clip(direct_sliding_dot(s, p) / denom, -1.0, 1.0)
-
-
-def reference_window_sums(x, w, lead, mean, of):
-    """Index-array formula for sum(of(x)[max(i - lead, 0) : min(i - lead + w, n)]), divided by its length if `mean`."""
-    n = x.size
-    csum = np.concatenate(([0.0], np.cumsum(x if of is None else of(x))))
-    idx = np.arange(n)
-    starts = np.maximum(idx - lead, 0)
-    ends = np.minimum(idx - lead + w, n)
-    sums = csum[ends] - csum[starts]
-    return sums / (ends - starts) if mean else sums
 
 
 def reference_moving_average(values, w):
@@ -497,7 +481,7 @@ class TestMemoryBound:
 
     def test_window_energy(self, take):
         s, p = take
-        assert self.peak_bytes(window_energy, s, len(p)) <= 2.5 * s.samples.nbytes  # prefix sum + output, no s*s
+        assert self.peak_bytes(window_energy, s, len(p)) <= 2.5 * s.samples.nbytes  # output + one batch's block prefix sums, no s*s
 
     def test_normalized_cross_correlate_with_shared_energy(self, take):
         # The output plus the blocks in flight: the energy is shared batch by batch, no
@@ -580,6 +564,47 @@ class TestEnergy:
         x = rng.uniform(-1, 1, 300)
         a = 0.37
         assert energy(clip(a * x)) == pytest.approx(a * a * energy(clip(x)), rel=1e-9)
+
+
+class TestWindowEnergyRounding:
+    """A window energy carries the rounding of at most one overlap-save block's energy, however long the take.
+
+    A quiet second (rms 1e-3) follows loud noise (rms 0.5). Each window
+    lying in the quiet second is compared with its exact sum (math.fsum
+    of its squares): the relative error stays under 128 eps times the
+    energy of the nfft samples ending at the window over the window's
+    own, a bound set by the block length, not by the take's.
+    """
+
+    M = 5292  # 0.12 s at 44.1 kHz
+    QUIET = 44100
+
+    @pytest.fixture(scope="class", params=[1 << 20, 1 << 22], ids=["2^20", "2^22"])
+    def take(self, request):
+        loud = request.param
+        rng = np.random.default_rng(loud)
+        s = np.concatenate((np.clip(rng.normal(0.0, 0.5, loud), -1.0, 1.0), rng.normal(0.0, 1e-3, self.QUIET)))
+        lags = np.unique(np.r_[loud : loud + 8, np.linspace(loud, loud + self.QUIET - self.M, 97).astype(int)])
+        nfft = _fft_length(s.size, self.M)
+        exact = np.array([math.fsum(np.square(s[i : i + self.M])) for i in lags])
+        reach = np.array([math.fsum(np.square(s[i + self.M - nfft : i + self.M])) for i in lags])
+        return s, lags, exact, 128 * EPS * reach / exact
+
+    def test_window_energy(self, take):
+        s, lags, exact, bound = take
+        error = np.abs(window_energy(clip(s, 44100), self.M)[lags] - exact) / exact
+        assert np.all(error <= bound), float(np.max(error / bound))
+
+    def test_ncc_denominator(self, take):
+        # With the same lags unnormalized, raw / ncc is the denominator sqrt(energy * pattern energy)
+        # to a few eps, so each window energy it implies is measured with the engine's own rounding.
+        s, lags, exact, bound = take
+        p = np.random.default_rng(5).uniform(-1, 1, self.M)
+        pattern_energy = sum_of_squares(p)
+        raw, ncc = _whole(s, [p])[0][lags], _whole(s, [p], [pattern_energy])[0][lags]
+        implied = np.square(raw / ncc) / pattern_energy
+        error = np.abs(implied - exact) / exact
+        assert np.all(error <= bound + 8 * EPS), float(np.max(error / (bound + 8 * EPS)))
 
 
 class TestMovingAverage:
@@ -772,7 +797,7 @@ class TestImpulsePeaks:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_mixed_group_normalization_equals_index_array_formula(self, workers, monkeypatch):
-        """Patterns of several lengths in one call: each divides by its own length's window energy, bit for bit."""
+        """Patterns of several lengths in one call: each divides by its own length's window energy in the group's blocks, bit for bit."""
         rng = np.random.default_rng(44 + workers)
         monkeypatch.setattr(correlate, "_WORKERS", workers)
         for _ in range(4):
@@ -784,7 +809,8 @@ class TestImpulsePeaks:
             raw = _whole(s, group)
             normalized = _whole(s, group, [sum_of_squares(p) for p in group])
             for p, raw_row, row in zip(group, raw, normalized):
-                denom = np.sqrt(np.maximum(reference_window_energy(s, p.size), EPS_ENERGY) * sum_of_squares(p))
+                energies = reference_window_energy(s, p.size, max(lengths))
+                denom = np.sqrt(np.maximum(energies, EPS_ENERGY) * sum_of_squares(p))
                 assert np.array_equal(row, np.clip(raw_row / denom, -1.0, 1.0)), lengths
                 assert np.max(np.abs(raw_row - _whole(s, [p])[0])) < 1e-9  # its own layout, alone
 
@@ -801,19 +827,6 @@ class TestImpulsePeaks:
             scan_group(s, [clip(np.ones(4)), clip(np.zeros(4))], (), 0.5, 0.5)
 
 
-def pushed_in_chunks(sums, x, cuts, pops):
-    """`sums` fed x cut before each lag in `cuts`; after each chunk, the sums it completes, or only `pops` of them."""
-    bounds = sorted({0, x.size, *(c for c in cuts if 0 < c < x.size)})
-    out = []
-    for lo, hi in zip(bounds, bounds[1:]) if x.size else [(0, 0)]:
-        sums.push(x[lo:hi])
-        ready = sums.ready()
-        stop = min(sums.done + pops, ready) if pops is not None and hi < x.size else ready
-        out.append(sums.pop(stop))
-    out.append(sums.pop())
-    return np.concatenate(out)
-
-
 # Values that make rounding visible: large and tiny magnitudes, exact zeros and negative zeros.
 chunked_values = st.lists(
     st.one_of(st.floats(-1.0, 1.0), st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-9, 0.3])), max_size=120
@@ -822,25 +835,27 @@ cut_lists = st.lists(st.integers(0, 120), max_size=12)
 
 
 class TestStreamedSums:
-    """Window sums from a prefix sum carried chunk to chunk are the whole sequence's sums, bit for bit."""
+    """Box means from a prefix sum carried row to row, and window energies from per-block prefix sums, bit for bit."""
 
     @settings(max_examples=400, deadline=None)
-    @given(chunked_values, st.integers(1, 30), st.data(), cut_lists, st.one_of(st.none(), st.integers(0, 5)))
-    @example([0.5] * 10, 4, None, [2, 3, 7], None)  # cuts inside one window, rows shorter than w
-    @example([0.5, -0.0, 0.25], 1, None, [1, 2], 0)  # w = 1, one-lag rows, nothing popped early
-    @example([], 3, None, [], None)  # an empty sequence
-    def test_any_cuts_give_the_whole_sequence_sums(self, values, w, data, cuts, pops):
+    @given(chunked_values, st.integers(0, 30), st.booleans(), cut_lists, st.sampled_from([None, "row", "short"]))
+    @example([0.5] * 10, 4, False, [2, 3, 7], "row")  # cuts inside one window, rows shorter than w
+    @example([0.5, -0.0, 0.25], 1, True, [1, 2], "short")  # w = 1, one-lag rows, a buffer one lag too short
+    @example([-0.0, 0.5, -0.0], 0, False, [1], None)  # w = 0: the lags themselves, -0.0 kept
+    @example([], 3, False, [], None)  # an empty sequence
+    def test_any_cuts_give_the_whole_sequence_sums(self, values, w, rectify, cuts, out):
+        """Any rows, each one's means written to a new array, to the row itself (as `_Decider` does) or to a
+        buffer one lag shorter than the row, are `moving_average`'s index-array formula over the whole sequence."""
         x = np.asarray(values, dtype=float)
-        lead = 0 if data is None else data.draw(st.integers(0, w - 1), label="lead")
-        of = None if data is None else data.draw(st.sampled_from([None, np.square, np.absolute]), label="of")
-        mean = data is not None and data.draw(st.booleans(), label="mean")
-        whole = reference_window_sums(x, w, lead, mean, of)
-        streamed = pushed_in_chunks(_WindowSums(x.size, w, lead, mean, of), x, cuts, pops)
-        assert streamed.tobytes() == whole.tobytes()
-        if of is np.square and lead == 0 and not mean:
-            assert np.array_equal(streamed, reference_window_energy(x, w))
-        if mean and lead == (w - 1) // 2 and w > 1:
-            assert np.array_equal(streamed, reference_moving_average(x if of is None else of(x), w))
+        box = _BoxMean(x.size, w, rectify)
+        bounds = sorted({0, x.size, *(c for c in cuts if 0 < c < x.size)})
+        streamed = []
+        for lo, hi in zip(bounds, bounds[1:]) if x.size else [(0, 0)]:
+            row = x[lo:hi].copy()
+            dest = {None: None, "row": row, "short": np.empty(max(row.size - 1, 0))}[out]
+            streamed.append(box.push(row, dest).copy())
+        whole = reference_moving_average(np.abs(x) if rectify else x, w)
+        assert np.concatenate(streamed).tobytes() == whole.tobytes()
 
     @settings(max_examples=300, deadline=None)
     @given(chunked_values, st.integers(0, 30), st.booleans(), cut_lists)
@@ -857,34 +872,37 @@ class TestStreamedSums:
         assert np.array_equal(streamed, reference_moving_average(np.abs(x) if rectify else x, w))
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_energy_carried_across_batches_equals_index_array_formula(self, workers, monkeypatch):
-        # The lead-0 energy each batch gets from the running prefix sum, one block per batch.
+    def test_block_energies_equal_index_array_formula(self, workers, monkeypatch):
+        # Each block's energies come from its own prefix sum, whichever batch it falls in: 1, 2 or 4 blocks per batch.
         rng = np.random.default_rng(26 + workers)
         monkeypatch.setattr(correlate, "_WORKERS", workers)
-        for m in (1, 5, 37):
+        for m, per_batch in ((1, 1), (5, 2), (37, 4)):
             n = 9 * block_step(m) + int(rng.integers(0, block_step(m)))
-            monkeypatch.setattr(correlate, "_BATCH_SAMPLES", _fft_length(n, m) * workers)
+            monkeypatch.setattr(correlate, "_BATCH_SAMPLES", per_batch * _fft_length(n, m) * workers)
             s = rng.uniform(-1, 1, n) * rng.choice([1.0, 1e-9], n)  # quiet stretches reach the clamp
             p = rng.uniform(-1, 1, m)
-            denom = np.sqrt(np.maximum(reference_window_energy(s, m), EPS_ENERGY) * sum_of_squares(p))
-            expected = np.clip(_whole(s, [p])[0] / denom, -1.0, 1.0)
+            energies = np.maximum(reference_window_energy(s, m), EPS_ENERGY)
+            expected = np.clip(_whole(s, [p])[0] / np.sqrt(energies * sum_of_squares(p)), -1.0, 1.0)
             assert np.array_equal(normalized_cross_correlate(clip(s), clip(p)).values, expected), m
+            assert np.array_equal(window_energy(clip(s), m), energies), m
 
-    def test_one_running_sum_per_call(self, monkeypatch):
-        pushed, real_push = [], _WindowSums.push
+    def test_one_prefix_per_block_per_call(self, monkeypatch):
+        """Each block's prefix sum of s^2 is built once per engine call, not once per pattern or length."""
+        built, real_prefix = [], correlate._block_prefix
 
-        def push_spy(self, x):
-            pushed.append((self.w, self.of, x.size))
-            return real_push(self, x)
+        def prefix_spy(blocks):
+            built.append(blocks.shape[0])
+            return real_prefix(blocks)
 
+        lengths = (50, 20, 50, 20)
         n = 4 * block_step(50)
         monkeypatch.setattr(correlate, "_WORKERS", 2)
         monkeypatch.setattr(correlate, "_BATCH_SAMPLES", 3 * _fft_length(n, 50))
-        monkeypatch.setattr(_WindowSums, "push", push_spy)
+        monkeypatch.setattr(correlate, "_block_prefix", prefix_spy)
         rng = np.random.default_rng(27)
-        normalized_cross_correlate(clip(rng.uniform(-1, 1, n)), clip(rng.uniform(-1, 1, 50)))
-        assert len(pushed) > 3 and {(w, of) for w, of, _ in pushed} == {(50, np.square)}
-        assert sum(size for _, _, size in pushed) == n  # each sample squared once
+        s = clip(rng.uniform(-1, 1, n))
+        scan_group(s, [clip(rng.uniform(-1, 1, m)) for m in lengths], (), 0.5, 0.5)
+        assert len(built) > 3 and sum(built) == correlate._Layout.of(n, 50).blocks  # once per batch, every block once
 
 
 class TestStreamedRuns:

@@ -35,6 +35,7 @@ from soundcue import (
 )
 from soundcue import correlate
 from soundcue.correlate import (
+    EPS_ENERGY,
     CorrelationTrace,
     Runs,
     _fft_length,
@@ -43,7 +44,7 @@ from soundcue.correlate import (
     sum_of_squares,
     window_energy,
 )
-from conftest import SR, Recorder, reference_runs, silent_clip
+from conftest import SR, Recorder, reference_runs, reference_window_energy, silent_clip
 
 
 EPS = np.finfo(float).eps
@@ -60,6 +61,10 @@ def layout_bound(s, m):
     window energy) at most: a few ulps where the window holds sound, more
     only where rounding noise is divided by a near-silent window. The
     largest factor seen over 40 random dictionaries was 0.66, not 16.
+    Its window energy comes from the longest one's blocks too, and moves
+    by eps times its block's energy: that stays within the bound at the
+    peaks compared here, not at a near-silent window after loud samples
+    (`TestEntryPointsAgree` checks the two parts apart).
     """
     return LAYOUT_ULPS * EPS * np.sqrt(sum_of_squares(s.samples) / window_energy(s, m))
 
@@ -492,8 +497,8 @@ class TestDetect:
             e for e in suppressed if e.kind is PatternKind.CONTINUOUS
         ]
 
-    def test_one_engine_call_and_one_energy_sum_per_take(self, dictionary, figure_sequence, monkeypatch):
-        """The whole dictionary, of three lengths, goes through one engine call, and each sample's square enters one running sum."""
+    def test_one_engine_call_and_one_prefix_per_block_per_take(self, dictionary, figure_sequence, monkeypatch):
+        """The whole dictionary, of three lengths, goes through one engine call, which builds each block's prefix sum of s^2 once."""
         tick_twin = make_pattern("noise_burst", dictionary["tick"].duration_s, seed=11, sample_rate_hz=SR)
         chhh_twin = make_pattern("tonal_burst", dictionary["chhh"].duration_s, seed=12, sample_rate_hz=SR)
         patterns = [  # lengths interleaved: tick, chhh, poc, tick, chhh
@@ -503,28 +508,27 @@ class TestDetect:
             SoundPattern("tock", tick_twin, PatternKind.IMPULSE),
             SoundPattern("shhh", chhh_twin, PatternKind.CONTINUOUS),
         ]
-        groups, squared = [], []
-        real_dot, real_push = correlate._sliding_dot, correlate._WindowSums.push
+        groups, built = [], []
+        real_dot, real_prefix = correlate._sliding_dot, correlate._block_prefix
 
         def dot_spy(s, p, *args, **kwargs):
             groups.append(sorted(len(row) for row in p))
             return real_dot(s, p, *args, **kwargs)
 
-        def push_spy(sums, x):
-            if sums.of is np.square:
-                squared.append((id(sums), sums.w, x.size))
-            return real_push(sums, x)
+        def prefix_spy(blocks):
+            built.append(blocks.shape)
+            return real_prefix(blocks)
 
         monkeypatch.setattr(correlate, "_WORKERS", 2)
         monkeypatch.setattr(correlate, "_sliding_dot", dot_spy)
-        monkeypatch.setattr(correlate._WindowSums, "push", push_spy)
+        monkeypatch.setattr(correlate, "_block_prefix", prefix_spy)
         result = detect(figure_sequence, patterns)
         lengths = sorted(len(p.clip) for p in patterns)
+        layout = correlate._Layout.of(len(figure_sequence), max(lengths))
         assert groups == [lengths] and len(set(lengths)) == 3  # one call for every length
-        assert len({sums for sums, _, _ in squared}) == 1  # one running sum for every length
-        assert {w for _, w, _ in squared} == {max(lengths)}  # its windows reach the longest pattern's
-        assert sum(size for _, _, size in squared) == len(figure_sequence)  # every sample squared once
-        assert len(squared) > 1  # carried batch by batch, not over the whole take at once
+        assert {nfft for _, nfft in built} == {layout.nfft}  # the longest pattern's blocks serve every length
+        assert sum(k for k, _ in built) == layout.blocks  # every block's prefix built once
+        assert len(built) == layout.batches  # in the workers, batch by batch
         assert {e.pattern_id for e in result.tracks[0].events} >= {"tick", "poc", "chhh"}
 
     def test_memory_holds_one_pattern_at_a_time(self, monkeypatch):
@@ -561,12 +565,7 @@ class TestDetect:
         assert abs(peaks[60.0] - peaks[20.0]) <= budget, peaks
 
     def test_memory_holds_no_impulse_trace(self, monkeypatch):
-        """Impulse patterns of one length hold their shared energy and the batches in flight, never a trace.
-
-        The largest moment is the window energy's own computation: its
-        prefix sum beside the energy, two take-length arrays. A take-length
-        trace of one pattern beside the energy would add a third.
-        """
+        """Impulse patterns of one length hold the batches in flight, with their blocks' energies, never a trace."""
         monkeypatch.setattr(correlate, "_WORKERS", 2)
         monkeypatch.setattr(correlate, "_BATCH_SAMPLES", 1 << 17)  # small batches, so the take dominates
         patterns = [
@@ -640,14 +639,21 @@ class TestEntryPointsAgree:
                 assert batch == serialize(detect(s, patterns, cfg, record=recorded))
                 assert sorted(pattern_id for pattern_id, averaged in recorded.batches if not averaged) == sorted(clips)
                 one_length = len({len(clip) for clip in clips.values()}) == 1
+                longest = max((clip.samples for clip in clips.values()), key=len)
                 for pattern in patterns:
                     aligned = clips[pattern.id]  # at the take's rate
                     trace = CorrelationTrace(recorded.trace(pattern.id), SR)
                     reference = normalized_cross_correlate(s, aligned)
                     if one_length:  # the layout `normalized_cross_correlate` uses: the same bits
                         assert trace.values.tobytes() == reference.values.tobytes()
-                    else:  # cut into the longest pattern's blocks
-                        assert np.all(np.abs(trace.values - reference.values) <= layout_bound(s, len(aligned)))
+                    else:  # cut into the longest pattern's blocks, which its window energies are anchored at too
+                        raw = correlate._whole(s.samples, [aligned.samples, longest])[0]
+                        energies = np.maximum(reference_window_energy(s.samples, len(aligned), longest.size), EPS_ENERGY)
+                        expected = np.clip(raw / np.sqrt(energies * sum_of_squares(aligned.samples)), -1.0, 1.0)
+                        assert trace.values.tobytes() == expected.tobytes()
+                        alone = correlate._whole(s.samples, [aligned.samples])[0]
+                        norms = np.sqrt(sum_of_squares(s.samples) * sum_of_squares(aligned.samples))
+                        assert np.all(np.abs(raw - alone) <= LAYOUT_ULPS * EPS * norms)
                     if pattern.kind is PatternKind.IMPULSE:
                         assert (pattern.id, True) not in recorded.batches
                     else:
@@ -778,3 +784,34 @@ class TestStreamedContinuous:
         monkeypatch.setattr(correlate, "_BATCH_SAMPLES", _fft_length(len(s), m) * workers)
         assert -(-len(s) // (_fft_length(len(s), m) - m + 1)) >= 3  # chhh's batches, one block each
         assert detect(s, patterns, cfg).tracks[0].events == default
+
+    def test_traces_and_events_independent_of_workers_and_batches(self, dictionary, monkeypatch):
+        """A three-length group's NCC and box-mean bytes and its events are the same on 1, 2 or 3 workers
+        with batches of one block up to the default budget: each block's energies are its own."""
+        shhh = make_pattern("tonal_burst", dictionary["tick"].duration_s, seed=13, sample_rate_hz=SR)
+        patterns = [*dictionary.values(), SoundPattern("shhh", shhh, PatternKind.CONTINUOUS)]
+        planted = [
+            PlantedInstance("tick", onset_s=0.5),
+            PlantedInstance("chhh", t_begin_s=2.0, t_end_s=3.5),
+            PlantedInstance("shhh", t_begin_s=4.0, t_end_s=4.6),
+            PlantedInstance("poc", onset_s=5.2, amplitude=0.01),  # quiet beside loud blocks
+            PlantedInstance("tick", onset_s=7.0, amplitude=0.05),
+        ]
+        s = plant({p.id: p.clip for p in patterns}, planted, duration=9.0, noise=0.02)
+        cfg = DetectorConfig(continuous_min_duration_s=0.0)
+        assert len({len(p.clip) for p in patterns}) == 3
+        layout = correlate._Layout.of(len(s), max(len(p.clip) for p in patterns))
+        results, batches = [], set()
+        for workers in (1, 2, 3):
+            for budget in (layout.nfft, 2 * layout.nfft, 3 * layout.nfft, correlate._BATCH_SAMPLES):
+                with monkeypatch.context() as patch:
+                    patch.setattr(correlate, "_WORKERS", workers)
+                    patch.setattr(correlate, "_BATCH_SAMPLES", budget)
+                    batches.add(correlate._Layout.of(len(s), layout.m_max).batches)
+                    recorded = Recorder()
+                    events = detect(s, patterns, cfg, record=recorded).tracks[0].events
+                    assert detect(s, patterns, cfg).tracks[0].events == events  # screened, without a recorder
+                traces = {key: recorded.trace(*key).tobytes() for key in recorded.batches}
+                results.append((traces, events))
+        assert len(batches) >= 4 and len(results[0][0]) == 6  # four NCCs and two box means
+        assert all(result == results[0] for result in results[1:])
