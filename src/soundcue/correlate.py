@@ -24,12 +24,15 @@ single-pattern functions, `normalized_cross_correlate` and
 `raw_cross_correlate` (a group of one whose sink fills the trace),
 `window_energy`, `moving_average` and `find_local_maxima`, are the
 references that tests and the acceptance criteria read. Lags leave the
-engine only through per-batch sinks, and `scan_group` decides as they
-go, so no trace exists at take length: the group holds the batches in
-flight, about w samples of each boxcar and the runs found, beside the
-take. Impulse peaks are picked row by row and stitched across batch
-edges; `find_local_maxima` is the same row and stitch code over one row,
-so the peak definition exists once.
+engine only through per-batch sinks and pickers, and `scan_group`
+decides as they go, so no trace exists at take length: beside the take,
+the group holds the batches in flight with their lags above the
+threshold, about w samples of each boxcar, and the runs and peaks found. A strict local maximum above a threshold depends only
+on the lags above it: the workers list an impulse pattern's lags above
+the threshold with their values, and one `_Peaks` per pattern picks the
+peaks from them on the calling thread, carrying one plateau across
+batch edges. `find_local_maxima` is that picker over one trace, so the
+peak definition exists once, for plain, recorded and reference scans.
 
 An impulse pattern can only fire near its own instances, so its blocks
 are screened before they are inverse-transformed: the upper-bound early
@@ -42,12 +45,11 @@ bins). A block whose B * (1 + 1e-6) is at most threshold * sqrt(pattern
 energy * the smallest window energy among its lags) has no lag above
 the threshold. The margin is far above pocketfft's rounding, which is
 O(eps * log2(N) * sqrt(N)) of B, about 1e-12 at N = 2^15. Such a dead
-block is neither multiplied, inverse-transformed, normalized nor
-peak-picked. The stitcher gets a stand-in row with no peaks and -1.0 as
-its first and last values, which it only compares with values above the
-threshold, so every decision is the one the real row gives. Live blocks
-run the unscreened code, so their lags are the same bit for bit. A
-pattern is screened when it is an impulse with no sink, the threshold
+block is neither multiplied, inverse-transformed nor normalized, and
+lists no lag above the threshold, which is what its real lags would
+list, so the picker decides as it would unscreened. Live blocks run the
+unscreened code, so their lags are the same bit for bit. A pattern is
+screened when it is an impulse whose lags are not recorded, the threshold
 is above 0, and its bound on white noise is expected below its limit
 (`_noise_ratio`): tonal cues are, noise bursts, whose bound spreads over
 every bin, are not.
@@ -67,7 +69,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -394,7 +396,7 @@ class _Batch(NamedTuple):
     lo: int  # its first lag
     k: int  # its number of blocks
     samples: np.ndarray  # its segment of the take (`_segments`)
-    peaks: list  # per lane, the `_RowPeaks` of its rows, filled by `run`
+    above: list  # per lane, the (lags, values) of its live rows above the threshold (`_above`), filled by `run`
 
 
 class _Lane(NamedTuple):
@@ -411,6 +413,7 @@ class _Lane(NamedTuple):
     energy: Optional[float]  # None for raw lags
     column: Optional[int]  # its column in the screen's result; None when not screened
     sink: Optional[Callable[[np.ndarray], None]]
+    picker: Optional[_Peaks]  # what picks its peaks; None when they are not picked
     products: list  # where its product spectra go
     lags: list  # where its lags go, step per block, flat
 
@@ -421,7 +424,8 @@ def _sliding_dot(
     sinks: Sequence[Optional[Callable[[np.ndarray], None]]],
     energies: Optional[Sequence[float]] = None,
     peaks_above: Optional[float] = None,
-) -> list:
+    pickers: Optional[Sequence[Optional[_Peaks]]] = None,
+) -> None:
     """sum_u s[tau+u] * p[u] for tau = 0..len(s)-1 and each pattern p, s zero-padded at the tail.
 
     `patterns` is a group of patterns of any lengths (1-D arrays, or a 2-D
@@ -431,11 +435,10 @@ def _sliding_dot(
     (`_block_prefix`; `window_energy(s, m)`'s bit for bit when m is the
     group's longest length), and clipped to [-1, 1]. sinks[j], if not
     None, gets pattern j's lags on the calling thread, batch by batch in
-    lag order, and may overwrite them. With `peaks_above` (normalized only), each pattern without a
-    sink is screened (see the module docstring) and peak-picked batch by
-    batch. Returns, per pattern, the (lags, values) arrays of the peaks
-    `find_local_maxima` lists on the whole trace: None with a sink, none
-    without `peaks_above`.
+    lag order, and may overwrite them. Given `peaks_above` (normalized
+    only) and pickers[j], a `_Peaks`, pattern j's lags above it are
+    pushed into pickers[j] batch by batch on the calling thread; such a
+    pattern without a sink is screened (see the module docstring).
     """
     group = list(patterns)
     g = len(group)
@@ -450,21 +453,21 @@ def _sliding_dot(
     specs, full = buffers((most, half), complex), buffers((most, nfft))  # forward spectra, inverse FFTs
     shared = buffers((most, half), complex) if g > 1 else None  # the product spectra of all but the last pattern
     lanes: list[_Lane] = []
-    for j, (pattern, sink) in enumerate(zip(group, sinks)):
+    for j, (pattern, sink, picker) in enumerate(zip(group, sinks, pickers or [None] * g)):
         spec = np.conj(np.fft.rfft(pattern, nfft))
         products = specs if j == g - 1 else shared  # the last pattern multiplies in place
         lags = buffers(most * step) if sink is not None and j < g - 1 else [p.view(float).reshape(-1) for p in products]
-        gated = (energies is not None and sink is None and peaks_above is not None and peaks_above > 0
+        gated = (energies is not None and sink is None and picker is not None and peaks_above > 0
                  and _noise_ratio(spec, nfft, pattern.size, peaks_above) < _NOISE_GATE)
         column = sum(lane.column is not None for lane in lanes) if gated else None
-        lanes.append(_Lane(spec, pattern.size, None if energies is None else energies[j], column, sink, products, lags))
+        energy = None if energies is None else energies[j]
+        lanes.append(_Lane(spec, pattern.size, energy, column, sink, picker, products, lags))
     screened = [lane for lane in lanes if lane.column is not None]
     if screened:
         weights = np.stack([_bound_weights(lane.spec, nfft) for lane in screened])
         screened_energies = np.array([lane.energy for lane in screened])
         columns_of = {lane.m: [other.column for other in screened if other.m == lane.m] for lane in screened}
     segments = _segments(s, lay)
-    peaks = [[] for _ in lanes]  # per lane, the `_RowPeaks` of its rows in lag order
 
     def prepare(i: int) -> _Batch:
         return _Batch(i % lay.slots, *lay.span(i), next(segments), [])
@@ -489,7 +492,7 @@ def _sliding_dot(
         return bounds * (1.0 + _BOUND_MARGIN) <= floors * peaks_above
 
     def run(batch: _Batch) -> None:
-        """The forward FFT, then each lane's products, inverse FFT, normalization and peaks, for its live blocks."""
+        """The forward FFT, then each lane's products, inverse FFT, normalization and lags above the threshold, for its live blocks."""
         slot, lo, k = batch.slot, batch.lo, batch.k
         spec, out = specs[slot], full[slot]
         blocks = lay.cut(batch.samples)
@@ -508,16 +511,10 @@ def _sliding_dot(
                 np.multiply(source[: live.size], lane.spec, out=product[: live.size])
                 np.fft.irfft(product[: live.size], nfft, axis=1, out=out[: live.size])
             lags = lane.lags[slot][: k * step].reshape(k, step)
-            picked = []
+            above = []  # per run of live blocks, its lags inside the take above the threshold
             r = 0  # the row of `out` and of `lags` that holds the run's first block
-            for b, count, is_live in _block_runs(alive):
-                start = lo + b * step
-                if not is_live:
-                    picked.append(_quiet_row(start))
-                    continue
+            for b, count in _live_runs(alive):
                 rows = lags[r : r + count]
-                flat = rows.reshape(-1)  # rows' memory
-                inside = min(count * step, n - start)
                 if lane.energy is None:
                     rows[...] = out[r : r + count, :step]
                 else:
@@ -526,20 +523,22 @@ def _sliding_dot(
                     np.sqrt(denom, out=denom)
                     np.divide(out[r : r + count, :step], rows, out=rows)
                     np.clip(rows, -1.0, 1.0, out=rows)
-                if peaks_above is not None and lane.sink is None:
-                    picked.append(_row_peaks(flat[:inside], peaks_above, start))
+                if lane.picker is not None:
+                    start = lo + b * step
+                    above.append(_above(rows.reshape(-1)[: n - start], peaks_above, start))
                 r += count
-            batch.peaks.append(picked)
+            batch.above.append([np.concatenate(part) for part in zip(*above)] if above else _NOTHING_ABOVE)
 
     def finish(batch: _Batch) -> None:
-        """Keep the batch's peaks, and hand its lags inside the take to the sinks."""
-        for lane, lane_peaks, found in zip(lanes, peaks, batch.peaks):
-            lane_peaks.extend(found)
+        """Push the batch's lags above the threshold into the pickers, and hand its lags inside the take to the sinks."""
+        stop = min(batch.lo + batch.k * step, n)
+        for lane, (lags, values) in zip(lanes, batch.above):
+            if lane.picker is not None:
+                lane.picker.push(lags, values, stop)
             if lane.sink is not None:
-                lane.sink(lane.lags[batch.slot][: min(batch.k * step, n - batch.lo)])
+                lane.sink(lane.lags[batch.slot][: stop - batch.lo])
 
     _ring(lay.batches, lay.slots, prepare, run, finish)
-    return [_stitch(rows) if lane.sink is None else None for lane, rows in zip(lanes, peaks)]
 
 
 def _whole(s: np.ndarray, patterns: Sequence[np.ndarray], energies: Optional[Sequence[float]] = None) -> np.ndarray:
@@ -621,107 +620,76 @@ def moving_average(trace: CorrelationTrace, window_s: float, rectify: bool = Fal
     return _fresh_trace(_BoxMean(n, w, rectify).push(trace.values), trace.sample_rate_hz)
 
 
-class _RowPeaks(NamedTuple):
-    """What one row of a trace, lags lo .. lo + len - 1, tells `_stitch` about its local maxima.
+def _live_runs(alive: np.ndarray) -> list[tuple[int, int]]:
+    """(first block, number of blocks) of each maximal run of live blocks."""
+    edges = np.flatnonzero(np.diff(np.r_[False, alive, False])).tolist()  # where runs start and stop, alternately
+    return [(lo, hi - lo) for lo, hi in zip(edges[::2], edges[1::2])]
 
-    `lags` and `values` are the strict maxima above the threshold whose
-    plateau and both neighbours lie inside the row. A run above the
-    threshold that touches an end of the row is left to the stitcher:
-    `head_end` is the last lag of the run that starts the row and `after`
-    the value that follows it (None when the run fills the row);
-    `tail_start` is the first lag of the run that ends the row and
-    `before` the value preceding it. Each is None when there is no such run.
+
+def _above(v: np.ndarray, threshold: float, lo: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """The lags of the row `v` of a trace, which starts at lag `lo`, whose values are not at most `threshold`, and copies of those values.
+
+    These are what `_Peaks` reads. A NaN is among them: no plateau is
+    above it, and beside one no plateau is a maximum.
+    """
+    at = np.flatnonzero(~(v <= threshold))
+    return at + lo, v[at]
+
+
+_NOTHING_ABOVE = _above(np.empty(0), 0.0)
+
+
+class _Peaks:
+    """The strict local maxima above a threshold of an n-lag trace, picked from the lags above it, pushed in lag order.
+
+    `push(lags, values, stop)` takes the lags from the last push's stop (0
+    at first) to `stop`, exclusive, that `_above` lists, with their
+    values. Every other lag there is at most the threshold, so below each
+    listed value. A plateau, a run of consecutive listed lags of equal
+    values, is a maximum when it has both neighbours in the trace and
+    both are lower; it reports its center lag (the floor of the
+    midpoint). A plateau that ends at a push's stop waits for the next
+    push. Between pushes only that plateau is carried, as scalars: its
+    first and last lags, its value and whether its left neighbour is
+    lower.
     """
 
-    lags: np.ndarray
-    values: np.ndarray
-    lo: int
-    first: float
-    last: float
-    head_end: Optional[int]
-    after: Optional[float]
-    tail_start: Optional[int]
-    before: Optional[float]
+    def __init__(self, n: int):
+        self.n = n
+        self.open: Optional[tuple[int, int, float, bool]] = None  # the plateau that ends at the last stop - 1
+        self.lags: list[np.ndarray] = []  # the centers and values of the maxima found, per push that found any
+        self.values: list[np.ndarray] = []
 
+    def push(self, lags: np.ndarray, values: np.ndarray, stop: int) -> None:
+        carried = self.open
+        if carried is not None:
+            lags, values = np.r_[carried[1], lags], np.r_[carried[2], values]
+        self.open = None
+        if not lags.size:
+            return
+        joined = lags[1:] == lags[:-1] + 1
+        # Each listed lag's neighbours' values: -inf for an unlisted lag, which is lower than every listed
+        # value but NaN, and NaN past either end of the trace, which is lower than none.
+        unlisted = -np.inf
+        before = np.r_[np.nan if lags[0] == 0 else unlisted, np.where(joined, values[:-1], unlisted)]
+        after = np.r_[np.where(joined, values[1:], unlisted), np.nan if lags[-1] == self.n - 1 else unlisted]
+        starts = np.flatnonzero(np.r_[True, ~joined | (values[1:] != values[:-1])])
+        ends = np.r_[starts[1:], lags.size] - 1
+        firsts, heights = lags[starts], values[starts]
+        left, right = before[starts] < heights, after[ends] < heights
+        if carried is not None:  # the first plateau goes on from the carried one
+            firsts[0], left[0] = carried[0], carried[3]
+        if lags[-1] == stop - 1 and stop < self.n:  # the last plateau may go on past `stop`
+            self.open = (int(firsts[-1]), int(lags[-1]), float(heights[-1]), bool(left[-1]))
+            right[-1] = False
+        keep = left & right
+        if keep.any():
+            self.lags.append((firsts[keep] + lags[ends[keep]]) // 2)
+            self.values.append(heights[keep])
 
-def _quiet_row(lo: int) -> _RowPeaks:
-    """What `_stitch` needs of a row of lags from `lo` that are all at most the threshold (> 0): no peaks, no runs.
-
-    Its first and last values stand in as -1.0. `_stitch` compares them
-    only with a run's value, which is above the threshold, so -1.0
-    decides as the row's real values would.
-    """
-    return _RowPeaks(np.empty(0, dtype=np.int64), np.empty(0), lo, -1.0, -1.0, None, None, None, None)
-
-
-def _block_runs(alive: np.ndarray) -> list[tuple[int, int, bool]]:
-    """(first block, number of blocks, live) of each maximal run of blocks that are all live or all dead."""
-    cuts = [0, *(np.flatnonzero(np.diff(alive)) + 1).tolist(), alive.size]
-    return [(lo, hi - lo, bool(alive[lo])) for lo, hi in zip(cuts, cuts[1:])]
-
-
-def _row_peaks(v: np.ndarray, threshold: float, lo: int) -> _RowPeaks:
-    """The local maxima of the row `v` of a trace, which starts at lag `lo`.
-
-    Only samples above the threshold are visited: a run of equal values
-    above it lies wholly among them, and its two neighbours decide it. A
-    run at either end of the row stands in for its own missing neighbour
-    there, so the strict comparison leaves it to the stitcher.
-    """
-    last = v.size - 1
-    above = np.flatnonzero(v > threshold)
-    starts = above[(above == 0) | (v[above - 1] != v[above])]
-    ends = above[(above == last) | (v[np.minimum(above + 1, last)] != v[above])]  # inclusive
-    values = v[starts]
-    keep = (v[np.maximum(starts - 1, 0)] < values) & (v[np.minimum(ends + 1, last)] < values)
-    head_end = after = tail_start = before = None
-    if starts.size and starts[0] == 0:
-        head_end = lo + int(ends[0])
-        after = float(v[ends[0] + 1]) if ends[0] < last else None
-    if ends.size and ends[-1] == last:
-        tail_start = lo + int(starts[-1])
-        before = float(v[starts[-1] - 1]) if starts[-1] > 0 else None
-    centers = (starts[keep] + ends[keep]) // 2 + lo
-    return _RowPeaks(centers, values[keep], lo, float(v[0]), float(v[last]), head_end, after, tail_start, before)
-
-
-def _stitch(rows: Iterable[_RowPeaks]) -> tuple[np.ndarray, np.ndarray]:
-    """(lags, values) of the local maxima of the trace cut into `rows`, given in lag order.
-
-    A run above the threshold that crosses row edges is carried as pending
-    until a row ends it; a run that touches either end of the whole trace
-    is never a maximum, as in `find_local_maxima`.
-    """
-    lags: list[np.ndarray] = []
-    values: list[np.ndarray] = []
-
-    def close(start: int, end: int, value: float, before: Optional[float], after: float) -> None:
-        if before is not None and before < value and after < value:
-            lags.append(np.array([(start + end) // 2]))
-            values.append(np.array([value]))
-
-    pending = None  # (start, value, value before it) of the run that reaches the previous row's end
-    prev_last = None  # the previous row's last value; None before the trace's first lag
-    for row in rows:
-        if pending is not None and pending[1] != row.first:
-            close(pending[0], row.lo - 1, pending[1], pending[2], row.first)  # it ended at the previous row's end
-            pending = None
-        if row.head_end is not None:
-            if pending is None:
-                pending = (row.lo, row.first, prev_last)
-            if row.after is None:  # the run fills this row
-                prev_last = row.last
-                continue
-            close(pending[0], row.head_end, pending[1], pending[2], row.after)
-            pending = None
-        lags.append(row.lags)
-        values.append(row.values)
-        if row.tail_start is not None:
-            pending = (row.tail_start, row.last, row.before)
-        prev_last = row.last
-    if not lags:
-        return np.empty(0, dtype=np.int64), np.empty(0)
-    return np.concatenate(lags).astype(np.int64, copy=False), np.concatenate(values)
+    def found(self) -> tuple[np.ndarray, np.ndarray]:
+        """The maxima's center lags (int64) and values (float64) so far, in lag order."""
+        return np.concatenate([np.empty(0, dtype=np.int64), *self.lags]), np.concatenate([np.empty(0), *self.values])
 
 
 def find_local_maxima(trace: CorrelationTrace, threshold: float) -> list[tuple[int, float]]:
@@ -729,10 +697,12 @@ def find_local_maxima(trace: CorrelationTrace, threshold: float) -> list[tuple[i
 
     A plateau counts once and reports its center sample (floor of the
     midpoint for even plateaus). Runs touching either end of the trace are
-    never maxima, so a monotone trace yields nothing.
+    never maxima, so a monotone trace yields nothing. This is the engine's
+    picker (`_Peaks`) over the trace pushed whole.
     """
-    v = trace.values
-    lags, values = _stitch([_row_peaks(v, threshold, 0)] if v.size else [])
+    peaks = _Peaks(len(trace))
+    peaks.push(*_above(trace.values, threshold), len(trace))
+    lags, values = peaks.found()
     return list(zip(lags.tolist(), values.tolist()))
 
 
@@ -770,30 +740,28 @@ def _stitch_runs(rows: Sequence[Runs]) -> Runs:
 
 
 class _Decider:
-    """A sink for `_sliding_dot` that decides a trace on the calling thread, as it arrives batch by batch in lag order.
+    """A sink for `_sliding_dot` that decides a continuous pattern's trace on the calling thread, as it arrives batch by batch in lag order.
 
-    With a `_BoxMean` as `box`, it finds the runs above `threshold` of the
-    trace's rectified box means, which take the lags' memory; without, the
-    peaks above it that `find_local_maxima` lists on the whole trace.
-    `record`, if given, gets (False, lags) and, with a box, (True, means).
+    It finds the runs above `threshold` of the trace's rectified box
+    means, which `box`, a `_BoxMean`, writes over the lags' memory.
+    `record`, if given, gets (False, lags) and then (True, means).
     """
 
-    def __init__(self, threshold: float, box: Optional[_BoxMean] = None, record: Optional[Callable] = None):
+    def __init__(self, threshold: float, box: _BoxMean, record: Optional[Callable] = None):
         self.threshold, self.box, self.record = threshold, box, record
-        self.done, self.rows = 0, []  # the values decided so far, and their rows
+        self.done, self.rows = 0, []  # the means decided so far, and their `Runs`
 
     def __call__(self, lags: np.ndarray) -> None:
         if self.record:
             self.record(False, lags)
-        if self.box is not None:
-            lags = self.box.push(lags, lags)
-            if self.record:
-                self.record(True, lags)
-        self.rows.append((_row_peaks if self.box is None else _row_runs)(lags, self.threshold, self.done))
-        self.done += lags.size
+        means = self.box.push(lags, lags)
+        if self.record:
+            self.record(True, means)
+        self.rows.append(_row_runs(means, self.threshold, self.done))
+        self.done += means.size
 
-    def decided(self):  # the peaks' (lags, values) arrays, or the box means' `Runs`
-        return _stitch(self.rows) if self.box is None else _stitch_runs(self.rows)
+    def decided(self) -> Runs:
+        return _stitch_runs(self.rows)
 
 
 def scan_group(
@@ -810,30 +778,33 @@ def scan_group(
     clip, the peaks `find_local_maxima(normalized_cross_correlate(s,
     clip), threshold)` lists, as int64 lags and float64 values, and, per
     continuous clip, the `Runs` above `continuous_threshold` of its
-    trace's rectified `moving_average` over `clip.duration_s`. An impulse
-    clip's batches are screened and peak-picked in the workers
-    (`_sliding_dot`), a continuous clip's decided by a `_Decider`.
+    trace's rectified `moving_average` over `clip.duration_s`. The
+    workers list an impulse clip's lags above the threshold, and one
+    `_Peaks` per clip picks its peaks from them as they arrive; a
+    `_Decider` decides each continuous clip's lags.
 
-    Given `record`, every clip gets a `_Decider`, so none is screened, and
-    `record(j, averaged, values)` is called batch by batch in lag order
-    with clip j's lags (`averaged` False; impulses count first) and a
-    continuous clip's box means (True), valid only during the call. With
-    one length in the group, the lags are `normalized_cross_correlate`'s
-    bit for bit. A shorter clip beside a longer one is cut into the
-    longer one's blocks, numerator and window energy alike: it moves by a
-    few ulps where its window holds sound, more at a near-silent window
-    after loud samples.
+    Given `record`, no clip is screened, and `record(j, averaged, values)`
+    is called batch by batch in lag order with clip j's lags (`averaged`
+    False; impulses count first) and a continuous clip's box means
+    (True), valid only during the call; the peaks are picked as without
+    it. With one length in the group, the lags are
+    `normalized_cross_correlate`'s bit for bit. A shorter clip beside a
+    longer one is cut into the longer one's blocks, numerator and window
+    energy alike: it moves by a few ulps where its window holds sound,
+    more at a near-silent window after loud samples.
     """
     clips = [*impulses, *continuous]
     if not clips:
         return [], []
     energies = _check_group(s, clips)
     n, rate = len(s), s.sample_rate_hz
-    recorders = [None if record is None else partial(record, j) for j in range(len(clips))]
-    sinks = [None if record is None else _Decider(threshold, None, recorders[j]) for j in range(len(impulses))] + [
-        _Decider(continuous_threshold, _BoxMean(n, _box_width(clip.duration_s, rate), rectify=True), recorder)
-        for clip, recorder in zip(continuous, recorders[len(impulses) :])
+    pickers = [_Peaks(n) for _ in impulses]
+    recorders = [None if record is None else partial(record, j, False) for j in range(len(impulses))]
+    deciders = [
+        _Decider(continuous_threshold, _BoxMean(n, _box_width(clip.duration_s, rate), rectify=True),
+                 None if record is None else partial(record, j))
+        for j, clip in enumerate(continuous, len(impulses))
     ]
-    found = _sliding_dot(s.samples, [clip.samples for clip in clips], sinks, energies, threshold)
-    decided = [peaks if sink is None else sink.decided() for peaks, sink in zip(found, sinks)]
-    return decided[: len(impulses)], decided[len(impulses) :]
+    _sliding_dot(s.samples, [clip.samples for clip in clips], recorders + deciders, energies, threshold,
+                 pickers + [None] * len(continuous))
+    return [picker.found() for picker in pickers], [decider.decided() for decider in deciders]

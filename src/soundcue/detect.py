@@ -4,15 +4,16 @@ One pass correlates and decides. `detect` makes one engine call per
 take (`scan_group`) for the whole dictionary, whatever its patterns'
 lengths: they share one block layout, each block's forward FFT and each
 block's prefix sum of squares, which gives each length its window
-energies; the impulse patterns' peaks are picked batch by batch, and
-the continuous patterns' box averages and the runs above their
-threshold are found batch by batch too. Each impulse pattern's peaks
-become `Candidates` arrays that suppression and strength measurement
-decide; each continuous pattern's runs become intervals. `detect` holds
-the take, the batches in flight and what it has found, and no other
-take-length array. Given a `record` callback, the same pass also hands
-it every trace it reads, batch by batch: what `soundcue detect --report`
-writes as it goes.
+energies; the impulse patterns' peaks are picked batch by batch from
+the lags above the threshold, and the continuous patterns' box averages
+and the runs above their threshold are found batch by batch too. Each
+impulse pattern's peaks become `Candidates` arrays that suppression and
+strength measurement decide; each continuous pattern's runs become
+intervals. `detect` holds the take, the batches in flight and what it
+has found, and no other take-length array. Given a `record` callback,
+the same pass also hands it every trace it reads, batch by batch: what
+`soundcue detect --report` writes as it goes. The peaks are picked the
+same way with or without it.
 
 Impulse patterns: local maxima of the normalized cross-correlation above
 the impulse threshold become candidates; candidates of all patterns then

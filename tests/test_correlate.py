@@ -678,17 +678,19 @@ few_level_traces = st.lists(
 
 
 def stitched_maxima(values, threshold, cuts):
-    """`values` cut into rows before each lag in `cuts`, each row peak-picked alone, then stitched."""
+    """`values` pushed into one `_Peaks` a row at a time, cut before each lag in `cuts` (repeats make empty pushes)."""
     v = np.asarray(values, dtype=float)
-    bounds = sorted({0, v.size, *(c for c in cuts if 0 < c < v.size)})
-    rows = [correlate._row_peaks(v[lo:hi], threshold, lo) for lo, hi in zip(bounds, bounds[1:])]
-    lags, peaks = correlate._stitch(rows)
+    bounds = [0, *sorted(min(max(c, 0), v.size) for c in cuts), v.size]
+    picker = correlate._Peaks(v.size)
+    for lo, hi in zip(bounds, bounds[1:]):
+        picker.push(*correlate._above(v[lo:hi], threshold, lo), hi)
+    lags, peaks = picker.found()
     assert lags.dtype == np.int64 and peaks.dtype == np.float64
     return list(zip(lags.tolist(), peaks.tolist()))
 
 
 class TestStitchedPeaks:
-    """Rows peak-picked one at a time and stitched give the whole trace's maxima."""
+    """A trace's lags above the threshold, pushed into `_Peaks` a row at a time, give the whole trace's maxima."""
 
     @settings(max_examples=500, deadline=None)
     @given(few_level_traces, st.sampled_from([-1.0, 0.0, 0.5, 0.7, 0.9]), st.lists(st.integers(0, 100), max_size=10))
@@ -699,20 +701,52 @@ class TestStitchedPeaks:
     @example([0.0, 0.9, 0.0, 0.5, 0.0], 0.2, [1, 4])  # a cut just before one peak, one just after another
     @example([0.9, 0.0, 0.9, 0.9, 0.0, 0.9], 0.5, [1, 5])  # one-sample rows at both ends of the trace
     @example([0.9, 0.9, 0.5, 0.9, 0.9], 0.0, [2, 3])  # plateaus touching the trace's ends, cut next to them
+    @example([0.0, 0.9, 0.9, 0.9, 0.0], 0.5, [2, 2, 2])  # empty pushes between two pieces of one plateau
+    @example([0.0, 0.9, 0.9, 0.0, 0.0, 0.9, 0.0], 0.5, [3, 5])  # a plateau ending at a stop, then a push with no lags
+    @example([0.0, 0.5, 0.9, 0.9, 0.9], 0.0, [3, 4])  # a plateau that runs into lag n - 1 across pushes
+    @example([1.0, 0.9, 0.9, 0.0], 0.5, [2])  # a plateau cut inside, whose left neighbour is higher
+    @example([0.9, 0.9, 0.9, 0.0], 0.5, [1, 2])  # a plateau from lag 0, cut inside
     def test_matches_whole_trace(self, values, threshold, cuts):
         expected = find_local_maxima(CorrelationTrace(np.asarray(values, dtype=float), SR), threshold)
         assert expected == reference_local_maxima(values, threshold)
         assert stitched_maxima(values, threshold, cuts) == expected
 
     def test_array_and_list_forms_agree(self):
-        # The (lags, values) arrays `scan_group` returns are `find_local_maxima`'s list, stitched from rows.
+        # The (lags, values) arrays `scan_group` returns are `find_local_maxima`'s list, from the same picker.
         trace = CorrelationTrace(np.array([0.0, 0.7, 0.7, 0.0, 0.9, 0.0]), SR)
-        lags, values = correlate._stitch([correlate._row_peaks(trace.values, 0.5, 0)])
+        picker = correlate._Peaks(len(trace))
+        picker.push(*correlate._above(trace.values, 0.5), len(trace))
+        lags, values = picker.found()
+        assert lags.dtype == np.int64 and values.dtype == np.float64
         assert lags.tolist() == [1, 4] and values.tolist() == [0.7, 0.9]
         assert find_local_maxima(trace, 0.5) == [(1, 0.7), (4, 0.9)]
-        empty = correlate._stitch([])
-        assert empty[0].dtype == np.int64 and empty[0].size == 0 and empty[1].size == 0
+        empty = correlate._Peaks(0).found()
+        assert empty[0].dtype == np.int64 and empty[0].size == 0
+        assert empty[1].dtype == np.float64 and empty[1].size == 0
         assert find_local_maxima(CorrelationTrace(np.empty(0), SR), 0.5) == []
+
+    def test_state_between_pushes_is_bounded(self):
+        """A clipped plateau of 10^6 lags, pushed in 1,000 pieces: only scalars are carried, and no peak comes of it."""
+        n, pieces = 10**6, 1000
+        picker = correlate._Peaks(n)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for lo in range(0, n, n // pieces):
+                lags = np.arange(lo, lo + n // pieces)
+                picker.push(lags, np.ones(lags.size), lo + lags.size)
+                del lags
+                held = tracemalloc.get_traced_memory()[0] - base
+                assert held < 64 * 1024, held  # the plateau so far, were it held, would reach 16 MB
+                if lo + n // pieces < n:
+                    assert picker.open == (0, lo + n // pieces - 1, 1.0, False)
+                    assert [type(x) for x in picker.open] == [int, int, float, bool]
+                assert picker.lags == [] and picker.values == []
+        finally:
+            tracemalloc.stop()
+        assert picker.open is None  # the last push reached lag n - 1, so the plateau touches the trace's end
+        lags, values = picker.found()
+        assert lags.size == 0 and values.size == 0
 
 
 def plateau_take(rng, n, m):
@@ -1044,7 +1078,7 @@ class TestScreen:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_clipped_plateau_between_dead_blocks(self, workers, monkeypatch):
-        """A run of 1.0 fills two live blocks; the blocks before and after it are dead, and their stand-ins bound it.
+        """A run of 1.0 fills two live blocks; the blocks before and after it are dead, and emit no lags to bound it.
 
         A block's data holds the first m - 1 samples of the next block's
         lags, so a block beside the plateau can only be dead if every one
@@ -1063,20 +1097,14 @@ class TestScreen:
         pattern = clip(np.full(m, 0.5))
         monkeypatch.setattr(correlate, "_WORKERS", workers)
         monkeypatch.setattr(correlate, "_BATCH_SAMPLES", _fft_length(n, m) * workers)  # one block per batch
-        stand_ins, real_quiet = [], correlate._quiet_row
-
-        def quiet_spy(lo):
-            stand_ins.append(lo)
-            return real_quiet(lo)
-
-        monkeypatch.setattr(correlate, "_quiet_row", quiet_spy)
         trace = normalized_cross_correlate(clip(s), pattern)
         assert np.all(trace.values[step : 3 * step] == 1.0)
+        rows = irfft_rows(monkeypatch)
         for threshold in (0.5, 0.9):
-            stand_ins.clear()
+            rows.clear()
             (lags, values), = scan_group(clip(s), [pattern], (), threshold, threshold)[0]
             assert trace.values[step - 1] < threshold and trace.values[3 * step] < threshold
-            assert {0, 3 * step} <= set(stand_ins)  # the blocks on either side of the plateau were screened out
+            assert sum(rows) <= 3  # of 5 blocks, at least the two on either side of the plateau were screened out
             assert list(zip(lags.tolist(), values.tolist())) == find_local_maxima(trace, threshold) == [(2 * step - 1, 1.0)]
 
     def test_threshold_at_or_below_zero_screens_nothing(self, monkeypatch):

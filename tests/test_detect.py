@@ -785,6 +785,46 @@ class TestStreamedContinuous:
         assert -(-len(s) // (_fft_length(len(s), m) - m + 1)) >= 3  # chhh's batches, one block each
         assert detect(s, patterns, cfg).tracks[0].events == default
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_recorded_scan_picks_impulse_peaks_as_the_plain_one(self, dictionary, workers, monkeypatch):
+        """Under `record`, only continuous clips get a `_Decider`, and the impulse peaks are the plain scan's.
+
+        A constant "knock" scores exactly 1.0 on a constant stretch whose
+        windows cross the first batch edge (one block per batch): the
+        plateau is carried across it. Samples are multiples of 2^-10, so
+        the window energies there are exact.
+        """
+        m = 3000
+        knock = SoundPattern("knock", AudioClip(np.full(m, 0.5), SR), PatternKind.IMPULSE)
+        patterns = [dictionary["tick"], knock, dictionary["chhh"]]
+        s = np.round(np.random.default_rng(70).uniform(-0.035, 0.035, 3 * SR) * 1024) / 1024
+        step = correlate._Layout.of(s.size, len(dictionary["chhh"].clip)).step
+        lo, hi = step - 200, step + 199  # the lags whose windows lie in the stretch
+        s[lo - 1] = s[hi + m] = 0.0
+        s[lo : hi + m] = 2.0**-10
+        planted = [PlantedInstance("tick", onset_s=1.4), PlantedInstance("chhh", t_begin_s=1.9, t_end_s=2.9)]
+        s = AudioClip(s + plant({p.id: p.clip for p in patterns}, planted, duration=3.0).samples, SR)  # past block 1
+        built, real_decider = [], correlate._Decider
+
+        def decider_spy(threshold, box, record=None):
+            built.append(box)
+            return real_decider(threshold, box, record)
+
+        monkeypatch.setattr(correlate, "_Decider", decider_spy)
+        monkeypatch.setattr(correlate, "_WORKERS", workers)
+        monkeypatch.setattr(correlate, "_BATCH_SAMPLES", _fft_length(len(s), len(dictionary["chhh"].clip)) * workers)
+        cfg = DetectorConfig(continuous_min_duration_s=0.0)
+        plain = detect(s, patterns, cfg).tracks[0].events
+        recorded = Recorder()
+        events = detect(s, patterns, cfg, record=recorded).tracks[0].events
+        assert len(built) == 2 and all(isinstance(box, correlate._BoxMean) for box in built)  # chhh's, once per scan
+        assert events == plain
+        assert recorded.batches.keys() == {("tick", False), ("knock", False), ("chhh", False), ("chhh", True)}
+        trace = recorded.trace("knock")
+        assert np.all(trace[lo : hi + 1] == 1.0) and trace[lo - 1] < 1.0 and trace[hi + 1] < 1.0
+        assert {"tick", "knock", "chhh"} <= {e.pattern_id for e in plain}
+        assert any(e.pattern_id == "knock" and e.t_s == (lo + hi) // 2 / SR for e in plain)
+
     def test_traces_and_events_independent_of_workers_and_batches(self, dictionary, monkeypatch):
         """A three-length group's NCC and box-mean bytes and its events are the same on 1, 2 or 3 workers
         with batches of one block up to the default budget: each block's energies are its own."""
