@@ -16,23 +16,29 @@ the worker that runs it takes a prefix sum of each block's squares
 its own length (Lewis 1995, "Fast Normalized Cross-Correlation"); every
 pattern then multiplies, inverse-transforms and normalizes its own copy.
 `window_energy` is that per-block code over a lone pattern's layout.
-The boxcar behind a continuous pattern's moving average is a running
-prefix sum that the calling thread carries row by row (`_BoxMean`);
-`moving_average` is that code over one row.
+A continuous pattern's box means are anchored per block the same way:
+the worker takes a prefix sum of each block's rectified lags, a window
+inside one block is one difference of it, and one that crosses into the
+next block is the first's tail plus the next's head (`_box_means`); the
+calling thread takes only the w - 1 windows across each batch edge,
+from the prefix rows of the blocks on either side (`_Box`).
+`moving_average` is that per-block code over a lone pattern's layout.
 `scan_group` is the pipeline's one entry to the engine. The
 single-pattern functions, `normalized_cross_correlate` and
 `raw_cross_correlate` (a group of one whose sink fills the trace),
 `window_energy`, `moving_average` and `find_local_maxima`, are the
 references that tests and the acceptance criteria read. Lags leave the
-engine only through per-batch sinks and pickers, and `scan_group`
-decides as they go, so no trace exists at take length: beside the take,
-the group holds the batches in flight with their lags above the
-threshold, about w samples of each boxcar, and the runs and peaks found. A strict local maximum above a threshold depends only
-on the lags above it: the workers list an impulse pattern's lags above
-the threshold with their values, and one `_Peaks` per pattern picks the
-peaks from them on the calling thread, carrying one plateau across
-batch edges. `find_local_maxima` is that picker over one trace, so the
-peak definition exists once, for plain, recorded and reference scans.
+engine only through per-batch sinks, pickers and boxes, and
+`scan_group` decides as they go, so no trace exists at take length:
+beside the take, the group holds the batches in flight with their lags
+above the threshold and their box means' runs, one prefix row per
+continuous pattern, and the runs and peaks found. A strict local
+maximum above a threshold depends only on the lags above it: the
+workers list an impulse pattern's lags above the threshold with their
+values, and one `_Peaks` per pattern picks the peaks from them on the
+calling thread, carrying one plateau across batch edges.
+`find_local_maxima` is that picker over one trace, so the peak
+definition exists once, for plain, recorded and reference scans.
 
 An impulse pattern can only fire near its own instances, so its blocks
 are screened before they are inverse-transformed: the upper-bound early
@@ -48,11 +54,17 @@ O(eps * log2(N) * sqrt(N)) of B, about 1e-12 at N = 2^15. Such a dead
 block is neither multiplied, inverse-transformed nor normalized, and
 lists no lag above the threshold, which is what its real lags would
 list, so the picker decides as it would unscreened. Live blocks run the
-unscreened code, so their lags are the same bit for bit. A pattern is
-screened when it is an impulse whose lags are not recorded, the threshold
-is above 0, and its bound on white noise is expected below its limit
-(`_noise_ratio`): tonal cues are, noise bursts, whose bound spreads over
-every bin, are not.
+unscreened code, so their lags are the same bit for bit. The bound
+holds |lag|, so it holds a continuous pattern's rectified box means as
+well: a window over dead blocks averages to at most its threshold
+(`_box_margin`). A continuous pattern computes a block that is live or
+has a live neighbour, as a window reaches at most one block beside its
+own, and the first and last block of each batch, whose neighbours in
+other batches its worker cannot see; the means of windows that touch a
+block it skipped are not taken, and cannot reach a run. A pattern is
+screened when its lags are not recorded, its threshold is above 0, and
+its bound on white noise is expected below its limit (`_noise_ratio`):
+tonal cues are, noise bursts, whose bound spreads over every bin, are not.
 
 Lag convention: values[tau] is the score for the pattern *starting* at
 sample tau of the sequence, with the sequence treated as zero beyond its
@@ -144,67 +156,6 @@ def _box_width(window_s: float, sample_rate_hz: int) -> int:
     return int(round(window_s * sample_rate_hz))
 
 
-class _BoxMean:
-    """Centered box means over w lags of a trace given row by row, in lag order.
-
-    A partial window at either end of the trace averages what exists; a
-    window of at most one lag is the lag itself. With `rectify`, the means
-    are of |values|, rectified straight into the prefix sum.
-
-    Lag i's window is [i - lead, i - lead + w) clamped to the trace, lead
-    = (w - 1) // 2, and its sum a difference of the trace's prefix sum.
-    Each row's np.cumsum starts from the last sum before it, so every
-    value, and so every mean, is bit for bit that of one cumsum over the
-    whole trace (`moving_average`). Between rows only the prefix sums
-    that windows still to come start at are held: at most w values.
-    Interior windows are slice differences; only the at most w - 1 edge
-    lags whose window is clamped index the prefix sum one by one.
-    """
-
-    def __init__(self, n: int, w: int, rectify: bool):
-        self.n, self.w, self.lead, self.rectify = n, w, (w - 1) // 2, rectify
-        self.pushed = 0  # lags pushed so far
-        self.done = 0  # lags whose means have been returned
-        self.base = 0  # the index into the trace's prefix sum of csum[0]
-        self.csum = np.zeros(1)
-
-    def push(self, row: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """The means the rows so far complete and no earlier push returned.
-
-        They are written to the start of `out` if it is given and large
-        enough; `out` may be `row` itself.
-        """
-        n, w, lead, start, base = self.n, self.w, self.lead, self.done, self.base
-        if w <= 1:
-            dest = np.empty(row.size) if out is None or out.size < row.size else out[: row.size]
-            return (np.absolute if self.rectify else np.positive)(row, out=dest)
-        held = self.csum
-        c = np.empty(held.size + row.size)
-        c[: held.size] = held
-        if self.rectify:
-            np.absolute(row, out=c[held.size :])
-        else:
-            c[held.size :] = row
-        # The whole trace's cumsum starts at its first lag itself, each later row at the sum before it.
-        run = c[held.size :] if self.pushed == 0 else c[held.size - 1 :]
-        np.cumsum(run, out=run)
-        self.pushed += row.size
-        stop = n if self.pushed >= n else max(self.pushed - w + lead + 1, start)  # lags whose windows are complete
-        means = np.empty(stop - start) if out is None or out.size < stop - start else out[: stop - start]
-        lo = min(max(lead, start), stop)  # first lag whose window starts inside the trace
-        hi = min(max(n - w + lead + 1, lo), stop)  # first lag whose window runs past the end
-        first = lead + base  # lag i's window starts at c[i - first]
-        np.subtract(c[lo - first + w : hi - first + w], c[lo - first : hi - first], out=means[lo - start : hi - start])
-        means[lo - start : hi - start] /= w
-        edges = np.r_[start:lo, hi:stop]
-        starts = np.maximum(edges - lead, 0)
-        ends = np.minimum(edges - lead + w, n)
-        means[edges - start] = (c[ends - base] - c[starts - base]) / (ends - starts)
-        self.done, self.base = stop, max(stop - lead, 0)
-        self.csum = c[self.base - base :].copy()
-        return means
-
-
 def sum_of_squares(x: np.ndarray) -> float:
     """sum(x**2) by numpy's pairwise summation on the calling thread.
 
@@ -230,6 +181,19 @@ def _check_group(s: AudioClip, clips: Sequence[AudioClip]) -> list[float]:
 # limit by a few eps, so a margin of 1e-6 leaves every computed lag of a dead block under the
 # threshold.
 _BOUND_MARGIN = 1e-6
+
+
+def _box_margin(step: int, w: int) -> float:
+    """The margin of a continuous pattern's screen: `_BOUND_MARGIN` plus what a box mean's rounding can add.
+
+    A dead block's rectified lags are each at most x = threshold / (1 +
+    margin). A box mean over dead blocks is a sum of at most three prefix
+    sums of at most step of them (`_box_means`), each rounded by at most
+    step * eps / 2 of step * x (recursive summation, Higham 2002, §4.2),
+    over w: 2 * step^2 * eps / w covers it, so the mean stays at most the
+    threshold. It is 3e-11 for the benchmark's 0.2 s patterns at 44.1 kHz.
+    """
+    return 1.0 + _BOUND_MARGIN + 2.0 * step * step * np.finfo(float).eps / w
 
 
 def _bound_weights(pattern_spec: np.ndarray, nfft: int) -> np.ndarray:
@@ -275,7 +239,9 @@ class _Layout(NamedTuple):
     zero-padded to nfft, correlates circularly with a block exactly for
     its first nfft - m + 1 >= step = nfft - m_max + 1 lags: lags b*step ..
     (b+1)*step - 1. Blocks run `batch` at a time, so that the `slots`
-    batches in flight, one per worker, share _BATCH_SAMPLES.
+    batches in flight, one per worker, share _BATCH_SAMPLES; the one or
+    two blocks that reach past the take's end are batched apart from
+    those inside it, so that `_segments` copies theirs alone.
     """
 
     n: int
@@ -283,7 +249,8 @@ class _Layout(NamedTuple):
     nfft: int
     step: int
     blocks: int
-    batch: int  # blocks per batch; the last batch may have fewer
+    inside: int  # blocks that end inside the take
+    batch: int  # blocks per batch; the last of those inside the take, and of those past it, may have fewer
     batches: int
     slots: int  # batches in flight, each in its own set of buffers
 
@@ -292,13 +259,16 @@ class _Layout(NamedTuple):
         nfft = _fft_length(n, m_max)
         step = nfft - m_max + 1
         blocks = -(-n // step)
+        inside = min(max((n - nfft) // step + 1, 0), blocks)
         batch = max(1, _BATCH_SAMPLES // (nfft * _WORKERS))
-        batches = -(-blocks // batch)
-        return cls(n, m_max, nfft, step, blocks, batch, batches, min(_WORKERS, batches))
+        batches = -(-inside // batch) + -(-(blocks - inside) // batch)
+        return cls(n, m_max, nfft, step, blocks, inside, batch, batches, min(_WORKERS, batches))
 
     def span(self, i: int) -> tuple[int, int]:
         """Batch i's first lag and number of blocks."""
-        return i * self.batch * self.step, min(self.batch, self.blocks - i * self.batch)
+        inner = -(-self.inside // self.batch)  # batches of blocks inside the take
+        first, end = (i * self.batch, self.inside) if i < inner else (self.inside + (i - inner) * self.batch, self.blocks)
+        return first * self.step, min(self.batch, end - first)
 
     def cut(self, seg: np.ndarray) -> np.ndarray:
         """The k overlap-save blocks of a batch's segment (`_segments`): a (k, nfft) view."""
@@ -309,7 +279,9 @@ def _segments(s: np.ndarray, layout: _Layout) -> Iterator[np.ndarray]:
     """Each batch's samples, in batch order: the k*step + m_max - 1 from its first lag that its k blocks read.
 
     Past the take's end they are zeros, and consecutive segments overlap
-    by m_max - 1 samples. This is the engine's one read of the take.
+    by m_max - 1 samples. This is the engine's one read of the take. Only
+    the last batch's blocks reach past the end, so only its segment is a
+    copy: one or two blocks' samples, zero-padded.
     """
     for i in range(layout.batches):
         lo, k = layout.span(i)
@@ -318,7 +290,24 @@ def _segments(s: np.ndarray, layout: _Layout) -> Iterator[np.ndarray]:
         yield seg if seg.size == length else np.concatenate((seg, np.zeros(length - seg.size)))
 
 
-def _block_prefix(blocks: np.ndarray) -> np.ndarray:
+def _prefix_sums(rows: np.ndarray, op: Callable, scratch: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Per row, [0, cumsum(op(row))], anchored at the row's first value: a (k, length + 1) array, written to `out` if given.
+
+    op(rows) goes to `scratch`, which may be `rows` itself, and each row's
+    cumsum reads it and writes `out`. Only this form lets the workers sum
+    their batches at the same time: on two threads (numpy 2.4), 1-D
+    cumsums whose output is not their input ran 1.7 times as fast as on
+    one, and 2-D or in-place ones no faster, as they hold the GIL.
+    """
+    prefix = np.empty((rows.shape[0], rows.shape[1] + 1)) if out is None else out
+    op(rows, out=scratch)
+    prefix[:, 0] = 0.0
+    for values, sums in zip(scratch, prefix):
+        np.cumsum(values, out=sums[1:])
+    return prefix
+
+
+def _block_prefix(blocks: np.ndarray, scratch: Optional[np.ndarray] = None) -> np.ndarray:
     """Per overlap-save block (`_Layout.cut`), the prefix sums of its squares: a (k, nfft + 1) array.
 
     Row b is [0, cumsum(block_b^2)], anchored at the block's first
@@ -326,7 +315,8 @@ def _block_prefix(blocks: np.ndarray) -> np.ndarray:
     one block's energy, whatever the take's length (Higham 2002, ch. 4),
     and depends only on (n, m_max), not on the batches. Zeros past the
     take's end add +0.0, so a window that runs past it sums exactly what
-    is left of it.
+    is left of it. The box means take the same prefix sums of each
+    block's rectified lags (`_Box`).
 
     Unlike the ring's buffers, the array is allocated per batch, in the
     worker that runs it. Freeing one per batch lets glibc raise its mmap
@@ -336,11 +326,79 @@ def _block_prefix(blocks: np.ndarray) -> np.ndarray:
     call: 27,900 page faults against 9,500 on the benchmark's
     impulse_dense take, and the same peak RSS either way.
     """
-    prefix = np.empty((blocks.shape[0], blocks.shape[1] + 1))
-    prefix[:, 0] = 0.0
-    np.square(blocks, out=prefix[:, 1:])
-    np.cumsum(prefix, axis=1, out=prefix)
-    return prefix
+    return _prefix_sums(blocks, np.square, np.empty(blocks.shape) if scratch is None else scratch)
+
+
+def _box_at(prefix: np.ndarray, first: int, lags: np.ndarray, n: int, w: int) -> np.ndarray:
+    """The box means of `lags` one by one, from the prefix rows (`_prefix_sums`) of the blocks from block `first` on that their windows lie in.
+
+    The index form of `_box_means`'s arithmetic, for the at most w - 1
+    lags at either end of the take whose windows it clamps.
+    """
+    step = prefix.shape[1] - 1
+    lead = (w - 1) // 2
+    starts = np.maximum(lags - lead, 0)
+    ends = np.minimum(lags - lead + w, n)
+    b0, t0 = np.divmod(starts, step)
+    b1, t1 = np.divmod(ends - 1, step)
+    b0 -= first
+    b1 -= first
+    t1 += 1
+    head = prefix[b1, t1]
+    sums = np.where(b0 == b1, head - prefix[b0, t0], (prefix[b0, step] - prefix[b0, t0]) + head)
+    return sums / (ends - starts)
+
+
+def _crossing(tails: np.ndarray, heads: np.ndarray, w: int, out: np.ndarray) -> np.ndarray:
+    """The sums of the w - 1 windows of w lags that cross from a block into the next, from the prefix rows of both.
+
+    A window that starts at lag t of the first block, t = step - w + 1 ..
+    step - 1, sums to the first's tail, tails[step] - tails[t], plus the
+    next's head, heads[t + w - step]. Rows may be stacked, one pair per
+    edge; the sums are written to `out`.
+    """
+    step = tails.shape[-1] - 1
+    np.subtract(tails[..., step:], tails[..., step - w + 1 : step], out=out)
+    return np.add(out, heads[..., 1:w], out=out)
+
+
+def _box_means(prefix: np.ndarray, first: int, n: int, w: int, out: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """The box means of the lags whose windows lie in consecutive blocks, as (first lag, means) pieces in lag order.
+
+    `prefix` holds the blocks' prefix rows (`_prefix_sums`, (c, step +
+    1)), from block `first` on, so block b holds lags b*step ..
+    (b+1)*step - 1. Lag i's window is [i - lead, i - lead + w) clamped
+    to [0, n), lead = (w - 1) // 2, and its mean the window's sum over
+    its length. With w <= step, a window touches at most two blocks: one
+    inside block b sums to one difference of b's row, and one that
+    crosses from block b into b + 1 to b's tail, row_b[step] - row_b[t],
+    plus b + 1's head. So each mean carries the rounding of at most two
+    blocks' sums, whatever the take's length, and its bits depend only
+    on the blocks, not on how they are batched. The unclamped windows'
+    sums are slices, written to `out`, (c, step), and divided there; the
+    at most w - 1 clamped ones at either end of the take are indexed one
+    by one (`_box_at`).
+    """
+    c, step = prefix.shape[0], prefix.shape[1] - 1
+    lead = (w - 1) // 2
+    lo = 0 if first == 0 else min(first * step + lead, n)
+    hi = max(n if (first + c) * step >= n else (first + c) * step + lead - w + 1, lo)
+    a = min(max(lo, lead), hi)  # the first lag whose window starts inside the take
+    b = max(min(hi, n - w + lead + 1), a)  # the first lag whose window runs past its end
+    pieces = []
+    if lo < a:
+        pieces.append((lo, _box_at(prefix, first, np.arange(lo, a), n, w)))
+    if a < b:
+        inner = step - w + 1  # windows from each block's first lag on that end inside it
+        np.subtract(prefix[:, w:], prefix[:, :inner], out=out[:, :inner])
+        _crossing(prefix[:-1], prefix[1:], w, out[:-1, inner:])
+        base = first * step + lead  # the lag whose window starts at the first block's first lag
+        means = out.reshape(-1)[a - base : b - base]
+        np.divide(means, w, out=means)
+        pieces.append((a, means))
+    if b < hi:
+        pieces.append((b, _box_at(prefix, first, np.arange(b, hi), n, w)))
+    return pieces
 
 
 def _window_energy(prefix: np.ndarray, m: int, step: int, out: np.ndarray) -> np.ndarray:
@@ -396,7 +454,7 @@ class _Batch(NamedTuple):
     lo: int  # its first lag
     k: int  # its number of blocks
     samples: np.ndarray  # its segment of the take (`_segments`)
-    above: list  # per lane, the (lags, values) of its live rows above the threshold (`_above`), filled by `run`
+    found: list  # per lane, what `run` found in its live rows: lags above the threshold (`_above`), box means (`_Box.found`)
 
 
 class _Lane(NamedTuple):
@@ -414,6 +472,7 @@ class _Lane(NamedTuple):
     column: Optional[int]  # its column in the screen's result; None when not screened
     sink: Optional[Callable[[np.ndarray], None]]
     picker: Optional[_Peaks]  # what picks its peaks; None when they are not picked
+    box: Optional[_Box]  # what takes its box means; None when they are not taken
     products: list  # where its product spectra go
     lags: list  # where its lags go, step per block, flat
 
@@ -425,6 +484,7 @@ def _sliding_dot(
     energies: Optional[Sequence[float]] = None,
     peaks_above: Optional[float] = None,
     pickers: Optional[Sequence[Optional[_Peaks]]] = None,
+    boxes: Optional[Sequence[Optional[_Box]]] = None,
 ) -> None:
     """sum_u s[tau+u] * p[u] for tau = 0..len(s)-1 and each pattern p, s zero-padded at the tail.
 
@@ -437,8 +497,11 @@ def _sliding_dot(
     None, gets pattern j's lags on the calling thread, batch by batch in
     lag order, and may overwrite them. Given `peaks_above` (normalized
     only) and pickers[j], a `_Peaks`, pattern j's lags above it are
-    pushed into pickers[j] batch by batch on the calling thread; such a
-    pattern without a sink is screened (see the module docstring).
+    pushed into pickers[j] batch by batch on the calling thread. Given
+    boxes[j], a `_Box`, the workers take pattern j's box means and their
+    runs block by block, and it takes them batch by batch on the calling
+    thread. Such a pattern without a sink is screened (see the module
+    docstring).
     """
     group = list(patterns)
     g = len(group)
@@ -453,20 +516,26 @@ def _sliding_dot(
     specs, full = buffers((most, half), complex), buffers((most, nfft))  # forward spectra, inverse FFTs
     shared = buffers((most, half), complex) if g > 1 else None  # the product spectra of all but the last pattern
     lanes: list[_Lane] = []
-    for j, (pattern, sink, picker) in enumerate(zip(group, sinks, pickers or [None] * g)):
+    limits, margins = [], []  # per screened lane, the level its lags are decided at and its bound's margin
+    for j, (pattern, sink, picker, box) in enumerate(zip(group, sinks, pickers or [None] * g, boxes or [None] * g)):
         spec = np.conj(np.fft.rfft(pattern, nfft))
         products = specs if j == g - 1 else shared  # the last pattern multiplies in place
         lags = buffers(most * step) if sink is not None and j < g - 1 else [p.view(float).reshape(-1) for p in products]
-        gated = (energies is not None and sink is None and picker is not None and peaks_above > 0
-                 and _noise_ratio(spec, nfft, pattern.size, peaks_above) < _NOISE_GATE)
-        column = sum(lane.column is not None for lane in lanes) if gated else None
+        level = box.threshold if box is not None else peaks_above if picker is not None else None
+        gated = (energies is not None and sink is None and level is not None and level > 0
+                 and _noise_ratio(spec, nfft, pattern.size, level) < _NOISE_GATE)
+        column = len(limits) if gated else None
+        if gated:
+            limits.append(level)
+            margins.append(1.0 + _BOUND_MARGIN if box is None else _box_margin(step, box.w))
         energy = None if energies is None else energies[j]
-        lanes.append(_Lane(spec, pattern.size, energy, column, sink, picker, products, lags))
+        lanes.append(_Lane(spec, pattern.size, energy, column, sink, picker, box, products, lags))
     screened = [lane for lane in lanes if lane.column is not None]
     if screened:
         weights = np.stack([_bound_weights(lane.spec, nfft) for lane in screened])
         screened_energies = np.array([lane.energy for lane in screened])
         columns_of = {lane.m: [other.column for other in screened if other.m == lane.m] for lane in screened}
+        limits, margins = np.array(limits), np.array(margins)
     segments = _segments(s, lay)
 
     def prepare(i: int) -> _Batch:
@@ -489,19 +558,22 @@ def _sliding_dot(
         bounds = np.einsum("kf,jf->kj", mags, weights)  # no BLAS: its threads would contend with the workers
         np.multiply(floors, screened_energies, out=floors)  # as each lag's denominator is rounded
         np.sqrt(floors, out=floors)
-        return bounds * (1.0 + _BOUND_MARGIN) <= floors * peaks_above
+        return bounds * margins <= floors * limits
 
     def run(batch: _Batch) -> None:
-        """The forward FFT, then each lane's products, inverse FFT, normalization and lags above the threshold, for its live blocks."""
+        """The forward FFT, then each lane's products, inverse FFT, normalization and decisions, for its live blocks."""
         slot, lo, k = batch.slot, batch.lo, batch.k
+        first = lo // step  # the batch's first block
         spec, out = specs[slot], full[slot]
         blocks = lay.cut(batch.samples)
         np.fft.rfft(blocks, axis=1, out=spec[:k])
-        prefix = None if energies is None else _block_prefix(blocks)
+        prefix = None if energies is None else _block_prefix(blocks, out[:k])  # the squares go to dead memory
         dead = screen(batch, prefix) if screened else None
         for lane in lanes:
             product = lane.products[slot]
             alive = np.ones(k, dtype=bool) if lane.column is None else ~dead[:, lane.column]
+            if lane.box is not None:  # a box mean reads the blocks beside its own; one in another batch counts as live
+                alive |= np.r_[first > 0, alive[:-1]] | np.r_[alive[1:], first + k < lay.blocks]
             live = np.flatnonzero(alive)
             if live.size < k:  # the live blocks' spectra, moved to the front (b >= r, so in place too)
                 for r, b in enumerate(live):
@@ -511,7 +583,7 @@ def _sliding_dot(
                 np.multiply(source[: live.size], lane.spec, out=product[: live.size])
                 np.fft.irfft(product[: live.size], nfft, axis=1, out=out[: live.size])
             lags = lane.lags[slot][: k * step].reshape(k, step)
-            above = []  # per run of live blocks, its lags inside the take above the threshold
+            found = []  # per run of live blocks, what it found
             r = 0  # the row of `out` and of `lags` that holds the run's first block
             for b, count in _live_runs(alive):
                 rows = lags[r : r + count]
@@ -525,18 +597,25 @@ def _sliding_dot(
                     np.clip(rows, -1.0, 1.0, out=rows)
                 if lane.picker is not None:
                     start = lo + b * step
-                    above.append(_above(rows.reshape(-1)[: n - start], peaks_above, start))
+                    found.append(_above(rows.reshape(-1)[: n - start], peaks_above, start))
+                if lane.box is not None:  # the inverse FFTs are dead once normalized, and so are the lags once summed, unless a sink reads them
+                    means = rows if lane.sink is None else np.empty_like(rows)
+                    found.append(lane.box.found(rows, first + b, means, out[r : r + count, : step + 1]))
                 r += count
-            batch.above.append([np.concatenate(part) for part in zip(*above)] if above else _NOTHING_ABOVE)
+            if lane.picker is not None:
+                found = [np.concatenate(part) for part in zip(*found)] if found else _NOTHING_ABOVE
+            batch.found.append(found)
 
     def finish(batch: _Batch) -> None:
-        """Push the batch's lags above the threshold into the pickers, and hand its lags inside the take to the sinks."""
+        """Hand the batch's lags inside the take to the sinks, and what its rows found to the pickers and the boxes."""
         stop = min(batch.lo + batch.k * step, n)
-        for lane, (lags, values) in zip(lanes, batch.above):
-            if lane.picker is not None:
-                lane.picker.push(lags, values, stop)
+        for lane, found in zip(lanes, batch.found):
             if lane.sink is not None:
                 lane.sink(lane.lags[batch.slot][: stop - batch.lo])
+            if lane.picker is not None:
+                lane.picker.push(*found, stop)
+            if lane.box is not None:
+                lane.box.push(batch.lo // step, found)
 
     _ring(lay.batches, lay.slots, prepare, run, finish)
 
@@ -578,7 +657,7 @@ def window_energy(s: AudioClip, m: int) -> np.ndarray:
     lay = _Layout.of(len(s), m)
     out = np.empty((lay.blocks, lay.step))  # whole blocks of lags; those past the take are cut off
     for i, seg in enumerate(_segments(s.samples, lay)):
-        first = i * lay.batch
+        first = lay.span(i)[0] // lay.step
         blocks = lay.cut(seg)
         _window_energy(_block_prefix(blocks), m, lay.step, out[first : first + blocks.shape[0]])
     out = out.reshape(-1)[: len(s)]
@@ -606,18 +685,36 @@ def energy(x: AudioClip) -> float:
 def moving_average(trace: CorrelationTrace, window_s: float, rectify: bool = False) -> CorrelationTrace:
     """Centered boxcar mean; partial windows at the edges average what exists.
 
-    The box means a continuous pattern's lags get batch by batch in
-    `scan_group`, here over the trace as one row. With `rectify`, the mean
-    is of |values|, rectified straight into the prefix sum, so no
+    The box means a continuous pattern's lags get in `scan_group`, here
+    over the layout of a lone pattern of the window's length: the same
+    per-block code (`_Box`), batch by batch. With `rectify`, the mean is
+    of |values|, rectified straight into each block's prefix sum, so no
     rectified copy of the trace is made.
     """
     if window_s <= 0:
         raise ValueError(f"window_s must be positive, got {window_s}")
-    n = len(trace)
-    w = _box_width(window_s, trace.sample_rate_hz)
-    if (w <= 1 or n == 0) and not rectify:
-        return trace
-    return _fresh_trace(_BoxMean(n, w, rectify).push(trace.values), trace.sample_rate_hz)
+    n, rate = len(trace), trace.sample_rate_hz
+    w = _box_width(window_s, rate)
+    if w <= 1 or n == 0:  # each window is its lag
+        return _fresh_trace(np.absolute(trace.values), rate) if rectify else trace
+    lay = _Layout.of(n, w)
+    out = np.empty(n)
+    filled = 0
+
+    def sink(means: np.ndarray) -> None:
+        nonlocal filled
+        out[filled : filled + means.size] = means
+        filled += means.size
+
+    box = _Box(n, w, math.inf, sink, np.absolute if rectify else np.positive)
+    for i in range(lay.batches):
+        lo, k = lay.span(i)
+        rows = np.empty((k, lay.step))  # the batch's lags, zeros past the trace; then its means
+        inside = min(n - lo, rows.size)
+        rows.reshape(-1)[:inside] = trace.values[lo : lo + inside]
+        rows.reshape(-1)[inside:] = 0.0
+        box.push(lo // lay.step, [box.found(rows, lo // lay.step, rows)])
+    return _fresh_trace(out, rate)
 
 
 def _live_runs(alive: np.ndarray) -> list[tuple[int, int]]:
@@ -714,11 +811,14 @@ class Runs(NamedTuple):
     peaks: np.ndarray
 
 
+_NO_RUNS = Runs(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0))
+
+
 def _row_runs(v: np.ndarray, threshold: float, lo: int) -> Runs:
     """The runs above `threshold` of the row `v` of a trace, which starts at lag `lo`."""
     above = np.flatnonzero(v > threshold)
     if not above.size:
-        return Runs(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0))
+        return _NO_RUNS
     cuts = np.flatnonzero(np.diff(above) > 1) + 1  # where a new run starts among `above`
     firsts = np.concatenate(([0], cuts))
     lasts = np.concatenate((cuts - 1, [above.size - 1]))
@@ -726,12 +826,12 @@ def _row_runs(v: np.ndarray, threshold: float, lo: int) -> Runs:
 
 
 def _stitch_runs(rows: Sequence[Runs]) -> Runs:
-    """The runs of the trace cut into `rows` (at least one), given in lag order.
+    """The runs of the trace cut into `rows`, given in lag order.
 
     Runs of one row never touch, so a run that ends on the lag before
     the next one's start crossed a row edge: the two are one run.
     """
-    starts, ends, peaks = (np.concatenate(column) for column in zip(*rows))
+    starts, ends, peaks = (np.concatenate(column) for column in zip(*rows, _NO_RUNS))
     if not starts.size:
         return Runs(starts, ends, peaks)
     firsts = np.flatnonzero(np.concatenate(([True], starts[1:] != ends[:-1] + 1)))
@@ -739,29 +839,79 @@ def _stitch_runs(rows: Sequence[Runs]) -> Runs:
     return Runs(starts[firsts], ends[lasts], np.maximum.reduceat(peaks, firsts))
 
 
-class _Decider:
-    """A sink for `_sliding_dot` that decides a continuous pattern's trace on the calling thread, as it arrives batch by batch in lag order.
+class _Box:
+    """A continuous pattern's box means over w lags of its n, and their runs above `threshold`, block by block.
 
-    It finds the runs above `threshold` of the trace's rectified box
-    means, which `box`, a `_BoxMean`, writes over the lags' memory.
-    `record`, if given, gets (False, lags) and then (True, means).
+    The workers call `found` on each run of consecutive blocks of a batch
+    whose lags they computed: it takes each block's prefix sum of the
+    lags, rectified by `op` (`_prefix_sums`), and from them the means of
+    the windows that lie in those blocks (`_box_means`) and their runs
+    (`_row_runs`). The calling thread pushes each batch's, in batch
+    order: `push` takes the w - 1 windows across the batch's first edge
+    from the prefix rows of the blocks on either side of it (`_crossing`),
+    hands every piece of means, in lag order, to `record` if given, and
+    keeps the runs, which `decided` stitches. So the calling thread holds
+    one prefix row between batches, and every mean is the same bit for
+    bit however the blocks are batched.
+
+    A screened pattern computes a block when it or a neighbour is live,
+    and the first and last block of every batch, whose neighbour in
+    another batch the worker cannot see; a window that touches a block
+    not computed touches only dead ones, and its mean is at most the
+    threshold (`_box_margin`), so it is not taken.
     """
 
-    def __init__(self, threshold: float, box: _BoxMean, record: Optional[Callable] = None):
-        self.threshold, self.box, self.record = threshold, box, record
-        self.done, self.rows = 0, []  # the means decided so far, and their `Runs`
+    def __init__(self, n: int, w: int, threshold: float, record: Optional[Callable] = None, op: Callable = np.absolute):
+        self.n, self.w, self.threshold, self.record, self.op = n, w, threshold, record, op
+        self.tail: Optional[np.ndarray] = None  # the prefix row of the last block pushed
+        self.runs: list[Runs] = []  # the runs of the means pushed, piece by piece
 
-    def __call__(self, lags: np.ndarray) -> None:
-        if self.record:
-            self.record(False, lags)
-        means = self.box.push(lags, lags)
-        if self.record:
-            self.record(True, means)
-        self.rows.append(_row_runs(means, self.threshold, self.done))
-        self.done += means.size
+    def found(self, rows: np.ndarray, first: int, out: np.ndarray, sums: Optional[np.ndarray] = None) -> tuple:
+        """For the lags `rows` (c, step) of blocks first .. first + c - 1: (means pieces, their runs, first and last prefix rows).
+
+        The rectified lags and then the means are written to `out`, which
+        may be `rows` itself, and the prefix sums to `sums`, (c, step + 1),
+        if given.
+        """
+        if self.w <= 1:  # each window is its lag
+            self.op(rows, out=out)
+            lo = first * rows.shape[1]
+            pieces, head, tail = [(lo, out.reshape(-1)[: self.n - lo])], None, None
+        else:
+            prefix = _prefix_sums(rows, self.op, out, sums)
+            pieces = _box_means(prefix, first, self.n, self.w, out)
+            head, tail = prefix[0].copy(), prefix[-1].copy()
+        return pieces, self._runs(pieces), head, tail
+
+    def _runs(self, pieces: list) -> list[Runs]:
+        return [_row_runs(means, self.threshold, lo) for lo, means in pieces]
+
+    def push(self, first: int, found: list) -> None:
+        """Take a batch from block `first` on: what `found` gave for each of its runs of computed blocks, in block order."""
+        for j, (pieces, runs, head, tail) in enumerate(found):
+            if j == 0 and first > 0 and self.w > 1:  # the batch's first block is computed: see above
+                edge = [self._edge(first, head)]
+                pieces, runs = edge + pieces, self._runs(edge) + runs
+            if self.record is not None:
+                for _, means in pieces:
+                    self.record(means)
+            self.runs.extend(runs)
+            self.tail = tail
+
+    def _edge(self, first: int, head: np.ndarray) -> tuple[int, np.ndarray]:
+        """The means of the w - 1 windows that cross from block first - 1 into block `first`, whose prefix row is `head`."""
+        n, w = self.n, self.w
+        step, lead = head.size - 1, (w - 1) // 2
+        lo, hi = first * step + lead - w + 1, min(first * step + lead, n)
+        b = min(hi, n - w + lead + 1)  # the first lag whose window runs past the take's end
+        means = _crossing(self.tail, head, w, np.empty(w - 1))[: b - lo]
+        np.divide(means, w, out=means)
+        if b < hi:
+            means = np.concatenate((means, _box_at(np.stack((self.tail, head)), first - 1, np.arange(b, hi), n, w)))
+        return lo, means
 
     def decided(self) -> Runs:
-        return _stitch_runs(self.rows)
+        return _stitch_runs(self.runs)
 
 
 def scan_group(
@@ -778,20 +928,22 @@ def scan_group(
     clip, the peaks `find_local_maxima(normalized_cross_correlate(s,
     clip), threshold)` lists, as int64 lags and float64 values, and, per
     continuous clip, the `Runs` above `continuous_threshold` of its
-    trace's rectified `moving_average` over `clip.duration_s`. The
-    workers list an impulse clip's lags above the threshold, and one
-    `_Peaks` per clip picks its peaks from them as they arrive; a
-    `_Decider` decides each continuous clip's lags.
+    trace's rectified box means over `clip.duration_s`. The workers list
+    an impulse clip's lags above the threshold, and one `_Peaks` per clip
+    picks its peaks from them as they arrive; they take a continuous
+    clip's box means per block, and one `_Box` per clip stitches them
+    and their runs across batch edges.
 
     Given `record`, no clip is screened, and `record(j, averaged, values)`
     is called batch by batch in lag order with clip j's lags (`averaged`
     False; impulses count first) and a continuous clip's box means
-    (True), valid only during the call; the peaks are picked as without
-    it. With one length in the group, the lags are
-    `normalized_cross_correlate`'s bit for bit. A shorter clip beside a
-    longer one is cut into the longer one's blocks, numerator and window
-    energy alike: it moves by a few ulps where its window holds sound,
-    more at a near-silent window after loud samples.
+    (True), valid only during the call; the peaks and runs are found as
+    without it. With one length in the group, the lags are
+    `normalized_cross_correlate`'s, and the box means `moving_average`'s,
+    bit for bit. A shorter clip beside a longer one is cut into the
+    longer one's blocks, numerator, window energy and box sums alike: it
+    moves by a few ulps where its window holds sound, more at a
+    near-silent window after loud samples.
     """
     clips = [*impulses, *continuous]
     if not clips:
@@ -799,12 +951,11 @@ def scan_group(
     energies = _check_group(s, clips)
     n, rate = len(s), s.sample_rate_hz
     pickers = [_Peaks(n) for _ in impulses]
-    recorders = [None if record is None else partial(record, j, False) for j in range(len(impulses))]
-    deciders = [
-        _Decider(continuous_threshold, _BoxMean(n, _box_width(clip.duration_s, rate), rectify=True),
-                 None if record is None else partial(record, j))
+    boxes = [
+        _Box(n, _box_width(clip.duration_s, rate), continuous_threshold, None if record is None else partial(record, j, True))
         for j, clip in enumerate(continuous, len(impulses))
     ]
-    _sliding_dot(s.samples, [clip.samples for clip in clips], recorders + deciders, energies, threshold,
-                 pickers + [None] * len(continuous))
-    return [picker.found() for picker in pickers], [decider.decided() for decider in deciders]
+    sinks = [None if record is None else partial(record, j, False) for j in range(len(clips))]
+    _sliding_dot(s.samples, [clip.samples for clip in clips], sinks, energies, threshold,
+                 pickers + [None] * len(continuous), [None] * len(impulses) + boxes)
+    return [picker.found() for picker in pickers], [box.decided() for box in boxes]

@@ -6,14 +6,17 @@ lengths: they share one block layout, each block's forward FFT and each
 block's prefix sum of squares, which gives each length its window
 energies; the impulse patterns' peaks are picked batch by batch from
 the lags above the threshold, and the continuous patterns' box averages
-and the runs above their threshold are found batch by batch too. Each
+and the runs above their threshold are found block by block in the
+worker threads, from a prefix sum of each block's rectified lags. Both
+kinds skip the blocks whose spectral bound cannot reach their threshold
+(tonal patterns only; see `correlate`). Each
 impulse pattern's peaks become `Candidates` arrays that suppression and
 strength measurement decide; each continuous pattern's runs become
 intervals. `detect` holds the take, the batches in flight and what it
 has found, and no other take-length array. Given a `record` callback,
 the same pass also hands it every trace it reads, batch by batch: what
-`soundcue detect --report` writes as it goes. The peaks are picked the
-same way with or without it.
+`soundcue detect --report` writes as it goes. Nothing is then
+screened, and the peaks and runs are found the same way as without it.
 
 Impulse patterns: local maxima of the normalized cross-correlation above
 the impulse threshold become candidates; candidates of all patterns then

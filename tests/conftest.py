@@ -119,6 +119,37 @@ def reference_window_energy(s, m, m_max=None):
     return csum[b, t + m] - csum[b, t]
 
 
+def reference_moving_average(values, w, m_max=None, step=None):
+    """Index-array formula for the centered, edge-clamped boxcar mean over w lags, per overlap-save block.
+
+    Lag i's window is [i - lead, i - lead + w) clamped to the trace,
+    lead = (w - 1) // 2. The trace is cut into the blocks of step lags
+    of the layout for patterns of at most m_max samples (default w), and
+    each block gets its own prefix sum, [0, cumsum(block)], zeros past
+    the trace's end. A window inside one block sums to a difference of
+    its prefix sum; one that crosses from block b into b + 1 to b's tail,
+    csum_b[step] - csum_b[t], plus b + 1's head: the reference for the
+    engine's per-block box means. A window of at most one lag is the lag
+    itself. `step`, if given, replaces the layout's.
+    """
+    n = values.size
+    if w <= 1 or n == 0:
+        return values
+    m_max = w if m_max is None else m_max
+    step = correlate._fft_length(n, m_max) - m_max + 1 if step is None else step
+    blocks = -(-n // step)
+    rows = np.concatenate((values, np.zeros(blocks * step - n))).reshape(blocks, step)
+    csum = np.concatenate((np.zeros((blocks, 1)), np.cumsum(rows, axis=1)), axis=1)
+    lead = (w - 1) // 2
+    idx = np.arange(n)
+    starts, ends = np.maximum(idx - lead, 0), np.minimum(idx - lead + w, n)
+    b0, t0 = np.divmod(starts, step)
+    b1, t1 = np.divmod(ends - 1, step)
+    head = csum[b1, t1 + 1]
+    sums = np.where(b0 == b1, head - csum[b0, t0], (csum[b0, step] - csum[b0, t0]) + head)
+    return sums / (ends - starts)
+
+
 class Recorder:
     """A `record` callback for `scan_group` and `detect`: a copy of every batch it is given, per (clip, averaged)."""
 

@@ -265,9 +265,9 @@ class TestDetect:
             engine_calls.append(sorted(len(row) for row in args[1]))  # the pattern lengths
             return real_dot(*args, **kwargs)
 
-        def prefix_spy(blocks):
+        def prefix_spy(blocks, *args):
             built.append(blocks.shape[0])
-            return real_prefix(blocks)
+            return real_prefix(blocks, *args)
 
         monkeypatch.setattr(correlate, "_sliding_dot", dot_spy)
         monkeypatch.setattr(correlate, "_block_prefix", prefix_spy)

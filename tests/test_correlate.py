@@ -22,8 +22,8 @@ from soundcue import (
     window_energy,
 )
 from soundcue import correlate
-from soundcue.correlate import EPS_ENERGY, _BoxMean, _fft_length, _whole, sum_of_squares
-from conftest import Recorder, reference_runs, reference_window_energy
+from soundcue.correlate import EPS_ENERGY, _fft_length, _whole, sum_of_squares
+from conftest import Recorder, reference_moving_average, reference_runs, reference_window_energy
 
 SR = 8000
 EPS = np.finfo(float).eps
@@ -54,19 +54,6 @@ def direct_ncc(s, p):
     """
     denom = np.sqrt(np.maximum(reference_window_energy(s, len(p)), EPS_ENERGY) * float(np.dot(p, p)))
     return np.clip(direct_sliding_dot(s, p) / denom, -1.0, 1.0)
-
-
-def reference_moving_average(values, w):
-    """Index-array formula for the centered, edge-clamped boxcar mean."""
-    n = values.size
-    if w <= 1 or n == 0:
-        return values
-    left = (w - 1) // 2
-    idx = np.arange(n)
-    starts = np.maximum(idx - left, 0)
-    ends = np.minimum(idx - left + w, n)
-    csum = np.concatenate(([0.0], np.cumsum(values)))
-    return (csum[ends] - csum[starts]) / (ends - starts)
 
 
 def reference_local_maxima(values, threshold):
@@ -241,15 +228,20 @@ class TestLayoutAndSegments:
             lay = correlate._Layout.of(n, m)
             assert (lay.n, lay.m_max, lay.nfft, lay.step) == (n, m, _fft_length(n, m), _fft_length(n, m) - m + 1)
             assert lay.batch == max(1, budget // (lay.nfft * workers))
-            assert lay.batches == -(-lay.blocks // lay.batch) and lay.slots == min(workers, lay.batches)
             assert (lay.blocks - 1) * lay.step < n <= lay.blocks * lay.step  # the blocks cover the take
+            assert lay.inside == sum(b * lay.step + lay.nfft <= n for b in range(lay.blocks))  # blocks that end inside it
+            assert lay.blocks - lay.inside <= 2  # the rest reach past its end
+            assert lay.slots == min(workers, lay.batches)
             capped += lay.nfft < 1 << 15
             spans = [lay.span(i) for i in range(lay.batches)]
-            assert [k for _, k in spans[:-1]] == [lay.batch] * (lay.batches - 1) and sum(k for _, k in spans) == lay.blocks
-            assert [lo for lo, _ in spans] == [i * lay.batch * lay.step for i in range(lay.batches)]
+            cut = -(-lay.inside // lay.batch)  # the batches of blocks inside the take, then those past its end
+            for part, blocks in ((spans[:cut], lay.inside), (spans[cut:], lay.blocks - lay.inside)):
+                assert [k for _, k in part[:-1]] == [lay.batch] * (len(part) - 1) and sum(k for _, k in part) == blocks
+            assert [lo for lo, _ in spans] == [sum(k for _, k in spans[:i]) * lay.step for i in range(lay.batches)]
             s = rng.uniform(-1, 1, n)
             segments = list(correlate._segments(s, lay))
             assert [seg.size for seg in segments] == [k * lay.step + m - 1 for _, k in spans]
+            assert [np.shares_memory(seg, s) for seg in segments] == [i < cut for i in range(lay.batches)]
             for a, b in zip(segments, segments[1:]):
                 assert np.array_equal(a[a.size - (m - 1) :], b[: m - 1])  # consecutive segments overlap by m - 1
             joined = np.concatenate([segments[0]] + [seg[m - 1 :] for seg in segments[1:]])
@@ -429,9 +421,10 @@ class TestReferenceEquality:
 
     def test_moving_average_equals_index_array_formula(self):
         rng = np.random.default_rng(22)
-        for _ in range(60):
-            n = int(rng.integers(0, 2000))
-            w = int(rng.choice([0, 1, 2, n, n + 1, 3 * n + 7, int(rng.integers(2, 2 * n + 3))]))
+        for trial in range(68):
+            n = int(rng.integers(0, 2000) if trial < 60 else rng.integers(60000, 150000))  # one block, or several
+            w = int(rng.choice([0, 1, 2, n, n + 1, 3 * n + 7, int(rng.integers(2, 2 * n + 3))] if trial < 60 else
+                               [2, 3, int(rng.integers(4, 40000))]))
             values = rng.uniform(-1, 1, n)
             trace = CorrelationTrace(values, SR)
             got = moving_average(trace, max(w, 0.4) / SR).values
@@ -497,6 +490,39 @@ class TestMemoryBound:
         monkeypatch.setattr(correlate, "_WORKERS", workers)
         peak = self.peak_bytes(_whole, s.samples, [p.samples])
         assert peak - s.samples.nbytes <= 3 * 8 * correlate._BATCH_SAMPLES
+
+    def test_only_the_blocks_past_the_end_are_copied(self, take, monkeypatch):
+        """`_segments` copies the blocks that reach past the take's end, not a whole batch's segment.
+
+        The take ends half a block into what would be a full last batch
+        of 16 blocks. A `tracemalloc` snapshot taken as each batch is run
+        shows what `_segments` holds: one block of samples in the last
+        batch, where a padded copy of a whole batch's segment is 16 blocks.
+        """
+        s, p = take
+        monkeypatch.setattr(correlate, "_WORKERS", 1)
+        lay = correlate._Layout.of(len(s), len(p))
+        n = (lay.blocks - 1) // lay.batch * lay.batch * lay.step - lay.step // 2
+        lay = correlate._Layout.of(n, len(p))
+        assert lay.blocks % lay.batch == 0 and lay.batch == 16 and lay.span(lay.batches - 1)[1] == 1
+        code = correlate._segments.__code__
+        lines = {line for _, _, line in code.co_lines() if line is not None}
+        held, real_prefix = [], correlate._block_prefix
+
+        def prefix_spy(*args, **kwargs):
+            traces = tracemalloc.take_snapshot().statistics("lineno")
+            held.append(sum(t.size for t in traces if t.traceback[0].filename == code.co_filename and t.traceback[0].lineno in lines))
+            return real_prefix(*args, **kwargs)
+
+        monkeypatch.setattr(correlate, "_block_prefix", prefix_spy)
+        tracemalloc.start()
+        try:
+            normalized_cross_correlate(AudioClip(s.samples[:n], s.sample_rate_hz), p)
+        finally:
+            tracemalloc.stop()
+        assert len(held) == lay.batches and max(held[:-1]) < 4096  # views, until the last batch
+        whole_segment = (lay.batch * lay.step + len(p) - 1) * 8
+        assert lay.nfft * 8 <= held[-1] <= 2 * lay.nfft * 8 + 4096 < whole_segment / 6, (held, whole_segment)
 
     @pytest.mark.parametrize("window_samples", [0.4, 5292])
     def test_rectified_moving_average(self, take, window_samples):
@@ -869,41 +895,59 @@ cut_lists = st.lists(st.integers(0, 120), max_size=12)
 
 
 class TestStreamedSums:
-    """Box means from a prefix sum carried row to row, and window energies from per-block prefix sums, bit for bit."""
+    """Box means and window energies from per-block prefix sums, batch by batch, bit for bit."""
 
     @settings(max_examples=400, deadline=None)
-    @given(chunked_values, st.integers(0, 30), st.booleans(), cut_lists, st.sampled_from([None, "row", "short"]))
-    @example([0.5] * 10, 4, False, [2, 3, 7], "row")  # cuts inside one window, rows shorter than w
-    @example([0.5, -0.0, 0.25], 1, True, [1, 2], "short")  # w = 1, one-lag rows, a buffer one lag too short
-    @example([-0.0, 0.5, -0.0], 0, False, [1], None)  # w = 0: the lags themselves, -0.0 kept
-    @example([], 3, False, [], None)  # an empty sequence
-    def test_any_cuts_give_the_whole_sequence_sums(self, values, w, rectify, cuts, out):
-        """Any rows, each one's means written to a new array, to the row itself (as `_Decider` does) or to a
-        buffer one lag shorter than the row, are `moving_average`'s index-array formula over the whole sequence."""
+    @given(chunked_values, st.integers(1, 30), st.integers(0, 12), st.booleans(), cut_lists)
+    @example([0.5] * 10, 4, 0, False, [1, 2])  # one-block batches of blocks as long as the window
+    @example([0.3] * 9 + [-0.7] * 9, 7, 2, True, [1])  # windows across a block edge and a batch edge
+    @example([0.5, -0.0, 0.25], 1, 0, True, [1, 2])  # w = 1: each mean is its lag
+    @example([0.25] * 5, 9, 3, False, [])  # a trace shorter than the window: every window clamped
+    @example([], 3, 0, False, [])  # an empty trace
+    def test_any_cuts_give_the_whole_sequence_sums(self, values, w, extra, rectify, cuts):
+        """Blocks of step >= w lags in batches cut anywhere: `_Box` takes the batches' box means in the
+        workers' code and the windows across their edges, and they are the per-block formula's, as are their runs."""
         x = np.asarray(values, dtype=float)
-        box = _BoxMean(x.size, w, rectify)
-        bounds = sorted({0, x.size, *(c for c in cuts if 0 < c < x.size)})
-        streamed = []
-        for lo, hi in zip(bounds, bounds[1:]) if x.size else [(0, 0)]:
-            row = x[lo:hi].copy()
-            dest = {None: None, "row": row, "short": np.empty(max(row.size - 1, 0))}[out]
-            streamed.append(box.push(row, dest).copy())
-        whole = reference_moving_average(np.abs(x) if rectify else x, w)
-        assert np.concatenate(streamed).tobytes() == whole.tobytes()
+        n, step = x.size, w + extra
+        blocks = max(-(-n // step), 1)
+        rows = np.concatenate((x, np.zeros(blocks * step - n))).reshape(blocks, step)
+        recorded = []
+        box = correlate._Box(n, w, 0.3, recorded.append, np.absolute if rectify else np.positive)
+        edges = sorted({0, blocks, *(c for c in cuts if 0 < c < blocks)})  # batch edges, in blocks
+        for first, stop in zip(edges, edges[1:]):
+            batch = rows[first:stop].copy()
+            box.push(first, [box.found(batch, first, batch)])  # its means written over its lags, as a worker does
+        means = np.concatenate([np.empty(0), *recorded])
+        expected = reference_moving_average(np.abs(x) if rectify else x, w, step=step)
+        assert means.tobytes() == expected.tobytes()
+        assert list(zip(*(column.tolist() for column in box.decided()))) == reference_runs(expected, 0.3)
 
     @settings(max_examples=300, deadline=None)
-    @given(chunked_values, st.integers(0, 30), st.booleans(), cut_lists)
-    @example([0.1, -0.5, 0.2, 0.9], 0, True, [1, 3])  # w = 0 and w = 1 are the lag itself
-    @example([0.1, -0.5, 0.2, 0.9], 1, False, [2])
-    @example([0.3] * 9 + [-0.7] * 9, 7, True, [3, 4, 12])  # rows shorter than the window, one cut inside it
-    def test_box_means_in_rows_equal_moving_average(self, values, w, rectify, cuts):
+    @given(chunked_values, st.integers(1, 30), st.booleans(), st.integers(1, 4), cut_lists)
+    @example([0.1, -0.5, 0.2, 0.9], 1, True, 1, [1, 3])  # w = 1 is the lag itself
+    @example([0.3] * 9 + [-0.7] * 9, 7, True, 1, [1, 2])  # one-block batches, windows across every edge
+    @example([0.5] * 40, 3, False, 3, [2])  # batches of three blocks, cut elsewhere in the rows
+    def test_box_means_in_rows_equal_moving_average(self, values, w, rectify, per_batch, cuts):
+        """`moving_average` over blocks of a few lags, batched `per_batch` at a time, is the per-block formula's,
+        and the same rows pushed through `_Box` in batches cut anywhere give it bit for bit."""
         x = np.asarray(values, dtype=float)
-        box = _BoxMean(x.size, w, rectify)
-        bounds = sorted({0, x.size, *(c for c in cuts if 0 < c < x.size)})
-        streamed = np.concatenate([box.push(x[lo:hi]) for lo, hi in zip(bounds, bounds[1:])] or [np.empty(0)])
-        whole = moving_average(CorrelationTrace(x, SR), max(w, 0.4) / SR, rectify).values
-        assert streamed.tobytes() == whole.tobytes()
-        assert np.array_equal(streamed, reference_moving_average(np.abs(x) if rectify else x, w))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(correlate, "_MIN_BLOCK", 2)  # blocks of 2w to 4w lags: many in a short trace
+            patch.setattr(correlate, "_BATCH_SAMPLES", per_batch * _fft_length(x.size, w) * correlate._WORKERS)
+            whole = moving_average(CorrelationTrace(x, SR), w / SR, rectify).values
+            expected = reference_moving_average(np.abs(x) if rectify else x, w)
+            lay = correlate._Layout.of(x.size, w) if x.size else None
+        assert whole.tobytes() == expected.tobytes()
+        if lay is None:  # an empty trace: no blocks
+            return
+        rows = np.concatenate((x, np.zeros(lay.blocks * lay.step - x.size))).reshape(lay.blocks, lay.step)
+        recorded = []
+        box = correlate._Box(x.size, w, math.inf, recorded.append, np.absolute if rectify else np.positive)
+        edges = sorted({0, lay.blocks, *(c for c in cuts if 0 < c < lay.blocks)})
+        for first, stop in zip(edges, edges[1:]):
+            batch = rows[first:stop].copy()
+            box.push(first, [box.found(batch, first, batch)])
+        assert np.concatenate(recorded).tobytes() == whole.tobytes()
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_block_energies_equal_index_array_formula(self, workers, monkeypatch):
@@ -924,9 +968,9 @@ class TestStreamedSums:
         """Each block's prefix sum of s^2 is built once per engine call, not once per pattern or length."""
         built, real_prefix = [], correlate._block_prefix
 
-        def prefix_spy(blocks):
+        def prefix_spy(blocks, *args):
             built.append(blocks.shape[0])
-            return real_prefix(blocks)
+            return real_prefix(blocks, *args)
 
         lengths = (50, 20, 50, 20)
         n = 4 * block_step(50)
@@ -977,7 +1021,9 @@ class TestScanGroup:
             assert list(zip(lags.tolist(), values.tolist())) == find_local_maxima(CorrelationTrace(recorded.trace(j), SR), 0.5)
         for j, (p, found) in enumerate(zip(continuous, runs), 2):
             trace, averaged = CorrelationTrace(recorded.trace(j), SR), recorded.trace(j, True)
-            assert averaged.tobytes() == moving_average(trace, p.duration_s, rectify=True).values.tobytes()
+            assert averaged.tobytes() == reference_moving_average(np.abs(trace.values), len(p), long).tobytes()
+            if len(p) == long:  # its own layout: `moving_average`'s bits
+                assert averaged.tobytes() == moving_average(trace, p.duration_s, rectify=True).values.tobytes()
             assert found.starts.size > 0
             assert list(zip(*(column.tolist() for column in found))) == reference_runs(averaged, 0.3)
         assert scan_group(s, [], [], 0.5, 0.3) == ([], [])  # an empty dictionary
@@ -1160,12 +1206,143 @@ class TestScreenBound:
         rows.clear()
         scan_group(s, tones, (), 0.5, 0.5, Recorder())  # recorded scans are never screened
         assert sum(rows) == blocks * len(tones)
-        rows.clear()
-        scan_group(s, [], tones, 0.5, 0.5)  # nor are continuous patterns
-        assert sum(rows) == blocks * len(tones)
         burst = clip(rng.uniform(-1, 1, SCREEN_M))
         nfft = _fft_length(s.samples.size, SCREEN_M)
         assert correlate._noise_ratio(np.conj(np.fft.rfft(burst.samples, nfft)), nfft, SCREEN_M, 0.5) >= correlate._NOISE_GATE
         rows.clear()
         scan_group(s, [burst], (), 0.5, 0.5)  # nor is a pattern that fails the gate
         assert sum(rows) == blocks
+
+
+def sustained_take(rng, kinds, n):
+    """A take of n samples whose i-th block of SCREEN_STEP lags is of kinds[i], for the continuous screen.
+
+    "on0" and "on1" hold the carrier of CONTINUOUS_TONES[0] or [1] over
+    the whole block, "half0" the first's over the block's second half,
+    in quiet noise; a carrier is phase-continuous, so blocks of one kind
+    in a row make one segment across their edges. "quiet", "zero" and
+    "noise" are as in `block_take`.
+    """
+    s = np.zeros(n)
+    t = np.arange(n)
+    for b, kind in enumerate(kinds):
+        lo, hi = b * SCREEN_STEP, min((b + 1) * SCREEN_STEP, n)
+        if kind != "zero":
+            s[lo:hi] = rng.normal(0, 0.5 if kind == "noise" else 1e-3, hi - lo)
+        if kind.startswith(("on", "half")):
+            m, cycles = CONTINUOUS_TONES[int(kind[-1])]
+            start = lo if kind.startswith("on") else (lo + hi) // 2
+            s[start:hi] += 0.3 * np.sin(2 * np.pi * cycles / m * t[start:hi])
+    return clip(s / max(1.0, float(np.max(np.abs(s)))))
+
+
+CONTINUOUS_TONES = [(SCREEN_M, 97), (1536, 30)]  # (samples, cycles) of two tonal continuous patterns of two lengths
+
+
+class TestScreenContinuous:
+    """Continuous blocks no box mean above the threshold can reach are skipped, and no run moves."""
+
+    @staticmethod
+    def scan(s, threshold, workers, per_batch):
+        """(screened runs, irfft rows they took, recorded runs, the recording) of the two continuous tones."""
+        patterns = [clip(tone(m, cycles)) for m, cycles in CONTINUOUS_TONES]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(correlate, "_WORKERS", workers)
+            mp.setattr(correlate, "_BATCH_SAMPLES", _fft_length(len(s), SCREEN_M) * workers * per_batch)
+            rows = irfft_rows(mp)
+            _, screened = scan_group(s, [], patterns, threshold, threshold)
+            computed = sum(rows)
+            rows.clear()
+            recorded = Recorder()
+            _, unscreened = scan_group(s, [], patterns, threshold, threshold, recorded)
+            assert sum(rows) == len(patterns) * correlate._Layout.of(len(s), SCREEN_M).blocks  # recorded: every block
+        return screened, computed, unscreened, recorded
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.lists(st.sampled_from(["zero", "quiet", "noise", "on0", "on1", "half0"]), min_size=1, max_size=6),
+        st.sampled_from([0.3, 0.4, 0.6]),
+        st.sampled_from([1, 2, 3]),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1, 3]),
+    )
+    @example(["quiet", "on0", "on0", "quiet"], 0.4, 2, 0, 3)  # a segment across a block edge, inside a batch
+    @example(["quiet", "half0", "on0", "quiet"], 0.4, 3, 1, 1)  # a segment across a batch edge
+    @example(["on1", "quiet", "zero", "quiet", "on0"], 0.4, 2, 2, 3)  # a block skipped between two live ones
+    @example(["half0"], 0.3, 1, 3, 1)  # a take of one block
+    @example(["noise", "on1", "on1", "on1", "on1", "noise"], 0.3, 3, 4, 1)  # one-block batches, three workers
+    def test_runs_equal_the_unscreened_runs(self, kinds, threshold, workers, seed, per_batch):
+        rng = np.random.default_rng(seed)
+        n = (len(kinds) - 1) * SCREEN_STEP + int(rng.integers(SCREEN_M, SCREEN_STEP + 1))
+        s = sustained_take(rng, kinds, n)
+        screened, computed, unscreened, recorded = self.scan(s, threshold, workers, per_batch)
+        assert computed <= len(CONTINUOUS_TONES) * len(kinds)
+        for j, ((m, _), runs, kept) in enumerate(zip(CONTINUOUS_TONES, screened, unscreened)):
+            assert all(np.array_equal(a, b) for a, b in zip(runs, kept))
+            expected = reference_moving_average(np.abs(recorded.trace(j)), m, SCREEN_M)
+            assert recorded.trace(j, True).tobytes() == expected.tobytes()
+            assert list(zip(*(column.tolist() for column in kept))) == reference_runs(expected, threshold)
+        if threshold < 0.5 and {"on0", "half0"} & set(kinds):
+            assert screened[0].starts.size > 0
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_blocks_no_mean_can_reach_are_not_inverse_transformed(self, workers):
+        """Between two segments, quiet blocks with quiet neighbours are skipped when a batch holds them;
+        one-block batches skip none, as a worker cannot see the blocks beside its batch."""
+        kinds = ["on0", "quiet", "quiet", "quiet", "quiet", "quiet", "on1"]
+        s = sustained_take(np.random.default_rng(63), kinds, len(kinds) * SCREEN_STEP)
+        pairs = len(CONTINUOUS_TONES) * len(kinds)
+        for per_batch in (8, 1):
+            screened, computed, unscreened, _ = self.scan(s, 0.4, workers, per_batch)
+            assert computed <= pairs - 2 if per_batch > 1 else computed == pairs, (per_batch, computed)
+            assert [r.starts.size > 0 for r in unscreened] == [True, True]
+            for runs, kept in zip(screened, unscreened):
+                assert all(np.array_equal(a, b) for a, b in zip(runs, kept))
+
+    def test_only_gated_patterns_are_screened(self, monkeypatch):
+        """Each tone passes the gate at 0.4; a noise burst, or a threshold at or below 0, screens nothing."""
+        rng = np.random.default_rng(64)
+        kinds = ["quiet", "on0", "quiet", "quiet", "quiet", "zero"]
+        s = sustained_take(rng, kinds, len(kinds) * SCREEN_STEP)
+        nfft = _fft_length(len(s), SCREEN_M)
+        for m, cycles in CONTINUOUS_TONES:
+            assert correlate._noise_ratio(np.conj(np.fft.rfft(tone(m, cycles), nfft)), nfft, m, 0.4) < correlate._NOISE_GATE
+        rows = irfft_rows(monkeypatch)
+        monkeypatch.setattr(correlate, "_WORKERS", 1)
+        burst = clip(rng.uniform(-1, 1, SCREEN_M))
+        for threshold, patterns in ((0.4, [burst]), (0.0, [clip(tone(SCREEN_M, 97))])):
+            rows.clear()
+            scan_group(s, [], patterns, threshold, threshold)
+            assert sum(rows) == len(kinds)
+
+
+class TestBoxMeanRounding:
+    """A box mean carries the rounding of at most two blocks' sums, however long the trace.
+
+    A quiet second of lags (about 1e-3) follows 2^20 or 2^22 loud ones
+    (about 0.4). Each window in the quiet second is compared with its
+    exact mean (math.fsum of its lags over w): the relative error stays
+    under 128 eps times the sum of the lags from its first block's first
+    lag to its end over the window's own sum, a bound set by the block
+    length, not by the trace's.
+    """
+
+    W = 8820  # 0.2 s at 44.1 kHz
+    QUIET = 44100
+
+    @pytest.fixture(scope="class", params=[1 << 20, 1 << 22], ids=["2^20", "2^22"])
+    def trace(self, request):
+        loud, w = request.param, self.W
+        rng = np.random.default_rng(loud + 1)
+        v = np.abs(np.concatenate((rng.normal(0.0, 0.5, loud), rng.normal(0.0, 1e-3, self.QUIET))))
+        lead = (w - 1) // 2
+        lags = np.unique(np.r_[loud + lead : loud + lead + 8, np.linspace(loud + lead, v.size - w + lead, 97).astype(int)])
+        step = _fft_length(v.size, w) - w + 1
+        exact = np.array([math.fsum(v[i - lead : i - lead + w]) for i in lags])
+        reach = np.array([math.fsum(v[(i - lead) // step * step : i - lead + w]) for i in lags])
+        return v, lags, exact / w, 128 * EPS * reach / exact
+
+    def test_moving_average(self, trace):
+        v, lags, exact, bound = trace
+        error = np.abs(moving_average(CorrelationTrace(v, 44100), self.W / 44100).values[lags] - exact) / exact
+        assert np.all(error <= bound), float(np.max(error / bound))

@@ -44,7 +44,7 @@ from soundcue.correlate import (
     sum_of_squares,
     window_energy,
 )
-from conftest import SR, Recorder, reference_runs, reference_window_energy, silent_clip
+from conftest import SR, Recorder, reference_moving_average, reference_runs, reference_window_energy, silent_clip
 
 
 EPS = np.finfo(float).eps
@@ -515,9 +515,9 @@ class TestDetect:
             groups.append(sorted(len(row) for row in p))
             return real_dot(s, p, *args, **kwargs)
 
-        def prefix_spy(blocks):
+        def prefix_spy(blocks, *args):
             built.append(blocks.shape)
-            return real_prefix(blocks)
+            return real_prefix(blocks, *args)
 
         monkeypatch.setattr(correlate, "_WORKERS", 2)
         monkeypatch.setattr(correlate, "_sliding_dot", dot_spy)
@@ -656,9 +656,12 @@ class TestEntryPointsAgree:
                         assert np.all(np.abs(raw - alone) <= LAYOUT_ULPS * EPS * norms)
                     if pattern.kind is PatternKind.IMPULSE:
                         assert (pattern.id, True) not in recorded.batches
-                    else:
-                        expected = moving_average(trace, aligned.duration_s, rectify=True)
-                        assert recorded.trace(pattern.id, True).tobytes() == expected.values.tobytes()
+                    else:  # summed per block of the longest pattern's layout
+                        averaged = recorded.trace(pattern.id, True)
+                        expected = reference_moving_average(np.abs(trace.values), len(aligned), longest.size)
+                        assert averaged.tobytes() == expected.tobytes()
+                        if one_length:
+                            assert averaged.tobytes() == moving_average(trace, aligned.duration_s, True).values.tobytes()
 
 
 @st.composite
@@ -744,22 +747,27 @@ class TestStreamedContinuous:
         st.sampled_from([0.3, 0.5, 0.7]),
         st.sampled_from([0.0, 0.05, 0.15]),
     )
-    @example([0.0] * 3 + [0.9] * 4 + [0.0] * 3, 1, [5], 0.5, 0.0)  # a run that crosses a row edge
-    @example([0.0] * 3 + [0.9] * 6 + [0.0] * 3, 1, [4, 7], 0.5, 0.0)  # a run that fills a whole row
+    @example([0.0] * 3 + [0.9] * 4 + [0.0] * 3, 1, [5], 0.5, 0.0)  # a run that crosses a batch edge
+    @example([0.0] * 3 + [0.9] * 6 + [0.0] * 3, 1, [4, 7], 0.5, 0.0)  # a run that fills a whole batch
     @example([0.0] * 5 + [-0.9] * 4, 3, [6, 8], 0.5, 0.0)  # a run that touches the end of the take
     @example([0.9] * 3 + [0.0] + [0.9] * 3, 2, [2, 5], 0.5, 0.0)  # two runs whose supports touch
     def test_rows_decide_like_the_whole_trace(self, values, w, cuts, threshold, min_duration):
+        """Blocks of w + 1 lags, in batches cut at the blocks that hold the cuts."""
         detect_module = importlib.import_module("soundcue.detect")
         v, rate = np.asarray(values, dtype=float), self.RATE
         pattern = SoundPattern("c", AudioClip(np.full(w, 0.5), rate), PatternKind.CONTINUOUS)
         cfg = DetectorConfig(continuous_threshold=threshold, continuous_min_duration_s=min_duration)
-        box = correlate._Decider(threshold, correlate._BoxMean(v.size, w, rectify=True))
-        for lo, hi in cut_rows(v.size, cuts):
-            box(v[lo:hi].copy())  # the engine hands a sink lags it may overwrite
+        step = w + 1
+        blocks = -(-v.size // step)
+        rows = np.concatenate((v, np.zeros(blocks * step - v.size))).reshape(blocks, step)
+        box = correlate._Box(v.size, w, threshold)
+        for lo, hi in cut_rows(blocks, [c // step for c in cuts]):
+            batch = rows[lo:hi].copy()
+            box.push(lo, [box.found(batch, lo, batch)])  # a worker writes the means over the lags
         duration = v.size / rate
         streamed = detect_module._continuous_intervals(box.decided(), pattern, cfg, rate, duration)
-        averaged = moving_average(CorrelationTrace(v, rate), pattern.duration_s, rectify=True)
-        rows = reference_runs(averaged.values, threshold)
+        averaged = reference_moving_average(np.abs(v), w, step=step)
+        rows = reference_runs(averaged, threshold)
         whole_runs = Runs(*(np.array([row[k] for row in rows]) for k in range(3)))
         whole = detect_module._continuous_intervals(whole_runs, pattern, cfg, rate, duration)
         assert streamed == whole
@@ -787,7 +795,7 @@ class TestStreamedContinuous:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_recorded_scan_picks_impulse_peaks_as_the_plain_one(self, dictionary, workers, monkeypatch):
-        """Under `record`, only continuous clips get a `_Decider`, and the impulse peaks are the plain scan's.
+        """Under `record`, only continuous clips get a `_Box`, and the impulse peaks are the plain scan's.
 
         A constant "knock" scores exactly 1.0 on a constant stretch whose
         windows cross the first batch edge (one block per batch): the
@@ -804,20 +812,20 @@ class TestStreamedContinuous:
         s[lo : hi + m] = 2.0**-10
         planted = [PlantedInstance("tick", onset_s=1.4), PlantedInstance("chhh", t_begin_s=1.9, t_end_s=2.9)]
         s = AudioClip(s + plant({p.id: p.clip for p in patterns}, planted, duration=3.0).samples, SR)  # past block 1
-        built, real_decider = [], correlate._Decider
+        built, real_box = [], correlate._Box
 
-        def decider_spy(threshold, box, record=None):
-            built.append(box)
-            return real_decider(threshold, box, record)
+        def box_spy(*args, **kwargs):
+            built.append(real_box(*args, **kwargs))
+            return built[-1]
 
-        monkeypatch.setattr(correlate, "_Decider", decider_spy)
+        monkeypatch.setattr(correlate, "_Box", box_spy)
         monkeypatch.setattr(correlate, "_WORKERS", workers)
         monkeypatch.setattr(correlate, "_BATCH_SAMPLES", _fft_length(len(s), len(dictionary["chhh"].clip)) * workers)
         cfg = DetectorConfig(continuous_min_duration_s=0.0)
         plain = detect(s, patterns, cfg).tracks[0].events
         recorded = Recorder()
         events = detect(s, patterns, cfg, record=recorded).tracks[0].events
-        assert len(built) == 2 and all(isinstance(box, correlate._BoxMean) for box in built)  # chhh's, once per scan
+        assert len(built) == 2 and {box.w for box in built} == {len(dictionary["chhh"].clip)}  # chhh's, once per scan
         assert events == plain
         assert recorded.batches.keys() == {("tick", False), ("knock", False), ("chhh", False), ("chhh", True)}
         trace = recorded.trace("knock")
