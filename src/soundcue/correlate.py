@@ -25,20 +25,23 @@ from the prefix rows of the blocks on either side (`_Box`).
 `moving_average` is that per-block code over a lone pattern's layout.
 `scan_group` is the pipeline's one entry to the engine. The
 single-pattern functions, `normalized_cross_correlate` and
-`raw_cross_correlate` (a group of one whose sink fills the trace),
+`raw_cross_correlate` (a group of one whose lags are recorded whole),
 `window_energy`, `moving_average` and `find_local_maxima`, are the
-references that tests and the acceptance criteria read. Lags leave the
-engine only through per-batch sinks, pickers and boxes, and
-`scan_group` decides as they go, so no trace exists at take length:
-beside the take, the group holds the batches in flight with their lags
-above the threshold and their box means' runs, one prefix row per
-continuous pattern, and the runs and peaks found. A strict local
-maximum above a threshold depends only on the lags above it: the
-workers list an impulse pattern's lags above the threshold with their
-values, and one `_Peaks` per pattern picks the peaks from them on the
-calling thread, carrying one plateau across batch edges.
-`find_local_maxima` is that picker over one trace, so the peak
-definition exists once, for plain, recorded and reference scans.
+references that tests and the acceptance criteria read. A pattern's
+lags leave the engine only through its decider: a worker hands it each
+run of live, normalized rows (`found`), and the calling thread hands it
+what the runs found, batch by batch in lag order (`push`). So no trace
+exists at take length: beside the take, the group holds the batches in
+flight with what their rows found, one prefix row per continuous
+pattern, and the runs and peaks found. An impulse pattern's decider is
+a `_Peaks`: a strict local maximum above a threshold depends only on
+the lags above it, so the workers list those lags with their values,
+and it picks the peaks on the calling thread, carrying one plateau
+across batch edges. A continuous pattern's is a `_Box`, and a recorded
+pattern's a `_Record`, which hands its lags to a callback before the
+`_Peaks` or `_Box` it wraps decides them. `find_local_maxima` is
+`_Peaks` over one trace and `moving_average` `_Box` over one, so each
+decision is defined once, for plain, recorded and reference scans.
 
 An impulse pattern can only fire near its own instances, so its blocks
 are screened before they are inverse-transformed: the upper-bound early
@@ -53,7 +56,7 @@ the threshold. The margin is far above pocketfft's rounding, which is
 O(eps * log2(N) * sqrt(N)) of B, about 1e-12 at N = 2^15. Such a dead
 block is neither multiplied, inverse-transformed nor normalized, and
 lists no lag above the threshold, which is what its real lags would
-list, so the picker decides as it would unscreened. Live blocks run the
+list, so `_Peaks` decides as it would unscreened. Live blocks run the
 unscreened code, so their lags are the same bit for bit. The bound
 holds |lag|, so it holds a continuous pattern's rectified box means as
 well: a window over dead blocks averages to at most its threshold
@@ -62,9 +65,10 @@ has a live neighbour, as a window reaches at most one block beside its
 own, and the first and last block of each batch, whose neighbours in
 other batches its worker cannot see; the means of windows that touch a
 block it skipped are not taken, and cannot reach a run. A pattern is
-screened when its lags are not recorded, its threshold is above 0, and
-its bound on white noise is expected below its limit (`_noise_ratio`):
-tonal cues are, noise bursts, whose bound spreads over every bin, are not.
+screened when its decider has a level (a `_Record` has none) above 0,
+and its bound on white noise is expected below its limit
+(`_noise_ratio`): tonal cues are, noise bursts, whose bound spreads over
+every bin, are not.
 
 Lag convention: values[tau] is the score for the pattern *starting* at
 sample tau of the sequence, with the sequence treated as zero beyond its
@@ -256,7 +260,7 @@ class _Layout(NamedTuple):
 
     @classmethod
     def of(cls, n: int, m_max: int) -> _Layout:
-        nfft = _fft_length(n, m_max)
+        nfft = _fft_length(max(n, 1), m_max)  # an empty trace gets a positive step, and no blocks
         step = nfft - m_max + 1
         blocks = -(-n // step)
         inside = min(max((n - nfft) // step + 1, 0), blocks)
@@ -349,40 +353,25 @@ def _box_at(prefix: np.ndarray, first: int, lags: np.ndarray, n: int, w: int) ->
     return sums / (ends - starts)
 
 
-def _crossing(tails: np.ndarray, heads: np.ndarray, w: int, out: np.ndarray) -> np.ndarray:
-    """The sums of the w - 1 windows of w lags that cross from a block into the next, from the prefix rows of both.
-
-    A window that starts at lag t of the first block, t = step - w + 1 ..
-    step - 1, sums to the first's tail, tails[step] - tails[t], plus the
-    next's head, heads[t + w - step]. Rows may be stacked, one pair per
-    edge; the sums are written to `out`.
-    """
-    step = tails.shape[-1] - 1
-    np.subtract(tails[..., step:], tails[..., step - w + 1 : step], out=out)
-    return np.add(out, heads[..., 1:w], out=out)
-
-
-def _box_means(prefix: np.ndarray, first: int, n: int, w: int, out: np.ndarray) -> list[tuple[int, np.ndarray]]:
-    """The box means of the lags whose windows lie in consecutive blocks, as (first lag, means) pieces in lag order.
+def _box_means(prefix: np.ndarray, first: int, lo: int, hi: int, n: int, w: int, out: np.ndarray) -> list:
+    """The box means of lags lo .. hi - 1, whose windows lie in consecutive blocks, as (first lag, means) pieces in lag order.
 
     `prefix` holds the blocks' prefix rows (`_prefix_sums`, (c, step +
     1)), from block `first` on, so block b holds lags b*step ..
     (b+1)*step - 1. Lag i's window is [i - lead, i - lead + w) clamped
     to [0, n), lead = (w - 1) // 2, and its mean the window's sum over
     its length. With w <= step, a window touches at most two blocks: one
-    inside block b sums to one difference of b's row, and one that
-    crosses from block b into b + 1 to b's tail, row_b[step] - row_b[t],
-    plus b + 1's head. So each mean carries the rounding of at most two
-    blocks' sums, whatever the take's length, and its bits depend only
-    on the blocks, not on how they are batched. The unclamped windows'
-    sums are slices, written to `out`, (c, step), and divided there; the
-    at most w - 1 clamped ones at either end of the take are indexed one
-    by one (`_box_at`).
+    inside block b sums to one difference of b's row, and one from lag
+    t > step - w of b on to b's tail, row_b[step] - row_b[t], plus b +
+    1's head, row_b+1[t + w - step]. So each mean carries the rounding
+    of at most two blocks' sums, whatever the take's length, and its
+    bits depend only on the blocks, not on how they are batched. The
+    unclamped windows' sums are slices, written to `out`, (c, step), and
+    divided there; the at most w - 1 clamped ones at either end of the
+    take are indexed one by one (`_box_at`).
     """
-    c, step = prefix.shape[0], prefix.shape[1] - 1
+    step = prefix.shape[1] - 1
     lead = (w - 1) // 2
-    lo = 0 if first == 0 else min(first * step + lead, n)
-    hi = max(n if (first + c) * step >= n else (first + c) * step + lead - w + 1, lo)
     a = min(max(lo, lead), hi)  # the first lag whose window starts inside the take
     b = max(min(hi, n - w + lead + 1), a)  # the first lag whose window runs past its end
     pieces = []
@@ -391,7 +380,9 @@ def _box_means(prefix: np.ndarray, first: int, n: int, w: int, out: np.ndarray) 
     if a < b:
         inner = step - w + 1  # windows from each block's first lag on that end inside it
         np.subtract(prefix[:, w:], prefix[:, :inner], out=out[:, :inner])
-        _crossing(prefix[:-1], prefix[1:], w, out[:-1, inner:])
+        crossing = out[:-1, inner:]  # the windows that cross into the next block: the tail, plus the next one's head
+        np.subtract(prefix[:-1, step:], prefix[:-1, inner:step], out=crossing)
+        np.add(crossing, prefix[1:, 1:w], out=crossing)
         base = first * step + lead  # the lag whose window starts at the first block's first lag
         means = out.reshape(-1)[a - base : b - base]
         np.divide(means, w, out=means)
@@ -454,25 +445,23 @@ class _Batch(NamedTuple):
     lo: int  # its first lag
     k: int  # its number of blocks
     samples: np.ndarray  # its segment of the take (`_segments`)
-    found: list  # per lane, what `run` found in its live rows: lags above the threshold (`_above`), box means (`_Box.found`)
+    found: list  # per lane, what its decider's `found` gave for each run of live blocks, in block order
 
 
 class _Lane(NamedTuple):
     """One pattern's part of an engine call, fixed for the call; the lists hold one buffer per slot.
 
     A batch's lags go to dead memory, the product spectrum its inverse
-    FFT has read, unless a sink needs them past the batch: then the last
-    pattern's stay in the forward spectrum it multiplied in place, and
-    each other pattern's go to its own row buffer.
+    FFT has read, unless the decider keeps them until its `push`: then
+    the last pattern's stay in the forward spectrum it multiplied in
+    place, and each other pattern's go to its own row buffer.
     """
 
     spec: np.ndarray  # conj(rfft(pattern, nfft))
     m: int
     energy: Optional[float]  # None for raw lags
     column: Optional[int]  # its column in the screen's result; None when not screened
-    sink: Optional[Callable[[np.ndarray], None]]
-    picker: Optional[_Peaks]  # what picks its peaks; None when they are not picked
-    box: Optional[_Box]  # what takes its box means; None when they are not taken
+    decider: _Peaks | _Box | _Record
     products: list  # where its product spectra go
     lags: list  # where its lags go, step per block, flat
 
@@ -480,28 +469,25 @@ class _Lane(NamedTuple):
 def _sliding_dot(
     s: np.ndarray,
     patterns: Sequence[np.ndarray],
-    sinks: Sequence[Optional[Callable[[np.ndarray], None]]],
+    deciders: Sequence[_Peaks | _Box | _Record],
     energies: Optional[Sequence[float]] = None,
-    peaks_above: Optional[float] = None,
-    pickers: Optional[Sequence[Optional[_Peaks]]] = None,
-    boxes: Optional[Sequence[Optional[_Box]]] = None,
 ) -> None:
-    """sum_u s[tau+u] * p[u] for tau = 0..len(s)-1 and each pattern p, s zero-padded at the tail.
+    """sum_u s[tau+u] * p[u] for tau = 0..len(s)-1 and each pattern p, s zero-padded at the tail, each decided by its decider.
 
     `patterns` is a group of patterns of any lengths (1-D arrays, or a 2-D
-    array) sharing one `_Layout`, with one entry of `sinks` each. Given
-    `energies`, one per pattern, each lag is divided by sqrt(take energy *
-    pattern energy), the take energy from its block's prefix sum
-    (`_block_prefix`; `window_energy(s, m)`'s bit for bit when m is the
-    group's longest length), and clipped to [-1, 1]. sinks[j], if not
-    None, gets pattern j's lags on the calling thread, batch by batch in
-    lag order, and may overwrite them. Given `peaks_above` (normalized
-    only) and pickers[j], a `_Peaks`, pattern j's lags above it are
-    pushed into pickers[j] batch by batch on the calling thread. Given
-    boxes[j], a `_Box`, the workers take pattern j's box means and their
-    runs block by block, and it takes them batch by batch on the calling
-    thread. Such a pattern without a sink is screened (see the module
-    docstring).
+    array) sharing one `_Layout`, with one decider each. Given `energies`,
+    one per pattern, each lag is divided by sqrt(take energy * pattern
+    energy), the take energy from its block's prefix sum (`_block_prefix`;
+    `window_energy(s, m)`'s bit for bit when m is the group's longest
+    length), and clipped to [-1, 1]. A worker hands each run of a batch's
+    live blocks to deciders[j].found(rows, first block, scratch): pattern
+    j's lags, (c, step), and the run's inverse FFTs, dead once normalized,
+    (c, step + 1). The calling thread hands what the runs found, in block
+    order, to deciders[j].push(found, stop), batch by batch in lag order,
+    `stop` being the end of the batch's lags inside the take. A decider is
+    screened at its `level`, if any (see the module docstring); a `wide`
+    one also computes the blocks beside a live one, and a `keeps` one's
+    rows stay valid until its `push`.
     """
     group = list(patterns)
     g = len(group)
@@ -517,19 +503,18 @@ def _sliding_dot(
     shared = buffers((most, half), complex) if g > 1 else None  # the product spectra of all but the last pattern
     lanes: list[_Lane] = []
     limits, margins = [], []  # per screened lane, the level its lags are decided at and its bound's margin
-    for j, (pattern, sink, picker, box) in enumerate(zip(group, sinks, pickers or [None] * g, boxes or [None] * g)):
+    for j, (pattern, decider) in enumerate(zip(group, deciders)):
         spec = np.conj(np.fft.rfft(pattern, nfft))
         products = specs if j == g - 1 else shared  # the last pattern multiplies in place
-        lags = buffers(most * step) if sink is not None and j < g - 1 else [p.view(float).reshape(-1) for p in products]
-        level = box.threshold if box is not None else peaks_above if picker is not None else None
-        gated = (energies is not None and sink is None and level is not None and level > 0
-                 and _noise_ratio(spec, nfft, pattern.size, level) < _NOISE_GATE)
+        lags = buffers(most * step) if decider.keeps and j < g - 1 else [p.view(float).reshape(-1) for p in products]
+        level = decider.level
+        gated = level is not None and level > 0 and _noise_ratio(spec, nfft, pattern.size, level) < _NOISE_GATE
         column = len(limits) if gated else None
         if gated:
             limits.append(level)
-            margins.append(1.0 + _BOUND_MARGIN if box is None else _box_margin(step, box.w))
+            margins.append(decider.margin(step))
         energy = None if energies is None else energies[j]
-        lanes.append(_Lane(spec, pattern.size, energy, column, sink, picker, box, products, lags))
+        lanes.append(_Lane(spec, pattern.size, energy, column, decider, products, lags))
     screened = [lane for lane in lanes if lane.column is not None]
     if screened:
         weights = np.stack([_bound_weights(lane.spec, nfft) for lane in screened])
@@ -572,7 +557,7 @@ def _sliding_dot(
         for lane in lanes:
             product = lane.products[slot]
             alive = np.ones(k, dtype=bool) if lane.column is None else ~dead[:, lane.column]
-            if lane.box is not None:  # a box mean reads the blocks beside its own; one in another batch counts as live
+            if lane.decider.wide:  # a block beside a live one counts as live, as does one in another batch
                 alive |= np.r_[first > 0, alive[:-1]] | np.r_[alive[1:], first + k < lay.blocks]
             live = np.flatnonzero(alive)
             if live.size < k:  # the live blocks' spectra, moved to the front (b >= r, so in place too)
@@ -583,7 +568,7 @@ def _sliding_dot(
                 np.multiply(source[: live.size], lane.spec, out=product[: live.size])
                 np.fft.irfft(product[: live.size], nfft, axis=1, out=out[: live.size])
             lags = lane.lags[slot][: k * step].reshape(k, step)
-            found = []  # per run of live blocks, what it found
+            found = []
             r = 0  # the row of `out` and of `lags` that holds the run's first block
             for b, count in _live_runs(alive):
                 rows = lags[r : r + count]
@@ -595,33 +580,21 @@ def _sliding_dot(
                     np.sqrt(denom, out=denom)
                     np.divide(out[r : r + count, :step], rows, out=rows)
                     np.clip(rows, -1.0, 1.0, out=rows)
-                if lane.picker is not None:
-                    start = lo + b * step
-                    found.append(_above(rows.reshape(-1)[: n - start], peaks_above, start))
-                if lane.box is not None:  # the inverse FFTs are dead once normalized, and so are the lags once summed, unless a sink reads them
-                    means = rows if lane.sink is None else np.empty_like(rows)
-                    found.append(lane.box.found(rows, first + b, means, out[r : r + count, : step + 1]))
+                found.append(lane.decider.found(rows, first + b, out[r : r + count, : step + 1]))
                 r += count
-            if lane.picker is not None:
-                found = [np.concatenate(part) for part in zip(*found)] if found else _NOTHING_ABOVE
             batch.found.append(found)
 
     def finish(batch: _Batch) -> None:
-        """Hand the batch's lags inside the take to the sinks, and what its rows found to the pickers and the boxes."""
+        """Hand each decider what the batch's rows found."""
         stop = min(batch.lo + batch.k * step, n)
         for lane, found in zip(lanes, batch.found):
-            if lane.sink is not None:
-                lane.sink(lane.lags[batch.slot][: stop - batch.lo])
-            if lane.picker is not None:
-                lane.picker.push(*found, stop)
-            if lane.box is not None:
-                lane.box.push(batch.lo // step, found)
+            lane.decider.push(found, stop)
 
     _ring(lay.batches, lay.slots, prepare, run, finish)
 
 
 def _whole(s: np.ndarray, patterns: Sequence[np.ndarray], energies: Optional[Sequence[float]] = None) -> np.ndarray:
-    """`_sliding_dot`'s lags of every pattern over the whole take, shape (g, len(s)), each row filled by its sink."""
+    """`_sliding_dot`'s lags of every pattern over the whole take, shape (g, len(s)), each row filled by its `_Record`."""
     out = np.empty((len(patterns), s.size))
     filled = [0] * len(patterns)  # lags each row holds so far
 
@@ -629,7 +602,7 @@ def _whole(s: np.ndarray, patterns: Sequence[np.ndarray], energies: Optional[Seq
         out[j, filled[j] : filled[j] + lags.size] = lags
         filled[j] += lags.size
 
-    _sliding_dot(s, patterns, [partial(sink, j) for j in range(len(patterns))], energies)
+    _sliding_dot(s, patterns, [_Record(partial(sink, j)) for j in range(len(patterns))], energies)
     return out
 
 
@@ -687,17 +660,15 @@ def moving_average(trace: CorrelationTrace, window_s: float, rectify: bool = Fal
 
     The box means a continuous pattern's lags get in `scan_group`, here
     over the layout of a lone pattern of the window's length: the same
-    per-block code (`_Box`), batch by batch. With `rectify`, the mean is
-    of |values|, rectified straight into each block's prefix sum, so no
+    decider (`_Box`), batch by batch. With `rectify`, the mean is of
+    |values|, rectified straight into each block's prefix sum, so no
     rectified copy of the trace is made.
     """
     if window_s <= 0:
         raise ValueError(f"window_s must be positive, got {window_s}")
     n, rate = len(trace), trace.sample_rate_hz
     w = _box_width(window_s, rate)
-    if w <= 1 or n == 0:  # each window is its lag
-        return _fresh_trace(np.absolute(trace.values), rate) if rectify else trace
-    lay = _Layout.of(n, w)
+    lay = _Layout.of(n, max(w, 1))
     out = np.empty(n)
     filled = 0
 
@@ -713,7 +684,7 @@ def moving_average(trace: CorrelationTrace, window_s: float, rectify: bool = Fal
         inside = min(n - lo, rows.size)
         rows.reshape(-1)[:inside] = trace.values[lo : lo + inside]
         rows.reshape(-1)[inside:] = 0.0
-        box.push(lo // lay.step, [box.found(rows, lo // lay.step, rows)])
+        box.push([box.found(rows, lo // lay.step)], lo + inside)
     return _fresh_trace(out, rate)
 
 
@@ -737,27 +708,38 @@ _NOTHING_ABOVE = _above(np.empty(0), 0.0)
 
 
 class _Peaks:
-    """The strict local maxima above a threshold of an n-lag trace, picked from the lags above it, pushed in lag order.
+    """The decider of an impulse pattern: the strict local maxima above `level` of its n-lag trace, from the lags above it.
 
-    `push(lags, values, stop)` takes the lags from the last push's stop (0
-    at first) to `stop`, exclusive, that `_above` lists, with their
-    values. Every other lag there is at most the threshold, so below each
-    listed value. A plateau, a run of consecutive listed lags of equal
-    values, is a maximum when it has both neighbours in the trace and
-    both are lower; it reports its center lag (the floor of the
+    A worker's `found` lists a run of rows' lags above the level with
+    their values (`_above`); `push(found, stop)` takes what it listed for
+    the lags from the last push's stop (0 at first) to `stop`, exclusive,
+    run by run in lag order. Every other lag there is at most the level,
+    so below each listed value. A plateau, a run of consecutive listed
+    lags of equal values, is a maximum when it has both neighbours in the
+    trace and both are lower; it reports its center lag (the floor of the
     midpoint). A plateau that ends at a push's stop waits for the next
     push. Between pushes only that plateau is carried, as scalars: its
     first and last lags, its value and whether its left neighbour is
     lower.
     """
 
-    def __init__(self, n: int):
-        self.n = n
+    wide = keeps = False  # see `_sliding_dot`
+
+    def __init__(self, n: int, level: float):
+        self.n, self.level = n, level
         self.open: Optional[tuple[int, int, float, bool]] = None  # the plateau that ends at the last stop - 1
         self.lags: list[np.ndarray] = []  # the centers and values of the maxima found, per push that found any
         self.values: list[np.ndarray] = []
 
-    def push(self, lags: np.ndarray, values: np.ndarray, stop: int) -> None:
+    def margin(self, step: int) -> float:
+        return 1.0 + _BOUND_MARGIN
+
+    def found(self, rows: np.ndarray, first: int, scratch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        lo = first * rows.shape[1]
+        return _above(rows.reshape(-1)[: self.n - lo], self.level, lo)
+
+    def push(self, found: list, stop: int) -> None:
+        lags, values = (np.concatenate(part) for part in zip(_NOTHING_ABOVE, *found))
         carried = self.open
         if carried is not None:
             lags, values = np.r_[carried[1], lags], np.r_[carried[2], values]
@@ -784,7 +766,7 @@ class _Peaks:
             self.lags.append((firsts[keep] + lags[ends[keep]]) // 2)
             self.values.append(heights[keep])
 
-    def found(self) -> tuple[np.ndarray, np.ndarray]:
+    def decided(self) -> tuple[np.ndarray, np.ndarray]:
         """The maxima's center lags (int64) and values (float64) so far, in lag order."""
         return np.concatenate([np.empty(0, dtype=np.int64), *self.lags]), np.concatenate([np.empty(0), *self.values])
 
@@ -795,11 +777,11 @@ def find_local_maxima(trace: CorrelationTrace, threshold: float) -> list[tuple[i
     A plateau counts once and reports its center sample (floor of the
     midpoint for even plateaus). Runs touching either end of the trace are
     never maxima, so a monotone trace yields nothing. This is the engine's
-    picker (`_Peaks`) over the trace pushed whole.
+    decider (`_Peaks`) over the trace pushed whole.
     """
-    peaks = _Peaks(len(trace))
-    peaks.push(*_above(trace.values, threshold), len(trace))
-    lags, values = peaks.found()
+    peaks = _Peaks(len(trace), threshold)
+    peaks.push([_above(trace.values, threshold)], len(trace))
+    lags, values = peaks.decided()
     return list(zip(lags.tolist(), values.tolist()))
 
 
@@ -840,78 +822,97 @@ def _stitch_runs(rows: Sequence[Runs]) -> Runs:
 
 
 class _Box:
-    """A continuous pattern's box means over w lags of its n, and their runs above `threshold`, block by block.
+    """The decider of a continuous pattern: box means over w lags of its n, and their runs above `level`, block by block.
 
-    The workers call `found` on each run of consecutive blocks of a batch
-    whose lags they computed: it takes each block's prefix sum of the
-    lags, rectified by `op` (`_prefix_sums`), and from them the means of
-    the windows that lie in those blocks (`_box_means`) and their runs
-    (`_row_runs`). The calling thread pushes each batch's, in batch
-    order: `push` takes the w - 1 windows across the batch's first edge
-    from the prefix rows of the blocks on either side of it (`_crossing`),
-    hands every piece of means, in lag order, to `record` if given, and
-    keeps the runs, which `decided` stitches. So the calling thread holds
-    one prefix row between batches, and every mean is the same bit for
-    bit however the blocks are batched.
+    A worker's `found` takes, for a run of consecutive blocks whose lags
+    it computed, each block's prefix sum of the lags, rectified by `op`
+    (`_prefix_sums`), and from them the means of the windows that lie in
+    those blocks (`_box_means`) and their runs (`_row_runs`). On the
+    calling thread, `push` takes a batch's, in batch order, with the
+    w - 1 windows across its first edge, from the prefix rows of the
+    blocks on either side (`_box_means` again); it hands every piece of
+    means, in lag order, to `record` if given, and keeps the runs, which
+    `decided` stitches. So the calling thread holds one prefix row
+    between batches, and every mean is the same bit for bit however the
+    blocks are batched.
 
-    A screened pattern computes a block when it or a neighbour is live,
-    and the first and last block of every batch, whose neighbour in
-    another batch the worker cannot see; a window that touches a block
-    not computed touches only dead ones, and its mean is at most the
-    threshold (`_box_margin`), so it is not taken.
+    A screened pattern computes a block when it or a neighbour is live
+    (`wide`), and the first and last block of every batch, whose
+    neighbour in another batch the worker cannot see; a window that
+    touches a block not computed touches only dead ones, and its mean is
+    at most the level (`_box_margin`), so it is not taken.
     """
 
-    def __init__(self, n: int, w: int, threshold: float, record: Optional[Callable] = None, op: Callable = np.absolute):
-        self.n, self.w, self.threshold, self.record, self.op = n, w, threshold, record, op
+    wide, keeps = True, False  # see `_sliding_dot`
+
+    def __init__(self, n: int, w: int, level: float, record: Optional[Callable] = None, op: Callable = np.absolute):
+        self.n, self.w, self.level, self.record, self.op = n, w, level, record, op
         self.tail: Optional[np.ndarray] = None  # the prefix row of the last block pushed
         self.runs: list[Runs] = []  # the runs of the means pushed, piece by piece
 
-    def found(self, rows: np.ndarray, first: int, out: np.ndarray, sums: Optional[np.ndarray] = None) -> tuple:
-        """For the lags `rows` (c, step) of blocks first .. first + c - 1: (means pieces, their runs, first and last prefix rows).
+    def margin(self, step: int) -> float:
+        return _box_margin(step, self.w)
 
-        The rectified lags and then the means are written to `out`, which
-        may be `rows` itself, and the prefix sums to `sums`, (c, step + 1),
-        if given.
+    def found(self, rows: np.ndarray, first: int, sums: Optional[np.ndarray] = None) -> tuple:
+        """For the lags `rows` (c, step) of blocks first .. first + c - 1: (first, means pieces, their runs, first and last prefix rows).
+
+        The rectified lags and then the means are written over `rows`, and
+        the prefix sums to `sums`, (c, step + 1), if given.
         """
-        if self.w <= 1:  # each window is its lag
-            self.op(rows, out=out)
-            lo = first * rows.shape[1]
-            pieces, head, tail = [(lo, out.reshape(-1)[: self.n - lo])], None, None
-        else:
-            prefix = _prefix_sums(rows, self.op, out, sums)
-            pieces = _box_means(prefix, first, self.n, self.w, out)
-            head, tail = prefix[0].copy(), prefix[-1].copy()
-        return pieces, self._runs(pieces), head, tail
+        (c, step), n, w = rows.shape, self.n, self.w
+        if w <= 1:  # each window is its lag
+            self.op(rows, out=rows)
+            pieces = [(first * step, rows.reshape(-1)[: n - first * step])]
+            return first, pieces, self._runs(pieces), None, None
+        prefix = _prefix_sums(rows, self.op, rows, sums)
+        lead = (w - 1) // 2
+        lo = 0 if first == 0 else min(first * step + lead, n)
+        hi = max(n if (first + c) * step >= n else (first + c) * step + lead - w + 1, lo)
+        pieces = _box_means(prefix, first, lo, hi, n, w, rows)
+        return first, pieces, self._runs(pieces), prefix[0].copy(), prefix[-1].copy()
 
     def _runs(self, pieces: list) -> list[Runs]:
-        return [_row_runs(means, self.threshold, lo) for lo, means in pieces]
+        return [_row_runs(means, self.level, lo) for lo, means in pieces]
 
-    def push(self, first: int, found: list) -> None:
-        """Take a batch from block `first` on: what `found` gave for each of its runs of computed blocks, in block order."""
-        for j, (pieces, runs, head, tail) in enumerate(found):
-            if j == 0 and first > 0 and self.w > 1:  # the batch's first block is computed: see above
-                edge = [self._edge(first, head)]
-                pieces, runs = edge + pieces, self._runs(edge) + runs
+    def push(self, found: list, stop: int) -> None:
+        """Take a batch: what `found` gave for each of its runs of computed blocks, in block order."""
+        for j, (first, pieces, runs, head, tail) in enumerate(found):
+            if j == 0 and self.tail is not None:  # the batch's first block is computed: see above
+                start = first * (head.size - 1) + (self.w - 1) // 2  # the first lag whose window starts in block `first`
+                prefix = np.stack((self.tail, head))  # blocks first - 1 and `first`
+                crossing = _box_means(prefix, first - 1, start - self.w + 1, min(start, self.n), self.n, self.w, np.empty_like(prefix[:, 1:]))
+                pieces, runs = crossing + pieces, self._runs(crossing) + runs
             if self.record is not None:
                 for _, means in pieces:
                     self.record(means)
             self.runs.extend(runs)
             self.tail = tail
 
-    def _edge(self, first: int, head: np.ndarray) -> tuple[int, np.ndarray]:
-        """The means of the w - 1 windows that cross from block first - 1 into block `first`, whose prefix row is `head`."""
-        n, w = self.n, self.w
-        step, lead = head.size - 1, (w - 1) // 2
-        lo, hi = first * step + lead - w + 1, min(first * step + lead, n)
-        b = min(hi, n - w + lead + 1)  # the first lag whose window runs past the take's end
-        means = _crossing(self.tail, head, w, np.empty(w - 1))[: b - lo]
-        np.divide(means, w, out=means)
-        if b < hi:
-            means = np.concatenate((means, _box_at(np.stack((self.tail, head)), first - 1, np.arange(b, hi), n, w)))
-        return lo, means
-
     def decided(self) -> Runs:
         return _stitch_runs(self.runs)
+
+
+class _Record:
+    """The decider of a recorded pattern: its lags go to `record`, batch by batch in lag order, and then to `inner`, if given.
+
+    It is never screened, and its rows are kept until they are recorded,
+    so `inner`, a `_Peaks` or `_Box`, decides a copy of them: a `_Box`
+    writes its means over the rows it is given.
+    """
+
+    level, wide, keeps = None, False, True  # see `_sliding_dot`
+
+    def __init__(self, record: Callable[[np.ndarray], None], inner: Optional[_Peaks | _Box] = None):
+        self.record, self.inner = record, inner
+
+    def found(self, rows: np.ndarray, first: int, scratch: np.ndarray) -> tuple:
+        return first * rows.shape[1], rows, None if self.inner is None else self.inner.found(rows.copy(), first, scratch)
+
+    def push(self, found: list, stop: int) -> None:
+        for lo, rows, _ in found:
+            self.record(rows.reshape(-1)[: stop - lo])
+        if self.inner is not None:
+            self.inner.push([decided for _, _, decided in found], stop)
 
 
 def scan_group(
@@ -928,34 +929,33 @@ def scan_group(
     clip, the peaks `find_local_maxima(normalized_cross_correlate(s,
     clip), threshold)` lists, as int64 lags and float64 values, and, per
     continuous clip, the `Runs` above `continuous_threshold` of its
-    trace's rectified box means over `clip.duration_s`. The workers list
-    an impulse clip's lags above the threshold, and one `_Peaks` per clip
-    picks its peaks from them as they arrive; they take a continuous
-    clip's box means per block, and one `_Box` per clip stitches them
-    and their runs across batch edges.
+    trace's rectified box means over `clip.duration_s`. Each clip has one
+    decider: a `_Peaks` for an impulse clip, which picks its peaks from
+    the lags above the threshold as they arrive, and a `_Box` for a
+    continuous one, which takes its box means per block and stitches
+    them and their runs across batch edges.
 
-    Given `record`, no clip is screened, and `record(j, averaged, values)`
-    is called batch by batch in lag order with clip j's lags (`averaged`
-    False; impulses count first) and a continuous clip's box means
-    (True), valid only during the call; the peaks and runs are found as
-    without it. With one length in the group, the lags are
-    `normalized_cross_correlate`'s, and the box means `moving_average`'s,
-    bit for bit. A shorter clip beside a longer one is cut into the
-    longer one's blocks, numerator, window energy and box sums alike: it
-    moves by a few ulps where its window holds sound, more at a
-    near-silent window after loud samples.
+    Given `record`, each decider is wrapped in a `_Record`, so no clip is
+    screened, and `record(j, averaged, values)` is called batch by batch
+    in lag order with clip j's lags (`averaged` False; impulses count
+    first) and a continuous clip's box means (True), valid only during
+    the call; the peaks and runs are found as without it. With one
+    length in the group, the lags are `normalized_cross_correlate`'s, and
+    the box means `moving_average`'s, bit for bit. A shorter clip beside
+    a longer one is cut into the longer one's blocks, numerator, window
+    energy and box sums alike: it moves by a few ulps where its window
+    holds sound, more at a near-silent window after loud samples.
     """
     clips = [*impulses, *continuous]
     if not clips:
         return [], []
     energies = _check_group(s, clips)
     n, rate = len(s), s.sample_rate_hz
-    pickers = [_Peaks(n) for _ in impulses]
-    boxes = [
+    deciders = [_Peaks(n, threshold) for _ in impulses] + [
         _Box(n, _box_width(clip.duration_s, rate), continuous_threshold, None if record is None else partial(record, j, True))
         for j, clip in enumerate(continuous, len(impulses))
     ]
-    sinks = [None if record is None else partial(record, j, False) for j in range(len(clips))]
-    _sliding_dot(s.samples, [clip.samples for clip in clips], sinks, energies, threshold,
-                 pickers + [None] * len(continuous), [None] * len(impulses) + boxes)
-    return [picker.found() for picker in pickers], [box.decided() for box in boxes]
+    wrapped = deciders if record is None else [_Record(partial(record, j, False), d) for j, d in enumerate(deciders)]
+    _sliding_dot(s.samples, [clip.samples for clip in clips], wrapped, energies)
+    decided = [decider.decided() for decider in deciders]
+    return decided[: len(impulses)], decided[len(impulses) :]

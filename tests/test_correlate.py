@@ -484,7 +484,7 @@ class TestMemoryBound:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_blocks_in_flight_share_one_budget(self, take, workers, monkeypatch):
-        # Beside the output its sink fills: every worker's spectra and block outputs, 2 x 8
+        # Beside the output its `_Record` fills: every worker's spectra and block outputs, 2 x 8
         # bytes per sample of the shared batch budget, plus at most the padded copy of the tail.
         s, p = take
         monkeypatch.setattr(correlate, "_WORKERS", workers)
@@ -707,10 +707,10 @@ def stitched_maxima(values, threshold, cuts):
     """`values` pushed into one `_Peaks` a row at a time, cut before each lag in `cuts` (repeats make empty pushes)."""
     v = np.asarray(values, dtype=float)
     bounds = [0, *sorted(min(max(c, 0), v.size) for c in cuts), v.size]
-    picker = correlate._Peaks(v.size)
+    picker = correlate._Peaks(v.size, threshold)
     for lo, hi in zip(bounds, bounds[1:]):
-        picker.push(*correlate._above(v[lo:hi], threshold, lo), hi)
-    lags, peaks = picker.found()
+        picker.push([correlate._above(v[lo:hi], threshold, lo)], hi)
+    lags, peaks = picker.decided()
     assert lags.dtype == np.int64 and peaks.dtype == np.float64
     return list(zip(lags.tolist(), peaks.tolist()))
 
@@ -740,13 +740,13 @@ class TestStitchedPeaks:
     def test_array_and_list_forms_agree(self):
         # The (lags, values) arrays `scan_group` returns are `find_local_maxima`'s list, from the same picker.
         trace = CorrelationTrace(np.array([0.0, 0.7, 0.7, 0.0, 0.9, 0.0]), SR)
-        picker = correlate._Peaks(len(trace))
-        picker.push(*correlate._above(trace.values, 0.5), len(trace))
-        lags, values = picker.found()
+        picker = correlate._Peaks(len(trace), 0.5)
+        picker.push([correlate._above(trace.values, 0.5)], len(trace))
+        lags, values = picker.decided()
         assert lags.dtype == np.int64 and values.dtype == np.float64
         assert lags.tolist() == [1, 4] and values.tolist() == [0.7, 0.9]
         assert find_local_maxima(trace, 0.5) == [(1, 0.7), (4, 0.9)]
-        empty = correlate._Peaks(0).found()
+        empty = correlate._Peaks(0, 0.5).decided()
         assert empty[0].dtype == np.int64 and empty[0].size == 0
         assert empty[1].dtype == np.float64 and empty[1].size == 0
         assert find_local_maxima(CorrelationTrace(np.empty(0), SR), 0.5) == []
@@ -754,13 +754,13 @@ class TestStitchedPeaks:
     def test_state_between_pushes_is_bounded(self):
         """A clipped plateau of 10^6 lags, pushed in 1,000 pieces: only scalars are carried, and no peak comes of it."""
         n, pieces = 10**6, 1000
-        picker = correlate._Peaks(n)
+        picker = correlate._Peaks(n, 0.5)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             for lo in range(0, n, n // pieces):
                 lags = np.arange(lo, lo + n // pieces)
-                picker.push(lags, np.ones(lags.size), lo + lags.size)
+                picker.push([(lags, np.ones(lags.size))], lo + lags.size)
                 del lags
                 held = tracemalloc.get_traced_memory()[0] - base
                 assert held < 64 * 1024, held  # the plateau so far, were it held, would reach 16 MB
@@ -771,7 +771,7 @@ class TestStitchedPeaks:
         finally:
             tracemalloc.stop()
         assert picker.open is None  # the last push reached lag n - 1, so the plateau touches the trace's end
-        lags, values = picker.found()
+        lags, values = picker.decided()
         assert lags.size == 0 and values.size == 0
 
 
@@ -916,7 +916,7 @@ class TestStreamedSums:
         edges = sorted({0, blocks, *(c for c in cuts if 0 < c < blocks)})  # batch edges, in blocks
         for first, stop in zip(edges, edges[1:]):
             batch = rows[first:stop].copy()
-            box.push(first, [box.found(batch, first, batch)])  # its means written over its lags, as a worker does
+            box.push([box.found(batch, first)], min(stop * step, n))  # its means written over its lags, as a worker does
         means = np.concatenate([np.empty(0), *recorded])
         expected = reference_moving_average(np.abs(x) if rectify else x, w, step=step)
         assert means.tobytes() == expected.tobytes()
@@ -946,7 +946,7 @@ class TestStreamedSums:
         edges = sorted({0, lay.blocks, *(c for c in cuts if 0 < c < lay.blocks)})
         for first, stop in zip(edges, edges[1:]):
             batch = rows[first:stop].copy()
-            box.push(first, [box.found(batch, first, batch)])
+            box.push([box.found(batch, first)], min(stop * lay.step, x.size))
         assert np.concatenate(recorded).tobytes() == whole.tobytes()
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -1099,28 +1099,43 @@ class TestScreen:
         st.integers(0, 2**32 - 1),
         st.permutations(range(3)),
         st.sampled_from([1, 3]),
+        st.booleans(),
     )
-    @example(["quiet", "loud", "tone", "quiet"], 0.5, 2, 0, [2, 0, 1], 1)  # dead first and last blocks
-    @example(["loud"], 0.3, 1, 1, [0, 1, 2], 1)  # a one-block take
-    @example(["zero", "tone", "zero", "loud", "noise"], 0.9, 3, 2, [2, 1, 0], 1)  # exact zeros, the last pattern a tone
-    @example(["quiet", "loud", "quiet", "tone", "quiet"], 0.5, 1, 3, [2, 0, 1], 3)  # live blocks moved within a batch
-    @example(["noise", "mixed", "quiet"], 0.5, 2, 4, [0, 1, 2], 1)  # a block that only its quietest windows keep live
-    def test_peaks_equal_the_unscreened_reference(self, kinds, threshold, workers, seed, order, per_batch):
+    @example(["quiet", "loud", "tone", "quiet"], 0.5, 2, 0, [2, 0, 1], 1, False)  # dead first and last blocks
+    @example(["loud"], 0.3, 1, 1, [0, 1, 2], 1, False)  # a one-block take
+    @example(["zero", "tone", "zero", "loud", "noise"], 0.9, 3, 2, [2, 1, 0], 1, False)  # exact zeros, the last pattern a tone
+    @example(["quiet", "loud", "quiet", "tone", "quiet"], 0.5, 1, 3, [2, 0, 1], 3, False)  # live blocks moved within a batch
+    @example(["noise", "mixed", "quiet"], 0.5, 2, 4, [0, 1, 2], 1, False)  # a block that only its quietest windows keep live
+    @example(["quiet", "quiet", "loud", "quiet", "quiet"], 0.3, 1, 2, [0, 1, 2], 3, True)  # both kinds' dead blocks in a batch
+    @example(["tone", "quiet", "zero", "loud"], 0.3, 2, 6, [0, 2, 1], 1, True)  # runs, in one-block batches on two workers
+    def test_peaks_equal_the_unscreened_reference(self, kinds, threshold, workers, seed, order, per_batch, continuous):
+        """With `continuous`, the group also holds the tonal continuous patterns of CONTINUOUS_TONES: screened
+        impulse and continuous lanes, each with its own dead blocks, beside the unscreened burst in one batch."""
         rng = np.random.default_rng(seed)
         patterns = screen_patterns(rng, order)
+        boxes = [clip(tone(m, cycles)) for m, cycles in CONTINUOUS_TONES] if continuous else []
         n = (len(kinds) - 1) * SCREEN_STEP + int(rng.integers(SCREEN_M, SCREEN_STEP + 1))
         s = block_take(rng, kinds, patterns, n)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(correlate, "_WORKERS", workers)
             mp.setattr(correlate, "_BATCH_SAMPLES", _fft_length(n, SCREEN_M) * workers * per_batch)
-            screened, _ = scan_group(s, patterns, (), threshold, threshold)
+            screened, runs = scan_group(s, patterns, boxes, threshold, threshold)
             recorded = Recorder()
-            unscreened, _ = scan_group(s, patterns, (), threshold, threshold, recorded)
+            unscreened, kept_runs = scan_group(s, patterns, boxes, threshold, threshold, recorded)
         for j, (p, (lags, values), (kept_lags, kept_values)) in enumerate(zip(patterns, screened, unscreened)):
             reference = normalized_cross_correlate(s, p)
             assert recorded.trace(j).tobytes() == reference.values.tobytes()
             assert np.array_equal(lags, kept_lags) and np.array_equal(values, kept_values)
             assert list(zip(lags.tolist(), values.tolist())) == find_local_maxima(reference, threshold)
+        for j, (p, found, kept) in enumerate(zip(boxes, runs, kept_runs), len(patterns)):
+            assert all(np.array_equal(a, b) for a, b in zip(found, kept))
+            # A shorter pattern's lags are its own in the group's blocks: those of a pair with a SCREEN_M pattern.
+            pair = [p.samples, patterns[0].samples]
+            alone = _whole(s.samples, pair, [sum_of_squares(q) for q in pair])[0] if len(p) < SCREEN_M else normalized_cross_correlate(s, p).values
+            assert recorded.trace(j).tobytes() == alone.tobytes()
+            expected = reference_moving_average(np.abs(alone), len(p), SCREEN_M)
+            assert recorded.trace(j, True).tobytes() == expected.tobytes()
+            assert list(zip(*(column.tolist() for column in kept))) == reference_runs(expected, threshold)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_clipped_plateau_between_dead_blocks(self, workers, monkeypatch):

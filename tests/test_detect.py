@@ -532,7 +532,7 @@ class TestDetect:
         assert {e.pattern_id for e in result.tracks[0].events} >= {"tick", "poc", "chhh"}
 
     def test_memory_holds_one_pattern_at_a_time(self, monkeypatch):
-        """Without a sink, `detect` holds the batches in flight beside the take, and no take-length array.
+        """Without a recorder, `detect` holds the batches in flight beside the take, and no take-length array.
 
         With continuous patterns of two lengths among the patterns, the
         peak is a few batch budgets (8 * _BATCH_SAMPLES bytes each), the
@@ -763,7 +763,7 @@ class TestStreamedContinuous:
         box = correlate._Box(v.size, w, threshold)
         for lo, hi in cut_rows(blocks, [c // step for c in cuts]):
             batch = rows[lo:hi].copy()
-            box.push(lo, [box.found(batch, lo, batch)])  # a worker writes the means over the lags
+            box.push([box.found(batch, lo)], min(hi * step, v.size))  # a worker writes the means over the lags
         duration = v.size / rate
         streamed = detect_module._continuous_intervals(box.decided(), pattern, cfg, rate, duration)
         averaged = reference_moving_average(np.abs(v), w, step=step)
